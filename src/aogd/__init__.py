@@ -1,6 +1,6 @@
 """Adaptive online gradient descent for convex problems with long-term constraints."""
 
-from .learner import GammaShift, LearnerState, RoundRecord, gamma_shifted, run, step
+from .learner import LearnerState, RoundRecord, run, step
 from .metrics import RegretReport, accumulate, bound_compliance, fit_rate_exponent
 from .offline import OfflineSolution, project_birkhoff, project_elasticnet_ball, solve_offline
 from .problems import DsmProblem, ElasticNetProblem
@@ -12,11 +12,11 @@ from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
 
 __all__ = [
     "Constraint", "ConstraintSet", "DsmProblem", "ElasticNetProblem",
-    "FixedScheduleParams", "GammaShift", "LearnerState", "OfflineSolution",
+    "FixedScheduleParams", "LearnerState", "OfflineSolution",
     "ProblemConstants", "Regime", "RegretReport", "RoundRecord",
     "ScheduleParams", "accumulate", "bound_compliance", "check_conditions",
     "constraint_regret_bound", "eta_at", "fit_rate_exponent", "g_max",
-    "g_subgradient", "gamma_shifted", "loss_regret_bound", "mu_at",
+    "g_subgradient", "loss_regret_bound", "mu_at",
     "project_ball", "project_birkhoff", "project_elasticnet_ball",
     "project_nonneg", "run", "schedule_sums", "solve_offline", "step",
     "theta_at",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,6 +53,16 @@ class ExperimentConfig:
         if self.algorithm == "a_ogd_strongly_convex" and constants.sigma <= 0:
             raise ValueError(
                 "a_ogd_strongly_convex requires a problem with sigma > 0")
+        if self.gamma < 0:
+            raise ValueError("gamma_shift.c1 must be nonnegative")
+
+    @property
+    def gamma(self) -> float:
+        """Constraint shift gamma = c1 * T^(-beta/2); 0 without gamma_shift."""
+        if self.gamma_shift is None:
+            return 0.0
+        c1 = float(self.gamma_shift.get("c1", 1.0))
+        return c1 * float(self.T) ** (-self.beta / 2.0)
 
 
 def build_problem(cfg: ExperimentConfig, seed: int):
@@ -118,36 +128,26 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     manifest_path: str) -> str:
-    probe = build_problem(cfg, cfg.seeds[0])
-    cfg.validate(probe.constants)
+    # one problem for every seed: learner.run re-materializes its stream
+    problem = build_problem(cfg, cfg.seeds[0])
+    constants = problem.constants
+    cfg.validate(constants)
 
-    gamma = 0.0
-    if cfg.gamma_shift is not None:
-        c1 = float(cfg.gamma_shift.get("c1", 1.0))
-        gamma = c1 * float(cfg.T) ** (-cfg.beta / 2.0)
-
-    def wrap(problem):
-        if gamma > 0.0:
-            shift = learner.GammaShift(gamma=gamma, c1=gamma * cfg.T ** (cfg.beta / 2.0))
-            return learner.gamma_shifted(problem, shift)
-        return problem
-
-    schedule = build_schedule(cfg, wrap(probe).constants)
+    # the shifted constraint g + gamma is bounded by D + gamma
+    gamma = cfg.gamma
+    schedule = build_schedule(cfg, replace(constants, D=constants.D + gamma))
     checkpoints = metrics.checkpoint_grid(cfg.T, cfg.checkpoints)
 
     # schedule condition report over the full horizon
-    theta, eta, mu = schedule_arrays(schedule, cfg.T)
-    mu_used = mu * (2.0 / 3.0) if gamma > 0.0 else mu
-    cond = check_conditions(theta, eta, mu_used, probe.constants.sigma,
-                            probe.constants.G, cfg.T,
-                            mu_theta_factor=1.5 if gamma > 0.0 else 1.0)
+    theta, eta, mu = schedule_arrays(schedule, cfg.T, gamma)
+    cond = check_conditions(theta, eta, mu, constants.sigma, constants.G,
+                            cfg.T, gamma)
     sums = schedule_sums(schedule, cfg.T) if isinstance(schedule, ScheduleParams) else None
 
     per_seed = []
     first_nonpositive_t = None
     for seed in cfg.seeds:
-        problem = wrap(build_problem(cfg, seed))
-        records = learner.run(problem, schedule, cfg.T, seed)
+        records = learner.run(problem, schedule, cfg.T, seed, gamma)
         pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())
                        if isinstance(v, (str, int, float)))
         solutions = {
@@ -178,7 +178,6 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         per_seed.append({
             "seed": seed,
             "report": report,
-            "final_g_cum": float(g_cum[-1]),
             "compliance": compliance,
         })
 
@@ -217,7 +216,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         "status": "ok",
         "config": _config_echo(cfg),
         "algorithm": _algorithm_label(cfg),
-        "constants": asdict(probe.constants),
+        "constants": asdict(constants),
         "gamma": gamma,
         "conditions": {"c1_ok": cond.c1_ok, "c2_ok": cond.c2_ok,
                        "c3_slack": cond.c3_slack,

@@ -10,11 +10,11 @@ sequential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import Constraint, ConstraintSet, g_max, project_ball, project_nonneg
+from .projections import g_max, project_ball, project_nonneg
 from .schedules import schedule_arrays
 
 
@@ -45,33 +45,6 @@ class RoundRecord:
     mu: float
 
 
-@dataclass(frozen=True)
-class GammaShift:
-    """Configuration of the shifted constraint g + gamma.
-
-    gamma = c1 * T^(-beta/2) over-satisfies the constraint so the cumulative
-    violation reaches zero by the horizon; r lower-bounds the constraint
-    gradient on the shifted level set, c0 is the minimum horizon for which
-    the guarantee kicks in.
-    """
-
-    gamma: float
-    r: float = 1.0
-    c1: float = 1.0
-    c0: int = 1
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
-
-    @classmethod
-    def for_horizon(cls, c1: float, beta: float, T: int, r: float = 1.0,
-                    c0: int = 1) -> "GammaShift":
-        return cls(gamma=c1 * float(T) ** (-beta / 2.0), r=r, c1=c1, c0=c0)
-
-
 def primal_gradient(f_grad: np.ndarray, lam: float, g_sub: np.ndarray) -> np.ndarray:
     """Gradient of the saddle function in x: f_grad + lambda * g_sub."""
     return f_grad + lam * g_sub
@@ -94,76 +67,36 @@ def step(state: LearnerState, f_grad: np.ndarray, g_value: float,
     return LearnerState(x=x_next, lam=lam_next, t=state.t + 1)
 
 
-def gamma_shifted(problem, shift: GammaShift):
-    """Wrap a problem so the learner sees g(x) + gamma.
-
-    The constraint-value bound D grows to D + gamma; metrics keep recording
-    the unshifted g for violation accounting (handled by run()).
-    """
-    if shift.gamma == 0.0:
-        return problem
-    return _GammaShiftedProblem(problem, shift)
-
-
-class _GammaShiftedProblem:
-    def __init__(self, inner, shift: GammaShift):
-        self.inner = inner
-        self.shift = shift
-        self.gamma = shift.gamma
-        self.dim = inner.dim
-        self.constraints = ConstraintSet(components=[
-            Constraint(
-                value=lambda x, c=comp, g=shift.gamma: c.value(x) + g,
-                subgradient=comp.subgradient,
-            )
-            for comp in inner.constraints.components
-        ])
-        c = inner.constants
-        self.constants = replace(c, D=c.D + shift.gamma)
-
-    def materialize(self, T: int, seed=None):
-        self.inner.materialize(T, seed)
-        return self
-
-    @property
-    def stream(self):
-        return self.inner.stream
-
-    def loss(self, t: int, x: np.ndarray):
-        return self.inner.loss(t, x)
-
-    def project_feasible(self, x: np.ndarray, tol: float = 1e-10):
-        return self.inner.project_feasible(x, tol=tol)
-
-
-def run(problem, schedule, T: int, seed: int | None = None) -> list[RoundRecord]:
+def run(problem, schedule, T: int, seed: int | None = None,
+        gamma: float = 0.0) -> list[RoundRecord]:
     """Execute T rounds and return the per-round records.
 
-    Deterministic given (problem stream seed, schedule). When the problem is
-    gamma-shifted, the learner's dual update sees g + gamma while the record
-    stores the raw g; the dual step size is scaled by 2/3 to honor the
-    strengthened C2 condition of the shifted analysis.
+    Deterministic given (problem stream seed, schedule, gamma). With gamma > 0
+    the learner plays against the shifted constraint g + gamma: its dual
+    update sees g + gamma with the dual step scaled as schedule_arrays does
+    for gamma, while the record stores the unshifted g for violation
+    accounting. Raises ValueError for gamma < 0.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    theta, eta, mu = schedule_arrays(schedule, T, gamma)
     problem.materialize(T, seed)
-    theta, eta, mu = schedule_arrays(schedule, T)
-    gamma = getattr(problem, "gamma", 0.0)
-    if gamma > 0.0:
-        mu = mu * (2.0 / 3.0)
     R = problem.constants.R
     cs = problem.constraints
     state = LearnerState.initial(problem.dim)
     records = []
     for t in range(1, T + 1):
         f_val, f_grad = problem.loss(t, state.x)
-        g_val, idx = g_max(cs, state.x)  # shifted value when gamma > 0
+        g_val, idx = g_max(cs, state.x)
         g_sub = np.asarray(cs.components[idx].subgradient(state.x), dtype=float)
+        g_shifted = g_val + gamma
         records.append(RoundRecord(
             t=t, x=state.x.copy(), lam=state.lam, loss=f_val,
-            g_value=g_val - gamma,
+            # (g + gamma) - gamma rather than g: the recorded value is
+            # rounded as the shifted constraint's arithmetic rounds it
+            g_value=g_shifted - gamma,
             eta=float(eta[t - 1]), theta=float(theta[t - 1]), mu=float(mu[t - 1]),
         ))
-        state = step(state, np.asarray(f_grad, dtype=float), g_val, g_sub,
+        state = step(state, np.asarray(f_grad, dtype=float), g_shifted, g_sub,
                      float(eta[t - 1]), float(mu[t - 1]), float(theta[t - 1]), R)
     return records

@@ -112,6 +112,7 @@ class DsmProblem:
     def materialize(self, T: int, seed: int | None = None):
         if seed is not None:
             self.seed = seed
+        self._ys = None  # a re-materialized problem never holds two streams
         self._ys = permutation_stream(self.p, self.seed, T)
         return self
 
@@ -224,32 +225,3 @@ class ElasticNetProblem:
         from .offline import project_elasticnet_ball
 
         return project_elasticnet_ball(x, self.rho, tol=tol)
-
-
-def search_rho(labels: np.ndarray, features: np.ndarray,
-               target_nonzero_frac: float, lo: float = 1e-3, hi: float = 50.0,
-               iters: int = 25, zero_tol: float = 1e-4, seed: int = 0):
-    """Bisect the budget rho so the offline solution hits a target sparsity.
-
-    The fraction of nonzero coordinates of the offline optimum grows with
-    rho; returns (rho, achieved_fraction).
-    """
-    from .offline import solve_offline
-
-    n = labels.shape[0]
-
-    def nonzero_frac(rho):
-        problem = ElasticNetProblem(labels, features, rho, seed=seed)
-        problem.materialize(n, seed)
-        sol = solve_offline(problem, n)
-        return float(np.mean(np.abs(sol.x_star) > zero_tol))
-
-    lo_v, hi_v = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (lo_v + hi_v)
-        if nonzero_frac(mid) < target_nonzero_frac:
-            lo_v = mid
-        else:
-            hi_v = mid
-    rho = 0.5 * (lo_v + hi_v)
-    return rho, nonzero_frac(rho)

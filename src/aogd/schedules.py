@@ -101,18 +101,37 @@ def mu_at(params: ScheduleParams, t):
     return 1.0 / (theta_at(params, t) * (t + 1.0))
 
 
-def schedule_arrays(schedule, T: int):
+def _shifted(gamma: float) -> bool:
+    """Whether the learner runs against g + gamma; rejects gamma < 0.
+
+    The analysis of the shifted constraint takes the dual step mu_t * 2/3
+    (schedule_arrays) and strengthens C2 by the factor 3/2
+    (check_conditions); its bounds are evaluated with the constant D + gamma.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    return gamma > 0.0
+
+
+def schedule_arrays(schedule, T: int, gamma: float = 0.0):
     """Materialize (theta, eta, mu) for rounds 1..T as float arrays.
 
     Accepts either adaptive ScheduleParams or a FixedScheduleParams baseline.
+    With a constraint shift gamma > 0 the dual step mu is scaled by 2/3.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if isinstance(schedule, FixedScheduleParams):
         ones = np.ones(T)
-        return schedule.theta * ones, schedule.eta * ones, schedule.mu * ones
-    t = np.arange(1, T + 1, dtype=float)
-    return theta_at(schedule, t), eta_at(schedule, t), mu_at(schedule, t)
+        theta, eta, mu = (schedule.theta * ones, schedule.eta * ones,
+                          schedule.mu * ones)
+    else:
+        t = np.arange(1, T + 1, dtype=float)
+        theta, eta, mu = (theta_at(schedule, t), eta_at(schedule, t),
+                          mu_at(schedule, t))
+    if _shifted(gamma):
+        mu = mu * (2.0 / 3.0)
+    return theta, eta, mu
 
 
 @dataclass(frozen=True)
@@ -123,17 +142,17 @@ class ConditionReport:
 
 
 def check_conditions(theta, eta, mu, sigma: float, G: float, T: int,
-                     mu_theta_factor: float = 1.0) -> ConditionReport:
+                     gamma: float = 0.0) -> ConditionReport:
     """Numerically verify the sufficient conditions over rounds 2..T.
 
     C1: 1/mu_t - 1/mu_{t-1} - theta_t <= 0.
-    C2: eta_t G^2 + mu_theta_factor * mu_t theta_t^2 - theta_t / 2 <= 0.
+    C2: eta_t G^2 + k * mu_t theta_t^2 - theta_t / 2 <= 0, with k = 1, or
+    k = 3/2 for the constraint shifted upward by gamma > 0 (pass the mu
+    that schedule_arrays returns for the same gamma).
     C3 slack: sum_{t=2}^T [1/eta_t - 1/eta_{t-1} - sigma] (caller compares
     against its U_eta budget).
-
-    mu_theta_factor = 3/2 gives the strengthened C2 used when the constraint
-    is shifted upward to eliminate long-term violations.
     """
+    k = 1.5 if _shifted(gamma) else 1.0
     theta = np.asarray(theta, dtype=float)
     eta = np.asarray(eta, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -147,7 +166,7 @@ def check_conditions(theta, eta, mu, sigma: float, G: float, T: int,
         return ConditionReport(c1_ok=True, c2_ok=True, c3_slack=0.0)
 
     c1 = 1.0 / m[1:] - 1.0 / m[:-1] - th[1:]
-    c2 = et[1:] * G**2 + mu_theta_factor * m[1:] * th[1:] ** 2 - 0.5 * th[1:]
+    c2 = et[1:] * G**2 + k * m[1:] * th[1:] ** 2 - 0.5 * th[1:]
     c3_slack = float(np.sum(1.0 / et[1:] - 1.0 / et[:-1] - sigma))
     return ConditionReport(
         c1_ok=bool(np.all(c1 <= CONDITION_TOL)),

@@ -129,6 +129,15 @@ class TestRunExperiment:
         assert manifest["gamma"] == pytest.approx(64 ** (-1.0 / 3.0))
         assert "first_nonpositive_violation_t" in manifest
 
+    def test_negative_gamma_shift_rejected(self, tmp_path):
+        _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})
+        with pytest.raises(ValueError, match="c1"):
+            run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "c1" in manifest["error"]
+        assert not (tmp_path / "out" / "seed_42.csv").exists()
+
 
 class TestCompareRuns:
     def test_table_and_files(self, tmp_path):

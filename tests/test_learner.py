@@ -1,12 +1,15 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aogd.learner import (GammaShift, LearnerState, dual_gradient,
-                          gamma_shifted, primal_gradient, run, step)
+from aogd.experiment import ExperimentConfig, run_experiment
+from aogd.learner import LearnerState, dual_gradient, primal_gradient, run, step
 from aogd.problems import DsmProblem, ElasticNetProblem
-from aogd.projections import project_ball
+from aogd.projections import g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
-                            ScheduleParams)
+                            ScheduleParams, loss_regret_bound, schedule_arrays)
 
 
 def dsm_params(p, beta=2.0 / 3.0, regime=Regime.CONVEX):
@@ -164,30 +167,50 @@ class TestRun:
 
 class TestGammaShift:
     def test_zero_shift_is_identity(self):
-        prob = DsmProblem(2, seed=0)
-        assert gamma_shifted(prob, GammaShift(gamma=0.0)) is prob
+        r1 = run(DsmProblem(2, seed=0), dsm_params(2), T=30, seed=0)
+        r2 = run(DsmProblem(2, seed=0), dsm_params(2), T=30, seed=0, gamma=0.0)
+        for a, b in zip(r1, r2):
+            assert np.array_equal(a.x, b.x) and a.lam == b.lam
+            assert a.g_value == b.g_value and a.mu == b.mu
 
     def test_horizon_formula(self):
-        shift = GammaShift.for_horizon(c1=1.0, beta=2.0 / 3.0, T=1000)
-        assert shift.gamma == pytest.approx(0.1)
+        cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
+                               algorithm="a_ogd_convex", beta=2.0 / 3.0,
+                               T=1000, seeds=[0], output_dir="unused",
+                               gamma_shift={"c1": 1.0})
+        assert cfg.gamma == pytest.approx(0.1)
 
     def test_learner_sees_shifted_metrics_record_raw(self):
         rng = np.random.default_rng(4)
         y = np.where(rng.normal(size=40) > 0, 1.0, -1.0)
         u = rng.normal(size=(40, 3))
         prob = ElasticNetProblem(y, u, rho=0.2, seed=1)
-        wrapped = gamma_shifted(prob, GammaShift(gamma=0.5))
-        # at x = 0 the raw constraint is -rho; the wrapped set reports -rho + 0.5
-        from aogd.projections import g_max
+        # at x = 0 the raw constraint is -rho; the learner sees -rho + 0.5
         raw, _ = g_max(prob.constraints, np.zeros(3))
-        shifted, _ = g_max(wrapped.constraints, np.zeros(3))
         assert raw == pytest.approx(-0.2)
-        assert shifted == pytest.approx(0.3)
-        assert wrapped.constants.D == pytest.approx(prob.constants.D + 0.5)
         params = ScheduleParams(beta=0.5, regime=Regime.CONVEX,
-                                constants=wrapped.constants)
-        records = run(wrapped, params, T=5, seed=1)
+                                constants=prob.constants)
+        records = run(prob, params, T=5, seed=1, gamma=0.5)
         assert records[0].g_value == pytest.approx(-0.2)
+        # from lambda_1 = 0 the dual ascent moves by mu_1 * (g + gamma)
+        _, _, mu = schedule_arrays(params, 5, gamma=0.5)
+        assert records[0].mu == mu[0]
+        assert records[1].lam == pytest.approx(mu[0] * 0.3)
+
+    def test_bound_constants_use_shifted_d(self, tmp_path):
+        cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
+                               algorithm="a_ogd_convex", beta=2.0 / 3.0,
+                               T=64, seeds=[0], output_dir=str(tmp_path),
+                               checkpoints=4, gamma_shift={"c1": 1.0})
+        run_experiment(cfg)
+        c = DsmProblem(2).constants
+        params = ScheduleParams(beta=cfg.beta, regime=Regime.CONVEX,
+                                constants=replace(c, D=c.D + cfg.gamma))
+        with open(tmp_path / "seed_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            assert float(row["loss_bound"]) == pytest.approx(
+                float(loss_regret_bound(params, int(row["t"]))), rel=1e-12)
 
     def test_shift_reduces_cumulative_violation_elasticnet(self):
         rng = np.random.default_rng(7)
@@ -199,14 +222,14 @@ class TestGammaShift:
 
         def cum_violation(gamma):
             prob = ElasticNetProblem(y, u, rho=1.0, seed=3)
-            wrapped = gamma_shifted(prob, GammaShift(gamma=gamma))
+            c = prob.constants
             params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.CONVEX,
-                                    constants=wrapped.constants)
-            records = run(wrapped, params, T, seed=3)
+                                    constants=replace(c, D=c.D + gamma))
+            records = run(prob, params, T, seed=3, gamma=gamma)
             return float(np.sum([r.g_value for r in records]))
 
         assert cum_violation(0.3) < cum_violation(0.0)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            GammaShift(gamma=-0.1)
+            run(DsmProblem(2, seed=0), dsm_params(2), T=5, seed=0, gamma=-0.1)

@@ -101,6 +101,29 @@ class TestConditions:
         with pytest.raises(ValueError):
             check_conditions(np.ones(3), np.ones(3), np.ones(3), 0.0, 1.0, 5)
 
+    def test_shifted_dual_step_and_c2(self):
+        # gamma > 0 scales mu by 2/3 and checks C2 with 3/2 mu theta^2
+        p = convex_params()
+        theta, eta, mu = schedule_arrays(p, 1000)
+        _, _, mu_shifted = schedule_arrays(p, 1000, gamma=0.1)
+        np.testing.assert_allclose(mu_shifted, mu * 2.0 / 3.0, rtol=1e-15)
+        assert check_conditions(theta, eta, mu_shifted, 0.0, 1.0, 1000,
+                                gamma=0.1).c2_ok
+        # hand case: eta G^2 + k mu theta^2 = 0.1 + 0.3 k against theta/2 = 0.5
+        T = 10
+        ones = np.ones(T)
+        mu_c2 = np.full(T, 0.3)
+        assert check_conditions(ones, 0.1 * ones, mu_c2, 0.0, 1.0, T).c2_ok
+        assert not check_conditions(ones, 0.1 * ones, mu_c2, 0.0, 1.0, T,
+                                    gamma=0.1).c2_ok
+
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ValueError):
+            schedule_arrays(convex_params(), 10, gamma=-0.1)
+        with pytest.raises(ValueError):
+            check_conditions(np.ones(3), np.ones(3), np.ones(3), 0.0, 1.0, 3,
+                             gamma=-0.1)
+
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_random_constants_pass_all_conditions(self, beta):
         # c1, c2 hold and c3 slack stays within the tabulated budget
