@@ -5,7 +5,9 @@ A run produces, under the configured output directory:
     constraint_bound, lambda, step_eta, step_theta),
   - an aggregate CSV (mean and stddev across seeds per checkpoint),
   - a JSON manifest echoing the resolved config, derived constants,
-    condition-check report, rate exponents and bound compliance.
+    condition-check report, rate exponents, bound compliance and, per
+    checkpoint, the offline solver's iterations and whether it met its
+    tolerance.
 """
 
 from __future__ import annotations
@@ -179,6 +181,9 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
             "seed": seed,
             "report": report,
             "compliance": compliance,
+            "offline": [{"t": t, "iterations": sol.iterations,
+                         "tolerance_met": sol.tolerance_met}
+                        for t, sol in solutions.items()],
         })
 
     # aggregate across seeds
@@ -232,6 +237,9 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                 "max_ratio": s["compliance"].max_ratio,
             } for s in per_seed
         },
+        "offline": {str(s["seed"]): s["offline"] for s in per_seed},
+        "offline_converged": all(c["tolerance_met"] for s in per_seed
+                                 for c in s["offline"]),
         "final_loss_regret_mean": float(np.mean(loss_mat[:, -1])),
         "final_constraint_cum_mean": float(np.mean(g_mat[:, -1])),
         "first_nonpositive_violation_t": first_nonpositive_t,

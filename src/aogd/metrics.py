@@ -66,8 +66,7 @@ def accumulate(records: Sequence[RoundRecord],
     for t in sorted(offline):
         if t < 1 or t > len(records):
             raise ValueError(f"checkpoint t={t} outside the recorded rounds")
-        x_star = offline[t].x_star
-        offline_cum = sum(problem.loss(s, x_star)[0] for s in range(1, t + 1))
+        offline_cum = problem.loss_sum(t, offline[t].x_star)[0]
         rec = records[t - 1]
         checkpoints.append(Checkpoint(
             t=t,

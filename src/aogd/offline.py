@@ -6,7 +6,7 @@ the average loss on a stream prefix, by projected gradient descent with
 backtracking. Birkhoff-polytope projection uses Dykstra's alternating
 projections (plain alternating projection would converge to a feasible
 point, not the Euclidean projection); the elastic-net ball projection
-reduces to a 1-D bisection on the KKT multiplier.
+has a closed form in the KKT multiplier once its support is known.
 """
 
 from __future__ import annotations
@@ -72,39 +72,27 @@ def elasticnet_value(x: np.ndarray) -> float:
     return float(np.sum(np.abs(x)) + 0.5 * float(x @ x))
 
 
-def project_elasticnet_ball(v: np.ndarray, rho: float, tol: float = 1e-12,
-                            max_iter: int = 200) -> np.ndarray:
+def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_1 + 0.5 ||x||_2^2 <= rho}.
 
     For infeasible v the projection is x(nu) = soft_threshold(v, nu)/(1+nu)
-    with nu > 0 the multiplier at which the constraint is tight; h(nu) =
-    ||x(nu)||_1 + 0.5||x(nu)||_2^2 - rho is strictly decreasing, so nu is
-    found by bisection to |h| < tol.
+    with nu > 0 the multiplier at which the constraint is tight. With
+    a = |v| sorted in descending order and the support {1..k}, tightness
+    gives sum_{i<=k} (1 + a_i)^2 = (2 rho + k) (1 + nu)^2, so
+    nu_k = sqrt(sum_{i<=k} (1 + a_i)^2 / (2 rho + k)) - 1; the support is
+    the k with nu_k < a_k, and they form a prefix.
     """
     v = np.asarray(v, dtype=float)
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("input vector must be finite")
     if elasticnet_value(v) <= rho:
         return v.copy()
-
-    def h(nu):
-        x = _soft_threshold(v, nu) / (1.0 + nu)
-        return elasticnet_value(x) - rho
-
-    lo, hi = 0.0, float(np.max(np.abs(v)))  # h(lo) > 0, x(hi) = 0 so h(hi) = -rho < 0
-    if not (h(lo) > 0 and h(hi) < 0):
-        raise RuntimeError("bisection bracket failure in elastic-net projection")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        hm = h(mid)
-        if abs(hm) < tol:
-            lo = hi = mid
-            break
-        if hm > 0:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
+    a = np.sort(np.abs(v))[::-1]
+    nus = np.sqrt(np.cumsum((1.0 + a) ** 2)
+                  / (2.0 * rho + np.arange(1, a.size + 1))) - 1.0
+    nu = max(float(nus[np.count_nonzero(nus < a) - 1]), 0.0)
     return _soft_threshold(v, nu) / (1.0 + nu)
 
 
@@ -120,11 +108,7 @@ def solve_offline(problem, t: int, tol: float = 1e-8,
         raise ValueError("t must be >= 1")
 
     def objective_grad(x):
-        total, grad = 0.0, np.zeros_like(x)
-        for s in range(1, t + 1):
-            v, g = problem.loss(s, x)
-            total += v
-            grad += g
+        total, grad = problem.loss_sum(t, x)
         return total / t, grad / t
 
     x = problem.project_feasible(np.zeros(problem.dim))
@@ -135,15 +119,14 @@ def solve_offline(problem, t: int, tol: float = 1e-8,
         while True:
             x_new = problem.project_feasible(x - step * gx)
             diff = x_new - x
-            f_new = objective_grad(x_new)[0]
+            f_new, g_new = objective_grad(x_new)
             if f_new <= fx + gx @ diff + 0.5 / step * float(diff @ diff) + 1e-14:
                 break
             step *= 0.5
             if step < 1e-14:
                 break
         mapping_norm = float(np.linalg.norm(x_new - x)) / step
-        x = x_new
-        fx, gx = objective_grad(x)
+        x, fx, gx = x_new, f_new, g_new
         if mapping_norm < tol:
             return OfflineSolution(x_star=x, objective=fx, iterations=it,
                                    tolerance_met=True)

@@ -75,6 +75,13 @@ def dsm_constraints(p: int) -> ConstraintSet:
     return ConstraintSet(components=components)
 
 
+def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
+    """The first t rounds of a materialized stream."""
+    if not 1 <= t <= len(stream):
+        raise ValueError(f"t={t} outside the {len(stream)} materialized rounds")
+    return stream[:t]
+
+
 def permutation_stream(p: int, seed: int, T: int) -> np.ndarray:
     """T uniformly random p x p permutation matrices, deterministic in seed."""
     if p < 2:
@@ -127,6 +134,17 @@ class DsmProblem:
         Y = self.stream[t - 1]
         value, grad = dsm_loss_grad(Y, x.reshape(self.p, self.p))
         return value, grad.ravel()
+
+    def loss_sum(self, t: int, x: np.ndarray):
+        """Value and gradient of f_1 + ... + f_t at x (flattened).
+
+        With S = sum of the Y_s and Q = sum of their squared norms, the sum
+        is 0.5 t ||x||^2 - x.S + 0.5 Q and its gradient t x - S.
+        """
+        Ys = _prefix(self.stream, t).reshape(t, self.dim)
+        S = Ys.sum(axis=0)
+        Q = float(np.vdot(Ys, Ys))
+        return 0.5 * t * float(x @ x) - float(x @ S) + 0.5 * Q, t * x - S
 
     def project_feasible(self, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         from .offline import project_birkhoff
@@ -221,7 +239,15 @@ class ElasticNetProblem:
         i = self.stream[t - 1]
         return logloss_grad(self.labels[i], self.features[i], x)
 
-    def project_feasible(self, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def loss_sum(self, t: int, x: np.ndarray):
+        """Value and gradient of f_1 + ... + f_t at x."""
+        idx = _prefix(self.stream, t)
+        U, y = self.features[idx], self.labels[idx]
+        margin = y * (U @ x)
+        value = float(np.sum(np.logaddexp(0.0, -margin)))
+        return value, -(y * expit(-margin)) @ U
+
+    def project_feasible(self, x: np.ndarray) -> np.ndarray:
         from .offline import project_elasticnet_ball
 
-        return project_elasticnet_ball(x, self.rho, tol=tol)
+        return project_elasticnet_ball(x, self.rho)

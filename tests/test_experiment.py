@@ -129,6 +129,30 @@ class TestRunExperiment:
         assert manifest["gamma"] == pytest.approx(64 ** (-1.0 / 3.0))
         assert "first_nonpositive_violation_t" in manifest
 
+    def test_offline_solves_recorded(self, tmp_path):
+        _, cfg = write_config(tmp_path, seeds=[1, 2])
+        run_experiment(ExperimentConfig(**cfg))
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["offline_converged"] is True
+        assert set(manifest["offline"]) == {"1", "2"}
+        for solves in manifest["offline"].values():
+            assert [s["t"] for s in solves] == manifest["checkpoints"]
+            assert all(s["tolerance_met"] and s["iterations"] >= 1
+                       for s in solves)
+
+        # a cached solve that missed its tolerance shows on the next run
+        t = manifest["checkpoints"][-1]
+        (path,) = (out / "offline_cache").glob(f"*_seed2_t{t}.json")
+        cached = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(cached, tolerance_met=False)))
+        run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["offline_converged"] is False
+        assert manifest["offline"]["2"][-1] == {
+            "t": t, "iterations": cached["iterations"], "tolerance_met": False}
+        assert all(s["tolerance_met"] for s in manifest["offline"]["1"])
+
     def test_negative_gamma_shift_rejected(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})
         with pytest.raises(ValueError, match="c1"):

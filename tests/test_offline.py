@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from aogd.offline import (elasticnet_value, project_birkhoff,
                           project_elasticnet_ball, solve_offline,
@@ -11,6 +12,32 @@ def birkhoff_2x2_oracle(A):
     """Closed-form projection for p=2: the polytope is {aI + (1-a)P, a in [0,1]}."""
     a = np.clip((2.0 + A[0, 0] + A[1, 1] - A[0, 1] - A[1, 0]) / 4.0, 0.0, 1.0)
     return np.array([[a, 1 - a], [1 - a, a]])
+
+
+def elasticnet_ball_bisection_oracle(v, rho):
+    """Projection onto the elastic-net ball by bisection on the multiplier.
+
+    x(nu) = soft_threshold(v, nu) / (1 + nu), and h(nu) = ||x(nu)||_1 +
+    0.5 ||x(nu)||_2^2 - rho is strictly decreasing on [0, max |v|]; stops
+    at |h| < 1e-12 or after 200 halvings.
+    """
+    if elasticnet_value(v) <= rho:
+        return v.copy()
+
+    def x_of(nu):
+        return np.sign(v) * np.maximum(np.abs(v) - nu, 0.0) / (1.0 + nu)
+
+    lo, hi = 0.0, float(np.max(np.abs(v)))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        hm = elasticnet_value(x_of(mid)) - rho
+        if abs(hm) < 1e-12:
+            return x_of(mid)
+        if hm > 0:
+            lo = mid
+        else:
+            hi = mid
+    return x_of(0.5 * (lo + hi))
 
 
 class TestProjectBirkhoff:
@@ -120,9 +147,37 @@ class TestProjectElasticnetBall:
                                        atol=1e-9)
             assert np.linalg.norm(pv - pw) <= np.linalg.norm(v - w) + 1e-9
 
+    def test_matches_bisection_oracle(self):
+        rng = np.random.default_rng(9)
+        for d in range(1, 41):
+            for _ in range(10):
+                v = rng.normal(size=d) * rng.choice([0.1, 1.0, 3.0, 30.0])
+                v[rng.uniform(size=d) < 0.3] = 0.0
+                rho = 10.0 ** rng.uniform(-3, 2)
+                x = project_elasticnet_ball(v, rho)
+                np.testing.assert_allclose(
+                    x, elasticnet_ball_bisection_oracle(v, rho), atol=1e-10)
+                if elasticnet_value(v) <= rho:
+                    continue
+                # on the boundary, up to rounding: P(x) = x
+                np.testing.assert_allclose(project_elasticnet_ball(x, rho), x,
+                                           atol=1e-12)
+                # just outside the ball: P(w) stays within |w - x| of x
+                w = x * (1.0 + 10.0 ** rng.uniform(-16, -6))
+                pw = project_elasticnet_ball(w, rho)
+                np.testing.assert_allclose(
+                    pw, elasticnet_ball_bisection_oracle(w, rho), atol=1e-10)
+                assert (np.linalg.norm(pw - x)
+                        <= np.linalg.norm(w - x) + 1e-12)
+                assert elasticnet_value(pw) <= rho * (1.0 + 1e-12)
+
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
             project_elasticnet_ball(np.ones(2), 0.0)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            project_elasticnet_ball(np.array([np.inf, 0.0]), 1.0)
 
 
 class TestSolveOffline:
@@ -157,11 +212,10 @@ class TestSolveOffline:
         prob.materialize(n)
         sol = solve_offline(prob, n, tol=1e-9)
 
+        U, Y = u[prob.stream], y[prob.stream]
+
         def grad(x):
-            g = np.zeros(d)
-            for t in range(1, n + 1):
-                g += prob.loss(t, x)[1]
-            return g / n
+            return -(Y * expit(-Y * (U @ x))) @ U / n
 
         x = np.zeros(d)
         for _ in range(20000):

@@ -220,6 +220,44 @@ class TestSampledProblemInvariants:
             assert np.linalg.norm(grad) <= c.G + 1e-9
 
 
+def _make_problem(kind, T):
+    if kind == "dsm":
+        return DsmProblem(4, seed=5).materialize(T)
+    rng = np.random.default_rng(14)
+    u = rng.normal(size=(40, 6))
+    y = np.where(rng.normal(size=40) > 0, 1.0, -1.0)
+    return ElasticNetProblem(y, u, rho=1.0, seed=5).materialize(T)
+
+
+class TestLossSum:
+    T = 60
+
+    @pytest.mark.parametrize("kind", ["dsm", "elasticnet"])
+    @pytest.mark.parametrize("t", [1, 23, T])
+    def test_matches_per_round_loop(self, kind, t):
+        prob = _make_problem(kind, self.T)
+        rng = np.random.default_rng(t)
+        for _ in range(5):
+            x = rng.normal(size=prob.dim) * rng.choice([0.1, 1.0, 3.0])
+            value, grad = 0.0, np.zeros(prob.dim)
+            for s in range(1, t + 1):
+                v, g = prob.loss(s, x)
+                value += v
+                grad += g
+            got_value, got_grad = prob.loss_sum(t, x)
+            assert got_value == pytest.approx(value, rel=1e-12)
+            assert got_grad.shape == (prob.dim,)
+            assert (np.linalg.norm(got_grad - grad)
+                    <= 1e-12 * np.linalg.norm(grad))
+
+    @pytest.mark.parametrize("kind", ["dsm", "elasticnet"])
+    def test_rejects_prefix_past_the_stream(self, kind):
+        prob = _make_problem(kind, self.T)
+        for t in (0, self.T + 1):
+            with pytest.raises(ValueError, match="materialized"):
+                prob.loss_sum(t, np.zeros(prob.dim))
+
+
 class TestProblemConstruction:
     def test_dsm_constants(self):
         prob = DsmProblem(8)
