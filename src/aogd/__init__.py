@@ -4,7 +4,8 @@ from .learner import LearnerState, RoundRecord, run, step
 from .metrics import RegretReport, accumulate, bound_compliance, fit_rate_exponent
 from .offline import OfflineSolution, project_birkhoff, project_elasticnet_ball, solve_offline
 from .problems import DsmProblem, ElasticNetProblem
-from .projections import Constraint, ConstraintSet, g_max, g_subgradient, project_ball, project_nonneg
+from .projections import (Constraint, ConstraintSet, LinearConstraints, g_max,
+                          project_ball, project_nonneg)
 from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
                         ScheduleParams, check_conditions,
                         constraint_regret_bound, eta_at, loss_regret_bound,
@@ -12,11 +13,11 @@ from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
 
 __all__ = [
     "Constraint", "ConstraintSet", "DsmProblem", "ElasticNetProblem",
-    "FixedScheduleParams", "LearnerState", "OfflineSolution",
+    "FixedScheduleParams", "LearnerState", "LinearConstraints", "OfflineSolution",
     "ProblemConstants", "Regime", "RegretReport", "RoundRecord",
     "ScheduleParams", "accumulate", "bound_compliance", "check_conditions",
     "constraint_regret_bound", "eta_at", "fit_rate_exponent", "g_max",
-    "g_subgradient", "loss_regret_bound", "mu_at",
+    "loss_regret_bound", "mu_at",
     "project_ball", "project_birkhoff", "project_elasticnet_ball",
     "project_nonneg", "run", "schedule_sums", "solve_offline", "step",
     "theta_at",

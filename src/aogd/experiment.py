@@ -7,7 +7,8 @@ A run produces, under the configured output directory:
   - a JSON manifest echoing the resolved config, derived constants,
     condition-check report, rate exponents, bound compliance and, per
     checkpoint, the offline solver's iterations and whether it met its
-    tolerance.
+    tolerance; per seed also the clipped violation sum_t [g(x_t)]_+ and the
+    largest dual iterate with its round.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     "constraint_bound", "lambda", "step_eta", "step_theta"],
                    rows)
 
-        g_cum = np.cumsum([r.g_value for r in records])
+        g_values = np.array([r.g_value for r in records])
+        g_cum = np.cumsum(g_values)
         nonpos = np.flatnonzero(g_cum <= 0.0)
         seed_first_t = int(nonpos[0]) + 1 if nonpos.size else None
         if gamma > 0.0 and seed_first_t is not None:
@@ -177,6 +179,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                 first_nonpositive_t = seed_first_t
 
         compliance = metrics.bound_compliance(report, params) if params else None
+        lam_max = max(records, key=lambda r: r.lam)  # first maximizer
         per_seed.append({
             "seed": seed,
             "report": report,
@@ -184,6 +187,9 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
             "offline": [{"t": t, "iterations": sol.iterations,
                          "tolerance_met": sol.tolerance_met}
                         for t, sol in solutions.items()],
+            # signed sums can hide violated rounds behind slack ones
+            "violation_clipped": float(np.sum(np.maximum(g_values, 0.0))),
+            "max_lambda": {"value": lam_max.lam, "t": lam_max.t},
         })
 
     # aggregate across seeds
@@ -238,6 +244,9 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
             } for s in per_seed
         },
         "offline": {str(s["seed"]): s["offline"] for s in per_seed},
+        "violation_clipped": {str(s["seed"]): s["violation_clipped"]
+                              for s in per_seed},
+        "max_lambda": {str(s["seed"]): s["max_lambda"] for s in per_seed},
         "offline_converged": all(c["tolerance_met"] for s in per_seed
                                  for c in s["offline"]),
         "final_loss_regret_mean": float(np.mean(loss_mat[:, -1])),

@@ -88,7 +88,7 @@ def run(problem, schedule, T: int, seed: int | None = None,
     for t in range(1, T + 1):
         f_val, f_grad = problem.loss(t, state.x)
         g_val, idx = g_max(cs, state.x)
-        g_sub = np.asarray(cs.components[idx].subgradient(state.x), dtype=float)
+        g_sub = cs.subgradient(state.x, idx)
         g_shifted = g_val + gamma
         records.append(RoundRecord(
             t=t, x=state.x.copy(), lam=state.lam, loss=f_val,

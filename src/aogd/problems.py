@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .projections import Constraint, ConstraintSet
+from .projections import Constraint, ConstraintSet, LinearConstraints
 from .schedules import ProblemConstants
 
 
@@ -25,8 +25,8 @@ def dsm_loss_grad(Y: np.ndarray, X: np.ndarray):
     return 0.5 * float(np.sum(diff * diff)), diff
 
 
-def dsm_constraints(p: int) -> ConstraintSet:
-    """Linear constraints of the doubly-stochastic polytope as components.
+def dsm_constraints(p: int) -> LinearConstraints:
+    """Linear constraints of the doubly-stochastic polytope as rows of (A, b).
 
     p^2 nonnegativity constraints -X_ij <= 0 followed by 4p inequalities
     (row sums <= 1, >= 1, column sums <= 1, >= 1) that model the 2p equality
@@ -34,45 +34,18 @@ def dsm_constraints(p: int) -> ConstraintSet:
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    components = []
-
-    def nonneg(i, j):
-        k = i * p + j
-        sub = np.zeros(p * p)
-        sub[k] = -1.0
-        return Constraint(value=lambda x, k=k: -x[k],
-                          subgradient=lambda x, s=sub: s)
-
-    def sum_constraint(mask, sign):
-        # sign=+1: sum - 1 <= 0; sign=-1: 1 - sum <= 0
-        sub = sign * mask
-        return Constraint(
-            value=lambda x, m=mask, s=sign: s * (float(m @ x) - 1.0),
-            subgradient=lambda x, v=sub: v,
-        )
-
-    for i in range(p):
-        for j in range(p):
-            components.append(nonneg(i, j))
-    masks_rows = []
-    masks_cols = []
-    for i in range(p):
-        m = np.zeros(p * p)
-        m[i * p:(i + 1) * p] = 1.0
-        masks_rows.append(m)
-    for j in range(p):
-        m = np.zeros(p * p)
-        m[j::p] = 1.0
-        masks_cols.append(m)
-    for m in masks_rows:
-        components.append(sum_constraint(m, +1.0))
-    for m in masks_rows:
-        components.append(sum_constraint(m, -1.0))
-    for m in masks_cols:
-        components.append(sum_constraint(m, +1.0))
-    for m in masks_cols:
-        components.append(sum_constraint(m, -1.0))
-    return ConstraintSet(components=components)
+    n = p * p
+    # filled in place, so no second (n, n) array is ever alive
+    A = np.zeros((n + 4 * p, n))
+    np.fill_diagonal(A[:n], -1.0)
+    sums = A[n:].reshape(4, p, p, p)  # family, constraint, row i, column j
+    k = np.arange(p)
+    sums[0, k, k, :] = 1.0  # row i sums to <= 1
+    sums[1] = -sums[0]      # ... and >= 1
+    sums[2, k, :, k] = 1.0  # column j sums to <= 1
+    sums[3] = -sums[2]      # ... and >= 1
+    b = np.repeat([0.0, 1.0, -1.0, 1.0, -1.0], [n, p, p, p, p])
+    return LinearConstraints(A, b)
 
 
 def _prefix(stream: np.ndarray, t: int) -> np.ndarray:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from aogd.cli import main
-from aogd.experiment import ExperimentConfig, compare_runs, run_experiment
+from aogd import learner
+from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
+                             compare_runs, run_experiment)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -152,6 +154,30 @@ class TestRunExperiment:
         assert manifest["offline"]["2"][-1] == {
             "t": t, "iterations": cached["iterations"], "tolerance_met": False}
         assert all(s["tolerance_met"] for s in manifest["offline"]["1"])
+
+    def test_violation_and_max_lambda_recorded(self, tmp_path):
+        # elastic net has slack rounds (g < 0) that the signed sum nets out
+        data = write_elasticnet_dataset(tmp_path)
+        _, cfg = write_config(
+            tmp_path, seeds=[3, 4], T=80,
+            problem={"kind": "elasticnet", "dataset": data, "rho": 0.05},
+            algorithm={"kind": "fixed_ogd", "eta": 0.5, "theta": 2.0, "mu": 0.05})
+        config = ExperimentConfig(**cfg)
+        run_experiment(config)
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        problem = build_problem(config, 3)
+        schedule = build_schedule(config, problem.constants)
+        for seed in (3, 4):
+            records = learner.run(problem, schedule, config.T, seed)
+            g = np.array([r.g_value for r in records])
+            lam = np.array([r.lam for r in records])
+            clipped = manifest["violation_clipped"][str(seed)]
+            assert clipped == pytest.approx(np.maximum(g, 0.0).sum(), rel=1e-12)
+            k = int(np.argmax(lam))
+            assert manifest["max_lambda"][str(seed)] == {"value": lam[k], "t": k + 1}
+            signed = float(read_csv(out / f"seed_{seed}.csv")[-1][2])
+            assert clipped > signed and clipped > 0.0
 
     def test_negative_gamma_shift_rejected(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})

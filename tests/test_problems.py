@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from aogd.learner import run
+from aogd.offline import project_birkhoff
 from aogd.problems import (DsmProblem, ElasticNetProblem, dsm_constraints,
                            dsm_loss_grad, elasticnet_constants, logloss_grad,
                            permutation_stream)
-from aogd.projections import g_max, g_subgradient
+from aogd.projections import Constraint, ConstraintSet, g_max
+from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
 
 
 def sample_in_ball(rng, dim, R, n):
@@ -13,6 +18,68 @@ def sample_in_ball(rng, dim, R, n):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     radii = R * rng.uniform(size=(n, 1)) ** (1.0 / dim)
     return x * radii
+
+
+def dsm_constraint_closures(p):
+    """Reference oracle: the DSM constraints as one closure per component.
+
+    Same order as `dsm_constraints`: -X_ij <= 0 row-major, then row sums
+    <= 1, >= 1, column sums <= 1, >= 1. Each sum is one `float(mask @ x)`.
+    """
+    components = []
+
+    def nonneg(i, j):
+        k = i * p + j
+        sub = np.zeros(p * p)
+        sub[k] = -1.0
+        return Constraint(value=lambda x, k=k: -x[k],
+                          subgradient=lambda x, s=sub: s)
+
+    def sum_constraint(mask, sign):
+        # sign=+1: sum - 1 <= 0; sign=-1: 1 - sum <= 0
+        sub = sign * mask
+        return Constraint(
+            value=lambda x, m=mask, s=sign: s * (float(m @ x) - 1.0),
+            subgradient=lambda x, v=sub: v,
+        )
+
+    for i in range(p):
+        for j in range(p):
+            components.append(nonneg(i, j))
+    masks_rows = []
+    masks_cols = []
+    for i in range(p):
+        m = np.zeros(p * p)
+        m[i * p:(i + 1) * p] = 1.0
+        masks_rows.append(m)
+    for j in range(p):
+        m = np.zeros(p * p)
+        m[j::p] = 1.0
+        masks_cols.append(m)
+    for m in masks_rows:
+        components.append(sum_constraint(m, +1.0))
+    for m in masks_rows:
+        components.append(sum_constraint(m, -1.0))
+    for m in masks_cols:
+        components.append(sum_constraint(m, +1.0))
+    for m in masks_cols:
+        components.append(sum_constraint(m, -1.0))
+    return ConstraintSet(components=components)
+
+
+def dsm_schedules(p, T):
+    """(schedule, gamma) of the four benchmark variants on DSM p."""
+    c = DsmProblem(p).constants
+    gamma = T ** (-1.0 / 3.0)  # c1 = 1, beta = 2/3
+    return {
+        "a_ogd_convex": (ScheduleParams(2.0 / 3.0, Regime.CONVEX, c), 0.0),
+        "a_ogd_strongly_convex": (
+            ScheduleParams(2.0 / 3.0, Regime.STRONGLY_CONVEX, c), 0.0),
+        "fixed_ogd": (FixedScheduleParams(eta=0.05, theta=2.0, mu=0.05), 0.0),
+        "a_ogd_convex_gamma_shift": (
+            ScheduleParams(2.0 / 3.0, Regime.CONVEX, replace(c, D=c.D + gamma)),
+            gamma),
+    }
 
 
 class TestDsmLoss:
@@ -73,10 +140,67 @@ class TestDsmConstraints:
         xs = sample_in_ball(rng, 9, prob.constants.R, 400)
         ys = sample_in_ball(rng, 9, prob.constants.R, 400)
         for x, y in zip(xs, ys):
-            gx, _ = g_max(cs, x)
+            gx, idx = g_max(cs, x)
             gy, _ = g_max(cs, y)
-            s = g_subgradient(cs, x)
+            s = cs.subgradient(x, idx)
             assert gy >= gx + s @ (y - x) - 1e-10
+
+
+class TestDsmLinearMatchesClosures:
+    """`dsm_constraints` (A, b) against the closure oracle, bit for bit.
+
+    Row-sum and column-sum constraints are tied mathematically at many
+    iterates, so the last bit of each sum picks g_max's active index. A dense
+    `A @ x` (gemv) sums in another order than the closures' per-row dot: it
+    fails this test, changing almost every value vector from p = 3 on and
+    the active index at some replayed iterates for p = 8 and 16. `np.vecdot`
+    keeps the per-row dot, so every value must come out identical.
+    """
+
+    T = 300
+
+    @staticmethod
+    def assert_identical(lin, ref, xs):
+        """Values, g_max and active subgradient agree exactly at every x;
+        returns how many x have a tied maximum."""
+        ties = 0
+        for x in xs:
+            values, expected = lin.values(x), ref.values(x)
+            assert np.array_equal(values, expected)
+            value, idx = g_max(lin, x)
+            assert (value, idx) == g_max(ref, x)
+            assert np.array_equal(lin.subgradient(x, idx), ref.subgradient(x, idx))
+            ties += np.count_nonzero(expected == expected.max()) > 1
+        return ties
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 16])
+    def test_static_points(self, p):
+        lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
+        assert len(lin) == len(ref)
+        rng = np.random.default_rng(p)
+        R = np.sqrt(p)
+        sphere = rng.normal(size=(50, p * p))
+        sphere *= R / np.linalg.norm(sphere, axis=1, keepdims=True)
+        xs = [*sample_in_ball(rng, p * p, R, 200),
+              *sphere,
+              *permutation_stream(p, seed=p, T=20).reshape(20, -1),
+              np.full(p * p, 1.0 / p),
+              *(project_birkhoff(rng.normal(size=(p, p))).ravel()
+                for _ in range(10))]
+        assert self.assert_identical(lin, ref, xs) > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 16])
+    def test_replayed_iterates(self, p):
+        lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
+        for name, (schedule, gamma) in dsm_schedules(p, self.T).items():
+            prob = DsmProblem(p)
+            fast = run(prob, schedule, self.T, seed=p, gamma=gamma)
+            prob.constraints = ref
+            slow = run(prob, schedule, self.T, seed=p, gamma=gamma)
+            for a, b in zip(fast, slow):
+                assert np.array_equal(a.x, b.x), name
+                assert (a.lam, a.g_value) == (b.lam, b.g_value), name
+            self.assert_identical(lin, ref, [r.x for r in fast])
 
 
 class TestPermutationStream:
@@ -179,7 +303,8 @@ class TestSampledProblemInvariants:
         norms = np.linalg.norm(xs - Y, axis=1)
         assert norms.max() <= c.G + 1e-9
         for x in xs[:2000]:
-            assert np.linalg.norm(g_subgradient(prob.constraints, x)) <= c.G + 1e-9
+            cs = prob.constraints
+            assert np.linalg.norm(cs.subgradient(x, g_max(cs, x)[1])) <= c.G + 1e-9
 
     def test_dsm_loss_range_below_F(self):
         prob = DsmProblem(4)

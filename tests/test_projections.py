@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aogd.projections import (Constraint, ConstraintSet, g_max, g_subgradient,
-                              project_ball, project_nonneg)
+from aogd.projections import (Constraint, ConstraintSet, LinearConstraints,
+                              g_max, project_ball, project_nonneg)
 
 
 def scalar_components():
@@ -89,19 +89,20 @@ class TestGMax:
 
 
 class TestGSubgradient:
+    # a subgradient of g = max_j g_j is the active component's
     def test_active_component(self):
-        np.testing.assert_allclose(
-            g_subgradient(scalar_components(), np.array([3.0])), [1.0])
+        cs, x = scalar_components(), np.array([3.0])
+        np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]), [1.0])
 
     def test_elasticnet_smooth_point(self):
-        np.testing.assert_allclose(
-            g_subgradient(elasticnet_component(1.0), np.array([1.0, -2.0])),
-            [2.0, -3.0])
+        cs, x = elasticnet_component(1.0), np.array([1.0, -2.0])
+        np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]),
+                                   [2.0, -3.0])
 
     def test_elasticnet_kink_zero_choice(self):
-        np.testing.assert_allclose(
-            g_subgradient(elasticnet_component(1.0), np.array([0.0, 1.0])),
-            [0.0, 2.0])
+        cs, x = elasticnet_component(1.0), np.array([0.0, 1.0])
+        np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]),
+                                   [0.0, 2.0])
 
     def test_subgradient_inequality(self):
         # g(y) >= g(x) + s.(y - x) for the max aggregate
@@ -110,7 +111,39 @@ class TestGSubgradient:
             for _ in range(300):
                 x = rng.normal(size=dim)
                 y = rng.normal(size=dim)
-                gx, _ = g_max(cs, x)
+                gx, idx = g_max(cs, x)
                 gy, _ = g_max(cs, y)
-                s = g_subgradient(cs, x)
+                s = cs.subgradient(x, idx)
                 assert gy >= gx + s @ (y - x) - 1e-10
+
+
+class TestLinearConstraints:
+    def test_values_and_subgradient(self):
+        # g_0 = x0 + x1 - 1, g_1 = -x0
+        cs = LinearConstraints(np.array([[1.0, 1.0], [-1.0, 0.0]]),
+                               np.array([1.0, 0.0]))
+        assert len(cs) == 2
+        x = np.array([0.25, 2.0])
+        np.testing.assert_array_equal(cs.values(x), [1.25, -0.25])
+        assert g_max(cs, x) == (1.25, 0)
+        np.testing.assert_array_equal(cs.subgradient(x, 1), [-1.0, 0.0])
+
+    def test_rows_read_only_and_input_untouched(self):
+        A, b = np.eye(2), np.zeros(2)
+        cs = LinearConstraints(A, b)
+        with pytest.raises(ValueError):
+            cs.subgradient(np.zeros(2), 0)[0] = 5.0
+        A[0, 0] = 3.0  # the caller's arrays stay writable
+        assert b.flags.writeable
+
+    def test_nonfinite_value_raises(self):
+        cs = LinearConstraints(np.eye(2), np.zeros(2))
+        with pytest.raises(FloatingPointError):
+            g_max(cs, np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("A,b", [(np.zeros((0, 2)), np.zeros(0)),
+                                     (np.eye(2), np.zeros(3)),
+                                     (np.zeros(2), np.zeros(2))])
+    def test_bad_shapes_rejected(self, A, b):
+        with pytest.raises(ValueError):
+            LinearConstraints(A, b)
