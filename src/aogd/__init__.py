@@ -1,21 +1,20 @@
 """Adaptive online gradient descent for convex problems with long-term constraints."""
 
-from .learner import LearnerState, RoundRecord, run, step
+from .learner import Trace, run, step
 from .metrics import RegretReport, accumulate, bound_compliance, fit_rate_exponent
 from .offline import OfflineSolution, project_birkhoff, project_elasticnet_ball, solve_offline
-from .problems import DsmProblem, ElasticNetProblem
-from .projections import (Constraint, ConstraintSet, LinearConstraints, g_max,
-                          project_ball, project_nonneg)
+from .problems import DsmProblem, ElasticNetBudget, ElasticNetProblem
+from .projections import LinearConstraints, g_max, project_ball, project_nonneg
 from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
                         ScheduleParams, check_conditions,
                         constraint_regret_bound, eta_at, loss_regret_bound,
                         mu_at, schedule_sums, theta_at)
 
 __all__ = [
-    "Constraint", "ConstraintSet", "DsmProblem", "ElasticNetProblem",
-    "FixedScheduleParams", "LearnerState", "LinearConstraints", "OfflineSolution",
-    "ProblemConstants", "Regime", "RegretReport", "RoundRecord",
-    "ScheduleParams", "accumulate", "bound_compliance", "check_conditions",
+    "DsmProblem", "ElasticNetBudget", "ElasticNetProblem",
+    "FixedScheduleParams", "LinearConstraints", "OfflineSolution",
+    "ProblemConstants", "Regime", "RegretReport", "ScheduleParams", "Trace",
+    "accumulate", "bound_compliance", "check_conditions",
     "constraint_regret_bound", "eta_at", "fit_rate_exponent", "g_max",
     "loss_regret_bound", "mu_at",
     "project_ball", "project_birkhoff", "project_elasticnet_ball",

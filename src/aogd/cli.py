@@ -42,9 +42,8 @@ def _cmd_compare(args) -> int:
 def _cmd_check_schedule(args) -> int:
     constants = ProblemConstants(R=args.R, G=args.G, D=args.D, F=args.F,
                                  sigma=args.sigma)
-    regime = Regime.STRONGLY_CONVEX if args.sigma > 0 and args.regime == "strongly_convex" \
-        else Regime.CONVEX
-    params = ScheduleParams(beta=args.beta, regime=regime, constants=constants)
+    params = ScheduleParams(beta=args.beta, regime=Regime(args.regime),
+                            constants=constants)
     theta, eta, mu = schedule_arrays(params, args.T)
     cond = check_conditions(theta, eta, mu, constants.sigma, constants.G, args.T)
     sums = schedule_sums(params, args.T)

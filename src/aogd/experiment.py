@@ -121,12 +121,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     except Exception as exc:
         with open(manifest_path, "w") as fh:
             json.dump({"status": "failed", "error": str(exc),
-                       "config": _config_echo(cfg)}, fh, indent=2)
+                       "config": asdict(cfg)}, fh, indent=2)
         raise
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
 
 
 def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
@@ -145,22 +141,22 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     theta, eta, mu = schedule_arrays(schedule, cfg.T, gamma)
     cond = check_conditions(theta, eta, mu, constants.sigma, constants.G,
                             cfg.T, gamma)
-    sums = schedule_sums(schedule, cfg.T) if isinstance(schedule, ScheduleParams) else None
+    params = schedule if isinstance(schedule, ScheduleParams) else None
+    sums = schedule_sums(schedule, cfg.T) if params else None
+    pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())
+                   if isinstance(v, (str, int, float)))
 
     per_seed = []
     first_nonpositive_t = None
     for seed in cfg.seeds:
-        records = learner.run(problem, schedule, cfg.T, seed, gamma)
-        pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())
-                       if isinstance(v, (str, int, float)))
+        trace = learner.run(problem, schedule, cfg.T, seed, gamma)
         solutions = {
             t: offline.solve_offline_cached(
                 problem, t, cache_dir,
                 problem_id=f"{pid}_seed{seed}".replace(os.sep, "-"))
             for t in checkpoints
         }
-        params = schedule if isinstance(schedule, ScheduleParams) else None
-        report = metrics.accumulate(records, solutions, problem, params)
+        report = metrics.accumulate(trace, solutions, problem, params)
 
         rows = [[c.t, c.loss_regret, c.constraint_cum, c.loss_bound,
                  c.constraint_bound, c.lam, c.eta, c.theta]
@@ -170,8 +166,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     "constraint_bound", "lambda", "step_eta", "step_theta"],
                    rows)
 
-        g_values = np.array([r.g_value for r in records])
-        g_cum = np.cumsum(g_values)
+        g_cum = np.cumsum(trace.g)
         nonpos = np.flatnonzero(g_cum <= 0.0)
         seed_first_t = int(nonpos[0]) + 1 if nonpos.size else None
         if gamma > 0.0 and seed_first_t is not None:
@@ -179,7 +174,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                 first_nonpositive_t = seed_first_t
 
         compliance = metrics.bound_compliance(report, params) if params else None
-        lam_max = max(records, key=lambda r: r.lam)  # first maximizer
+        k = int(np.argmax(trace.lam))  # the first maximizer
         per_seed.append({
             "seed": seed,
             "report": report,
@@ -188,8 +183,8 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                          "tolerance_met": sol.tolerance_met}
                         for t, sol in solutions.items()],
             # signed sums can hide violated rounds behind slack ones
-            "violation_clipped": float(np.sum(np.maximum(g_values, 0.0))),
-            "max_lambda": {"value": lam_max.lam, "t": lam_max.t},
+            "violation_clipped": float(np.sum(np.maximum(trace.g, 0.0))),
+            "max_lambda": {"value": float(trace.lam[k]), "t": k + 1},
         })
 
     # aggregate across seeds
@@ -210,7 +205,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                agg_rows)
 
     rate_exponents = {}
-    if isinstance(schedule, ScheduleParams) and len(checkpoints) >= 5:
+    if params and len(checkpoints) >= 5:
         rate_exponents["loss_bound"] = metrics.fit_rate_exponent(
             [(c.t, c.loss_bound) for c in bounds])
         rate_exponents["constraint_bound"] = metrics.fit_rate_exponent(
@@ -218,14 +213,14 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     if len(checkpoints) >= 5:
         mean_g = np.mean(g_mat, axis=0)
         rate_exponents["constraint_measured_pos"] = metrics.fit_rate_exponent(
-            [(c.t, max(mean_g[i], 1e-12)) for i, c in enumerate(bounds)])
+            [(c.t, mean_g[i]) for i, c in enumerate(bounds)])
         mean_loss = np.mean(loss_mat, axis=0)
         rate_exponents["loss_measured_pos"] = metrics.fit_rate_exponent(
-            [(c.t, max(mean_loss[i], 1e-12)) for i, c in enumerate(bounds)])
+            [(c.t, mean_loss[i]) for i, c in enumerate(bounds)])
 
     manifest = {
         "status": "ok",
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "algorithm": _algorithm_label(cfg),
         "constants": asdict(constants),
         "gamma": gamma,

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .learner import RoundRecord
+from .learner import Trace
 from .offline import OfflineSolution
 from .schedules import ScheduleParams, constraint_regret_bound, loss_regret_bound
 
@@ -48,7 +48,7 @@ def checkpoint_grid(T: int, count: int = 20) -> list[int]:
     return [int(t) for t in grid if 1 <= t <= T]
 
 
-def accumulate(records: Sequence[RoundRecord],
+def accumulate(trace: Trace,
                offline: Mapping[int, OfflineSolution],
                problem,
                params: ScheduleParams | None = None) -> RegretReport:
@@ -60,23 +60,22 @@ def accumulate(records: Sequence[RoundRecord],
     """
     if not offline:
         raise ValueError("offline map must cover at least one checkpoint")
-    loss_cum = np.cumsum([r.loss for r in records])
-    g_cum = np.cumsum([r.g_value for r in records])
+    loss_cum = np.cumsum(trace.loss)
+    g_cum = np.cumsum(trace.g)
     checkpoints = []
     for t in sorted(offline):
-        if t < 1 or t > len(records):
+        if t < 1 or t > len(trace.loss):
             raise ValueError(f"checkpoint t={t} outside the recorded rounds")
         offline_cum = problem.loss_sum(t, offline[t].x_star)[0]
-        rec = records[t - 1]
         checkpoints.append(Checkpoint(
             t=t,
             loss_regret=float(loss_cum[t - 1] - offline_cum),
             constraint_cum=float(g_cum[t - 1]),
             loss_bound=float(loss_regret_bound(params, t)) if params else float("nan"),
             constraint_bound=float(constraint_regret_bound(params, t)) if params else float("nan"),
-            lam=rec.lam,
-            eta=rec.eta,
-            theta=rec.theta,
+            lam=float(trace.lam[t - 1]),
+            eta=float(trace.eta[t - 1]),
+            theta=float(trace.theta[t - 1]),
         ))
     return RegretReport(checkpoints=checkpoints)
 

@@ -8,10 +8,13 @@ Each problem derives its own bound constants (R, G, D, F, sigma).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import expit
 
-from .projections import Constraint, ConstraintSet, LinearConstraints
+from .offline import elasticnet_value
+from .projections import LinearConstraints
 from .schedules import ProblemConstants
 
 
@@ -156,18 +159,21 @@ def elasticnet_constants(rho: float, features: np.ndarray) -> ProblemConstants:
     return ProblemConstants(R=R, G=G, D=D, F=F, sigma=0.0)
 
 
-def elasticnet_constraint(rho: float) -> ConstraintSet:
-    """Single aggregated constraint ||x||_1 + 0.5 ||x||_2^2 - rho <= 0.
+@dataclass(frozen=True)
+class ElasticNetBudget:
+    """The single constraint ||x||_1 + 0.5 ||x||_2^2 - rho <= 0.
 
     At l1 kinks the zero subgradient coordinate is chosen (minimal-norm
     element of the subdifferential), which np.sign provides.
     """
-    return ConstraintSet(components=[
-        Constraint(
-            value=lambda x: float(np.sum(np.abs(x)) + 0.5 * x @ x - rho),
-            subgradient=lambda x: np.sign(x) + x,
-        )
-    ])
+
+    rho: float
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.array([elasticnet_value(x) - self.rho])
+
+    def subgradient(self, x: np.ndarray, j: int) -> np.ndarray:
+        return np.sign(x) + x
 
 
 class ElasticNetProblem:
@@ -192,7 +198,7 @@ class ElasticNetProblem:
         self.seed = seed
         self.dim = features.shape[1]
         self.constants = elasticnet_constants(rho, features)
-        self.constraints = elasticnet_constraint(rho)
+        self.constraints = ElasticNetBudget(self.rho)
         self._order = None
 
     def materialize(self, T: int, seed: int | None = None):

@@ -6,46 +6,17 @@ onto the nonnegative reals. The m individual constraints are aggregated into
 a single function g(x) = max_j g_j(x) whose subgradient is taken from an
 active component.
 
-A constraint set is any object with `values(x)` (the vector of all g_j(x)),
-`subgradient(x, j)` (a subgradient of g_j at x) and `__len__`. Two exist: a
-`ConstraintSet` of closures, for general convex components, and
-`LinearConstraints(A, b)` with g_j(x) = A[j] . x - b[j].
+A constraint set is any object with `values(x)` (the vector of all g_j(x))
+and `subgradient(x, j)` (a subgradient of g_j at x). Two exist:
+`LinearConstraints(A, b)` here, with g_j(x) = A[j] . x - b[j], and the
+single elastic-net budget, `problems.ElasticNetBudget`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One convex constraint component: value and a subgradient at x."""
-
-    value: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Ordered collection of constraint components g_j."""
-
-    components: Sequence[Constraint]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("constraint set needs at least one component")
-
-    def __len__(self):
-        return len(self.components)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([c.value(x) for c in self.components], dtype=float)
-
-    def subgradient(self, x: np.ndarray, j: int) -> np.ndarray:
-        return np.asarray(self.components[j].subgradient(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -97,7 +68,7 @@ def project_nonneg(lam: float) -> float:
     return max(0.0, lam)
 
 
-def g_max(cs: ConstraintSet | LinearConstraints, x: np.ndarray):
+def g_max(cs, x: np.ndarray):
     """Aggregate constraint value max_j g_j(x).
 
     Returns (value, active_index); ties break to the smallest index so runs

@@ -42,10 +42,10 @@ def theorem1_runs():
         prob = DsmProblem(8, seed=seed)
         params = ScheduleParams(beta=BETA, regime=Regime.CONVEX,
                                 constants=prob.constants)
-        records = run(prob, params, T=1000, seed=seed)
+        trace = run(prob, params, T=1000, seed=seed)
         offline = {t: solve_offline(prob, t) for t in grid}
-        report = accumulate(records, offline, prob, params)
-        runs.append((prob, params, records, report))
+        report = accumulate(trace, offline, prob, params)
+        runs.append((prob, params, trace, report))
     return runs
 
 
@@ -243,11 +243,10 @@ def test_criterion_7_gradient_checks():
 
 def test_criterion_8_invariant_suite(theorem1_runs):
     ok = True
-    for prob, _, records, _ in theorem1_runs:
+    for prob, _, trace, _ in theorem1_runs:
         R = prob.constants.R
-        for r in records:
-            ok &= np.linalg.norm(r.x) <= R + 1e-9
-            ok &= r.lam >= 0.0
+        ok &= bool(np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-9))
+        ok &= bool(np.all(trace.lam >= 0.0))
     # subgradient inequality on 1e4 random pairs per benchmark
     rng = np.random.default_rng(8)
     dsm = DsmProblem(4)

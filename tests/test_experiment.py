@@ -169,15 +169,29 @@ class TestRunExperiment:
         problem = build_problem(config, 3)
         schedule = build_schedule(config, problem.constants)
         for seed in (3, 4):
-            records = learner.run(problem, schedule, config.T, seed)
-            g = np.array([r.g_value for r in records])
-            lam = np.array([r.lam for r in records])
+            trace = learner.run(problem, schedule, config.T, seed)
+            g, lam = trace.g, trace.lam
             clipped = manifest["violation_clipped"][str(seed)]
             assert clipped == pytest.approx(np.maximum(g, 0.0).sum(), rel=1e-12)
             k = int(np.argmax(lam))
             assert manifest["max_lambda"][str(seed)] == {"value": lam[k], "t": k + 1}
             signed = float(read_csv(out / f"seed_{seed}.csv")[-1][2])
             assert clipped > signed and clipped > 0.0
+
+    def test_max_lambda_tie_at_zero_is_round_one(self, tmp_path):
+        # a loose budget leaves every round slack, so lambda stays 0 and all
+        # T rounds tie for the maximum; the first of them is reported
+        data = write_elasticnet_dataset(tmp_path)
+        _, cfg = write_config(
+            tmp_path, seeds=[3], T=80,
+            problem={"kind": "elasticnet", "dataset": data, "rho": 50.0})
+        config = ExperimentConfig(**cfg)
+        run_experiment(config)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        problem = build_problem(config, 3)
+        schedule = build_schedule(config, problem.constants)
+        assert not np.any(learner.run(problem, schedule, config.T, 3).lam)
+        assert manifest["max_lambda"]["3"] == {"value": 0.0, "t": 1}
 
     def test_negative_gamma_shift_rejected(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})
@@ -241,6 +255,16 @@ class TestCli:
         assert out["c1_ok"] and out["c2_ok"] and out["c3_ok"]
         assert out["loss_regret_bound"] == pytest.approx(
             1.25 * 1000 ** (2 / 3) + 6 * 1000 ** (1 / 3))
+
+    def test_check_schedule_strongly_convex_needs_sigma(self, capsys):
+        # the regime comes from --regime alone; sigma = 0 is an error, not a
+        # silent fall back to the convex schedules
+        assert main(["check-schedule", "--beta", "0.5", "--R", "1", "--G", "1",
+                     "--D", "1", "--T", "100", "--regime", "strongly_convex",
+                     "--sigma", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "sigma" in captured.err
 
     def test_compare_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aogd.experiment import ExperimentConfig, run_experiment
-from aogd.learner import LearnerState, dual_gradient, primal_gradient, run, step
+from aogd.learner import run, step
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
@@ -17,89 +17,96 @@ def dsm_params(p, beta=2.0 / 3.0, regime=Regime.CONVEX):
                           constants=DsmProblem(p).constants)
 
 
+def primal_step(f_grad, lam, g_sub):
+    """-(f_grad + lam * g_sub): one unit primal step from x = 0 inside a
+    ball too large to clip."""
+    x, _ = step(np.zeros(len(f_grad)), lam, 1, f_grad, 0.0, g_sub,
+                eta_t=1.0, mu_t=0.1, theta_t=1.0, R=1e9)
+    return x
+
+
 class TestGradients:
     def test_primal_zero_lambda(self):
         np.testing.assert_allclose(
-            primal_gradient(np.array([1.0, 0.0]), 0.0, np.array([5.0, 5.0])),
+            -primal_step(np.array([1.0, 0.0]), 0.0, np.array([5.0, 5.0])),
             [1.0, 0.0])
 
     def test_primal_combination(self):
         np.testing.assert_allclose(
-            primal_gradient(np.array([1.0, 2.0]), 2.0, np.array([0.5, -1.0])),
+            -primal_step(np.array([1.0, 2.0]), 2.0, np.array([0.5, -1.0])),
             [2.0, 0.0])
 
     def test_primal_pure_constraint(self):
         np.testing.assert_allclose(
-            primal_gradient(np.zeros(2), 1.0, np.array([1.0, 1.0])), [1.0, 1.0])
+            -primal_step(np.zeros(2), 1.0, np.array([1.0, 1.0])), [1.0, 1.0])
 
     @pytest.mark.parametrize("g,theta,lam,expected",
                              [(1.0, 6.0, 0.0, 1.0),
                               (0.0, 2.0, 3.0, -6.0),
                               (1.5, 3.0, 0.5, 0.0)])
     def test_dual(self, g, theta, lam, expected):
-        assert dual_gradient(g, theta, lam) == pytest.approx(expected)
+        # a dual step small enough that the clamp at 0 stays inactive
+        mu = 0.01
+        _, lam_next = step(np.zeros(1), lam, 1, np.zeros(1), g, np.zeros(1),
+                           eta_t=0.1, mu_t=mu, theta_t=theta, R=1.0)
+        assert (lam_next - lam) / mu == pytest.approx(expected)
 
 
 class TestStep:
     def test_from_initial_state(self):
-        state = LearnerState.initial(2)
         g0 = np.array([0.3, -0.2])
-        new = step(state, g0, 0.7, np.array([1.0, 1.0]),
-                   eta_t=0.5, mu_t=0.1, theta_t=2.0, R=1.0)
-        np.testing.assert_allclose(new.x, project_ball(-0.5 * g0, 1.0))
-        assert new.lam == pytest.approx(0.07)
-        assert new.t == 2
+        x, lam = step(np.zeros(2), 0.0, 1, g0, 0.7, np.array([1.0, 1.0]),
+                      eta_t=0.5, mu_t=0.1, theta_t=2.0, R=1.0)
+        np.testing.assert_allclose(x, project_ball(-0.5 * g0, 1.0))
+        assert lam == pytest.approx(0.07)
 
     def test_hand_evaluated_1d(self):
-        state = LearnerState.initial(1)
-        new = step(state, np.array([1.0]), 1.0, np.array([0.0]),
-                   eta_t=1.0, mu_t=1.0 / 12.0, theta_t=6.0, R=1.0)
-        assert new.x[0] == pytest.approx(-1.0)
-        assert new.lam == pytest.approx(1.0 / 12.0)
+        x, lam = step(np.zeros(1), 0.0, 1, np.array([1.0]), 1.0, np.array([0.0]),
+                      eta_t=1.0, mu_t=1.0 / 12.0, theta_t=6.0, R=1.0)
+        assert x[0] == pytest.approx(-1.0)
+        assert lam == pytest.approx(1.0 / 12.0)
 
     def test_dual_clamped_at_zero(self):
-        state = LearnerState.initial(1)
-        new = step(state, np.zeros(1), -0.5, np.zeros(1),
-                   eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
-        assert new.lam == 0.0
+        _, lam = step(np.zeros(1), 0.0, 1, np.zeros(1), -0.5, np.zeros(1),
+                      eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
+        assert lam == 0.0
 
     def test_nonfinite_gradient_reports_round(self):
-        state = LearnerState(x=np.zeros(1), lam=0.0, t=17)
         with pytest.raises(FloatingPointError, match="17"):
-            step(state, np.array([np.nan]), 0.0, np.zeros(1),
+            step(np.zeros(1), 0.0, 17, np.array([np.nan]), 0.0, np.zeros(1),
                  eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
 
     def test_simultaneous_not_gauss_seidel(self):
         # the dual update must use g at the pre-update x; re-evaluating g at
         # the post-update x changes the dual iterate on a generic instance
-        state = LearnerState(x=np.array([0.5]), lam=0.2, t=1)
         f_grad, g_sub = np.array([1.0]), np.array([1.0])
         g_at_x = 0.5 - 0.2  # g(x) = x - 0.2
-        new = step(state, f_grad, g_at_x, g_sub, 0.5, 0.1, 1.0, 1.0)
-        x_post = float(new.x[0])
+        x, lam = step(np.array([0.5]), 0.2, 1, f_grad, g_at_x, g_sub,
+                      0.5, 0.1, 1.0, 1.0)
+        x_post = float(x[0])
         g_at_x_post = x_post - 0.2
         lam_gs = max(0.0, 0.2 + 0.1 * (g_at_x_post - 1.0 * 0.2))
-        assert new.lam != pytest.approx(lam_gs)
-        assert new.lam == pytest.approx(0.2 + 0.1 * (g_at_x - 0.2))
+        assert lam != pytest.approx(lam_gs)
+        assert lam == pytest.approx(0.2 + 0.1 * (g_at_x - 0.2))
 
 
 class TestRun:
     def test_single_round(self):
         prob = DsmProblem(2, seed=0)
-        records = run(prob, dsm_params(2), T=1, seed=0)
-        assert len(records) == 1
-        r = records[0]
-        assert r.t == 1 and r.lam == 0.0
-        np.testing.assert_array_equal(r.x, np.zeros(4))
-        assert r.loss == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
-        assert r.g_value == pytest.approx(1.0)  # row-sum deficit at X = 0
+        trace = run(prob, dsm_params(2), T=1, seed=0)
+        assert trace.x.shape == (1, 4)
+        assert trace.lam.shape == trace.loss.shape == trace.g.shape == (1,)
+        assert trace.lam[0] == 0.0
+        np.testing.assert_array_equal(trace.x[0], np.zeros(4))
+        assert trace.loss[0] == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
+        assert trace.g[0] == pytest.approx(1.0)  # row-sum deficit at X = 0
 
     def test_three_rounds_match_hand_rolled(self):
         # independent replay of the update formulas for DSM p=2
         p = 2
         prob = DsmProblem(p, seed=5)
         params = dsm_params(p)
-        records = run(prob, params, T=3, seed=5)
+        trace = run(prob, params, T=3, seed=5)
         ys = prob.stream
         c = prob.constants
         x = np.zeros(p * p)
@@ -108,9 +115,8 @@ class TestRun:
             theta = 6 * c.R * c.G / t ** params.beta
             eta = c.R / (c.G * t ** params.beta)
             mu = 1.0 / (theta * (t + 1))
-            rec = records[t - 1]
-            np.testing.assert_allclose(rec.x, x, atol=1e-14)
-            assert rec.lam == pytest.approx(lam, abs=1e-14)
+            np.testing.assert_allclose(trace.x[t - 1], x, atol=1e-14)
+            assert trace.lam[t - 1] == pytest.approx(lam, abs=1e-14)
             # replay g = max over the 12 components, first maximizer
             X = x.reshape(p, p)
             vals = np.concatenate([
@@ -119,7 +125,7 @@ class TestRun:
                 X.sum(axis=0) - 1, 1 - X.sum(axis=0),
             ])
             g_val = float(vals.max())
-            assert rec.g_value == pytest.approx(g_val, abs=1e-14)
+            assert trace.g[t - 1] == pytest.approx(g_val, abs=1e-14)
             idx = int(np.argmax(vals))
             subs = np.zeros((12, 4))
             subs[:4] = -np.eye(4)
@@ -140,27 +146,25 @@ class TestRun:
         prob2 = DsmProblem(3, seed=9)
         r1 = run(prob1, dsm_params(3), T=50, seed=9)
         r2 = run(prob2, dsm_params(3), T=50, seed=9)
-        for a, b in zip(r1, r2):
-            assert np.array_equal(a.x, b.x) and a.lam == b.lam
-            assert a.loss == b.loss and a.g_value == b.g_value
+        assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.lam, r2.lam)
+        assert np.array_equal(r1.loss, r2.loss) and np.array_equal(r1.g, r2.g)
 
     def test_iterate_invariants(self):
         prob = DsmProblem(4, seed=2)
-        records = run(prob, dsm_params(4), T=500, seed=2)
+        trace = run(prob, dsm_params(4), T=500, seed=2)
         R = prob.constants.R
-        for r in records:
-            assert np.linalg.norm(r.x) <= R + 1e-9
-            assert r.lam >= 0.0
+        assert np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-9)
+        assert np.all(trace.lam >= 0.0)
 
     def test_lambda_bounded_fixed_schedule(self):
         # with constant theta, ascent with -theta*lam pullback keeps lam below
         # max(lam1, D/theta) + mu*D for D bounding |g| along the run
         prob = DsmProblem(4, seed=0)
         theta, mu = 2.0, 0.05
-        records = run(prob, FixedScheduleParams(eta=0.05, theta=theta, mu=mu),
-                      T=2000, seed=0)
-        d_hat = max(abs(r.g_value) for r in records)
-        lam_max = max(r.lam for r in records)
+        trace = run(prob, FixedScheduleParams(eta=0.05, theta=theta, mu=mu),
+                    T=2000, seed=0)
+        d_hat = np.max(np.abs(trace.g))
+        lam_max = np.max(trace.lam)
         assert np.isfinite(lam_max)
         assert lam_max <= max(0.0, d_hat / theta) + mu * d_hat + 1e-12
 
@@ -169,9 +173,8 @@ class TestGammaShift:
     def test_zero_shift_is_identity(self):
         r1 = run(DsmProblem(2, seed=0), dsm_params(2), T=30, seed=0)
         r2 = run(DsmProblem(2, seed=0), dsm_params(2), T=30, seed=0, gamma=0.0)
-        for a, b in zip(r1, r2):
-            assert np.array_equal(a.x, b.x) and a.lam == b.lam
-            assert a.g_value == b.g_value and a.mu == b.mu
+        assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.lam, r2.lam)
+        assert np.array_equal(r1.g, r2.g) and np.array_equal(r1.mu, r2.mu)
 
     def test_horizon_formula(self):
         cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
@@ -190,12 +193,12 @@ class TestGammaShift:
         assert raw == pytest.approx(-0.2)
         params = ScheduleParams(beta=0.5, regime=Regime.CONVEX,
                                 constants=prob.constants)
-        records = run(prob, params, T=5, seed=1, gamma=0.5)
-        assert records[0].g_value == pytest.approx(-0.2)
+        trace = run(prob, params, T=5, seed=1, gamma=0.5)
+        assert trace.g[0] == pytest.approx(-0.2)
         # from lambda_1 = 0 the dual ascent moves by mu_1 * (g + gamma)
         _, _, mu = schedule_arrays(params, 5, gamma=0.5)
-        assert records[0].mu == mu[0]
-        assert records[1].lam == pytest.approx(mu[0] * 0.3)
+        assert trace.mu[0] == mu[0]
+        assert trace.lam[1] == pytest.approx(mu[0] * 0.3)
 
     def test_bound_constants_use_shifted_d(self, tmp_path):
         cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
@@ -225,8 +228,7 @@ class TestGammaShift:
             c = prob.constants
             params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.CONVEX,
                                     constants=replace(c, D=c.D + gamma))
-            records = run(prob, params, T, seed=3, gamma=gamma)
-            return float(np.sum([r.g_value for r in records]))
+            return float(np.sum(run(prob, params, T, seed=3, gamma=gamma).g))
 
         assert cum_violation(0.3) < cum_violation(0.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aogd.learner import RoundRecord, run
+from aogd.learner import run
 from aogd.metrics import (BoundCompliance, RegretReport, accumulate,
                           bound_compliance, checkpoint_grid, fit_rate_exponent)
 from aogd.offline import solve_offline
@@ -35,46 +35,46 @@ class TestAccumulate:
     def run_with_offline(self, p, T, checkpoints, seed=0):
         prob = DsmProblem(p, seed=seed)
         params = dsm_params(p)
-        records = run(prob, params, T, seed=seed)
+        trace = run(prob, params, T, seed=seed)
         offline = {t: solve_offline(prob, t) for t in checkpoints}
-        return prob, params, records, offline
+        return prob, params, trace, offline
 
     def test_three_round_hand_check(self):
-        prob, params, records, offline = self.run_with_offline(2, 3, [1, 2, 3])
-        report = accumulate(records, offline, prob, params)
+        prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2, 3])
+        report = accumulate(trace, offline, prob, params)
         assert [c.t for c in report.checkpoints] == [1, 2, 3]
         for c in report.checkpoints:
             t = c.t
-            learner_cum = sum(r.loss for r in records[:t])
+            learner_cum = sum(trace.loss[:t])
             mean = np.mean([Y.ravel() for Y in prob.stream[:t]], axis=0)
             offline_cum = sum(0.5 * np.sum((mean - Y.ravel()) ** 2)
                               for Y in prob.stream[:t])
             assert c.loss_regret == pytest.approx(learner_cum - offline_cum, abs=1e-7)
             assert c.constraint_cum == pytest.approx(
-                sum(r.g_value for r in records[:t]))
-            assert c.lam == records[t - 1].lam
-            assert c.eta == records[t - 1].eta
+                sum(trace.g[:t]))
+            assert c.lam == trace.lam[t - 1]
+            assert c.eta == trace.eta[t - 1]
 
     def test_bounds_nan_without_params(self):
-        prob, _, records, offline = self.run_with_offline(2, 3, [3])
-        report = accumulate(records, offline, prob, params=None)
+        prob, _, trace, offline = self.run_with_offline(2, 3, [3])
+        report = accumulate(trace, offline, prob, params=None)
         assert np.isnan(report.checkpoints[0].loss_bound)
         assert np.isnan(report.checkpoints[0].constraint_bound)
 
     def test_checkpoint_out_of_range(self):
-        prob, params, records, offline = self.run_with_offline(2, 3, [3])
+        prob, params, trace, offline = self.run_with_offline(2, 3, [3])
         offline[10] = offline[3]
         with pytest.raises(ValueError):
-            accumulate(records, offline, prob, params)
+            accumulate(trace, offline, prob, params)
 
     def test_empty_offline_map(self):
-        prob, params, records, _ = self.run_with_offline(2, 3, [3])
+        prob, params, trace, _ = self.run_with_offline(2, 3, [3])
         with pytest.raises(ValueError):
-            accumulate(records, {}, prob, params)
+            accumulate(trace, {}, prob, params)
 
     def test_report_requires_increasing_t(self):
-        prob, params, records, offline = self.run_with_offline(2, 3, [1, 2])
-        report = accumulate(records, offline, prob, params)
+        prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2])
+        report = accumulate(trace, offline, prob, params)
         cs = list(report.checkpoints)
         with pytest.raises(ValueError):
             RegretReport(checkpoints=[cs[1], cs[0]])
@@ -113,10 +113,10 @@ class TestBoundCompliance:
     def make_report(self, T=200, p=3, seed=1):
         prob = DsmProblem(p, seed=seed)
         params = dsm_params(p)
-        records = run(prob, params, T, seed=seed)
+        trace = run(prob, params, T, seed=seed)
         grid = checkpoint_grid(T, count=10)
         offline = {t: solve_offline(prob, t) for t in grid}
-        return accumulate(records, offline, prob, params), params
+        return accumulate(trace, offline, prob, params), params
 
     def test_adaptive_run_complies(self):
         report, params = self.make_report()

@@ -1,0 +1,39 @@
+"""The benchmark's tracer wraps program names by attribute; a refactor that
+removes or renames one must fail the unit tests, not only the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+from aogd import learner
+from aogd.problems import DsmProblem
+from aogd.schedules import FixedScheduleParams
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_counts_rounds_and_uninstalls():
+    tracer = load_spans().Tracer()
+    originals = (learner.run, learner.step, learner.g_max, learner.project_ball)
+    tracer.install()
+    try:
+        assert learner.step is not originals[1]
+        T = 7
+        trace = learner.run(DsmProblem(2), FixedScheduleParams(0.1, 1.0, 0.1), T,
+                            seed=0)
+    finally:
+        tracer.uninstall()
+    assert (learner.run, learner.step, learner.g_max,
+            learner.project_ball) == originals
+    assert trace.lam.shape == (T,)
+    assert tracer.stats["learner.run"][0] == 1
+    # the benchmark's learner.rounds is the count of step calls
+    for name in ("learner.step", "projections.g_max",
+                 "projections.project_ball", "problems.loss.learner"):
+        assert tracer.stats[name][0] == T, name

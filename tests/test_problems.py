@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from aogd.learner import run
-from aogd.offline import project_birkhoff
-from aogd.problems import (DsmProblem, ElasticNetProblem, dsm_constraints,
-                           dsm_loss_grad, elasticnet_constants, logloss_grad,
-                           permutation_stream)
-from aogd.projections import Constraint, ConstraintSet, g_max
+from aogd.offline import project_birkhoff, project_elasticnet_ball
+from aogd.problems import (DsmProblem, ElasticNetBudget, ElasticNetProblem,
+                           dsm_constraints, dsm_loss_grad, elasticnet_constants,
+                           logloss_grad, permutation_stream)
+from aogd.projections import g_max
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
+from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
 
 
 def sample_in_ball(rng, dim, R, n):
@@ -65,6 +66,11 @@ def dsm_constraint_closures(p):
     for m in masks_cols:
         components.append(sum_constraint(m, -1.0))
     return ConstraintSet(components=components)
+
+
+def assert_same_trace(a, b, name):
+    for column in ("x", "lam", "loss", "g"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), (name, column)
 
 
 def dsm_schedules(p, T):
@@ -197,10 +203,59 @@ class TestDsmLinearMatchesClosures:
             fast = run(prob, schedule, self.T, seed=p, gamma=gamma)
             prob.constraints = ref
             slow = run(prob, schedule, self.T, seed=p, gamma=gamma)
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a.x, b.x), name
-                assert (a.lam, a.g_value) == (b.lam, b.g_value), name
-            self.assert_identical(lin, ref, [r.x for r in fast])
+            assert_same_trace(fast, slow, name)
+            self.assert_identical(lin, ref, fast.x)
+
+
+class TestElasticNetBudgetMatchesClosure:
+    """`ElasticNetBudget` against the closure it replaced, bit for bit."""
+
+    @staticmethod
+    def points(rng, d, rho):
+        scale = rng.choice([1e-8, 1e-3, 1.0, 1e3], size=(200, 1))
+        xs = rng.normal(size=(200, d)) * scale
+        kinks = xs[:50].copy()
+        kinks[rng.uniform(size=kinks.shape) < 0.5] = 0.0  # l1 kinks
+        outside = rng.normal(size=(50, d))
+        outside *= 10.0 * (1.0 + rho) / np.abs(outside).sum(axis=1, keepdims=True)
+        boundary = [project_elasticnet_ball(v, rho) for v in outside]
+        return [*xs, *kinks, np.zeros(d), *boundary]
+
+    @pytest.mark.parametrize("d", [1, 5, 60])
+    @pytest.mark.parametrize("rho", [1e-3, 0.7, 40.0])
+    def test_values_and_subgradient(self, d, rho):
+        budget, ref = ElasticNetBudget(rho), elasticnet_closure(rho)
+        for x in self.points(np.random.default_rng(d), d, rho):
+            assert np.array_equal(budget.values(x), ref.values(x))
+            assert g_max(budget, x) == g_max(ref, x) == (ref.values(x)[0], 0)
+            assert np.array_equal(budget.subgradient(x, 0), ref.subgradient(x, 0))
+
+    def test_boundary_points_are_tight(self):
+        rng = np.random.default_rng(1)
+        xs = self.points(rng, 6, 0.7)[-50:]
+        assert all(abs(ElasticNetBudget(0.7).values(x)[0]) <= 1e-12 for x in xs)
+
+    def test_replayed_run(self):
+        rng = np.random.default_rng(15)
+        u = rng.normal(size=(60, 8))
+        y = np.where(u @ rng.normal(size=8) > 0, 1.0, -1.0)
+        T = 400
+        c = ElasticNetProblem(y, u, rho=0.3).constants
+        gamma = T ** (-1.0 / 3.0)
+        variants = {
+            "a_ogd_convex": (ScheduleParams(2.0 / 3.0, Regime.CONVEX, c), 0.0),
+            "fixed_ogd": (FixedScheduleParams(eta=0.5, theta=2.0, mu=0.05), 0.0),
+            "a_ogd_convex_gamma_shift": (
+                ScheduleParams(2.0 / 3.0, Regime.CONVEX, replace(c, D=c.D + gamma)),
+                gamma),
+        }
+        for name, (schedule, gamma) in variants.items():
+            prob = ElasticNetProblem(y, u, rho=0.3)
+            fast = run(prob, schedule, T, seed=2, gamma=gamma)
+            prob.constraints = elasticnet_closure(0.3)
+            slow = run(prob, schedule, T, seed=2, gamma=gamma)
+            assert_same_trace(fast, slow, name)
+            assert np.any(fast.g > 0) and np.any(fast.g < 0), name
 
 
 class TestPermutationStream:

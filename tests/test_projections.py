@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aogd.projections import (Constraint, ConstraintSet, LinearConstraints,
-                              g_max, project_ball, project_nonneg)
+from aogd.projections import (LinearConstraints, g_max, project_ball,
+                              project_nonneg)
+from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
 
 
 def scalar_components():
@@ -12,13 +13,6 @@ def scalar_components():
                    subgradient=lambda x: np.array([1.0])),
         Constraint(value=lambda x: -float(x[0]),
                    subgradient=lambda x: np.array([-1.0])),
-    ])
-
-
-def elasticnet_component(rho):
-    return ConstraintSet(components=[
-        Constraint(value=lambda x: float(np.sum(np.abs(x)) + 0.5 * x @ x - rho),
-                   subgradient=lambda x: np.sign(x) + x),
     ])
 
 
@@ -64,7 +58,7 @@ class TestGMax:
         assert value == pytest.approx(-0.5) and idx == 0
 
     def test_single_component(self):
-        value, idx = g_max(elasticnet_component(2.0), np.zeros(3))
+        value, idx = g_max(elasticnet_closure(2.0), np.zeros(3))
         assert value == pytest.approx(-2.0) and idx == 0
 
     def test_dominates_each_component(self):
@@ -95,19 +89,19 @@ class TestGSubgradient:
         np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]), [1.0])
 
     def test_elasticnet_smooth_point(self):
-        cs, x = elasticnet_component(1.0), np.array([1.0, -2.0])
+        cs, x = elasticnet_closure(1.0), np.array([1.0, -2.0])
         np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]),
                                    [2.0, -3.0])
 
     def test_elasticnet_kink_zero_choice(self):
-        cs, x = elasticnet_component(1.0), np.array([0.0, 1.0])
+        cs, x = elasticnet_closure(1.0), np.array([0.0, 1.0])
         np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]),
                                    [0.0, 2.0])
 
     def test_subgradient_inequality(self):
         # g(y) >= g(x) + s.(y - x) for the max aggregate
         rng = np.random.default_rng(2)
-        for cs, dim in ((scalar_components(), 1), (elasticnet_component(1.5), 4)):
+        for cs, dim in ((scalar_components(), 1), (elasticnet_closure(1.5), 4)):
             for _ in range(300):
                 x = rng.normal(size=dim)
                 y = rng.normal(size=dim)

@@ -78,6 +78,6 @@ def test_learner_iterates_stay_in_ball_with_nonneg_dual(case):
     p, schedule, gamma, T, seed = case
     prob = DsmProblem(p)
     R = prob.constants.R
-    for rec in run(prob, schedule, T, seed=seed, gamma=gamma):
-        assert np.linalg.norm(rec.x) <= R + 1e-12
-        assert rec.lam >= 0.0
+    trace = run(prob, schedule, T, seed=seed, gamma=gamma)
+    assert np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-12)
+    assert np.all(trace.lam >= 0.0)
