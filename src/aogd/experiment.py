@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,9 +27,6 @@ from .problems import DsmProblem, ElasticNetProblem
 from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
                         ScheduleParams, check_conditions, schedule_arrays,
                         schedule_sums)
-
-ADAPTIVE_ALGORITHMS = ("a_ogd_convex", "a_ogd_strongly_convex")
-
 
 @dataclass
 class ExperimentConfig:
@@ -48,14 +46,13 @@ class ExperimentConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**raw)
 
-    def validate(self, constants: ProblemConstants):
+    def validate(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if not self.seeds:
             raise ValueError("at least one seed required")
-        if self.algorithm == "a_ogd_strongly_convex" and constants.sigma <= 0:
-            raise ValueError(
-                "a_ogd_strongly_convex requires a problem with sigma > 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.gamma < 0:
             raise ValueError("gamma_shift.c1 must be nonnegative")
 
@@ -104,7 +101,7 @@ def _algorithm_label(cfg: ExperimentConfig) -> str:
     return cfg.algorithm
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]):
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -127,10 +124,10 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 
 def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     manifest_path: str) -> str:
+    cfg.validate()
     # one problem for every seed: learner.run re-materializes its stream
     problem = build_problem(cfg, cfg.seeds[0])
     constants = problem.constants
-    cfg.validate(constants)
 
     # the shifted constraint g + gamma is bounded by D + gamma
     gamma = cfg.gamma
@@ -146,8 +143,8 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())
                    if isinstance(v, (str, int, float)))
 
-    per_seed = []
-    first_nonpositive_t = None
+    compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
+    loss_cols, g_cols, first_nonpositive = [], [], []
     for seed in cfg.seeds:
         trace = learner.run(problem, schedule, cfg.T, seed, gamma)
         solutions = {
@@ -157,66 +154,50 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
             for t in checkpoints
         }
         report = metrics.accumulate(trace, solutions, problem, params)
-
-        rows = [[c.t, c.loss_regret, c.constraint_cum, c.loss_bound,
-                 c.constraint_bound, c.lam, c.eta, c.theta]
-                for c in report.checkpoints]
+        # the report's fields are the CSV's columns, in order
         _write_csv(os.path.join(cfg.output_dir, f"seed_{seed}.csv"),
                    ["t", "loss_regret", "constraint_cum", "loss_bound",
                     "constraint_bound", "lambda", "step_eta", "step_theta"],
-                   rows)
+                   zip(*(col.tolist() for col in astuple(report))))
+        loss_cols.append(report.loss_regret)
+        g_cols.append(report.constraint_cum)
 
-        g_cum = np.cumsum(trace.g)
-        nonpos = np.flatnonzero(g_cum <= 0.0)
-        seed_first_t = int(nonpos[0]) + 1 if nonpos.size else None
-        if gamma > 0.0 and seed_first_t is not None:
-            if first_nonpositive_t is None or seed_first_t < first_nonpositive_t:
-                first_nonpositive_t = seed_first_t
-
-        compliance = metrics.bound_compliance(report, params) if params else None
+        key = str(seed)
+        compliance[key] = (asdict(metrics.bound_compliance(report))
+                           if params else None)
+        solves[key] = [{"t": t, "iterations": sol.iterations,
+                        "tolerance_met": sol.tolerance_met}
+                       for t, sol in solutions.items()]
+        # signed sums can hide violated rounds behind slack ones
+        violation_clipped[key] = float(np.sum(np.maximum(trace.g, 0.0)))
         k = int(np.argmax(trace.lam))  # the first maximizer
-        per_seed.append({
-            "seed": seed,
-            "report": report,
-            "compliance": compliance,
-            "offline": [{"t": t, "iterations": sol.iterations,
-                         "tolerance_met": sol.tolerance_met}
-                        for t, sol in solutions.items()],
-            # signed sums can hide violated rounds behind slack ones
-            "violation_clipped": float(np.sum(np.maximum(trace.g, 0.0))),
-            "max_lambda": {"value": float(trace.lam[k]), "t": k + 1},
-        })
+        max_lambda[key] = {"value": float(trace.lam[k]), "t": k + 1}
+        if gamma > 0.0:
+            nonpos = np.flatnonzero(np.cumsum(trace.g) <= 0.0)
+            if nonpos.size:
+                first_nonpositive.append(int(nonpos[0]) + 1)
 
-    # aggregate across seeds
-    loss_mat = np.array([[c.loss_regret for c in s["report"].checkpoints]
-                         for s in per_seed])
-    g_mat = np.array([[c.constraint_cum for c in s["report"].checkpoints]
-                      for s in per_seed])
-    bounds = per_seed[0]["report"].checkpoints
-    agg_rows = [[c.t,
-                 float(np.mean(loss_mat[:, i])), float(np.std(loss_mat[:, i])),
-                 float(np.mean(g_mat[:, i])), float(np.std(g_mat[:, i])),
-                 c.loss_bound, c.constraint_bound]
-                for i, c in enumerate(bounds)]
+    # seed statistics per checkpoint: (K, S) reduced along the seed axis;
+    # the bound columns are the same for every seed
+    loss_mat, g_mat = np.stack(loss_cols, axis=1), np.stack(g_cols, axis=1)
+    loss_mean, g_mean = np.mean(loss_mat, axis=1), np.mean(g_mat, axis=1)
     _write_csv(os.path.join(cfg.output_dir, "aggregate.csv"),
                ["t", "loss_regret_mean", "loss_regret_std",
                 "constraint_cum_mean", "constraint_cum_std",
                 "loss_bound", "constraint_bound"],
-               agg_rows)
+               zip(report.t.tolist(), loss_mean.tolist(),
+                   np.std(loss_mat, axis=1).tolist(), g_mean.tolist(),
+                   np.std(g_mat, axis=1).tolist(), report.loss_bound.tolist(),
+                   report.constraint_bound.tolist()))
 
     rate_exponents = {}
-    if params and len(checkpoints) >= 5:
-        rate_exponents["loss_bound"] = metrics.fit_rate_exponent(
-            [(c.t, c.loss_bound) for c in bounds])
-        rate_exponents["constraint_bound"] = metrics.fit_rate_exponent(
-            [(c.t, c.constraint_bound) for c in bounds])
     if len(checkpoints) >= 5:
-        mean_g = np.mean(g_mat, axis=0)
-        rate_exponents["constraint_measured_pos"] = metrics.fit_rate_exponent(
-            [(c.t, mean_g[i]) for i, c in enumerate(bounds)])
-        mean_loss = np.mean(loss_mat, axis=0)
-        rate_exponents["loss_measured_pos"] = metrics.fit_rate_exponent(
-            [(c.t, mean_loss[i]) for i, c in enumerate(bounds)])
+        curves = ({"loss_bound": report.loss_bound,
+                   "constraint_bound": report.constraint_bound} if params else {})
+        curves |= {"constraint_measured_pos": g_mean,
+                   "loss_measured_pos": loss_mean}
+        rate_exponents = {name: metrics.fit_rate_exponent(list(zip(report.t, v)))
+                          for name, v in curves.items()}
 
     manifest = {
         "status": "ok",
@@ -228,25 +209,17 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                        "c3_slack": cond.c3_slack,
                        "u_eta": sums.u_eta if sums else None},
         "loss_bound_conservative": (
-            isinstance(schedule, ScheduleParams)
-            and schedule.regime is Regime.STRONGLY_CONVEX),
+            params is not None and params.regime is Regime.STRONGLY_CONVEX),
         "rate_exponents": rate_exponents,
-        "compliance": {
-            str(s["seed"]): None if s["compliance"] is None else {
-                "loss_ok": s["compliance"].loss_ok,
-                "constraint_ok": s["compliance"].constraint_ok,
-                "max_ratio": s["compliance"].max_ratio,
-            } for s in per_seed
-        },
-        "offline": {str(s["seed"]): s["offline"] for s in per_seed},
-        "violation_clipped": {str(s["seed"]): s["violation_clipped"]
-                              for s in per_seed},
-        "max_lambda": {str(s["seed"]): s["max_lambda"] for s in per_seed},
-        "offline_converged": all(c["tolerance_met"] for s in per_seed
-                                 for c in s["offline"]),
-        "final_loss_regret_mean": float(np.mean(loss_mat[:, -1])),
-        "final_constraint_cum_mean": float(np.mean(g_mat[:, -1])),
-        "first_nonpositive_violation_t": first_nonpositive_t,
+        "compliance": compliance,
+        "offline": solves,
+        "violation_clipped": violation_clipped,
+        "max_lambda": max_lambda,
+        "offline_converged": all(s["tolerance_met"] for per_seed in solves.values()
+                                 for s in per_seed),
+        "final_loss_regret_mean": float(loss_mean[-1]),
+        "final_constraint_cum_mean": float(g_mean[-1]),
+        "first_nonpositive_violation_t": min(first_nonpositive, default=None),
         "checkpoints": checkpoints,
     }
     with open(manifest_path, "w") as fh:

@@ -77,6 +77,8 @@ def load_dataset(path: str, max_rows: int | None = None,
                  dim_hint: int = 0) -> Dataset:
     """Read up to max_rows examples; d is the max feature index seen
     (or dim_hint, whichever is larger)."""
+    if max_rows is not None and max_rows < 1:
+        raise ParseError(f"max_rows must be >= 1, got {max_rows}")
     examples = []
     d = dim_hint
     with open(path) as fh:

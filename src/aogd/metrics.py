@@ -19,24 +19,21 @@ from .schedules import ScheduleParams, constraint_regret_bound, loss_regret_boun
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    t: int
-    loss_regret: float
-    constraint_cum: float
-    loss_bound: float
-    constraint_bound: float
-    lam: float
-    eta: float
-    theta: float
-
-
-@dataclass(frozen=True)
 class RegretReport:
-    checkpoints: Sequence[Checkpoint]
+    """Per-checkpoint columns of one run, each of shape (K,), in the seed
+    CSV's column order; the bound columns are NaN without a closed form."""
+
+    t: np.ndarray
+    loss_regret: np.ndarray
+    constraint_cum: np.ndarray
+    loss_bound: np.ndarray
+    constraint_bound: np.ndarray
+    lam: np.ndarray
+    eta: np.ndarray
+    theta: np.ndarray
 
     def __post_init__(self):
-        ts = [c.t for c in self.checkpoints]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if np.any(np.diff(self.t) <= 0):
             raise ValueError("checkpoints must be strictly increasing in t")
 
 
@@ -60,24 +57,26 @@ def accumulate(trace: Trace,
     """
     if not offline:
         raise ValueError("offline map must cover at least one checkpoint")
-    loss_cum = np.cumsum(trace.loss)
-    g_cum = np.cumsum(trace.g)
-    checkpoints = []
-    for t in sorted(offline):
-        if t < 1 or t > len(trace.loss):
-            raise ValueError(f"checkpoint t={t} outside the recorded rounds")
-        offline_cum = problem.loss_sum(t, offline[t].x_star)[0]
-        checkpoints.append(Checkpoint(
-            t=t,
-            loss_regret=float(loss_cum[t - 1] - offline_cum),
-            constraint_cum=float(g_cum[t - 1]),
-            loss_bound=float(loss_regret_bound(params, t)) if params else float("nan"),
-            constraint_bound=float(constraint_regret_bound(params, t)) if params else float("nan"),
-            lam=float(trace.lam[t - 1]),
-            eta=float(trace.eta[t - 1]),
-            theta=float(trace.theta[t - 1]),
-        ))
-    return RegretReport(checkpoints=checkpoints)
+    ts = sorted(offline)
+    outside = [t for t in ts if not 1 <= t <= len(trace.loss)]
+    if outside:
+        raise ValueError(f"checkpoint t={outside[0]} outside the recorded rounds")
+    t = np.array(ts)
+    # one prefix solve per checkpoint, so one loss_sum per x_star
+    offline_cum = np.array([problem.loss_sum(k, offline[k].x_star)[0] for k in ts])
+    loss_bound, constraint_bound = (
+        (loss_regret_bound(params, t), constraint_regret_bound(params, t))
+        if params else np.full((2, len(ts)), np.nan))
+    return RegretReport(
+        t=t,
+        loss_regret=np.cumsum(trace.loss)[t - 1] - offline_cum,
+        constraint_cum=np.cumsum(trace.g)[t - 1],
+        loss_bound=loss_bound,
+        constraint_bound=constraint_bound,
+        lam=trace.lam[t - 1],
+        eta=trace.eta[t - 1],
+        theta=trace.theta[t - 1],
+    )
 
 
 def fit_rate_exponent(curve: Sequence[tuple[float, float]]) -> float:
@@ -105,15 +104,11 @@ class BoundCompliance:
     max_ratio: float
 
 
-def bound_compliance(report: RegretReport, params: ScheduleParams) -> BoundCompliance:
-    """Check measured regrets against the closed-form bounds per checkpoint."""
-    loss_ok, constraint_ok = True, True
-    max_ratio = -np.inf
-    for c in report.checkpoints:
-        lb = float(loss_regret_bound(params, c.t))
-        cb = float(constraint_regret_bound(params, c.t))
-        loss_ok &= c.loss_regret <= lb
-        constraint_ok &= c.constraint_cum <= cb
-        max_ratio = max(max_ratio, c.loss_regret / lb, c.constraint_cum / cb)
-    return BoundCompliance(loss_ok=bool(loss_ok), constraint_ok=bool(constraint_ok),
-                           max_ratio=float(max_ratio))
+def bound_compliance(report: RegretReport) -> BoundCompliance:
+    """Check the measured columns against the report's bound columns."""
+    ratios = np.concatenate([report.loss_regret / report.loss_bound,
+                             report.constraint_cum / report.constraint_bound])
+    return BoundCompliance(
+        loss_ok=bool(np.all(report.loss_regret <= report.loss_bound)),
+        constraint_ok=bool(np.all(report.constraint_cum <= report.constraint_bound)),
+        max_ratio=float(np.max(ratios)))

@@ -63,10 +63,10 @@ def permutation_stream(p: int, seed: int, T: int) -> np.ndarray:
     if p < 2:
         raise ValueError("p must be >= 2")
     rng = np.random.default_rng(seed)
+    # one shuffle per row draws the same stream as T calls to permutation(p)
+    cols = rng.permuted(np.tile(np.arange(p), (T, 1)), axis=1)
     out = np.zeros((T, p, p))
-    rows = np.arange(p)
-    for t in range(T):
-        out[t, rows, rng.permutation(p)] = 1.0
+    out[np.arange(T)[:, None], np.arange(p), cols] = 1.0
     return out
 
 

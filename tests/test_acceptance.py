@@ -52,9 +52,10 @@ def theorem1_runs():
 def test_criterion_1_theorem1_compliance(theorem1_runs):
     ok = True
     for _, params, _, report in theorem1_runs:
-        for c in report.checkpoints:
-            ok &= c.loss_regret <= loss_regret_bound(params, c.t)
-            ok &= c.constraint_cum <= constraint_regret_bound(params, c.t)
+        for t, loss, cons in zip(report.t, report.loss_regret,
+                                 report.constraint_cum):
+            ok &= loss <= loss_regret_bound(params, t)
+            ok &= cons <= constraint_regret_bound(params, t)
     report_line(1, "theorem 1 compliance, dsm p=8 T=1000, 10 seeds", ok)
     assert ok
 
@@ -90,9 +91,9 @@ def test_criterion_3_rate_exponents(theorem1_runs):
         curve = [(t, float(constraint_regret_bound(params, t))) for t in grid]
         ok &= abs(fit_rate_exponent(curve) - (1 - beta / 2)) <= 0.02
     # measured positive-part constraint curve on DSM (upper rate only)
-    g_mean = np.mean([[c.constraint_cum for c in rep.checkpoints]
-                      for _, _, _, rep in theorem1_runs], axis=0)
-    ts = [c.t for c in theorem1_runs[0][3].checkpoints]
+    g_mean = np.mean([rep.constraint_cum for _, _, _, rep in theorem1_runs],
+                     axis=0)
+    ts = theorem1_runs[0][3].t
     measured = fit_rate_exponent(
         [(t, max(g, 1e-12)) for t, g in zip(ts, g_mean)])
     ok &= measured <= 1 - BETA / 2 + 0.1

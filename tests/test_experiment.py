@@ -8,6 +8,7 @@ from aogd.cli import main
 from aogd import learner
 from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
                              compare_runs, run_experiment)
+from aogd.metrics import fit_rate_exponent
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -202,6 +203,32 @@ class TestRunExperiment:
         assert "c1" in manifest["error"]
         assert not (tmp_path / "out" / "seed_42.csv").exists()
 
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        # a repeated seed would count twice in aggregate.csv's means
+        _, cfg = write_config(tmp_path, seeds=[1, 1, 2])
+        with pytest.raises(ValueError, match="distinct"):
+            run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "distinct" in manifest["error"]
+        assert not list((tmp_path / "out").glob("seed_*.csv"))
+
+    def test_rates_and_finals_read_aggregate_means(self, tmp_path):
+        # with 9 seeds a different summation order would show in the last bits
+        _, cfg = write_config(tmp_path, seeds=list(range(9)))
+        run_experiment(ExperimentConfig(**cfg))
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        header, *rows = read_csv(out / "aggregate.csv")
+        cols = {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+        rates = manifest["rate_exponents"]
+        for name, column in (("loss_measured_pos", "loss_regret_mean"),
+                             ("constraint_measured_pos", "constraint_cum_mean")):
+            assert rates[name] == fit_rate_exponent(
+                list(zip(cols["t"], cols[column])))
+        assert manifest["final_loss_regret_mean"] == cols["loss_regret_mean"][-1]
+        assert manifest["final_constraint_cum_mean"] == cols["constraint_cum_mean"][-1]
+
 
 class TestCompareRuns:
     def test_table_and_files(self, tmp_path):
@@ -284,6 +311,14 @@ class TestCli:
         x = np.array(out["x_star"]).reshape(2, 2)
         np.testing.assert_allclose(x.sum(axis=0), [1, 1], atol=1e-6)
         np.testing.assert_allclose(x.sum(axis=1), [1, 1], atol=1e-6)
+
+    def test_run_rejects_repeated_seeds(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["run", cfg_path, "--seeds", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "distinct" in captured.err
+        assert not (tmp_path / "out" / "seed_1.csv").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1

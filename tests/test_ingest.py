@@ -91,6 +91,11 @@ class TestLoadDataset:
         assert len(ds.examples) == 2
         assert ds.d == 4
 
+    @pytest.mark.parametrize("max_rows", [0, -1, -5])
+    def test_max_rows_below_one_rejected(self, tmp_path, max_rows):
+        with pytest.raises(ParseError, match="max_rows"):
+            load_dataset(self.write_fixture(tmp_path), max_rows=max_rows)
+
     def test_dim_hint(self, tmp_path):
         ds = load_dataset(self.write_fixture(tmp_path), dim_hint=10)
         assert ds.d == 10

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from aogd.learner import run
-from aogd.metrics import (BoundCompliance, RegretReport, accumulate,
-                          bound_compliance, checkpoint_grid, fit_rate_exponent)
+from aogd.metrics import (BoundCompliance, accumulate, bound_compliance,
+                          checkpoint_grid, fit_rate_exponent)
 from aogd.offline import solve_offline
 from aogd.problems import DsmProblem
 from aogd.schedules import Regime, ScheduleParams
@@ -42,24 +44,24 @@ class TestAccumulate:
     def test_three_round_hand_check(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2, 3])
         report = accumulate(trace, offline, prob, params)
-        assert [c.t for c in report.checkpoints] == [1, 2, 3]
-        for c in report.checkpoints:
-            t = c.t
+        assert report.t.tolist() == [1, 2, 3]
+        for i, t in enumerate(report.t):
             learner_cum = sum(trace.loss[:t])
             mean = np.mean([Y.ravel() for Y in prob.stream[:t]], axis=0)
             offline_cum = sum(0.5 * np.sum((mean - Y.ravel()) ** 2)
                               for Y in prob.stream[:t])
-            assert c.loss_regret == pytest.approx(learner_cum - offline_cum, abs=1e-7)
-            assert c.constraint_cum == pytest.approx(
+            assert report.loss_regret[i] == pytest.approx(
+                learner_cum - offline_cum, abs=1e-7)
+            assert report.constraint_cum[i] == pytest.approx(
                 sum(trace.g[:t]))
-            assert c.lam == trace.lam[t - 1]
-            assert c.eta == trace.eta[t - 1]
+            assert report.lam[i] == trace.lam[t - 1]
+            assert report.eta[i] == trace.eta[t - 1]
 
     def test_bounds_nan_without_params(self):
         prob, _, trace, offline = self.run_with_offline(2, 3, [3])
         report = accumulate(trace, offline, prob, params=None)
-        assert np.isnan(report.checkpoints[0].loss_bound)
-        assert np.isnan(report.checkpoints[0].constraint_bound)
+        assert np.isnan(report.loss_bound[0])
+        assert np.isnan(report.constraint_bound[0])
 
     def test_checkpoint_out_of_range(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [3])
@@ -75,9 +77,8 @@ class TestAccumulate:
     def test_report_requires_increasing_t(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2])
         report = accumulate(trace, offline, prob, params)
-        cs = list(report.checkpoints)
         with pytest.raises(ValueError):
-            RegretReport(checkpoints=[cs[1], cs[0]])
+            replace(report, t=report.t[::-1])
 
 
 class TestFitRateExponent:
@@ -120,27 +121,24 @@ class TestBoundCompliance:
 
     def test_adaptive_run_complies(self):
         report, params = self.make_report()
-        comp = bound_compliance(report, params)
+        comp = bound_compliance(report)
         assert comp.loss_ok and comp.constraint_ok
         assert comp.max_ratio <= 1.0
 
     def test_negative_control_detects_violation(self):
         report, params = self.make_report()
-        c = report.checkpoints[-1]
-        bad = type(c)(t=c.t, loss_regret=2 * float(c.loss_bound),
-                      constraint_cum=c.constraint_cum,
-                      loss_bound=c.loss_bound, constraint_bound=c.constraint_bound,
-                      lam=c.lam, eta=c.eta, theta=c.theta)
-        broken = RegretReport(checkpoints=list(report.checkpoints[:-1]) + [bad])
-        comp = bound_compliance(broken, params)
+        loss_regret = report.loss_regret.copy()
+        loss_regret[-1] = 2 * report.loss_bound[-1]
+        broken = replace(report, loss_regret=loss_regret)
+        comp = bound_compliance(broken)
         assert not comp.loss_ok
         assert comp.max_ratio > 1.0
 
     def test_max_ratio_matches_columns(self):
         report, params = self.make_report()
-        comp = bound_compliance(report, params)
+        comp = bound_compliance(report)
         ratios = []
-        for c in report.checkpoints:
-            ratios += [c.loss_regret / c.loss_bound,
-                       c.constraint_cum / c.constraint_bound]
+        for i in range(len(report.t)):
+            ratios += [report.loss_regret[i] / report.loss_bound[i],
+                       report.constraint_cum[i] / report.constraint_bound[i]]
         assert comp.max_ratio == pytest.approx(max(ratios))

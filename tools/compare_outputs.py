@@ -1,0 +1,165 @@
+"""Compare the outputs of `aogd run` under two source trees.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
+a checkout's root works too). The script runs a fixed matrix of 15 configs
+under both trees, each in a fresh output directory, and reports every seed
+CSV or `aggregate.csv` whose bytes differ and every manifest key whose value
+differs, with the echoed `config.output_dir` masked. For numbers it prints
+the relative difference. It exits 0 when all outputs match and 1 otherwise.
+
+The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
+with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=16, T=2000, convex, 2 seeds;
+elastic net on acceptance criterion 9's synthetic dataset (500 rows, 20
+features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
+{3, 9 seeds}. A run of both trees takes about a minute on 2 CPUs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+BETA = 2.0 / 3.0
+FIXED_OGD = {"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05}
+VARIANTS = {
+    "convex": {"algorithm": "a_ogd_convex"},
+    "strongly_convex": {"algorithm": "a_ogd_strongly_convex"},
+    "fixed_ogd": {"algorithm": FIXED_OGD},
+    "shift": {"algorithm": "a_ogd_convex", "gamma_shift": {"c1": 1.0}},
+}
+
+
+def write_dataset(path: str, n: int = 500, d: int = 20, seed: int = 7):
+    """Acceptance criterion 9's data: a sparse linear separator with noise."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=d)
+    w[6:] = 0.0
+    U = rng.normal(size=(n, d)) * 0.3
+    y = np.where(U @ w + 0.1 * rng.normal(size=n) > 0, 1, -1)
+    with open(path, "w") as fh:
+        for i, yi in enumerate(y):
+            fh.write(("+1 " if yi > 0 else "-1 ")
+                     + " ".join(f"{j + 1}:{U[i, j]:.6f}" for j in range(d))
+                     + "\n")
+
+
+def config_matrix(dataset: str) -> dict[str, dict]:
+    configs = {}
+    for variant in VARIANTS:
+        for n_seeds in (2, 10):
+            configs[f"dsm_p8_{variant}_s{n_seeds}"] = dict(
+                problem={"kind": "dsm", "p": 8}, T=1000,
+                seeds=list(range(n_seeds)), **VARIANTS[variant])
+    configs["dsm_p16_convex_s2"] = dict(
+        problem={"kind": "dsm", "p": 16}, T=2000, seeds=[0, 1],
+        **VARIANTS["convex"])
+    for variant in ("convex", "fixed_ogd", "shift"):
+        for n_seeds in (3, 9):
+            configs[f"elasticnet_{variant}_s{n_seeds}"] = dict(
+                problem={"kind": "elasticnet", "dataset": dataset, "rho": 1.0},
+                T=300, seeds=list(range(n_seeds)), **VARIANTS[variant])
+    return {name: dict(cfg, beta=BETA) for name, cfg in configs.items()}
+
+
+def package_root(path: str) -> str:
+    for candidate in (path, os.path.join(path, "src")):
+        if os.path.isfile(os.path.join(candidate, "aogd", "__init__.py")):
+            return os.path.abspath(candidate)
+    raise SystemExit(f"no aogd package under {path}")
+
+
+def run_tree(src: str, name: str, cfg: dict, workdir: str) -> str:
+    out = os.path.join(workdir, name)
+    os.makedirs(out)
+    cfg_path = os.path.join(out, "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(dict(cfg, output_dir=os.path.join(out, "out")), fh)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "aogd.cli", "run", cfg_path],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{name} failed under {src}: {done.stderr.strip()}")
+    return os.path.join(out, "out")
+
+
+def flatten(value, prefix=""):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from flatten(v, f"{prefix}{k}.")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from flatten(v, f"{prefix}{i}.")
+    else:
+        yield prefix[:-1], value
+
+
+def describe(a, b) -> str:
+    text = f"{a!r} -> {b!r}"
+    numbers = (int, float)
+    if (isinstance(a, numbers) and isinstance(b, numbers)
+            and not isinstance(a, bool) and not isinstance(b, bool) and a != 0):
+        text += f" (rel {abs(b - a) / abs(a):.2e})"
+    return text
+
+
+def read_manifest(out: str) -> dict:
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    manifest["config"]["output_dir"] = "<output_dir>"
+    return manifest
+
+
+def compare(name: str, parent_out: str, change_out: str) -> list[str]:
+    diffs = []
+    csvs = sorted({f for d in (parent_out, change_out) for f in os.listdir(d)
+                   if f.endswith(".csv")})
+    for f in csvs:
+        paths = [os.path.join(d, f) for d in (parent_out, change_out)]
+        if not all(os.path.exists(p) for p in paths):
+            diffs.append(f"{name}/{f}: only in one tree")
+            continue
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            if a.read() != b.read():
+                diffs.append(f"{name}/{f}: bytes differ")
+    a = dict(flatten(read_manifest(parent_out)))
+    b = dict(flatten(read_manifest(change_out)))
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            diffs.append(f"{name}/manifest.json {key}: only in one tree")
+        # NaN != NaN: a NaN on both sides is a match
+        elif a[key] != b[key] and not (a[key] != a[key] and b[key] != b[key]):
+            diffs.append(f"{name}/manifest.json {key}: {describe(a[key], b[key])}")
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = (package_root(p) for p in argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        dataset = os.path.join(workdir, "data.libsvm")
+        write_dataset(dataset)
+        configs = config_matrix(dataset)
+        diffs = []
+        for name, cfg in configs.items():
+            outs = [run_tree(src, name, cfg, os.path.join(workdir, tree))
+                    for tree, src in (("parent", parent), ("change", change))]
+            found = compare(name, *outs)
+            print(f"{name}: {'identical' if not found else f'{len(found)} differences'}")
+            diffs += found
+    for line in diffs:
+        print(line)
+    print(f"{len(configs)} configs, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
