@@ -47,6 +47,9 @@ class ExperimentConfig:
         return cls(**raw)
 
     def validate(self):
+        # beta also sets gamma = c1 T^(-beta/2), so fixed_ogd needs it too
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie in (0, 1)")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if not self.seeds:
@@ -65,16 +68,16 @@ class ExperimentConfig:
         return c1 * float(self.T) ** (-self.beta / 2.0)
 
 
-def build_problem(cfg: ExperimentConfig, seed: int):
+def build_problem(cfg: ExperimentConfig):
+    """The configured problem; its stream is drawn by `materialize(T, seed)`."""
     spec = cfg.problem
     kind = spec["kind"]
     if kind == "dsm":
-        return DsmProblem(p=int(spec["p"]), seed=seed)
+        return DsmProblem(p=int(spec["p"]))
     if kind == "elasticnet":
         ds = load_dataset(spec["dataset"], max_rows=spec.get("max_rows"))
         labels, features = ds.dense()
-        return ElasticNetProblem(labels, features, rho=float(spec["rho"]),
-                                 seed=seed)
+        return ElasticNetProblem(labels, features, rho=float(spec["rho"]))
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
@@ -126,7 +129,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     manifest_path: str) -> str:
     cfg.validate()
     # one problem for every seed: learner.run re-materializes its stream
-    problem = build_problem(cfg, cfg.seeds[0])
+    problem = build_problem(cfg)
     constants = problem.constants
 
     # the shifted constraint g + gamma is bounded by D + gamma
@@ -196,7 +199,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                    "constraint_bound": report.constraint_bound} if params else {})
         curves |= {"constraint_measured_pos": g_mean,
                    "loss_measured_pos": loss_mean}
-        rate_exponents = {name: metrics.fit_rate_exponent(list(zip(report.t, v)))
+        rate_exponents = {name: metrics.fit_rate_exponent(report.t, v)
                           for name, v in curves.items()}
 
     manifest = {

@@ -8,8 +8,8 @@ rejected loudly rather than silently repaired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,28 +22,21 @@ _LABEL_MAP = {"0": -1, "-1": -1, "1": 1, "+1": 1}
 
 
 @dataclass(frozen=True)
-class SparseExample:
-    label: int
-    features: Sequence[tuple[int, float]]  # (1-based index, value), increasing
-
-
-@dataclass(frozen=True)
 class Dataset:
-    examples: Sequence[SparseExample]
-    d: int
+    """labels (n,) of -1.0/+1.0 and dense features (n, d), with d the
+    largest feature index read."""
+
+    labels: np.ndarray
+    features: np.ndarray
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Densify into (labels, features) arrays."""
-        labels = np.array([ex.label for ex in self.examples], dtype=float)
-        features = np.zeros((len(self.examples), self.d))
-        for i, ex in enumerate(self.examples):
-            for idx, val in ex.features:
-                features[i, idx - 1] = val
-        return labels, features
+        return self.labels, self.features
 
 
-def parse_libsvm_line(line: str, lineno: int = 0) -> SparseExample:
-    """Parse one libsvm line; raises ParseError with the line number."""
+def parse_libsvm_line(line: str, lineno: int = 0
+                      ) -> tuple[int, list[int], list[float]]:
+    """Parse one libsvm line into (label, 1-based indices, values); raises
+    ParseError with the line number."""
     text = line.split("#", 1)[0].strip()
     if not text:
         raise ParseError(f"line {lineno}: empty line")
@@ -51,7 +44,7 @@ def parse_libsvm_line(line: str, lineno: int = 0) -> SparseExample:
     label = _LABEL_MAP.get(tokens[0])
     if label is None:
         raise ParseError(f"line {lineno}: unknown label {tokens[0]!r}")
-    features = []
+    indices, values = [], []
     prev_idx = 0
     for token in tokens[1:]:
         try:
@@ -61,36 +54,33 @@ def parse_libsvm_line(line: str, lineno: int = 0) -> SparseExample:
             raise ParseError(f"line {lineno}: malformed token {token!r}") from None
         if idx <= prev_idx:
             raise ParseError(f"line {lineno}: non-increasing feature index {idx}")
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ParseError(f"line {lineno}: non-finite value in {token!r}")
-        features.append((idx, val))
+        indices.append(idx)
+        values.append(val)
         prev_idx = idx
-    return SparseExample(label=label, features=tuple(features))
+    return label, indices, values
 
 
-def serialize_example(ex: SparseExample) -> str:
-    parts = [f"{ex.label:+d}"] + [f"{i}:{v:g}" for i, v in ex.features]
-    return " ".join(parts)
-
-
-def load_dataset(path: str, max_rows: int | None = None,
-                 dim_hint: int = 0) -> Dataset:
-    """Read up to max_rows examples; d is the max feature index seen
-    (or dim_hint, whichever is larger)."""
+def load_dataset(path: str, max_rows: int | None = None) -> Dataset:
+    """Read up to max_rows examples; d is the max feature index seen."""
     if max_rows is not None and max_rows < 1:
         raise ParseError(f"max_rows must be >= 1, got {max_rows}")
-    examples = []
-    d = dim_hint
+    labels, counts, cols, vals = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            ex = parse_libsvm_line(line, lineno)
-            examples.append(ex)
-            if ex.features:
-                d = max(d, ex.features[-1][0])
-            if max_rows is not None and len(examples) >= max_rows:
+            label, indices, values = parse_libsvm_line(line, lineno)
+            labels.append(label)
+            counts.append(len(indices))
+            cols += indices
+            vals += values
+            if max_rows is not None and len(labels) >= max_rows:
                 break
-    if not examples:
+    if not labels:
         raise ParseError(f"{path}: no examples found")
-    return Dataset(examples=tuple(examples), d=d)
+    cols = np.array(cols, dtype=np.intp) - 1
+    features = np.zeros((len(labels), int(cols.max()) + 1 if cols.size else 0))
+    features[np.repeat(np.arange(len(labels)), counts), cols] = vals
+    return Dataset(labels=np.array(labels, dtype=float), features=features)

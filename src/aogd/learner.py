@@ -52,11 +52,10 @@ def step(x: np.ndarray, lam: float, t: int, f_grad: np.ndarray,
             project_nonneg(lam + mu_t * (g_value - theta_t * lam)))
 
 
-def run(problem, schedule, T: int, seed: int | None = None,
-        gamma: float = 0.0) -> Trace:
-    """Execute T rounds and return their trace.
+def run(problem, schedule, T: int, seed: int, gamma: float = 0.0) -> Trace:
+    """Execute T rounds of the problem's stream `seed` and return their trace.
 
-    Deterministic given (problem stream seed, schedule, gamma). With gamma > 0
+    Deterministic given (problem, seed, schedule, gamma). With gamma > 0
     the learner plays against the shifted constraint g + gamma: its dual
     update sees g + gamma with the dual step scaled as schedule_arrays does
     for gamma, while the trace stores the unshifted g for violation

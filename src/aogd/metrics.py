@@ -9,7 +9,7 @@ over-satisfies the constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -79,16 +79,19 @@ def accumulate(trace: Trace,
     )
 
 
-def fit_rate_exponent(curve: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of log(value) vs log(t) on the last half.
+def fit_rate_exponent(t, values) -> float:
+    """Least-squares slope of log(value) vs log(t) on the last half of the
+    two equal-length columns.
 
     Values are clamped at 1e-12 so sign flips in nearly-zero curves do not
     blow up the fit.
     """
-    if len(curve) < 5:
+    ts = np.asarray(t, dtype=float)
+    vals = np.maximum(np.asarray(values, dtype=float), 1e-12)
+    if ts.shape != vals.shape:
+        raise ValueError(f"t {ts.shape} and values {vals.shape} differ in shape")
+    if len(ts) < 5:
         raise ValueError("need at least 5 checkpoints")
-    ts = np.array([c[0] for c in curve], dtype=float)
-    vals = np.maximum(np.array([c[1] for c in curve], dtype=float), 1e-12)
     half = len(ts) // 2
     ts, vals = ts[half:], vals[half:]
     if np.all(ts == ts[0]):

@@ -27,6 +27,11 @@ class OfflineSolution:
     tolerance_met: bool
 
 
+_BIRKHOFF_TOL = 1e-10
+_BIRKHOFF_MAX_ITER = 10000
+_SOLVE_MAX_ITER = 5000
+
+
 def _project_doubly_stochastic_affine(X: np.ndarray) -> np.ndarray:
     """Closed-form projection onto {X : X @ 1 = 1, X.T @ 1 = 1}."""
     p = X.shape[0]
@@ -36,29 +41,26 @@ def _project_doubly_stochastic_affine(X: np.ndarray) -> np.ndarray:
     return X - (r[:, None] + c[None, :]) / p + s / p**2
 
 
-def project_birkhoff(A: np.ndarray, tol: float = 1e-10,
-                     max_iter: int = 10000) -> np.ndarray:
+def project_birkhoff(A: np.ndarray) -> np.ndarray:
     """Euclidean projection of A onto the doubly-stochastic matrices.
 
     Dykstra's algorithm alternating between the affine set {X1=1, X.T 1=1}
     (closed form) and the nonnegative orthant, with the correction term on
     the orthant half-step. Stops when successive full sweeps differ by less
-    than tol in Frobenius norm.
+    than _BIRKHOFF_TOL in Frobenius norm.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("input matrix must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     X = A.copy()
     q = np.zeros_like(A)  # correction for the orthant (the non-affine set)
     prev = X.copy()
-    for _ in range(max_iter):
+    for _ in range(_BIRKHOFF_MAX_ITER):
         Y = _project_doubly_stochastic_affine(X)
         Z = np.maximum(Y + q, 0.0)
         q = Y + q - Z
         X = Z
-        if np.linalg.norm(X - prev) < tol:
+        if np.linalg.norm(X - prev) < _BIRKHOFF_TOL:
             return X
         prev = X.copy()
     return X
@@ -96,12 +98,12 @@ def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     return _soft_threshold(v, nu) / (1.0 + nu)
 
 
-def solve_offline(problem, t: int, tol: float = 1e-8,
-                  max_iter: int = 5000) -> OfflineSolution:
+def solve_offline(problem, t: int, tol: float = 1e-8) -> OfflineSolution:
     """Minimize the average loss of the first t rounds over the feasible set.
 
     Projected gradient descent with backtracking line search on the step
-    size; terminates when the gradient-mapping norm falls below tol. The
+    size; terminates when the gradient-mapping norm falls below tol, or
+    reports tolerance_met=False after _SOLVE_MAX_ITER iterations. The
     problem must have its first t rounds materialized.
     """
     if t < 1:
@@ -114,7 +116,7 @@ def solve_offline(problem, t: int, tol: float = 1e-8,
     x = problem.project_feasible(np.zeros(problem.dim))
     step = 1.0
     fx, gx = objective_grad(x)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SOLVE_MAX_ITER + 1):
         # backtracking on the projected step
         while True:
             x_new = problem.project_feasible(x - step * gx)
@@ -131,18 +133,15 @@ def solve_offline(problem, t: int, tol: float = 1e-8,
             return OfflineSolution(x_star=x, objective=fx, iterations=it,
                                    tolerance_met=True)
         step = min(step * 2.0, 1.0)
-    return OfflineSolution(x_star=x, objective=fx, iterations=max_iter,
+    return OfflineSolution(x_star=x, objective=fx, iterations=_SOLVE_MAX_ITER,
                            tolerance_met=False)
 
 
-def cache_path(cache_dir: str, problem_id: str, t: int) -> str:
-    return os.path.join(cache_dir, f"{problem_id}_t{t}.json")
-
-
-def solve_offline_cached(problem, t: int, cache_dir: str, problem_id: str,
-                         tol: float = 1e-8, max_iter: int = 5000) -> OfflineSolution:
-    """Disk-cached solve_offline; writes via atomic rename."""
-    path = cache_path(cache_dir, problem_id, t)
+def solve_offline_cached(problem, t: int, cache_dir: str,
+                         problem_id: str) -> OfflineSolution:
+    """Disk-cached solve_offline at its default tolerance; writes via atomic
+    rename."""
+    path = os.path.join(cache_dir, f"{problem_id}_t{t}.json")
     if os.path.exists(path):
         with open(path) as fh:
             data = json.load(fh)
@@ -152,7 +151,7 @@ def solve_offline_cached(problem, t: int, cache_dir: str, problem_id: str,
             iterations=data["iterations"],
             tolerance_met=data["tolerance_met"],
         )
-    sol = solve_offline(problem, t, tol=tol, max_iter=max_iter)
+    sol = solve_offline(problem, t)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

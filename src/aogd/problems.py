@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .offline import elasticnet_value
+from .offline import (elasticnet_value, project_birkhoff,
+                      project_elasticnet_ball)
 from .projections import LinearConstraints
 from .schedules import ProblemConstants
 
@@ -79,11 +80,10 @@ class DsmProblem:
     0.5 * (sqrt(p) + R)^2 over the enclosing ball.
     """
 
-    def __init__(self, p: int, seed: int = 0):
+    def __init__(self, p: int):
         if p < 2:
             raise ValueError("p must be >= 2")
         self.p = p
-        self.seed = seed
         self.dim = p * p
         R = float(np.sqrt(p))
         self.constants = ProblemConstants(
@@ -92,17 +92,16 @@ class DsmProblem:
         self.constraints = dsm_constraints(p)
         self._ys = None
 
-    def materialize(self, T: int, seed: int | None = None):
-        if seed is not None:
-            self.seed = seed
+    def materialize(self, T: int, seed: int):
+        """Draw the first T rounds of the stream of `seed`."""
         self._ys = None  # a re-materialized problem never holds two streams
-        self._ys = permutation_stream(self.p, self.seed, T)
+        self._ys = permutation_stream(self.p, seed, T)
         return self
 
     @property
     def stream(self) -> np.ndarray:
         if self._ys is None:
-            raise RuntimeError("call materialize(T) before accessing the stream")
+            raise RuntimeError("call materialize(T, seed) before accessing the stream")
         return self._ys
 
     def loss(self, t: int, x: np.ndarray):
@@ -122,10 +121,8 @@ class DsmProblem:
         Q = float(np.vdot(Ys, Ys))
         return 0.5 * t * float(x @ x) - float(x @ S) + 0.5 * Q, t * x - S
 
-    def project_feasible(self, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        from .offline import project_birkhoff
-
-        return project_birkhoff(x.reshape(self.p, self.p), tol=tol).ravel()
+    def project_feasible(self, x: np.ndarray) -> np.ndarray:
+        return project_birkhoff(x.reshape(self.p, self.p)).ravel()
 
 
 def logloss_grad(y: float, u: np.ndarray, x: np.ndarray):
@@ -184,8 +181,7 @@ class ElasticNetProblem:
     ball of budget rho.
     """
 
-    def __init__(self, labels: np.ndarray, features: np.ndarray, rho: float,
-                 seed: int = 0):
+    def __init__(self, labels: np.ndarray, features: np.ndarray, rho: float):
         labels = np.asarray(labels, dtype=float)
         features = np.asarray(features, dtype=float)
         if labels.shape[0] != features.shape[0]:
@@ -195,23 +191,21 @@ class ElasticNetProblem:
         self.labels = labels
         self.features = features
         self.rho = float(rho)
-        self.seed = seed
         self.dim = features.shape[1]
         self.constants = elasticnet_constants(rho, features)
         self.constraints = ElasticNetBudget(self.rho)
         self._order = None
 
-    def materialize(self, T: int, seed: int | None = None):
-        if seed is not None:
-            self.seed = seed
-        rng = np.random.default_rng(self.seed)
+    def materialize(self, T: int, seed: int):
+        """Draw the example order of the first T rounds of `seed`'s stream."""
+        rng = np.random.default_rng(seed)
         self._order = rng.integers(0, self.labels.shape[0], size=T)
         return self
 
     @property
     def stream(self) -> np.ndarray:
         if self._order is None:
-            raise RuntimeError("call materialize(T) before accessing the stream")
+            raise RuntimeError("call materialize(T, seed) before accessing the stream")
         return self._order
 
     def loss(self, t: int, x: np.ndarray):
@@ -227,6 +221,4 @@ class ElasticNetProblem:
         return value, -(y * expit(-margin)) @ U
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
-        from .offline import project_elasticnet_ball
-
         return project_elasticnet_ball(x, self.rho)

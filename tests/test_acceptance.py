@@ -39,7 +39,7 @@ def theorem1_runs():
     runs = []
     grid = checkpoint_grid(1000, count=20)
     for seed in SEEDS:
-        prob = DsmProblem(8, seed=seed)
+        prob = DsmProblem(8)
         params = ScheduleParams(beta=BETA, regime=Regime.CONVEX,
                                 constants=prob.constants)
         trace = run(prob, params, T=1000, seed=seed)
@@ -88,14 +88,13 @@ def test_criterion_3_rate_exponents(theorem1_runs):
     for beta in (0.5, 2.0 / 3.0, 0.75):
         params = ScheduleParams(beta=beta, regime=Regime.CONVEX,
                                 constants=constants)
-        curve = [(t, float(constraint_regret_bound(params, t))) for t in grid]
-        ok &= abs(fit_rate_exponent(curve) - (1 - beta / 2)) <= 0.02
+        values = [float(constraint_regret_bound(params, t)) for t in grid]
+        ok &= abs(fit_rate_exponent(grid, values) - (1 - beta / 2)) <= 0.02
     # measured positive-part constraint curve on DSM (upper rate only)
     g_mean = np.mean([rep.constraint_cum for _, _, _, rep in theorem1_runs],
                      axis=0)
     ts = theorem1_runs[0][3].t
-    measured = fit_rate_exponent(
-        [(t, max(g, 1e-12)) for t, g in zip(ts, g_mean)])
+    measured = fit_rate_exponent(ts, [max(g, 1e-12) for g in g_mean])
     ok &= measured <= 1 - BETA / 2 + 0.1
     report_line(3, "constraint-bound exponent 1-beta/2, measured upper rate", ok)
     assert ok
@@ -110,10 +109,10 @@ def test_criterion_4_beta_tradeoff():
     for beta, (e_loss, e_constraint) in expected.items():
         params = ScheduleParams(beta=beta, regime=Regime.CONVEX,
                                 constants=constants)
-        loss_curve = [(t, float(loss_regret_bound(params, t))) for t in grid]
-        cons_curve = [(t, float(constraint_regret_bound(params, t))) for t in grid]
-        ok &= abs(fit_rate_exponent(loss_curve) - e_loss) <= 0.02
-        ok &= abs(fit_rate_exponent(cons_curve) - e_constraint) <= 0.02
+        loss_values = [float(loss_regret_bound(params, t)) for t in grid]
+        cons_values = [float(constraint_regret_bound(params, t)) for t in grid]
+        ok &= abs(fit_rate_exponent(grid, loss_values) - e_loss) <= 0.02
+        ok &= abs(fit_rate_exponent(grid, cons_values) - e_constraint) <= 0.02
     report_line(4, "beta trade-off pairs (1/2,3/4) (2/3,2/3) (3/4,5/8)", ok)
     assert ok
 
@@ -200,8 +199,8 @@ def test_criterion_6_oracle_equivalence():
             x = project_elasticnet_ball(v, rho)
             ok &= float(np.abs(x - oracle(v, rho)).max()) <= 1e-6
     # DSM offline optimum equals the permutation running mean
-    prob = DsmProblem(4, seed=0)
-    prob.materialize(100)
+    prob = DsmProblem(4)
+    prob.materialize(100, 0)
     for t in (1, 10, 100):
         sol = solve_offline(prob, t)
         mean = np.mean([Y.ravel() for Y in prob.stream[:t]], axis=0)
@@ -253,7 +252,7 @@ def test_criterion_8_invariant_suite(theorem1_runs):
     dsm = DsmProblem(4)
     rng_u = np.random.default_rng(88)
     en = ElasticNetProblem(np.where(rng_u.normal(size=30) > 0, 1.0, -1.0),
-                           rng_u.normal(size=(30, 6)), rho=1.0, seed=0)
+                           rng_u.normal(size=(30, 6)), rho=1.0)
     for prob in (dsm, en):
         R = prob.constants.R
         xs = rng.normal(size=(10**4, prob.dim))

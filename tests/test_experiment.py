@@ -167,7 +167,7 @@ class TestRunExperiment:
         run_experiment(config)
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
-        problem = build_problem(config, 3)
+        problem = build_problem(config)
         schedule = build_schedule(config, problem.constants)
         for seed in (3, 4):
             trace = learner.run(problem, schedule, config.T, seed)
@@ -189,7 +189,7 @@ class TestRunExperiment:
         config = ExperimentConfig(**cfg)
         run_experiment(config)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        problem = build_problem(config, 3)
+        problem = build_problem(config)
         schedule = build_schedule(config, problem.constants)
         assert not np.any(learner.run(problem, schedule, config.T, 3).lam)
         assert manifest["max_lambda"]["3"] == {"value": 0.0, "t": 1}
@@ -202,6 +202,21 @@ class TestRunExperiment:
         assert manifest["status"] == "failed"
         assert "c1" in manifest["error"]
         assert not (tmp_path / "out" / "seed_42.csv").exists()
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 7.0])
+    @pytest.mark.parametrize("algorithm", [
+        "a_ogd_convex",
+        {"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05}])
+    def test_beta_outside_unit_interval_rejected(self, tmp_path, algorithm, beta):
+        # fixed_ogd ignores beta in its steps, but beta sets gamma = c1 T^(-beta/2)
+        _, cfg = write_config(tmp_path, algorithm=algorithm, beta=beta,
+                              gamma_shift={"c1": 1.0})
+        with pytest.raises(ValueError, match="beta"):
+            run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "beta" in manifest["error"]
+        assert not list((tmp_path / "out").glob("seed_*.csv"))
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         # a repeated seed would count twice in aggregate.csv's means
@@ -224,8 +239,7 @@ class TestRunExperiment:
         rates = manifest["rate_exponents"]
         for name, column in (("loss_measured_pos", "loss_regret_mean"),
                              ("constraint_measured_pos", "constraint_cum_mean")):
-            assert rates[name] == fit_rate_exponent(
-                list(zip(cols["t"], cols[column])))
+            assert rates[name] == fit_rate_exponent(cols["t"], cols[column])
         assert manifest["final_loss_regret_mean"] == cols["loss_regret_mean"][-1]
         assert manifest["final_constraint_cum_mean"] == cols["constraint_cum_mean"][-1]
 
@@ -311,6 +325,35 @@ class TestCli:
         x = np.array(out["x_star"]).reshape(2, 2)
         np.testing.assert_allclose(x.sum(axis=0), [1, 1], atol=1e-6)
         np.testing.assert_allclose(x.sum(axis=1), [1, 1], atol=1e-6)
+
+    def test_solve_offline_matches_run_cache(self, tmp_path, capsys):
+        # both verbs build the problem without a seed and pass it to
+        # materialize, `run` over T rounds and `solve-offline` over max(t, T)
+        cfg_path, _ = write_config(tmp_path, seeds=[3, 5])
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
+        solved = {3: [], 5: []}
+        for seed, x_stars in solved.items():
+            for t in (checkpoints[1], checkpoints[-1]):
+                (path,) = (out / "offline_cache").glob(f"*_seed{seed}_t{t}.json")
+                assert main(["solve-offline", cfg_path, "--t", str(t),
+                             "--seed", str(seed)]) == 0
+                x_stars.append(json.loads(capsys.readouterr().out)["x_star"])
+                assert x_stars[-1] == json.loads(path.read_text())["x_star"]
+        assert solved[3] != solved[5]
+
+    def test_run_rejects_beta_outside_unit_interval(self, tmp_path, capsys):
+        cfg_path, _ = write_config(
+            tmp_path, gamma_shift={"c1": 1.0},
+            algorithm={"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05})
+        assert main(["run", cfg_path, "--beta", "7.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "beta" in captured.err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
 
     def test_run_rejects_repeated_seeds(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -92,7 +92,7 @@ class TestStep:
 
 class TestRun:
     def test_single_round(self):
-        prob = DsmProblem(2, seed=0)
+        prob = DsmProblem(2)
         trace = run(prob, dsm_params(2), T=1, seed=0)
         assert trace.x.shape == (1, 4)
         assert trace.lam.shape == trace.loss.shape == trace.g.shape == (1,)
@@ -104,7 +104,7 @@ class TestRun:
     def test_three_rounds_match_hand_rolled(self):
         # independent replay of the update formulas for DSM p=2
         p = 2
-        prob = DsmProblem(p, seed=5)
+        prob = DsmProblem(p)
         params = dsm_params(p)
         trace = run(prob, params, T=3, seed=5)
         ys = prob.stream
@@ -142,15 +142,15 @@ class TestRun:
             x = x_next
 
     def test_deterministic_replay(self):
-        prob1 = DsmProblem(3, seed=9)
-        prob2 = DsmProblem(3, seed=9)
+        prob1 = DsmProblem(3)
+        prob2 = DsmProblem(3)
         r1 = run(prob1, dsm_params(3), T=50, seed=9)
         r2 = run(prob2, dsm_params(3), T=50, seed=9)
         assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.loss, r2.loss) and np.array_equal(r1.g, r2.g)
 
     def test_iterate_invariants(self):
-        prob = DsmProblem(4, seed=2)
+        prob = DsmProblem(4)
         trace = run(prob, dsm_params(4), T=500, seed=2)
         R = prob.constants.R
         assert np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-9)
@@ -159,7 +159,7 @@ class TestRun:
     def test_lambda_bounded_fixed_schedule(self):
         # with constant theta, ascent with -theta*lam pullback keeps lam below
         # max(lam1, D/theta) + mu*D for D bounding |g| along the run
-        prob = DsmProblem(4, seed=0)
+        prob = DsmProblem(4)
         theta, mu = 2.0, 0.05
         trace = run(prob, FixedScheduleParams(eta=0.05, theta=theta, mu=mu),
                     T=2000, seed=0)
@@ -171,8 +171,8 @@ class TestRun:
 
 class TestGammaShift:
     def test_zero_shift_is_identity(self):
-        r1 = run(DsmProblem(2, seed=0), dsm_params(2), T=30, seed=0)
-        r2 = run(DsmProblem(2, seed=0), dsm_params(2), T=30, seed=0, gamma=0.0)
+        r1 = run(DsmProblem(2), dsm_params(2), T=30, seed=0)
+        r2 = run(DsmProblem(2), dsm_params(2), T=30, seed=0, gamma=0.0)
         assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.g, r2.g) and np.array_equal(r1.mu, r2.mu)
 
@@ -187,7 +187,7 @@ class TestGammaShift:
         rng = np.random.default_rng(4)
         y = np.where(rng.normal(size=40) > 0, 1.0, -1.0)
         u = rng.normal(size=(40, 3))
-        prob = ElasticNetProblem(y, u, rho=0.2, seed=1)
+        prob = ElasticNetProblem(y, u, rho=0.2)
         # at x = 0 the raw constraint is -rho; the learner sees -rho + 0.5
         raw, _ = g_max(prob.constraints, np.zeros(3))
         assert raw == pytest.approx(-0.2)
@@ -224,7 +224,7 @@ class TestGammaShift:
         T = 1500
 
         def cum_violation(gamma):
-            prob = ElasticNetProblem(y, u, rho=1.0, seed=3)
+            prob = ElasticNetProblem(y, u, rho=1.0)
             c = prob.constants
             params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.CONVEX,
                                     constants=replace(c, D=c.D + gamma))
@@ -234,4 +234,4 @@ class TestGammaShift:
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            run(DsmProblem(2, seed=0), dsm_params(2), T=5, seed=0, gamma=-0.1)
+            run(DsmProblem(2), dsm_params(2), T=5, seed=0, gamma=-0.1)

@@ -35,7 +35,7 @@ class TestCheckpointGrid:
 
 class TestAccumulate:
     def run_with_offline(self, p, T, checkpoints, seed=0):
-        prob = DsmProblem(p, seed=seed)
+        prob = DsmProblem(p)
         params = dsm_params(p)
         trace = run(prob, params, T, seed=seed)
         offline = {t: solve_offline(prob, t) for t in checkpoints}
@@ -83,36 +83,44 @@ class TestAccumulate:
 
 class TestFitRateExponent:
     def test_quadratic(self):
-        curve = [(t, float(t) ** 2) for t in checkpoint_grid(10**4)]
-        assert fit_rate_exponent(curve) == pytest.approx(2.0, abs=1e-9)
+        ts = checkpoint_grid(10**4)
+        values = [float(t) ** 2 for t in ts]
+        assert fit_rate_exponent(ts, values) == pytest.approx(2.0, abs=1e-9)
 
     def test_sqrt_with_scale(self):
-        curve = [(t, 7.0 * np.sqrt(t)) for t in checkpoint_grid(10**4)]
-        assert fit_rate_exponent(curve) == pytest.approx(0.5, abs=1e-9)
+        ts = checkpoint_grid(10**4)
+        values = [7.0 * np.sqrt(t) for t in ts]
+        assert fit_rate_exponent(ts, values) == pytest.approx(0.5, abs=1e-9)
 
     def test_noisy_two_thirds(self):
         rng = np.random.default_rng(0)
-        curve = [(t, t ** (2.0 / 3.0) * np.exp(rng.normal(0, 0.02)))
-                 for t in checkpoint_grid(10**6, count=30)]
-        assert fit_rate_exponent(curve) == pytest.approx(2.0 / 3.0, abs=0.05)
+        ts = checkpoint_grid(10**6, count=30)
+        values = [t ** (2.0 / 3.0) * np.exp(rng.normal(0, 0.02)) for t in ts]
+        assert fit_rate_exponent(ts, values) == pytest.approx(2.0 / 3.0, abs=0.05)
 
     def test_nonpositive_values_clamped(self):
-        curve = [(t, -1.0) for t in checkpoint_grid(100)]
-        assert fit_rate_exponent(curve) == pytest.approx(0.0, abs=1e-9)
+        ts = checkpoint_grid(100)
+        assert fit_rate_exponent(ts, [-1.0] * len(ts)) == pytest.approx(0.0, abs=1e-9)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            fit_rate_exponent([(1, 1.0), (2, 2.0)])
+            fit_rate_exponent([1, 2], [1.0, 2.0])
+
+    def test_columns_must_match(self):
+        ts = checkpoint_grid(10**4)
+        with pytest.raises(ValueError, match="shape"):
+            fit_rate_exponent(ts, [1.0] * (len(ts) - 1))
 
     def test_uses_tail_of_curve(self):
         # early transient must not pollute the fit
-        curve = [(t, 100.0 if t < 30 else float(t)) for t in checkpoint_grid(10**4)]
-        assert fit_rate_exponent(curve) == pytest.approx(1.0, abs=1e-9)
+        ts = checkpoint_grid(10**4)
+        values = [100.0 if t < 30 else float(t) for t in ts]
+        assert fit_rate_exponent(ts, values) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBoundCompliance:
     def make_report(self, T=200, p=3, seed=1):
-        prob = DsmProblem(p, seed=seed)
+        prob = DsmProblem(p)
         params = dsm_params(p)
         trace = run(prob, params, T, seed=seed)
         grid = checkpoint_grid(T, count=10)

@@ -182,8 +182,8 @@ class TestProjectElasticnetBall:
 
 class TestSolveOffline:
     def test_dsm_single_round_recovers_target(self):
-        prob = DsmProblem(3, seed=0)
-        prob.materialize(1)
+        prob = DsmProblem(3)
+        prob.materialize(1, 0)
         sol = solve_offline(prob, 1)
         assert sol.tolerance_met
         np.testing.assert_allclose(sol.x_star, prob.stream[0].ravel(), atol=1e-7)
@@ -193,8 +193,8 @@ class TestSolveOffline:
     def test_dsm_prefix_mean(self, t):
         # the mean of permutation matrices is doubly stochastic, so the
         # offline optimum of the quadratic objective is the running mean
-        prob = DsmProblem(4, seed=1)
-        prob.materialize(t)
+        prob = DsmProblem(4)
+        prob.materialize(t, 1)
         sol = solve_offline(prob, t)
         mean = np.mean([Y.ravel() for Y in prob.stream[:t]], axis=0)
         assert sol.tolerance_met
@@ -208,8 +208,8 @@ class TestSolveOffline:
         u = rng.normal(size=(n, d))
         y = np.where(u @ np.array([1.0, -0.5, 0.2]) > 0, 1.0, -1.0)
         y[rng.uniform(size=n) < 0.2] *= -1.0  # keep the data non-separable
-        prob = ElasticNetProblem(y, u, rho=200.0, seed=2)
-        prob.materialize(n)
+        prob = ElasticNetProblem(y, u, rho=200.0)
+        prob.materialize(n, 2)
         sol = solve_offline(prob, n, tol=1e-9)
 
         U, Y = u[prob.stream], y[prob.stream]
@@ -227,8 +227,8 @@ class TestSolveOffline:
         n, d, rho = 60, 4, 0.5
         u = rng.normal(size=(n, d))
         y = np.where(rng.normal(size=n) > 0, 1.0, -1.0)
-        prob = ElasticNetProblem(y, u, rho=rho, seed=3)
-        prob.materialize(n)
+        prob = ElasticNetProblem(y, u, rho=rho)
+        prob.materialize(n, 3)
         sol = solve_offline(prob, n)
 
         def avg_loss(x):
@@ -240,16 +240,16 @@ class TestSolveOffline:
             assert avg_loss(cand) >= sol.objective - 1e-7
 
     def test_rejects_bad_t(self):
-        prob = DsmProblem(2, seed=0)
-        prob.materialize(1)
+        prob = DsmProblem(2)
+        prob.materialize(1, 0)
         with pytest.raises(ValueError):
             solve_offline(prob, 0)
 
 
 class TestSolveOfflineCached:
     def test_cache_round_trip(self, tmp_path):
-        prob = DsmProblem(3, seed=4)
-        prob.materialize(10)
+        prob = DsmProblem(3)
+        prob.materialize(10, 4)
         first = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4")
         assert (tmp_path / "dsm_p3_s4_t10.json").exists()
 

@@ -406,7 +406,7 @@ class TestSampledProblemInvariants:
         rng = np.random.default_rng(13)
         u = rng.normal(size=(100, 5))
         y = np.where(rng.normal(size=100) > 0, 1.0, -1.0)
-        prob = ElasticNetProblem(y, u, rho=1.0, seed=0)
+        prob = ElasticNetProblem(y, u, rho=1.0)
         prob.materialize(self.N, seed=0)
         c = prob.constants
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
@@ -421,11 +421,11 @@ class TestSampledProblemInvariants:
 
 def _make_problem(kind, T):
     if kind == "dsm":
-        return DsmProblem(4, seed=5).materialize(T)
+        return DsmProblem(4).materialize(T, 5)
     rng = np.random.default_rng(14)
     u = rng.normal(size=(40, 6))
     y = np.where(rng.normal(size=40) > 0, 1.0, -1.0)
-    return ElasticNetProblem(y, u, rho=1.0, seed=5).materialize(T)
+    return ElasticNetProblem(y, u, rho=1.0).materialize(T, 5)
 
 
 class TestLossSum:

@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 15 configs
+a checkout's root works too). The script runs a fixed matrix of 16 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ and every manifest key whose value
 differs, with the echoed `config.output_dir` masked. For numbers it prints
@@ -13,7 +13,12 @@ The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
 with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=16, T=2000, convex, 2 seeds;
 elastic net on acceptance criterion 9's synthetic dataset (500 rows, 20
 features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
-{3, 9 seeds}. A run of both trees takes about a minute on 2 CPUs.
+{3, 9 seeds}; elastic net, convex, T=300, 3 seeds, on a sparse file of 400
+rows whose feature indices have gaps, with label-only rows, trailing
+comments, blank lines
+and a max_rows of 300, past which a larger feature index appears (criterion
+9's file is dense and plain, so it exercises none of these). A run of both
+trees takes about a minute on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -50,7 +55,28 @@ def write_dataset(path: str, n: int = 500, d: int = 20, seed: int = 7):
                      + "\n")
 
 
-def config_matrix(dataset: str) -> dict[str, dict]:
+def write_sparse_dataset(path: str, n: int = 400, d: int = 30, seed: int = 11):
+    """A libsvm file with index gaps, label-only rows, all four label
+    spellings, trailing comments and blank lines; rows past 300 also use
+    index d + 5."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=d)
+    with open(path, "w") as fh:
+        for i in range(n):
+            idx = np.flatnonzero(rng.uniform(size=d) < (0.3 if i % 13 else 0.0))
+            if i >= 300:
+                idx = np.append(idx, d + 4)
+            vals = rng.normal(size=idx.size)
+            w_row = w[idx[idx < d]] @ vals[idx < d]
+            label = str(rng.choice(["+1", "1"] if w_row > 0 else ["-1", "0"]))
+            fh.write(label + "".join(f" {j + 1}:{v!r}"
+                                     for j, v in zip(idx.tolist(), vals.tolist()))
+                     + ("  # comment 1:2" if i % 7 == 0 else "") + "\n")
+            if i % 11 == 0:
+                fh.write("\n" if i % 2 else "  \t\n")
+
+
+def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
     configs = {}
     for variant in VARIANTS:
         for n_seeds in (2, 10):
@@ -65,6 +91,10 @@ def config_matrix(dataset: str) -> dict[str, dict]:
             configs[f"elasticnet_{variant}_s{n_seeds}"] = dict(
                 problem={"kind": "elasticnet", "dataset": dataset, "rho": 1.0},
                 T=300, seeds=list(range(n_seeds)), **VARIANTS[variant])
+    configs["elasticnet_sparse_convex_s3"] = dict(
+        problem={"kind": "elasticnet", "dataset": sparse_dataset, "rho": 1.0,
+                 "max_rows": 300},
+        T=300, seeds=[0, 1, 2], **VARIANTS["convex"])
     return {name: dict(cfg, beta=BETA) for name, cfg in configs.items()}
 
 
@@ -147,7 +177,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         dataset = os.path.join(workdir, "data.libsvm")
         write_dataset(dataset)
-        configs = config_matrix(dataset)
+        sparse_dataset = os.path.join(workdir, "sparse.libsvm")
+        write_sparse_dataset(sparse_dataset)
+        configs = config_matrix(dataset, sparse_dataset)
         diffs = []
         for name, cfg in configs.items():
             outs = [run_tree(src, name, cfg, os.path.join(workdir, tree))
