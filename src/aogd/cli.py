@@ -45,7 +45,7 @@ def _cmd_check_schedule(args) -> int:
     params = ScheduleParams(beta=args.beta, regime=Regime(args.regime),
                             constants=constants)
     theta, eta, mu = schedule_arrays(params, args.T)
-    cond = check_conditions(theta, eta, mu, constants.sigma, constants.G, args.T)
+    cond = check_conditions(theta, eta, mu, constants.sigma, constants.G)
     sums = schedule_sums(params, args.T)
     print(json.dumps({
         "c1_ok": cond.c1_ok,

@@ -140,7 +140,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     # schedule condition report over the full horizon
     theta, eta, mu = schedule_arrays(schedule, cfg.T, gamma)
     cond = check_conditions(theta, eta, mu, constants.sigma, constants.G,
-                            cfg.T, gamma)
+                            gamma)
     params = schedule if isinstance(schedule, ScheduleParams) else None
     sums = schedule_sums(schedule, cfg.T) if params else None
     pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())

@@ -2,8 +2,9 @@
 
 Lines read "<label> <idx>:<val> ..." with 1-based, strictly increasing
 indices. Labels 0/-1 map to -1 and 1/+1 to +1. Trailing '#' comments and
-repeated whitespace are tolerated; duplicate or non-increasing indices are
-rejected loudly rather than silently repaired.
+repeated whitespace are tolerated, and the reader skips blank and
+comment-only lines; duplicate or non-increasing indices are rejected loudly
+rather than silently repaired.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def load_dataset(path: str, max_rows: int | None = None) -> Dataset:
     labels, counts, cols, vals = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.split("#", 1)[0].strip():
                 continue
             label, indices, values = parse_libsvm_line(line, lineno)
             labels.append(label)

@@ -21,20 +21,19 @@ from .schedules import schedule_arrays
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-round columns of one run; row t-1 is taken at the start of round
-    t, before the update.
+    """Per-round (T,) columns of one run, the ones its regret report reads;
+    entry t-1 is taken at the start of round t, before the update.
 
-    x is (T, d); lam, loss and g are (T,), with g the unshifted constraint
-    value for violation accounting; eta, theta and mu are the schedule.
+    lam is the dual iterate, loss the loss at x_t and g the unshifted
+    constraint value for violation accounting; eta and theta are the
+    schedule. The iterates x_t are not kept: they cost O(T d) memory.
     """
 
-    x: np.ndarray
     lam: np.ndarray
     loss: np.ndarray
     g: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
-    mu: np.ndarray
 
 
 def step(x: np.ndarray, lam: float, t: int, f_grad: np.ndarray,
@@ -59,15 +58,12 @@ def run(problem, schedule, T: int, seed: int, gamma: float = 0.0) -> Trace:
     the learner plays against the shifted constraint g + gamma: its dual
     update sees g + gamma with the dual step scaled as schedule_arrays does
     for gamma, while the trace stores the unshifted g for violation
-    accounting. Raises ValueError for gamma < 0.
+    accounting. Raises ValueError for T < 1 or gamma < 0.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     theta, eta, mu = schedule_arrays(schedule, T, gamma)
     problem.materialize(T, seed)
     R = problem.constants.R
     cs = problem.constraints
-    xs = np.empty((T, problem.dim))
     lams, losses, gs = np.empty(T), np.empty(T), np.empty(T)
     x, lam = np.zeros(problem.dim), 0.0
     # Python floats: the same arithmetic as numpy scalars, without their
@@ -77,10 +73,10 @@ def run(problem, schedule, T: int, seed: int, gamma: float = 0.0) -> Trace:
         f_val, f_grad = problem.loss(t, x)
         g_val, idx = g_max(cs, x)
         g_shifted = g_val + gamma
-        xs[t - 1], lams[t - 1], losses[t - 1] = x, lam, f_val
+        lams[t - 1], losses[t - 1] = lam, f_val
         # (g + gamma) - gamma rather than g: the recorded value is rounded
         # as the shifted constraint's arithmetic rounds it
         gs[t - 1] = g_shifted - gamma
-        x, lam = step(x, lam, t, np.asarray(f_grad, dtype=float), g_shifted,
-                      cs.subgradient(x, idx), eta_t, mu_t, theta_t, R)
-    return Trace(x=xs, lam=lams, loss=losses, g=gs, eta=eta, theta=theta, mu=mu)
+        x, lam = step(x, lam, t, f_grad, g_shifted, cs.subgradient(x, idx),
+                      eta_t, mu_t, theta_t, R)
+    return Trace(lam=lams, loss=losses, g=gs, eta=eta, theta=theta)

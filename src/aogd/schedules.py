@@ -141,9 +141,10 @@ class ConditionReport:
     c3_slack: float
 
 
-def check_conditions(theta, eta, mu, sigma: float, G: float, T: int,
+def check_conditions(theta, eta, mu, sigma: float, G: float,
                      gamma: float = 0.0) -> ConditionReport:
-    """Numerically verify the sufficient conditions over rounds 2..T.
+    """Numerically verify the sufficient conditions over rounds 2..T, with T
+    the common length of the three sequences.
 
     C1: 1/mu_t - 1/mu_{t-1} - theta_t <= 0.
     C2: eta_t G^2 + k * mu_t theta_t^2 - theta_t / 2 <= 0, with k = 1, or
@@ -153,17 +154,13 @@ def check_conditions(theta, eta, mu, sigma: float, G: float, T: int,
     against its U_eta budget).
     """
     k = 1.5 if _shifted(gamma) else 1.0
-    theta = np.asarray(theta, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if min(theta.size, eta.size, mu.size) < T:
-        raise ValueError("sequences must have length >= T")
-    th, et, m = theta[:T], eta[:T], mu[:T]
+    th = np.asarray(theta, dtype=float)
+    et = np.asarray(eta, dtype=float)
+    m = np.asarray(mu, dtype=float)
+    if not th.size == et.size == m.size:
+        raise ValueError("sequences must have equal length")
     if np.any(th <= 0) or np.any(et <= 0) or np.any(m <= 0):
         raise ValueError("sequence entries must be positive")
-
-    if T == 1:
-        return ConditionReport(c1_ok=True, c2_ok=True, c3_slack=0.0)
 
     c1 = 1.0 / m[1:] - 1.0 / m[:-1] - th[1:]
     c2 = et[1:] * G**2 + k * m[1:] * th[1:] ** 2 - 0.5 * th[1:]

@@ -23,6 +23,7 @@ from aogd.projections import g_max
 from aogd.schedules import (ProblemConstants, Regime, ScheduleParams,
                             check_conditions, constraint_regret_bound,
                             loss_regret_bound, schedule_arrays, schedule_sums)
+from step_recorder import recorded_iterates
 
 BETA = 2.0 / 3.0
 SEEDS = list(range(10))
@@ -35,23 +36,24 @@ def report_line(num, label, ok):
 @pytest.fixture(scope="module")
 def theorem1_runs():
     """DSM p=8, T=1000, beta=2/3, convex A-OGD, 10 seeds, with per-checkpoint
-    regret reports. Shared by criteria 1, 3 and 8."""
+    regret reports and the (T, d) iterates. Shared by criteria 1, 3 and 8."""
     runs = []
     grid = checkpoint_grid(1000, count=20)
     for seed in SEEDS:
         prob = DsmProblem(8)
         params = ScheduleParams(beta=BETA, regime=Regime.CONVEX,
                                 constants=prob.constants)
-        trace = run(prob, params, T=1000, seed=seed)
+        with recorded_iterates() as xs:
+            trace = run(prob, params, T=1000, seed=seed)
         offline = {t: solve_offline(prob, t) for t in grid}
         report = accumulate(trace, offline, prob, params)
-        runs.append((prob, params, trace, report))
+        runs.append((prob, params, trace, report, np.array(xs)))
     return runs
 
 
 def test_criterion_1_theorem1_compliance(theorem1_runs):
     ok = True
-    for _, params, _, report in theorem1_runs:
+    for _, params, _, report, _ in theorem1_runs:
         for t, loss, cons in zip(report.t, report.loss_regret,
                                  report.constraint_cum):
             ok &= loss <= loss_regret_bound(params, t)
@@ -72,7 +74,7 @@ def test_criterion_2_condition_suite():
                 params = ScheduleParams(beta=beta, regime=regime,
                                         constants=constants)
                 theta, eta, mu = schedule_arrays(params, T)
-                rep = check_conditions(theta, eta, mu, sigma, G, T)
+                rep = check_conditions(theta, eta, mu, sigma, G)
                 sums = schedule_sums(params, T)
                 ok &= rep.c1_ok and rep.c2_ok
                 ok &= rep.c3_slack <= sums.u_eta + 1e-9
@@ -91,7 +93,7 @@ def test_criterion_3_rate_exponents(theorem1_runs):
         values = [float(constraint_regret_bound(params, t)) for t in grid]
         ok &= abs(fit_rate_exponent(grid, values) - (1 - beta / 2)) <= 0.02
     # measured positive-part constraint curve on DSM (upper rate only)
-    g_mean = np.mean([rep.constraint_cum for _, _, _, rep in theorem1_runs],
+    g_mean = np.mean([rep.constraint_cum for _, _, _, rep, _ in theorem1_runs],
                      axis=0)
     ts = theorem1_runs[0][3].t
     measured = fit_rate_exponent(ts, [max(g, 1e-12) for g in g_mean])
@@ -243,9 +245,9 @@ def test_criterion_7_gradient_checks():
 
 def test_criterion_8_invariant_suite(theorem1_runs):
     ok = True
-    for prob, _, trace, _ in theorem1_runs:
+    for prob, _, trace, _, xs in theorem1_runs:
         R = prob.constants.R
-        ok &= bool(np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-9))
+        ok &= bool(np.all(np.linalg.norm(xs, axis=1) <= R + 1e-9))
         ok &= bool(np.all(trace.lam >= 0.0))
     # subgradient inequality on 1e4 random pairs per benchmark
     rng = np.random.default_rng(8)

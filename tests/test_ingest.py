@@ -144,10 +144,15 @@ def sparse_rows(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(rows=sparse_rows(), comments=st.lists(st.booleans(), min_size=12, max_size=12),
        blanks=st.lists(st.booleans(), min_size=12, max_size=12),
+       headers=st.lists(st.booleans(), min_size=12, max_size=12),
        max_rows=st.integers(1, 12))
-def test_load_dataset_matches_hand_built_arrays(rows, comments, blanks, max_rows):
+def test_load_dataset_matches_hand_built_arrays(rows, comments, blanks, headers,
+                                                max_rows):
     lines = []
-    for (token, _, indices, values), comment, blank in zip(rows, comments, blanks):
+    for (token, _, indices, values), comment, blank, header in zip(
+            rows, comments, blanks, headers):
+        if header:
+            lines.append("# header 1:2")
         line = " ".join([token] + [f"{i}:{v!r}" for i, v in zip(indices, values)])
         lines.append(line + ("  # note 3:4" if comment else ""))
         if blank:

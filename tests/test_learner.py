@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
                             ScheduleParams, loss_regret_bound, schedule_arrays)
+from step_recorder import recorded_iterates
 
 
 def dsm_params(p, beta=2.0 / 3.0, regime=Regime.CONVEX):
@@ -93,11 +95,13 @@ class TestStep:
 class TestRun:
     def test_single_round(self):
         prob = DsmProblem(2)
-        trace = run(prob, dsm_params(2), T=1, seed=0)
-        assert trace.x.shape == (1, 4)
+        with recorded_iterates() as recorded:
+            trace = run(prob, dsm_params(2), T=1, seed=0)
+        xs = np.array(recorded)
+        assert xs.shape == (1, 4)
         assert trace.lam.shape == trace.loss.shape == trace.g.shape == (1,)
         assert trace.lam[0] == 0.0
-        np.testing.assert_array_equal(trace.x[0], np.zeros(4))
+        np.testing.assert_array_equal(xs[0], np.zeros(4))
         assert trace.loss[0] == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
         assert trace.g[0] == pytest.approx(1.0)  # row-sum deficit at X = 0
 
@@ -106,7 +110,8 @@ class TestRun:
         p = 2
         prob = DsmProblem(p)
         params = dsm_params(p)
-        trace = run(prob, params, T=3, seed=5)
+        with recorded_iterates() as xs:
+            trace = run(prob, params, T=3, seed=5)
         ys = prob.stream
         c = prob.constants
         x = np.zeros(p * p)
@@ -115,7 +120,7 @@ class TestRun:
             theta = 6 * c.R * c.G / t ** params.beta
             eta = c.R / (c.G * t ** params.beta)
             mu = 1.0 / (theta * (t + 1))
-            np.testing.assert_allclose(trace.x[t - 1], x, atol=1e-14)
+            np.testing.assert_allclose(xs[t - 1], x, atol=1e-14)
             assert trace.lam[t - 1] == pytest.approx(lam, abs=1e-14)
             # replay g = max over the 12 components, first maximizer
             X = x.reshape(p, p)
@@ -144,16 +149,19 @@ class TestRun:
     def test_deterministic_replay(self):
         prob1 = DsmProblem(3)
         prob2 = DsmProblem(3)
-        r1 = run(prob1, dsm_params(3), T=50, seed=9)
-        r2 = run(prob2, dsm_params(3), T=50, seed=9)
-        assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.lam, r2.lam)
+        with recorded_iterates() as x1:
+            r1 = run(prob1, dsm_params(3), T=50, seed=9)
+        with recorded_iterates() as x2:
+            r2 = run(prob2, dsm_params(3), T=50, seed=9)
+        assert np.array_equal(x1, x2) and np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.loss, r2.loss) and np.array_equal(r1.g, r2.g)
 
     def test_iterate_invariants(self):
         prob = DsmProblem(4)
-        trace = run(prob, dsm_params(4), T=500, seed=2)
+        with recorded_iterates() as xs:
+            trace = run(prob, dsm_params(4), T=500, seed=2)
         R = prob.constants.R
-        assert np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-9)
+        assert np.all(np.linalg.norm(xs, axis=1) <= R + 1e-9)
         assert np.all(trace.lam >= 0.0)
 
     def test_lambda_bounded_fixed_schedule(self):
@@ -168,13 +176,33 @@ class TestRun:
         assert np.isfinite(lam_max)
         assert lam_max <= max(0.0, d_hat / theta) + mu * d_hat + 1e-12
 
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            run(DsmProblem(2), dsm_params(2), T=0, seed=0)
+
+    def test_memory_holds_no_iterate_column(self):
+        # the trace keeps (T,) columns only: the peak stays below the stream
+        # plus half of a (T, d) float column
+        prob, T = DsmProblem(8), 20000
+        tracemalloc.start()
+        try:
+            run(prob, FixedScheduleParams(0.05, 2.0, 0.05), T, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < prob.stream.nbytes + T * prob.dim * 8 / 2
+
 
 class TestGammaShift:
     def test_zero_shift_is_identity(self):
-        r1 = run(DsmProblem(2), dsm_params(2), T=30, seed=0)
-        r2 = run(DsmProblem(2), dsm_params(2), T=30, seed=0, gamma=0.0)
-        assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.lam, r2.lam)
-        assert np.array_equal(r1.g, r2.g) and np.array_equal(r1.mu, r2.mu)
+        with recorded_iterates() as x1:
+            r1 = run(DsmProblem(2), dsm_params(2), T=30, seed=0)
+        with recorded_iterates() as x2:
+            r2 = run(DsmProblem(2), dsm_params(2), T=30, seed=0, gamma=0.0)
+        assert np.array_equal(x1, x2) and np.array_equal(r1.lam, r2.lam)
+        assert np.array_equal(r1.g, r2.g)
+        assert np.array_equal(schedule_arrays(dsm_params(2), 30)[2],
+                              schedule_arrays(dsm_params(2), 30, gamma=0.0)[2])
 
     def test_horizon_formula(self):
         cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
@@ -197,7 +225,6 @@ class TestGammaShift:
         assert trace.g[0] == pytest.approx(-0.2)
         # from lambda_1 = 0 the dual ascent moves by mu_1 * (g + gamma)
         _, _, mu = schedule_arrays(params, 5, gamma=0.5)
-        assert trace.mu[0] == mu[0]
         assert trace.lam[1] == pytest.approx(mu[0] * 0.3)
 
     def test_bound_constants_use_shifted_d(self, tmp_path):

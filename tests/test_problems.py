@@ -11,6 +11,7 @@ from aogd.problems import (DsmProblem, ElasticNetBudget, ElasticNetProblem,
 from aogd.projections import g_max
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
+from step_recorder import recorded_iterates
 
 
 def sample_in_ball(rng, dim, R, n):
@@ -68,8 +69,15 @@ def dsm_constraint_closures(p):
     return ConstraintSet(components=components)
 
 
+def recorded_run(prob, schedule, T, seed, gamma):
+    """The trace of one run and its (T, d) iterates."""
+    with recorded_iterates() as xs:
+        trace = run(prob, schedule, T, seed=seed, gamma=gamma)
+    return trace, np.array(xs)
+
+
 def assert_same_trace(a, b, name):
-    for column in ("x", "lam", "loss", "g"):
+    for column in ("lam", "loss", "g"):
         assert np.array_equal(getattr(a, column), getattr(b, column)), (name, column)
 
 
@@ -200,11 +208,12 @@ class TestDsmLinearMatchesClosures:
         lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
         for name, (schedule, gamma) in dsm_schedules(p, self.T).items():
             prob = DsmProblem(p)
-            fast = run(prob, schedule, self.T, seed=p, gamma=gamma)
+            fast, fast_xs = recorded_run(prob, schedule, self.T, p, gamma)
             prob.constraints = ref
-            slow = run(prob, schedule, self.T, seed=p, gamma=gamma)
+            slow, slow_xs = recorded_run(prob, schedule, self.T, p, gamma)
             assert_same_trace(fast, slow, name)
-            self.assert_identical(lin, ref, fast.x)
+            assert np.array_equal(fast_xs, slow_xs), (name, "x")
+            self.assert_identical(lin, ref, fast_xs)
 
 
 class TestElasticNetBudgetMatchesClosure:
@@ -251,10 +260,11 @@ class TestElasticNetBudgetMatchesClosure:
         }
         for name, (schedule, gamma) in variants.items():
             prob = ElasticNetProblem(y, u, rho=0.3)
-            fast = run(prob, schedule, T, seed=2, gamma=gamma)
+            fast, fast_xs = recorded_run(prob, schedule, T, 2, gamma)
             prob.constraints = elasticnet_closure(0.3)
-            slow = run(prob, schedule, T, seed=2, gamma=gamma)
+            slow, slow_xs = recorded_run(prob, schedule, T, 2, gamma)
             assert_same_trace(fast, slow, name)
+            assert np.array_equal(fast_xs, slow_xs), (name, "x")
             assert np.any(fast.g > 0) and np.any(fast.g < 0), name
 
 

@@ -15,6 +15,7 @@ from aogd.learner import run
 from aogd.problems import DsmProblem
 from aogd.projections import project_ball, project_nonneg
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
+from step_recorder import recorded_iterates
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -78,6 +79,7 @@ def test_learner_iterates_stay_in_ball_with_nonneg_dual(case):
     p, schedule, gamma, T, seed = case
     prob = DsmProblem(p)
     R = prob.constants.R
-    trace = run(prob, schedule, T, seed=seed, gamma=gamma)
-    assert np.all(np.linalg.norm(trace.x, axis=1) <= R + 1e-12)
+    with recorded_iterates() as xs:
+        trace = run(prob, schedule, T, seed=seed, gamma=gamma)
+    assert np.all(np.linalg.norm(xs, axis=1) <= R + 1e-12)
     assert np.all(trace.lam >= 0.0)

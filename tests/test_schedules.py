@@ -83,23 +83,26 @@ class TestConditions:
     def test_table_schedules_convex(self):
         p = convex_params()
         theta, eta, mu = schedule_arrays(p, 1000)
-        report = check_conditions(theta, eta, mu, 0.0, 1.0, 1000)
+        report = check_conditions(theta, eta, mu, 0.0, 1.0)
         assert report.c1_ok and report.c2_ok
 
     def test_constant_theta_increasing_mu_c1(self):
         T = 50
         mu = 0.1 + 0.01 * np.arange(T)
-        report = check_conditions(np.ones(T), np.ones(T), mu, 0.0, 1.0, T)
+        report = check_conditions(np.ones(T), np.ones(T), mu, 0.0, 1.0)
         assert report.c1_ok
 
     def test_unit_sequences_fail_c2(self):
         T = 10
-        report = check_conditions(np.ones(T), np.ones(T), np.ones(T), 0.0, 1.0, T)
+        report = check_conditions(np.ones(T), np.ones(T), np.ones(T), 0.0, 1.0)
         assert not report.c2_ok
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            check_conditions(np.ones(3), np.ones(3), np.ones(3), 0.0, 1.0, 5)
+        for short in range(3):
+            seqs = [np.ones(5)] * 3
+            seqs[short] = np.ones(3)
+            with pytest.raises(ValueError, match="equal length"):
+                check_conditions(*seqs, 0.0, 1.0)
 
     def test_shifted_dual_step_and_c2(self):
         # gamma > 0 scales mu by 2/3 and checks C2 with 3/2 mu theta^2
@@ -107,21 +110,21 @@ class TestConditions:
         theta, eta, mu = schedule_arrays(p, 1000)
         _, _, mu_shifted = schedule_arrays(p, 1000, gamma=0.1)
         np.testing.assert_allclose(mu_shifted, mu * 2.0 / 3.0, rtol=1e-15)
-        assert check_conditions(theta, eta, mu_shifted, 0.0, 1.0, 1000,
+        assert check_conditions(theta, eta, mu_shifted, 0.0, 1.0,
                                 gamma=0.1).c2_ok
         # hand case: eta G^2 + k mu theta^2 = 0.1 + 0.3 k against theta/2 = 0.5
         T = 10
         ones = np.ones(T)
         mu_c2 = np.full(T, 0.3)
-        assert check_conditions(ones, 0.1 * ones, mu_c2, 0.0, 1.0, T).c2_ok
-        assert not check_conditions(ones, 0.1 * ones, mu_c2, 0.0, 1.0, T,
+        assert check_conditions(ones, 0.1 * ones, mu_c2, 0.0, 1.0).c2_ok
+        assert not check_conditions(ones, 0.1 * ones, mu_c2, 0.0, 1.0,
                                     gamma=0.1).c2_ok
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             schedule_arrays(convex_params(), 10, gamma=-0.1)
         with pytest.raises(ValueError):
-            check_conditions(np.ones(3), np.ones(3), np.ones(3), 0.0, 1.0, 3,
+            check_conditions(np.ones(3), np.ones(3), np.ones(3), 0.0, 1.0,
                              gamma=-0.1)
 
     @pytest.mark.parametrize("beta", BETA_GRID)
@@ -135,7 +138,7 @@ class TestConditions:
                            sc_params(G=G, sigma=sigma, beta=beta, R=R)):
                 theta, eta, mu = schedule_arrays(params, T)
                 rep = check_conditions(theta, eta, mu, params.constants.sigma,
-                                       G, T)
+                                       G)
                 sums = schedule_sums(params, T)
                 assert rep.c1_ok and rep.c2_ok
                 assert rep.c3_slack <= sums.u_eta + 1e-9
