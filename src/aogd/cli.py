@@ -62,7 +62,7 @@ def _cmd_check_schedule(args) -> int:
 def _cmd_solve_offline(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     problem = build_problem(cfg)
-    problem.materialize(max(args.t, cfg.T), args.seed)
+    problem.materialize(max(args.t, cfg.T), [args.seed])
     sol = offline.solve_offline(problem, args.t)
     print(json.dumps({
         "t": args.t,

@@ -128,7 +128,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     manifest_path: str) -> str:
     cfg.validate()
-    # one problem for every seed: learner.run re-materializes its stream
+    # one problem for every seed: learner.run materializes all their streams
+    # and plays them in lockstep; the offline solves read seed j's row
     problem = build_problem(cfg)
     constants = problem.constants
 
@@ -148,15 +149,15 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
 
     compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
     loss_cols, g_cols, first_nonpositive = [], [], []
-    for seed in cfg.seeds:
-        trace = learner.run(problem, schedule, cfg.T, seed, gamma)
+    trace = learner.run(problem, schedule, cfg.T, cfg.seeds, gamma)
+    for j, seed in enumerate(cfg.seeds):
         solutions = {
             t: offline.solve_offline_cached(
                 problem, t, cache_dir,
-                problem_id=f"{pid}_seed{seed}".replace(os.sep, "-"))
+                problem_id=f"{pid}_seed{seed}".replace(os.sep, "-"), j=j)
             for t in checkpoints
         }
-        report = metrics.accumulate(trace, solutions, problem, params)
+        report = metrics.accumulate(trace, solutions, problem, params, j)
         # the report's fields are the CSV's columns, in order
         _write_csv(os.path.join(cfg.output_dir, f"seed_{seed}.csv"),
                    ["t", "loss_regret", "constraint_cum", "loss_bound",
@@ -171,12 +172,13 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         solves[key] = [{"t": t, "iterations": sol.iterations,
                         "tolerance_met": sol.tolerance_met}
                        for t, sol in solutions.items()]
+        g, lam = trace.g[:, j], trace.lam[:, j]
         # signed sums can hide violated rounds behind slack ones
-        violation_clipped[key] = float(np.sum(np.maximum(trace.g, 0.0)))
-        k = int(np.argmax(trace.lam))  # the first maximizer
-        max_lambda[key] = {"value": float(trace.lam[k]), "t": k + 1}
+        violation_clipped[key] = float(np.sum(np.maximum(g, 0.0)))
+        k = int(np.argmax(lam))  # the first maximizer
+        max_lambda[key] = {"value": float(lam[k]), "t": k + 1}
         if gamma > 0.0:
-            nonpos = np.flatnonzero(np.cumsum(trace.g) <= 0.0)
+            nonpos = np.flatnonzero(np.cumsum(g) <= 0.0)
             if nonpos.size:
                 first_nonpositive.append(int(nonpos[0]) + 1)
 

@@ -48,10 +48,12 @@ def checkpoint_grid(T: int, count: int = 20) -> list[int]:
 def accumulate(trace: Trace,
                offline: Mapping[int, OfflineSolution],
                problem,
-               params: ScheduleParams | None = None) -> RegretReport:
-    """Build the per-checkpoint regret report for one run.
+               params: ScheduleParams | None = None,
+               j: int = 0) -> RegretReport:
+    """Build the per-checkpoint regret report of the run's j-th seed.
 
-    `offline` maps each checkpoint t to the optimum of the first t rounds.
+    `offline` maps each checkpoint t to the optimum of the first t rounds of
+    that seed's stream.
     Theoretical bound columns are filled when adaptive schedule params are
     given, otherwise NaN (fixed-schedule baselines carry no closed form).
     """
@@ -63,17 +65,18 @@ def accumulate(trace: Trace,
         raise ValueError(f"checkpoint t={outside[0]} outside the recorded rounds")
     t = np.array(ts)
     # one prefix solve per checkpoint, so one loss_sum per x_star
-    offline_cum = np.array([problem.loss_sum(k, offline[k].x_star)[0] for k in ts])
+    offline_cum = np.array([problem.loss_sum(k, offline[k].x_star, j)[0]
+                            for k in ts])
     loss_bound, constraint_bound = (
         (loss_regret_bound(params, t), constraint_regret_bound(params, t))
         if params else np.full((2, len(ts)), np.nan))
     return RegretReport(
         t=t,
-        loss_regret=np.cumsum(trace.loss)[t - 1] - offline_cum,
-        constraint_cum=np.cumsum(trace.g)[t - 1],
+        loss_regret=np.cumsum(trace.loss[:, j])[t - 1] - offline_cum,
+        constraint_cum=np.cumsum(trace.g[:, j])[t - 1],
         loss_bound=loss_bound,
         constraint_bound=constraint_bound,
-        lam=trace.lam[t - 1],
+        lam=trace.lam[t - 1, j],
         eta=trace.eta[t - 1],
         theta=trace.theta[t - 1],
     )

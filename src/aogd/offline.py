@@ -70,8 +70,9 @@ def _soft_threshold(v: np.ndarray, nu: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - nu, 0.0)
 
 
-def elasticnet_value(x: np.ndarray) -> float:
-    return float(np.sum(np.abs(x)) + 0.5 * float(x @ x))
+def elasticnet_value(x: np.ndarray):
+    """||x||_1 + 0.5 ||x||_2^2 of each row of x."""
+    return np.abs(x).sum(axis=-1) + 0.5 * np.vecdot(x, x)
 
 
 def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
@@ -98,8 +99,10 @@ def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     return _soft_threshold(v, nu) / (1.0 + nu)
 
 
-def solve_offline(problem, t: int, tol: float = 1e-8) -> OfflineSolution:
-    """Minimize the average loss of the first t rounds over the feasible set.
+def solve_offline(problem, t: int, tol: float = 1e-8,
+                  j: int = 0) -> OfflineSolution:
+    """Minimize the average loss of the first t rounds of seed j's stream
+    over the feasible set.
 
     Projected gradient descent with backtracking line search on the step
     size; terminates when the gradient-mapping norm falls below tol, or
@@ -110,7 +113,7 @@ def solve_offline(problem, t: int, tol: float = 1e-8) -> OfflineSolution:
         raise ValueError("t must be >= 1")
 
     def objective_grad(x):
-        total, grad = problem.loss_sum(t, x)
+        total, grad = problem.loss_sum(t, x, j)
         return total / t, grad / t
 
     x = problem.project_feasible(np.zeros(problem.dim))
@@ -137,10 +140,10 @@ def solve_offline(problem, t: int, tol: float = 1e-8) -> OfflineSolution:
                            tolerance_met=False)
 
 
-def solve_offline_cached(problem, t: int, cache_dir: str,
-                         problem_id: str) -> OfflineSolution:
-    """Disk-cached solve_offline at its default tolerance; writes via atomic
-    rename."""
+def solve_offline_cached(problem, t: int, cache_dir: str, problem_id: str,
+                         j: int = 0) -> OfflineSolution:
+    """Disk-cached solve_offline of seed j at its default tolerance; writes
+    via atomic rename. `problem_id` names seed j's stream."""
     path = os.path.join(cache_dir, f"{problem_id}_t{t}.json")
     if os.path.exists(path):
         with open(path) as fh:
@@ -151,7 +154,7 @@ def solve_offline_cached(problem, t: int, cache_dir: str,
             iterations=data["iterations"],
             tolerance_met=data["tolerance_met"],
         )
-    sol = solve_offline(problem, t)
+    sol = solve_offline(problem, t, j=j)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

@@ -4,6 +4,10 @@ Two problems: online estimation of doubly-stochastic matrices (quadratic
 losses against random permutation matrices, linear constraints) and sparse
 binary classification (log-loss with an elastic-net budget constraint).
 Each problem derives its own bound constants (R, G, D, F, sigma).
+
+A problem holds the streams of S seeds at once, seed-major, so that the
+learner can play them in lockstep: `loss(t, X)` takes one iterate per seed
+as the rows of X (S, d), and `loss_sum(t, x, j)` reads seed j's stream.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from .schedules import ProblemConstants
 
 
 def dsm_loss_grad(Y: np.ndarray, X: np.ndarray):
-    """Quadratic tracking loss 0.5 * ||Y - X||_F^2 and its gradient X - Y."""
+    """Quadratic tracking loss 0.5 * ||Y - X||_F^2 and its gradient X - Y,
+    over the last two axes: (..., p, p) matrices give (...) values."""
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
     if Y.shape != X.shape:
         raise ValueError(f"shape mismatch: {Y.shape} vs {X.shape}")
     diff = X - Y
-    return 0.5 * float(np.sum(diff * diff)), diff
+    return 0.5 * (diff * diff).sum(axis=(-2, -1)), diff
 
 
 def dsm_constraints(p: int) -> LinearConstraints:
@@ -59,15 +64,23 @@ def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
     return stream[:t]
 
 
-def permutation_stream(p: int, seed: int, T: int) -> np.ndarray:
-    """T uniformly random p x p permutation matrices, deterministic in seed."""
+def permutation_stream(p: int, seeds, T: int) -> np.ndarray:
+    """T uniformly random p x p permutation matrices per seed, (S, T, p, p);
+    row j is drawn from its own generator, deterministic in seeds[j]."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    rng = np.random.default_rng(seed)
-    # one shuffle per row draws the same stream as T calls to permutation(p)
-    cols = rng.permuted(np.tile(np.arange(p), (T, 1)), axis=1)
-    out = np.zeros((T, p, p))
-    out[np.arange(T)[:, None], np.arange(p), cols] = 1.0
+    out = np.empty((len(seeds), T, p, p))
+    # the smallest integer type that holds 0..p-1: the shuffle draws the
+    # same swaps whatever the item type, and no (T, p) index array is made
+    k = np.arange(p, dtype=np.min_scalar_type(p - 1))
+    cols = np.empty((T, p), dtype=k.dtype)
+    for ys, seed in zip(out, seeds):
+        cols[:] = k
+        # one shuffle per row draws the same stream as T calls to
+        # permutation(p)
+        np.random.default_rng(seed).permuted(cols, axis=1, out=cols)
+        # Y[t, i, j] = 1 where j is row i's column, written in place
+        np.equal(cols[:, :, None], k, out=ys, casting="unsafe")
     return out
 
 
@@ -92,31 +105,33 @@ class DsmProblem:
         self.constraints = dsm_constraints(p)
         self._ys = None
 
-    def materialize(self, T: int, seed: int):
-        """Draw the first T rounds of the stream of `seed`."""
-        self._ys = None  # a re-materialized problem never holds two streams
-        self._ys = permutation_stream(self.p, seed, T)
+    def materialize(self, T: int, seeds):
+        """Draw the first T rounds of the stream of each of `seeds`."""
+        self._ys = None  # a re-materialized problem never holds two sets
+        self._ys = permutation_stream(self.p, seeds, T)
         return self
 
     @property
     def stream(self) -> np.ndarray:
+        """The materialized streams, (S, T, p, p)."""
         if self._ys is None:
-            raise RuntimeError("call materialize(T, seed) before accessing the stream")
+            raise RuntimeError("call materialize(T, seeds) before accessing the stream")
         return self._ys
 
-    def loss(self, t: int, x: np.ndarray):
-        """Value and gradient of f_t at x (both flattened), t is 1-indexed."""
-        Y = self.stream[t - 1]
-        value, grad = dsm_loss_grad(Y, x.reshape(self.p, self.p))
-        return value, grad.ravel()
+    def loss(self, t: int, X: np.ndarray):
+        """Values (S,) and gradients (S, d) of each seed's f_t at its row of
+        X (S, d), iterates flattened; t is 1-indexed."""
+        values, grads = dsm_loss_grad(self.stream[:, t - 1],
+                                      X.reshape(-1, self.p, self.p))
+        return values, grads.reshape(X.shape)
 
-    def loss_sum(self, t: int, x: np.ndarray):
-        """Value and gradient of f_1 + ... + f_t at x (flattened).
+    def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
+        """Value and gradient of f_1 + ... + f_t of seed j at x (flattened).
 
         With S = sum of the Y_s and Q = sum of their squared norms, the sum
         is 0.5 t ||x||^2 - x.S + 0.5 Q and its gradient t x - S.
         """
-        Ys = _prefix(self.stream, t).reshape(t, self.dim)
+        Ys = _prefix(self.stream[j], t).reshape(t, self.dim)
         S = Ys.sum(axis=0)
         Q = float(np.vdot(Ys, Ys))
         return 0.5 * t * float(x @ x) - float(x @ S) + 0.5 * Q, t * x - S
@@ -125,13 +140,16 @@ class DsmProblem:
         return project_birkhoff(x.reshape(self.p, self.p)).ravel()
 
 
-def logloss_grad(y: float, u: np.ndarray, x: np.ndarray):
-    """Logistic loss log(1 + exp(-y x.u)) and gradient, overflow-safe."""
-    if y not in (-1, 1, -1.0, 1.0):
+def logloss_grad(y, u: np.ndarray, x: np.ndarray):
+    """Logistic loss log(1 + exp(-y x.u)) and gradient, overflow-safe; one
+    per row of labels y (S,), features u (S, d) and iterates x (S, d)."""
+    y = np.asarray(y, dtype=float)
+    if (np.abs(y) != 1.0).any():
         raise ValueError("label must be -1 or +1")
-    margin = y * float(x @ u)
-    value = float(np.logaddexp(0.0, -margin))
-    grad = -y * u * float(expit(-margin))
+    neg_y = -y
+    neg_margin = neg_y * np.vecdot(x, u)  # -(y x.u), exactly
+    value = np.logaddexp(0.0, neg_margin)
+    grad = neg_y[..., None] * u * expit(neg_margin)[..., None]
     return value, grad
 
 
@@ -167,9 +185,9 @@ class ElasticNetBudget:
     rho: float
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([elasticnet_value(x) - self.rho])
+        return (elasticnet_value(x) - self.rho)[..., None]
 
-    def subgradient(self, x: np.ndarray, j: int) -> np.ndarray:
+    def subgradient(self, x: np.ndarray, j) -> np.ndarray:
         return np.sign(x) + x
 
 
@@ -196,25 +214,32 @@ class ElasticNetProblem:
         self.constraints = ElasticNetBudget(self.rho)
         self._order = None
 
-    def materialize(self, T: int, seed: int):
-        """Draw the example order of the first T rounds of `seed`'s stream."""
-        rng = np.random.default_rng(seed)
-        self._order = rng.integers(0, self.labels.shape[0], size=T)
+    def materialize(self, T: int, seeds):
+        """Draw the example order of the first T rounds of each of `seeds`'
+        streams."""
+        order = np.empty((len(seeds), T), dtype=np.int64)
+        for row, seed in zip(order, seeds):
+            row[:] = np.random.default_rng(seed).integers(
+                0, self.labels.shape[0], size=T)
+        self._order = order
         return self
 
     @property
     def stream(self) -> np.ndarray:
+        """The materialized example indices, (S, T)."""
         if self._order is None:
-            raise RuntimeError("call materialize(T, seed) before accessing the stream")
+            raise RuntimeError("call materialize(T, seeds) before accessing the stream")
         return self._order
 
-    def loss(self, t: int, x: np.ndarray):
-        i = self.stream[t - 1]
-        return logloss_grad(self.labels[i], self.features[i], x)
+    def loss(self, t: int, X: np.ndarray):
+        """Values (S,) and gradients (S, d) of each seed's f_t at its row of
+        X (S, d); t is 1-indexed."""
+        i = self.stream[:, t - 1]
+        return logloss_grad(self.labels[i], self.features[i], X)
 
-    def loss_sum(self, t: int, x: np.ndarray):
-        """Value and gradient of f_1 + ... + f_t at x."""
-        idx = _prefix(self.stream, t)
+    def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
+        """Value and gradient of f_1 + ... + f_t of seed j at x."""
+        idx = _prefix(self.stream[j], t)
         U, y = self.features[idx], self.labels[idx]
         margin = y * (U @ x)
         value = float(np.sum(np.logaddexp(0.0, -margin)))

@@ -3,7 +3,9 @@ component.
 
 The program evaluates its constraints as arrays (`LinearConstraints`,
 `ElasticNetBudget`); the tests compare those against this plain form, and
-use it for small hand-written constraint sets.
+use it for small hand-written constraint sets. Like the program's, its
+`values` and `subgradient` take one x (d,) or a batch X (S, d), and go
+through a batch row by row.
 """
 
 from dataclasses import dataclass
@@ -34,10 +36,16 @@ class ConstraintSet:
         return len(self.components)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([c.value(x) for c in self.components], dtype=float)
+        rows = np.reshape(x, (-1, x.shape[-1]))
+        out = np.array([[c.value(r) for c in self.components] for r in rows],
+                       dtype=float)
+        return out.reshape(*x.shape[:-1], len(self))
 
-    def subgradient(self, x: np.ndarray, j: int) -> np.ndarray:
-        return np.asarray(self.components[j].subgradient(x), dtype=float)
+    def subgradient(self, x: np.ndarray, j) -> np.ndarray:
+        rows, js = np.reshape(x, (-1, x.shape[-1])), np.reshape(j, -1)
+        out = np.array([self.components[k].subgradient(r)
+                        for r, k in zip(rows, js.tolist())], dtype=float)
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def elasticnet_closure(rho):

@@ -1,7 +1,7 @@
 """Read a run's primal iterates through the hook the benchmark also wraps.
 
-`learner.run` keeps no (T, d) iterate column; each round's x_t is the first
-argument of that round's `learner.step` call. A context manager rather than a
+`learner.run` keeps no iterate column; each round's iterates X_t, one row
+per seed, are the first argument of that round's `learner.step` call. A context manager rather than a
 pytest fixture, so that `hypothesis` tests can use it too.
 """
 
@@ -12,8 +12,9 @@ from aogd import learner
 
 @contextmanager
 def recorded_iterates():
-    """Collect a copy of the x each `learner.step` call receives, in call
-    order: after one `run`, entry t-1 is x_t. Restores `step` on exit."""
+    """Collect a copy of the X (S, d) each `learner.step` call receives, in
+    call order: after one `run`, entry t-1 is X_t, whose row j is x_t of
+    the j-th seed. Restores `step` on exit."""
     xs = []
     original = learner.step
 

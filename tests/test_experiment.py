@@ -169,9 +169,9 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         problem = build_problem(config)
         schedule = build_schedule(config, problem.constants)
-        for seed in (3, 4):
-            trace = learner.run(problem, schedule, config.T, seed)
-            g, lam = trace.g, trace.lam
+        trace = learner.run(problem, schedule, config.T, [3, 4])
+        for j, seed in enumerate((3, 4)):
+            g, lam = trace.g[:, j], trace.lam[:, j]
             clipped = manifest["violation_clipped"][str(seed)]
             assert clipped == pytest.approx(np.maximum(g, 0.0).sum(), rel=1e-12)
             k = int(np.argmax(lam))
@@ -191,7 +191,7 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         problem = build_problem(config)
         schedule = build_schedule(config, problem.constants)
-        assert not np.any(learner.run(problem, schedule, config.T, 3).lam)
+        assert not np.any(learner.run(problem, schedule, config.T, [3]).lam)
         assert manifest["max_lambda"]["3"] == {"value": 0.0, "t": 1}
 
     def test_negative_gamma_shift_rejected(self, tmp_path):

@@ -19,11 +19,20 @@ def dsm_params(p, beta=2.0 / 3.0, regime=Regime.CONVEX):
                           constants=DsmProblem(p).constants)
 
 
+def step1(x, lam, t, f_grad, g_value, g_sub, *args, **kwargs):
+    """`step` on the one-row batch of (x, lam); returns the row's (x, lam)."""
+    (x,), (lam,) = step(np.array([x], dtype=float), np.array([lam], dtype=float),
+                        t, np.array([f_grad], dtype=float),
+                        np.array([g_value], dtype=float),
+                        np.array([g_sub], dtype=float), *args, **kwargs)
+    return x, lam
+
+
 def primal_step(f_grad, lam, g_sub):
     """-(f_grad + lam * g_sub): one unit primal step from x = 0 inside a
     ball too large to clip."""
-    x, _ = step(np.zeros(len(f_grad)), lam, 1, f_grad, 0.0, g_sub,
-                eta_t=1.0, mu_t=0.1, theta_t=1.0, R=1e9)
+    x, _ = step1(np.zeros(len(f_grad)), lam, 1, f_grad, 0.0, g_sub,
+                 eta_t=1.0, mu_t=0.1, theta_t=1.0, R=1e9)
     return x
 
 
@@ -49,33 +58,37 @@ class TestGradients:
     def test_dual(self, g, theta, lam, expected):
         # a dual step small enough that the clamp at 0 stays inactive
         mu = 0.01
-        _, lam_next = step(np.zeros(1), lam, 1, np.zeros(1), g, np.zeros(1),
-                           eta_t=0.1, mu_t=mu, theta_t=theta, R=1.0)
+        _, lam_next = step1(np.zeros(1), lam, 1, np.zeros(1), g, np.zeros(1),
+                            eta_t=0.1, mu_t=mu, theta_t=theta, R=1.0)
         assert (lam_next - lam) / mu == pytest.approx(expected)
 
 
 class TestStep:
     def test_from_initial_state(self):
         g0 = np.array([0.3, -0.2])
-        x, lam = step(np.zeros(2), 0.0, 1, g0, 0.7, np.array([1.0, 1.0]),
-                      eta_t=0.5, mu_t=0.1, theta_t=2.0, R=1.0)
+        x, lam = step1(np.zeros(2), 0.0, 1, g0, 0.7, np.array([1.0, 1.0]),
+                       eta_t=0.5, mu_t=0.1, theta_t=2.0, R=1.0)
         np.testing.assert_allclose(x, project_ball(-0.5 * g0, 1.0))
         assert lam == pytest.approx(0.07)
 
     def test_hand_evaluated_1d(self):
-        x, lam = step(np.zeros(1), 0.0, 1, np.array([1.0]), 1.0, np.array([0.0]),
-                      eta_t=1.0, mu_t=1.0 / 12.0, theta_t=6.0, R=1.0)
+        x, lam = step1(np.zeros(1), 0.0, 1, np.array([1.0]), 1.0, np.array([0.0]),
+                       eta_t=1.0, mu_t=1.0 / 12.0, theta_t=6.0, R=1.0)
         assert x[0] == pytest.approx(-1.0)
         assert lam == pytest.approx(1.0 / 12.0)
 
     def test_dual_clamped_at_zero(self):
-        _, lam = step(np.zeros(1), 0.0, 1, np.zeros(1), -0.5, np.zeros(1),
-                      eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
-        assert lam == 0.0
+        _, lam = step1(np.zeros(1), 0.0, 1, np.zeros(1), -0.5, np.zeros(1),
+                       eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
+        assert lam == 0.0 and not np.signbit(lam)
 
     def test_nonfinite_gradient_reports_round(self):
         with pytest.raises(FloatingPointError, match="17"):
-            step(np.zeros(1), 0.0, 17, np.array([np.nan]), 0.0, np.zeros(1),
+            step1(np.zeros(1), 0.0, 17, np.array([np.nan]), 0.0, np.zeros(1),
+                  eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
+        with pytest.raises(FloatingPointError, match="17"):
+            step(np.zeros((2, 1)), np.zeros(2), 17, np.zeros((2, 1)),
+                 np.array([0.0, np.inf]), np.zeros((2, 1)),
                  eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
 
     def test_simultaneous_not_gauss_seidel(self):
@@ -83,36 +96,51 @@ class TestStep:
         # the post-update x changes the dual iterate on a generic instance
         f_grad, g_sub = np.array([1.0]), np.array([1.0])
         g_at_x = 0.5 - 0.2  # g(x) = x - 0.2
-        x, lam = step(np.array([0.5]), 0.2, 1, f_grad, g_at_x, g_sub,
-                      0.5, 0.1, 1.0, 1.0)
+        x, lam = step1(np.array([0.5]), 0.2, 1, f_grad, g_at_x, g_sub,
+                       0.5, 0.1, 1.0, 1.0)
         x_post = float(x[0])
         g_at_x_post = x_post - 0.2
         lam_gs = max(0.0, 0.2 + 0.1 * (g_at_x_post - 1.0 * 0.2))
         assert lam != pytest.approx(lam_gs)
         assert lam == pytest.approx(0.2 + 0.1 * (g_at_x - 0.2))
 
+    def test_rows_are_independent(self):
+        # each row of a batch takes the step it would take alone, bit for
+        # bit, whether or not other rows are clipped by the ball
+        rng = np.random.default_rng(6)
+        X, f_grad, g_sub = rng.normal(size=(3, 5, 4))
+        X[1] *= 10.0
+        lam, g = np.array([0.0, 0.3, 2.0, 0.1, 0.0]), rng.normal(size=5)
+        args = (0.3, 0.2, 1.5, 2.0)
+        X_next, lam_next = step(X, lam, 4, f_grad, g, g_sub, *args)
+        for j in range(5):
+            x, lam_j = step1(X[j], lam[j], 4, f_grad[j], g[j], g_sub[j], *args)
+            assert np.array_equal(X_next[j], x) and lam_next[j] == lam_j
+
 
 class TestRun:
     def test_single_round(self):
         prob = DsmProblem(2)
         with recorded_iterates() as recorded:
-            trace = run(prob, dsm_params(2), T=1, seed=0)
+            trace = run(prob, dsm_params(2), T=1, seeds=[0])
         xs = np.array(recorded)
-        assert xs.shape == (1, 4)
-        assert trace.lam.shape == trace.loss.shape == trace.g.shape == (1,)
-        assert trace.lam[0] == 0.0
-        np.testing.assert_array_equal(xs[0], np.zeros(4))
-        assert trace.loss[0] == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
-        assert trace.g[0] == pytest.approx(1.0)  # row-sum deficit at X = 0
+        assert xs.shape == (1, 1, 4)
+        assert trace.lam.shape == trace.loss.shape == trace.g.shape == (1, 1)
+        assert trace.eta.shape == trace.theta.shape == (1,)
+        assert trace.lam[0, 0] == 0.0
+        np.testing.assert_array_equal(xs[0, 0], np.zeros(4))
+        assert trace.loss[0, 0] == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
+        assert trace.g[0, 0] == pytest.approx(1.0)  # row-sum deficit at X = 0
 
     def test_three_rounds_match_hand_rolled(self):
         # independent replay of the update formulas for DSM p=2
         p = 2
         prob = DsmProblem(p)
         params = dsm_params(p)
-        with recorded_iterates() as xs:
-            trace = run(prob, params, T=3, seed=5)
-        ys = prob.stream
+        with recorded_iterates() as recorded:
+            trace = run(prob, params, T=3, seeds=[5])
+        xs = np.array(recorded)[:, 0]
+        ys = prob.stream[0]
         c = prob.constants
         x = np.zeros(p * p)
         lam = 0.0
@@ -121,7 +149,7 @@ class TestRun:
             eta = c.R / (c.G * t ** params.beta)
             mu = 1.0 / (theta * (t + 1))
             np.testing.assert_allclose(xs[t - 1], x, atol=1e-14)
-            assert trace.lam[t - 1] == pytest.approx(lam, abs=1e-14)
+            assert trace.lam[t - 1, 0] == pytest.approx(lam, abs=1e-14)
             # replay g = max over the 12 components, first maximizer
             X = x.reshape(p, p)
             vals = np.concatenate([
@@ -130,7 +158,7 @@ class TestRun:
                 X.sum(axis=0) - 1, 1 - X.sum(axis=0),
             ])
             g_val = float(vals.max())
-            assert trace.g[t - 1] == pytest.approx(g_val, abs=1e-14)
+            assert trace.g[t - 1, 0] == pytest.approx(g_val, abs=1e-14)
             idx = int(np.argmax(vals))
             subs = np.zeros((12, 4))
             subs[:4] = -np.eye(4)
@@ -150,18 +178,18 @@ class TestRun:
         prob1 = DsmProblem(3)
         prob2 = DsmProblem(3)
         with recorded_iterates() as x1:
-            r1 = run(prob1, dsm_params(3), T=50, seed=9)
+            r1 = run(prob1, dsm_params(3), T=50, seeds=[9])
         with recorded_iterates() as x2:
-            r2 = run(prob2, dsm_params(3), T=50, seed=9)
+            r2 = run(prob2, dsm_params(3), T=50, seeds=[9])
         assert np.array_equal(x1, x2) and np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.loss, r2.loss) and np.array_equal(r1.g, r2.g)
 
     def test_iterate_invariants(self):
         prob = DsmProblem(4)
         with recorded_iterates() as xs:
-            trace = run(prob, dsm_params(4), T=500, seed=2)
+            trace = run(prob, dsm_params(4), T=500, seeds=[2, 3])
         R = prob.constants.R
-        assert np.all(np.linalg.norm(xs, axis=1) <= R + 1e-9)
+        assert np.all(np.linalg.norm(xs, axis=-1) <= R + 1e-9)
         assert np.all(trace.lam >= 0.0)
 
     def test_lambda_bounded_fixed_schedule(self):
@@ -170,7 +198,7 @@ class TestRun:
         prob = DsmProblem(4)
         theta, mu = 2.0, 0.05
         trace = run(prob, FixedScheduleParams(eta=0.05, theta=theta, mu=mu),
-                    T=2000, seed=0)
+                    T=2000, seeds=[0])
         d_hat = np.max(np.abs(trace.g))
         lam_max = np.max(trace.lam)
         assert np.isfinite(lam_max)
@@ -178,27 +206,36 @@ class TestRun:
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError, match="T must be >= 1"):
-            run(DsmProblem(2), dsm_params(2), T=0, seed=0)
+            run(DsmProblem(2), dsm_params(2), T=0, seeds=[0])
 
-    def test_memory_holds_no_iterate_column(self):
-        # the trace keeps (T,) columns only: the peak stays below the stream
-        # plus half of a (T, d) float column
-        prob, T = DsmProblem(8), 20000
+    @staticmethod
+    def assert_peak_holds_streams_and_columns(S, T):
+        # the run holds the S streams and its (T,) and (T, S) float columns
+        # (3 S trace columns, the 3 schedule columns and 2 of slack), no
+        # (T, d) iterate column, per-round Python lists or stream copies
+        prob = DsmProblem(8)
         tracemalloc.start()
         try:
-            run(prob, FixedScheduleParams(0.05, 2.0, 0.05), T, seed=0)
+            run(prob, FixedScheduleParams(0.05, 2.0, 0.05), T, list(range(S)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < prob.stream.nbytes + T * prob.dim * 8 / 2
+        assert prob.stream.nbytes == S * T * prob.dim * 8
+        assert peak < prob.stream.nbytes + (3 * S + 5) * T * 8
+
+    def test_memory_holds_no_iterate_column(self):
+        self.assert_peak_holds_streams_and_columns(S=1, T=20000)
+
+    def test_memory_lockstep_holds_one_stream_per_seed(self):
+        self.assert_peak_holds_streams_and_columns(S=4, T=5000)
 
 
 class TestGammaShift:
     def test_zero_shift_is_identity(self):
         with recorded_iterates() as x1:
-            r1 = run(DsmProblem(2), dsm_params(2), T=30, seed=0)
+            r1 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0])
         with recorded_iterates() as x2:
-            r2 = run(DsmProblem(2), dsm_params(2), T=30, seed=0, gamma=0.0)
+            r2 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0], gamma=0.0)
         assert np.array_equal(x1, x2) and np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.g, r2.g)
         assert np.array_equal(schedule_arrays(dsm_params(2), 30)[2],
@@ -217,15 +254,15 @@ class TestGammaShift:
         u = rng.normal(size=(40, 3))
         prob = ElasticNetProblem(y, u, rho=0.2)
         # at x = 0 the raw constraint is -rho; the learner sees -rho + 0.5
-        raw, _ = g_max(prob.constraints, np.zeros(3))
+        (raw,), _ = g_max(prob.constraints, np.zeros((1, 3)))
         assert raw == pytest.approx(-0.2)
         params = ScheduleParams(beta=0.5, regime=Regime.CONVEX,
                                 constants=prob.constants)
-        trace = run(prob, params, T=5, seed=1, gamma=0.5)
-        assert trace.g[0] == pytest.approx(-0.2)
+        trace = run(prob, params, T=5, seeds=[1], gamma=0.5)
+        assert trace.g[0, 0] == pytest.approx(-0.2)
         # from lambda_1 = 0 the dual ascent moves by mu_1 * (g + gamma)
         _, _, mu = schedule_arrays(params, 5, gamma=0.5)
-        assert trace.lam[1] == pytest.approx(mu[0] * 0.3)
+        assert trace.lam[1, 0] == pytest.approx(mu[0] * 0.3)
 
     def test_bound_constants_use_shifted_d(self, tmp_path):
         cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
@@ -255,10 +292,10 @@ class TestGammaShift:
             c = prob.constants
             params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.CONVEX,
                                     constants=replace(c, D=c.D + gamma))
-            return float(np.sum(run(prob, params, T, seed=3, gamma=gamma).g))
+            return float(np.sum(run(prob, params, T, [3], gamma=gamma).g))
 
         assert cum_violation(0.3) < cum_violation(0.0)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            run(DsmProblem(2), dsm_params(2), T=5, seed=0, gamma=-0.1)
+            run(DsmProblem(2), dsm_params(2), T=5, seeds=[0], gamma=-0.1)

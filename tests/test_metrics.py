@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ class TestAccumulate:
     def run_with_offline(self, p, T, checkpoints, seed=0):
         prob = DsmProblem(p)
         params = dsm_params(p)
-        trace = run(prob, params, T, seed=seed)
+        trace = run(prob, params, T, [seed])
         offline = {t: solve_offline(prob, t) for t in checkpoints}
         return prob, params, trace, offline
 
@@ -46,15 +46,15 @@ class TestAccumulate:
         report = accumulate(trace, offline, prob, params)
         assert report.t.tolist() == [1, 2, 3]
         for i, t in enumerate(report.t):
-            learner_cum = sum(trace.loss[:t])
-            mean = np.mean([Y.ravel() for Y in prob.stream[:t]], axis=0)
+            learner_cum = sum(trace.loss[:t, 0])
+            mean = np.mean([Y.ravel() for Y in prob.stream[0, :t]], axis=0)
             offline_cum = sum(0.5 * np.sum((mean - Y.ravel()) ** 2)
-                              for Y in prob.stream[:t])
+                              for Y in prob.stream[0, :t])
             assert report.loss_regret[i] == pytest.approx(
                 learner_cum - offline_cum, abs=1e-7)
             assert report.constraint_cum[i] == pytest.approx(
-                sum(trace.g[:t]))
-            assert report.lam[i] == trace.lam[t - 1]
+                sum(trace.g[:t, 0]))
+            assert report.lam[i] == trace.lam[t - 1, 0]
             assert report.eta[i] == trace.eta[t - 1]
 
     def test_bounds_nan_without_params(self):
@@ -73,6 +73,20 @@ class TestAccumulate:
         prob, params, trace, _ = self.run_with_offline(2, 3, [3])
         with pytest.raises(ValueError):
             accumulate(trace, {}, prob, params)
+
+    def test_seed_column_matches_single_seed_run(self):
+        # report j of a lockstep run, with seed j's own offline optima, is
+        # the report of that seed run alone, bit for bit
+        prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 40]
+        trace = run(prob, params, 40, [6, 2])
+        reports = [accumulate(trace, {t: solve_offline(prob, t, j=j)
+                                      for t in grid}, prob, params, j)
+                   for j in range(2)]
+        for seed, report in zip((6, 2), reports):
+            single, _, alone, offline = self.run_with_offline(3, 40, grid, seed)
+            expected = accumulate(alone, offline, single, params)
+            for got, want in zip(astuple(report), astuple(expected)):
+                assert np.array_equal(got, want)
 
     def test_report_requires_increasing_t(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2])
@@ -122,7 +136,7 @@ class TestBoundCompliance:
     def make_report(self, T=200, p=3, seed=1):
         prob = DsmProblem(p)
         params = dsm_params(p)
-        trace = run(prob, params, T, seed=seed)
+        trace = run(prob, params, T, [seed])
         grid = checkpoint_grid(T, count=10)
         offline = {t: solve_offline(prob, t) for t in grid}
         return accumulate(trace, offline, prob, params), params

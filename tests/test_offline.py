@@ -183,10 +183,10 @@ class TestProjectElasticnetBall:
 class TestSolveOffline:
     def test_dsm_single_round_recovers_target(self):
         prob = DsmProblem(3)
-        prob.materialize(1, 0)
+        prob.materialize(1, [0])
         sol = solve_offline(prob, 1)
         assert sol.tolerance_met
-        np.testing.assert_allclose(sol.x_star, prob.stream[0].ravel(), atol=1e-7)
+        np.testing.assert_allclose(sol.x_star, prob.stream[0, 0].ravel(), atol=1e-7)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [10, 100])
@@ -194,9 +194,9 @@ class TestSolveOffline:
         # the mean of permutation matrices is doubly stochastic, so the
         # offline optimum of the quadratic objective is the running mean
         prob = DsmProblem(4)
-        prob.materialize(t, 1)
-        sol = solve_offline(prob, t)
-        mean = np.mean([Y.ravel() for Y in prob.stream[:t]], axis=0)
+        prob.materialize(t, [3, 1])
+        sol = solve_offline(prob, t, j=1)
+        mean = np.mean([Y.ravel() for Y in prob.stream[1, :t]], axis=0)
         assert sol.tolerance_met
         np.testing.assert_allclose(sol.x_star, mean, atol=1e-7)
 
@@ -209,10 +209,10 @@ class TestSolveOffline:
         y = np.where(u @ np.array([1.0, -0.5, 0.2]) > 0, 1.0, -1.0)
         y[rng.uniform(size=n) < 0.2] *= -1.0  # keep the data non-separable
         prob = ElasticNetProblem(y, u, rho=200.0)
-        prob.materialize(n, 2)
+        prob.materialize(n, [2])
         sol = solve_offline(prob, n, tol=1e-9)
 
-        U, Y = u[prob.stream], y[prob.stream]
+        U, Y = u[prob.stream[0]], y[prob.stream[0]]
 
         def grad(x):
             return -(Y * expit(-Y * (U @ x))) @ U / n
@@ -228,11 +228,11 @@ class TestSolveOffline:
         u = rng.normal(size=(n, d))
         y = np.where(rng.normal(size=n) > 0, 1.0, -1.0)
         prob = ElasticNetProblem(y, u, rho=rho)
-        prob.materialize(n, 3)
+        prob.materialize(n, [3])
         sol = solve_offline(prob, n)
 
         def avg_loss(x):
-            return np.mean([prob.loss(t, x)[0] for t in range(1, n + 1)])
+            return np.mean([prob.loss(t, x[None])[0][0] for t in range(1, n + 1)])
 
         assert sol.objective == pytest.approx(avg_loss(sol.x_star), abs=1e-10)
         for _ in range(100):
@@ -241,7 +241,7 @@ class TestSolveOffline:
 
     def test_rejects_bad_t(self):
         prob = DsmProblem(2)
-        prob.materialize(1, 0)
+        prob.materialize(1, [0])
         with pytest.raises(ValueError):
             solve_offline(prob, 0)
 
@@ -249,7 +249,7 @@ class TestSolveOffline:
 class TestSolveOfflineCached:
     def test_cache_round_trip(self, tmp_path):
         prob = DsmProblem(3)
-        prob.materialize(10, 4)
+        prob.materialize(10, [4])
         first = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4")
         assert (tmp_path / "dsm_p3_s4_t10.json").exists()
 

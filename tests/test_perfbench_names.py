@@ -26,14 +26,15 @@ def test_tracer_installs_counts_rounds_and_uninstalls():
         assert learner.step is not originals[1]
         T = 7
         trace = learner.run(DsmProblem(2), FixedScheduleParams(0.1, 1.0, 0.1), T,
-                            seed=0)
+                            seeds=[0, 1, 2])
     finally:
         tracer.uninstall()
     assert (learner.run, learner.step, learner.g_max,
             learner.project_ball) == originals
-    assert trace.lam.shape == (T,)
+    assert trace.lam.shape == (T, 3)
     assert tracer.stats["learner.run"][0] == 1
-    # the benchmark's learner.rounds is the count of step calls
+    # the benchmark's learner.rounds is the count of step calls: one per
+    # batched round of all seeds, not one per seed
     for name in ("learner.step", "projections.g_max",
                  "projections.project_ball", "problems.loss.learner"):
         assert tracer.stats[name][0] == T, name

@@ -26,24 +26,25 @@ def dsm_constraint_closures(p):
     """Reference oracle: the DSM constraints as one closure per component.
 
     Same order as `dsm_constraints`: -X_ij <= 0 row-major, then row sums
-    <= 1, >= 1, column sums <= 1, >= 1. Each sum is one `float(mask @ x)`.
+    <= 1, >= 1, column sums <= 1, >= 1. Each value is one
+    `float(row @ x) - b` with its own row: the per-row dot whose rounding
+    the program must reproduce, signed zeros included (a dot of zeros is
+    +0.0, so -X_ij <= 0 reads +0.0 at X_ij = 0.0, where -x would give -0.0).
     """
     components = []
 
+    def linear(row, b):
+        return Constraint(value=lambda x, r=row, b=b: float(r @ x) - b,
+                          subgradient=lambda x, r=row: r)
+
     def nonneg(i, j):
-        k = i * p + j
         sub = np.zeros(p * p)
-        sub[k] = -1.0
-        return Constraint(value=lambda x, k=k: -x[k],
-                          subgradient=lambda x, s=sub: s)
+        sub[i * p + j] = -1.0
+        return linear(sub, 0.0)
 
     def sum_constraint(mask, sign):
         # sign=+1: sum - 1 <= 0; sign=-1: 1 - sum <= 0
-        sub = sign * mask
-        return Constraint(
-            value=lambda x, m=mask, s=sign: s * (float(m @ x) - 1.0),
-            subgradient=lambda x, v=sub: v,
-        )
+        return linear(sign * mask, sign * 1.0)
 
     for i in range(p):
         for j in range(p):
@@ -69,16 +70,21 @@ def dsm_constraint_closures(p):
     return ConstraintSet(components=components)
 
 
-def recorded_run(prob, schedule, T, seed, gamma):
-    """The trace of one run and its (T, d) iterates."""
+def recorded_run(prob, schedule, T, seeds, gamma):
+    """The trace of one run and its (T, S, d) iterates."""
     with recorded_iterates() as xs:
-        trace = run(prob, schedule, T, seed=seed, gamma=gamma)
+        trace = run(prob, schedule, T, seeds, gamma=gamma)
     return trace, np.array(xs)
+
+
+def assert_same_bits(a, b, name=None):
+    assert np.array_equal(a, b), name
+    assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def assert_same_trace(a, b, name):
     for column in ("lam", "loss", "g"):
-        assert np.array_equal(getattr(a, column), getattr(b, column)), (name, column)
+        assert_same_bits(getattr(a, column), getattr(b, column), (name, column))
 
 
 def dsm_schedules(p, T):
@@ -115,7 +121,7 @@ class TestDsmLoss:
         rng = np.random.default_rng(0)
         eps = 1e-6
         for _ in range(20):
-            Y = permutation_stream(3, rng.integers(1000), 1)[0]
+            Y = permutation_stream(3, [rng.integers(1000)], 1)[0, 0]
             X = rng.normal(size=(3, 3))
             _, grad = dsm_loss_grad(Y, X)
             fd = np.zeros_like(X)
@@ -135,12 +141,12 @@ class TestDsmConstraints:
 
     def test_doubly_stochastic_feasible(self):
         cs = dsm_constraints(3)
-        X = np.full((3, 3), 1.0 / 3.0).ravel()
-        value, _ = g_max(cs, X)
+        X = np.full((1, 9), 1.0 / 3.0)
+        (value,), _ = g_max(cs, X)
         assert value <= 1e-12
 
     def test_zero_matrix_deficit(self):
-        value, _ = g_max(dsm_constraints(2), np.zeros(4))
+        (value,), _ = g_max(dsm_constraints(2), np.zeros((1, 4)))
         assert value == pytest.approx(1.0)
 
     def test_rejects_small_p(self):
@@ -153,11 +159,10 @@ class TestDsmConstraints:
         rng = np.random.default_rng(3)
         xs = sample_in_ball(rng, 9, prob.constants.R, 400)
         ys = sample_in_ball(rng, 9, prob.constants.R, 400)
-        for x, y in zip(xs, ys):
-            gx, idx = g_max(cs, x)
-            gy, _ = g_max(cs, y)
-            s = cs.subgradient(x, idx)
-            assert gy >= gx + s @ (y - x) - 1e-10
+        gx, idx = g_max(cs, xs)
+        gy, _ = g_max(cs, ys)
+        s = cs.subgradient(xs, idx)
+        assert np.all(gy >= gx + np.vecdot(s, ys - xs) - 1e-10)
 
 
 class TestDsmLinearMatchesClosures:
@@ -168,24 +173,43 @@ class TestDsmLinearMatchesClosures:
     `A @ x` (gemv) sums in another order than the closures' per-row dot: it
     fails this test, changing almost every value vector from p = 3 on and
     the active index at some replayed iterates for p = 8 and 16. `np.vecdot`
-    keeps the per-row dot, so every value must come out identical.
+    keeps the per-row dot, so every value must come out identical. The
+    nonnegativity rows are evaluated as 0.0 - x without a dot; at exact
+    signed zeros that must still give the dot's +0.0, so signs are compared
+    too.
     """
 
     T = 300
 
     @staticmethod
     def assert_identical(lin, ref, xs):
-        """Values, g_max and active subgradient agree exactly at every x;
-        returns how many x have a tied maximum."""
-        ties = 0
-        for x in xs:
-            values, expected = lin.values(x), ref.values(x)
-            assert np.array_equal(values, expected)
-            value, idx = g_max(lin, x)
-            assert (value, idx) == g_max(ref, x)
-            assert np.array_equal(lin.subgradient(x, idx), ref.subgradient(x, idx))
-            ties += np.count_nonzero(expected == expected.max()) > 1
-        return ties
+        """Values, g_max and active subgradient agree exactly, signed zeros
+        included, on the batch xs (N, d), and on its rows one at a time;
+        returns how many rows have a tied maximum."""
+        values, expected = lin.values(xs), ref.values(xs)
+        assert_same_bits(values, expected)
+        for x, row in zip(xs, expected):
+            assert_same_bits(lin.values(x), row)
+        value, idx = g_max(lin, xs)
+        ref_value, ref_idx = g_max(ref, xs)
+        assert_same_bits(value, ref_value)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(lin.subgradient(xs, idx), ref.subgradient(xs, idx))
+        return np.count_nonzero(
+            np.count_nonzero(expected == expected.max(axis=1, keepdims=True),
+                             axis=1) > 1)
+
+    @staticmethod
+    def signed_zero_batches(rng, p):
+        """(N, p^2) batches with exact +0.0 and -0.0 entries: all zeros of
+        either sign, permutation matrices whose zeros are -0.0 (row and
+        column sums exactly 1), and entries drawn from {+-0, +-1, 1/p}."""
+        perms = permutation_stream(p, [p + 1], 10)[0].reshape(10, -1)
+        return np.concatenate([
+            np.zeros((1, p * p)), np.full((1, p * p), -0.0),
+            np.where(perms == 0.0, -0.0, perms),
+            rng.choice([0.0, -0.0, 1.0, -1.0, 1.0 / p], size=(40, p * p)),
+        ])
 
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
     def test_static_points(self, p):
@@ -195,12 +219,13 @@ class TestDsmLinearMatchesClosures:
         R = np.sqrt(p)
         sphere = rng.normal(size=(50, p * p))
         sphere *= R / np.linalg.norm(sphere, axis=1, keepdims=True)
-        xs = [*sample_in_ball(rng, p * p, R, 200),
-              *sphere,
-              *permutation_stream(p, seed=p, T=20).reshape(20, -1),
-              np.full(p * p, 1.0 / p),
-              *(project_birkhoff(rng.normal(size=(p, p))).ravel()
-                for _ in range(10))]
+        xs = np.array([*sample_in_ball(rng, p * p, R, 200),
+                       *sphere,
+                       *permutation_stream(p, [p], 20)[0].reshape(20, -1),
+                       np.full(p * p, 1.0 / p),
+                       *(project_birkhoff(rng.normal(size=(p, p))).ravel()
+                         for _ in range(10)),
+                       *self.signed_zero_batches(rng, p)])
         assert self.assert_identical(lin, ref, xs) > 0
 
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
@@ -208,12 +233,12 @@ class TestDsmLinearMatchesClosures:
         lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
         for name, (schedule, gamma) in dsm_schedules(p, self.T).items():
             prob = DsmProblem(p)
-            fast, fast_xs = recorded_run(prob, schedule, self.T, p, gamma)
+            fast, fast_xs = recorded_run(prob, schedule, self.T, [p], gamma)
             prob.constraints = ref
-            slow, slow_xs = recorded_run(prob, schedule, self.T, p, gamma)
+            slow, slow_xs = recorded_run(prob, schedule, self.T, [p], gamma)
             assert_same_trace(fast, slow, name)
-            assert np.array_equal(fast_xs, slow_xs), (name, "x")
-            self.assert_identical(lin, ref, fast_xs)
+            assert_same_bits(fast_xs, slow_xs, (name, "x"))
+            self.assert_identical(lin, ref, fast_xs.reshape(-1, p * p))
 
 
 class TestElasticNetBudgetMatchesClosure:
@@ -234,10 +259,16 @@ class TestElasticNetBudgetMatchesClosure:
     @pytest.mark.parametrize("rho", [1e-3, 0.7, 40.0])
     def test_values_and_subgradient(self, d, rho):
         budget, ref = ElasticNetBudget(rho), elasticnet_closure(rho)
-        for x in self.points(np.random.default_rng(d), d, rho):
-            assert np.array_equal(budget.values(x), ref.values(x))
-            assert g_max(budget, x) == g_max(ref, x) == (ref.values(x)[0], 0)
-            assert np.array_equal(budget.subgradient(x, 0), ref.subgradient(x, 0))
+        xs = np.array(self.points(np.random.default_rng(d), d, rho))
+        xs[:10] *= -1.0  # -0.0 at the kinks as well as +0.0
+        for x in xs:
+            assert_same_bits(budget.values(x), ref.values(x))
+        expected = ref.values(xs)
+        assert_same_bits(budget.values(xs), expected)
+        value, idx = g_max(budget, xs)
+        assert_same_bits(value, expected[:, 0])
+        assert np.array_equal(idx, np.zeros(len(xs)))
+        assert_same_bits(budget.subgradient(xs, idx), ref.subgradient(xs, idx))
 
     def test_boundary_points_are_tight(self):
         rng = np.random.default_rng(1)
@@ -260,11 +291,11 @@ class TestElasticNetBudgetMatchesClosure:
         }
         for name, (schedule, gamma) in variants.items():
             prob = ElasticNetProblem(y, u, rho=0.3)
-            fast, fast_xs = recorded_run(prob, schedule, T, 2, gamma)
+            fast, fast_xs = recorded_run(prob, schedule, T, [2, 3], gamma)
             prob.constraints = elasticnet_closure(0.3)
-            slow, slow_xs = recorded_run(prob, schedule, T, 2, gamma)
+            slow, slow_xs = recorded_run(prob, schedule, T, [2, 3], gamma)
             assert_same_trace(fast, slow, name)
-            assert np.array_equal(fast_xs, slow_xs), (name, "x")
+            assert_same_bits(fast_xs, slow_xs, (name, "x"))
             assert np.any(fast.g > 0) and np.any(fast.g < 0), name
 
 
@@ -282,14 +313,15 @@ class TestPermutationStream:
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
     @pytest.mark.parametrize("T", [1, 7, 1000])
     def test_matches_looped_draw(self, p, T):
-        # the batched draw must reproduce the per-round stream bit for bit,
-        # since recorded reference runs depend on it
-        for seed in (0, 1, 21, 12345):
-            assert np.array_equal(permutation_stream(p, seed, T),
-                                  looped_permutation_stream(p, seed, T))
+        # the batched draw must reproduce the per-round stream of each seed
+        # bit for bit, since recorded reference runs depend on it
+        seeds = (0, 1, 21, 12345)
+        assert np.array_equal(
+            permutation_stream(p, seeds, T),
+            [looped_permutation_stream(p, seed, T) for seed in seeds])
 
     def test_validity(self):
-        ys = permutation_stream(5, seed=1, T=50)
+        ys = permutation_stream(5, [1], 50)[0]
         for Y in ys:
             assert np.array_equal(np.sort(Y.argmax(axis=1)), np.arange(5))
             np.testing.assert_array_equal(Y.sum(axis=0), np.ones(5))
@@ -297,11 +329,11 @@ class TestPermutationStream:
             assert set(np.unique(Y)) <= {0.0, 1.0}
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(permutation_stream(4, 7, 20),
-                                      permutation_stream(4, 7, 20))
+        np.testing.assert_array_equal(permutation_stream(4, [7], 20),
+                                      permutation_stream(4, [7], 20))
 
     def test_uniform_frequency_p2(self):
-        ys = permutation_stream(2, seed=11, T=10**4)
+        ys = permutation_stream(2, [11], 10**4)[0]
         frac_identity = np.mean(ys[:, 0, 0] == 1.0)
         assert abs(frac_identity - 0.5) < 0.05
 
@@ -378,25 +410,25 @@ class TestSampledProblemInvariants:
 
     def test_dsm_gradient_bounds(self):
         prob = DsmProblem(4)
-        prob.materialize(1, seed=0)
+        prob.materialize(1, [0])
         c = prob.constants
         rng = np.random.default_rng(10)
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
-        Y = prob.stream[0].ravel()
+        Y = prob.stream[0, 0].ravel()
         # loss gradient x - Y, vectorized over samples
         norms = np.linalg.norm(xs - Y, axis=1)
         assert norms.max() <= c.G + 1e-9
-        for x in xs[:2000]:
-            cs = prob.constraints
-            assert np.linalg.norm(cs.subgradient(x, g_max(cs, x)[1])) <= c.G + 1e-9
+        cs = prob.constraints
+        subs = cs.subgradient(xs[:2000], g_max(cs, xs[:2000])[1])
+        assert np.linalg.norm(subs, axis=1).max() <= c.G + 1e-9
 
     def test_dsm_loss_range_below_F(self):
         prob = DsmProblem(4)
-        prob.materialize(1, seed=0)
+        prob.materialize(1, [0])
         c = prob.constants
         rng = np.random.default_rng(11)
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
-        values = 0.5 * np.sum((xs - prob.stream[0].ravel()) ** 2, axis=1)
+        values = 0.5 * np.sum((xs - prob.stream[0, 0].ravel()) ** 2, axis=1)
         assert values.max() - values.min() <= c.F + 1e-9
 
     @pytest.mark.xfail(strict=True,
@@ -408,16 +440,15 @@ class TestSampledProblemInvariants:
         c = prob.constants
         rng = np.random.default_rng(12)
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
-        for x in xs:
-            value, _ = g_max(prob.constraints, x)
-            assert abs(value) <= c.D + 1e-9
+        values, _ = g_max(prob.constraints, xs)
+        assert np.abs(values).max() <= c.D + 1e-9
 
     def test_elasticnet_bounds(self):
         rng = np.random.default_rng(13)
         u = rng.normal(size=(100, 5))
         y = np.where(rng.normal(size=100) > 0, 1.0, -1.0)
         prob = ElasticNetProblem(y, u, rho=1.0)
-        prob.materialize(self.N, seed=0)
+        prob.materialize(self.N, [0])
         c = prob.constants
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
         g_vals = np.sum(np.abs(xs), axis=1) + 0.5 * np.sum(xs**2, axis=1) - prob.rho
@@ -425,17 +456,17 @@ class TestSampledProblemInvariants:
         subs = np.sign(xs) + xs
         assert np.linalg.norm(subs, axis=1).max() <= c.G + 1e-9
         for i in range(500):
-            _, grad = prob.loss(i + 1, xs[i])
+            _, grad = prob.loss(i + 1, xs[i:i + 1])
             assert np.linalg.norm(grad) <= c.G + 1e-9
 
 
-def _make_problem(kind, T):
+def _make_problem(kind, T, seeds=(5,)):
     if kind == "dsm":
-        return DsmProblem(4).materialize(T, 5)
+        return DsmProblem(4).materialize(T, seeds)
     rng = np.random.default_rng(14)
     u = rng.normal(size=(40, 6))
     y = np.where(rng.normal(size=40) > 0, 1.0, -1.0)
-    return ElasticNetProblem(y, u, rho=1.0).materialize(T, 5)
+    return ElasticNetProblem(y, u, rho=1.0).materialize(T, seeds)
 
 
 class TestLossSum:
@@ -450,7 +481,7 @@ class TestLossSum:
             x = rng.normal(size=prob.dim) * rng.choice([0.1, 1.0, 3.0])
             value, grad = 0.0, np.zeros(prob.dim)
             for s in range(1, t + 1):
-                v, g = prob.loss(s, x)
+                (v,), (g,) = prob.loss(s, x[None])
                 value += v
                 grad += g
             got_value, got_grad = prob.loss_sum(t, x)
@@ -458,6 +489,25 @@ class TestLossSum:
             assert got_grad.shape == (prob.dim,)
             assert (np.linalg.norm(got_grad - grad)
                     <= 1e-12 * np.linalg.norm(grad))
+
+    @pytest.mark.parametrize("kind", ["dsm", "elasticnet"])
+    def test_seed_rows_match_single_seed_problems(self, kind):
+        # row j of a problem materialized for several seeds is the problem
+        # of seeds[j] alone: its stream, its loss at row j of X and its
+        # prefix sums, bit for bit
+        seeds = (5, 9, 2)
+        prob = _make_problem(kind, self.T, seeds)
+        assert prob.stream.shape[:2] == (3, self.T)
+        X = np.random.default_rng(3).normal(size=(3, prob.dim))
+        for j, seed in enumerate(seeds):
+            alone = _make_problem(kind, self.T, [seed])
+            assert np.array_equal(prob.stream[j], alone.stream[0])
+            for t in (1, 23, self.T):
+                values, grads = prob.loss(t, X)
+                (value,), (grad,) = alone.loss(t, X[j:j + 1])
+                assert values[j] == value and np.array_equal(grads[j], grad)
+                got, want = prob.loss_sum(t, X[j], j), alone.loss_sum(t, X[j])
+                assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("kind", ["dsm", "elasticnet"])
     def test_rejects_prefix_past_the_stream(self, kind):

@@ -6,6 +6,12 @@ from aogd.projections import (LinearConstraints, g_max, project_ball,
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
 
 
+def g_max_at(cs, x):
+    """g_max of the one-row batch [x]: (value, active index)."""
+    (value,), (idx,) = g_max(cs, x[None])
+    return value, idx
+
+
 def scalar_components():
     # g_0(x) = x - 1, g_1(x) = -x on 1-D inputs
     return ConstraintSet(components=[
@@ -32,6 +38,17 @@ class TestProjectBall:
         with pytest.raises(ValueError):
             project_ball(np.ones(2), 0.0)
 
+    def test_rows_projected_independently(self):
+        X = np.array([[3.0, 4.0], [0.1, -0.2], [-0.0, 0.0], [0.0, -5.0]])
+        P = project_ball(X, 1.0)
+        for x, px in zip(X, P):
+            np.testing.assert_allclose(px, project_ball(x, 1.0), rtol=1e-15)
+        # rows inside the ball keep their bits, signed zeros included
+        assert np.array_equal(P[1:3], X[1:3])
+        assert np.array_equal(np.signbit(P[1:3]), np.signbit(X[1:3]))
+        interior = X[1:3].copy()
+        assert project_ball(interior, 1.0) is interior
+
     def test_idempotent_and_nonexpansive(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -47,26 +64,43 @@ class TestProjectNonneg:
     def test_values(self, lam, expected):
         assert project_nonneg(lam) == expected
 
+    def test_batch_keeps_max_sign_of_zero(self):
+        # max(0.0, lam) maps -0.0 and NaN to +0.0; np.maximum would not
+        lam = np.array([-0.0, 0.0, -2.0, 0.5, np.nan])
+        out = project_nonneg(lam)
+        expected = [max(0.0, v) for v in lam.tolist()]
+        assert out.tolist() == expected
+        assert not np.any(np.signbit(out))
+
 
 class TestGMax:
     def test_basic(self):
-        value, idx = g_max(scalar_components(), np.array([3.0]))
+        value, idx = g_max_at(scalar_components(), np.array([3.0]))
         assert value == pytest.approx(2.0) and idx == 0
 
     def test_tie_smallest_index(self):
-        value, idx = g_max(scalar_components(), np.array([0.5]))
+        value, idx = g_max_at(scalar_components(), np.array([0.5]))
         assert value == pytest.approx(-0.5) and idx == 0
 
     def test_single_component(self):
-        value, idx = g_max(elasticnet_closure(2.0), np.zeros(3))
+        value, idx = g_max_at(elasticnet_closure(2.0), np.zeros(3))
         assert value == pytest.approx(-2.0) and idx == 0
+
+    def test_batch_is_rowwise(self):
+        # one value and first maximizer per row; rows 1 and 3 are ties
+        cs = scalar_components()
+        X = np.array([[3.0], [0.5], [-2.0], [0.5]])
+        values, idx = g_max(cs, X)
+        assert values.shape == idx.shape == (4,)
+        assert [g_max_at(cs, x) for x in X] == list(zip(values, idx))
+        assert idx.tolist() == [0, 0, 1, 0]
 
     def test_dominates_each_component(self):
         cs = scalar_components()
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.normal(size=1) * 4
-            value, idx = g_max(cs, x)
+            value, idx = g_max_at(cs, x)
             values = [c.value(x) for c in cs.components]
             assert all(value >= v - 1e-15 for v in values)
             assert value == pytest.approx(values[idx])
@@ -75,7 +109,7 @@ class TestGMax:
         cs = ConstraintSet(components=[
             Constraint(value=lambda x: float("nan"), subgradient=lambda x: x)])
         with pytest.raises(FloatingPointError):
-            g_max(cs, np.zeros(1))
+            g_max(cs, np.zeros((1, 1)))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -86,16 +120,16 @@ class TestGSubgradient:
     # a subgradient of g = max_j g_j is the active component's
     def test_active_component(self):
         cs, x = scalar_components(), np.array([3.0])
-        np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]), [1.0])
+        np.testing.assert_allclose(cs.subgradient(x, g_max_at(cs, x)[1]), [1.0])
 
     def test_elasticnet_smooth_point(self):
         cs, x = elasticnet_closure(1.0), np.array([1.0, -2.0])
-        np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]),
+        np.testing.assert_allclose(cs.subgradient(x, g_max_at(cs, x)[1]),
                                    [2.0, -3.0])
 
     def test_elasticnet_kink_zero_choice(self):
         cs, x = elasticnet_closure(1.0), np.array([0.0, 1.0])
-        np.testing.assert_allclose(cs.subgradient(x, g_max(cs, x)[1]),
+        np.testing.assert_allclose(cs.subgradient(x, g_max_at(cs, x)[1]),
                                    [0.0, 2.0])
 
     def test_subgradient_inequality(self):
@@ -105,8 +139,8 @@ class TestGSubgradient:
             for _ in range(300):
                 x = rng.normal(size=dim)
                 y = rng.normal(size=dim)
-                gx, idx = g_max(cs, x)
-                gy, _ = g_max(cs, y)
+                gx, idx = g_max_at(cs, x)
+                gy, _ = g_max_at(cs, y)
                 s = cs.subgradient(x, idx)
                 assert gy >= gx + s @ (y - x) - 1e-10
 
@@ -119,8 +153,10 @@ class TestLinearConstraints:
         assert len(cs) == 2
         x = np.array([0.25, 2.0])
         np.testing.assert_array_equal(cs.values(x), [1.25, -0.25])
-        assert g_max(cs, x) == (1.25, 0)
+        assert g_max_at(cs, x) == (1.25, 0)
         np.testing.assert_array_equal(cs.subgradient(x, 1), [-1.0, 0.0])
+        np.testing.assert_array_equal(cs.subgradient(np.zeros((3, 2)), [1, 0, 1]),
+                                      [[-1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]])
 
     def test_rows_read_only_and_input_untouched(self):
         A, b = np.eye(2), np.zeros(2)
@@ -132,8 +168,35 @@ class TestLinearConstraints:
 
     def test_nonfinite_value_raises(self):
         cs = LinearConstraints(np.eye(2), np.zeros(2))
-        with pytest.raises(FloatingPointError):
-            g_max(cs, np.array([0.0, np.nan]))
+        with pytest.raises(FloatingPointError, match="row 2 of x"):
+            g_max(cs, np.array([[0.0, 1.0], [2.0, 3.0], [0.0, np.nan]]))
+
+    @pytest.mark.parametrize("A,b", [
+        # a full block -e_0, -e_1 ahead of a sum row
+        ([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0]),
+        # the block ends where b is not 0, and where a row is not -e_k
+        ([[-1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 0.5, 0.0]),
+        ([[-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0, 0.0]),
+        # no block: -e_1 first, or +e_0
+        ([[0.0, -1.0], [-1.0, 0.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]),
+        # more columns than rows: the block covers the first columns
+        ([[-1.0, 0.0, 0.0]], [-0.0]),
+    ])
+    def test_values_match_rowwise_dot(self, A, b):
+        # whatever leading block of -e_k rows is found, every value is the
+        # per-row dot A[j] . x - b[j], signed zeros included
+        cs = LinearConstraints(np.array(A), np.array(b))
+        d = len(A[0])
+        X = np.random.default_rng(d).choice(
+            [0.0, -0.0, 1.0, -1.0, 0.3, -1e-300], size=(200, d))
+        expected = np.array([[float(np.array(r) @ x) - bj for r, bj in zip(A, b)]
+                             for x in X])
+        got = cs.values(X)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        for x, row in zip(X, got):
+            assert np.array_equal(cs.values(x), row)
 
     @pytest.mark.parametrize("A,b", [(np.zeros((0, 2)), np.zeros(0)),
                                      (np.eye(2), np.zeros(3)),
