@@ -6,8 +6,8 @@ A run produces, under the configured output directory:
   - an aggregate CSV (mean and stddev across seeds per checkpoint),
   - a JSON manifest echoing the resolved config, derived constants,
     condition-check report, rate exponents, bound compliance and, per
-    checkpoint, the offline solver's iterations and whether it met its
-    tolerance; per seed also the clipped violation sum_t [g(x_t)]_+ and the
+    checkpoint, the offline solver's iterations, whether it met its
+    tolerance and its final gradient-mapping norm; per seed also the clipped violation sum_t [g(x_t)]_+ and the
     largest dual iterate with its round.
 """
 
@@ -146,6 +146,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     sums = schedule_sums(schedule, cfg.T) if params else None
     pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())
                    if isinstance(v, (str, int, float)))
+    run_key = offline.cache_key(cfg.problem)
 
     compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
     loss_cols, g_cols, first_nonpositive = [], [], []
@@ -154,7 +155,8 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         solutions = {
             t: offline.solve_offline_cached(
                 problem, t, cache_dir,
-                problem_id=f"{pid}_seed{seed}".replace(os.sep, "-"), j=j)
+                problem_id=f"{pid}_seed{seed}".replace(os.sep, "-"),
+                key=run_key, j=j)
             for t in checkpoints
         }
         report = metrics.accumulate(trace, solutions, problem, params, j)
@@ -170,7 +172,8 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         compliance[key] = (asdict(metrics.bound_compliance(report))
                            if params else None)
         solves[key] = [{"t": t, "iterations": sol.iterations,
-                        "tolerance_met": sol.tolerance_met}
+                        "tolerance_met": sol.tolerance_met,
+                        "mapping_norm": sol.mapping_norm}
                        for t, sol in solutions.items()]
         g, lam = trace.g[:, j], trace.lam[:, j]
         # signed sums can hide violated rounds behind slack ones

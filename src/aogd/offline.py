@@ -2,16 +2,21 @@
 
 The online learner never projects onto the feasible set; these projections
 exist only to compute the comparator x* = argmin over the feasible set of
-the average loss on a stream prefix, by projected gradient descent with
-backtracking. Birkhoff-polytope projection uses Dykstra's alternating
-projections (plain alternating projection would converge to a feasible
-point, not the Euclidean projection); the elastic-net ball projection
-has a closed form in the KKT multiplier once its support is known.
+the average loss on a stream prefix, by accelerated projected gradient
+(FISTA momentum with gradient restart) with backtracking. Birkhoff-polytope
+projection uses Dykstra's alternating projections (plain alternating
+projection would converge to a feasible point, not the Euclidean
+projection); the elastic-net ball projection has a closed form in the KKT
+multiplier once its support is known. Solutions are cached on disk under a
+key over the problem spec, the dataset's bytes, the stream, t and the
+solver's settings, so that a stale file is re-solved.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -25,11 +30,15 @@ class OfflineSolution:
     objective: float
     iterations: int
     tolerance_met: bool
+    mapping_norm: float  # the gradient-mapping norm of the last iteration
 
 
 _BIRKHOFF_TOL = 1e-10
 _BIRKHOFF_MAX_ITER = 10000
+_SOLVE_TOL = 1e-8
 _SOLVE_MAX_ITER = 5000
+# names the solver's arithmetic in cache keys; change it with the solver
+SOLVER_TAG = "pgd-fista-gradient-restart"
 
 
 def _project_doubly_stochastic_affine(X: np.ndarray) -> np.ndarray:
@@ -99,15 +108,18 @@ def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     return _soft_threshold(v, nu) / (1.0 + nu)
 
 
-def solve_offline(problem, t: int, tol: float = 1e-8,
+def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
                   j: int = 0) -> OfflineSolution:
     """Minimize the average loss of the first t rounds of seed j's stream
     over the feasible set.
 
-    Projected gradient descent with backtracking line search on the step
-    size; terminates when the gradient-mapping norm falls below tol, or
-    reports tolerance_met=False after _SOLVE_MAX_ITER iterations. The
-    problem must have its first t rounds materialized.
+    Accelerated projected gradient (FISTA momentum, Beck & Teboulle 2009)
+    with gradient restart (O'Donoghue & Candes 2015): each iteration takes a
+    projected step from the extrapolated point y, with backtracking on the
+    step size, and restarts the momentum when the step turns against the
+    previous move. Terminates when the gradient-mapping norm at y falls
+    below tol, or reports tolerance_met=False after _SOLVE_MAX_ITER
+    iterations. The problem must have its first t rounds materialized.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -116,54 +128,89 @@ def solve_offline(problem, t: int, tol: float = 1e-8,
         total, grad = problem.loss_sum(t, x, j)
         return total / t, grad / t
 
-    x = problem.project_feasible(np.zeros(problem.dim))
-    step = 1.0
-    fx, gx = objective_grad(x)
+    x = y = problem.project_feasible(np.zeros(problem.dim))
+    fy, gy = objective_grad(y)
+    step, k = 1.0, 1.0
     for it in range(1, _SOLVE_MAX_ITER + 1):
-        # backtracking on the projected step
+        # backtracking on the projected step from y
         while True:
-            x_new = problem.project_feasible(x - step * gx)
-            diff = x_new - x
+            x_new = problem.project_feasible(y - step * gy)
+            diff = x_new - y
             f_new, g_new = objective_grad(x_new)
-            if f_new <= fx + gx @ diff + 0.5 / step * float(diff @ diff) + 1e-14:
+            if f_new <= fy + gy @ diff + 0.5 / step * float(diff @ diff) + 1e-14:
                 break
             step *= 0.5
             if step < 1e-14:
                 break
-        mapping_norm = float(np.linalg.norm(x_new - x)) / step
-        x, fx, gx = x_new, f_new, g_new
+        mapping_norm = float(np.linalg.norm(diff)) / step
         if mapping_norm < tol:
-            return OfflineSolution(x_star=x, objective=fx, iterations=it,
-                                   tolerance_met=True)
+            return OfflineSolution(x_star=x_new, objective=f_new,
+                                   iterations=it, tolerance_met=True,
+                                   mapping_norm=mapping_norm)
+        move = x_new - x
+        if float(diff @ move) < 0.0:  # (y - x_new).(x_new - x) > 0: restart
+            k = 1.0
+        k_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * k * k))
+        momentum = (k - 1.0) / k_next
+        if momentum == 0.0:  # y is x_new, whose value and gradient are known
+            y, fy, gy = x_new, f_new, g_new
+        else:
+            y = x_new + momentum * move
+            fy, gy = objective_grad(y)
+        x, k = x_new, k_next
         step = min(step * 2.0, 1.0)
-    return OfflineSolution(x_star=x, objective=fx, iterations=_SOLVE_MAX_ITER,
-                           tolerance_met=False)
+    return OfflineSolution(x_star=x_new, objective=f_new,
+                           iterations=_SOLVE_MAX_ITER, tolerance_met=False,
+                           mapping_norm=mapping_norm)
+
+
+def cache_key(spec: dict) -> str:
+    """Digest of what a cached comparator depends on besides its stream and
+    t: the problem spec, with the sha256 of the dataset file's bytes in
+    place of its path, and the solver's tolerance, iteration cap and tag.
+    Computed once per run; `solve_offline_cached` folds in the stream and t.
+    """
+    spec = dict(spec)
+    if "dataset" in spec:
+        with open(spec["dataset"], "rb") as fh:
+            spec["dataset"] = hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(json.dumps(
+        {"problem": spec, "tol": _SOLVE_TOL, "max_iter": _SOLVE_MAX_ITER,
+         "solver": SOLVER_TAG}, sort_keys=True).encode()).hexdigest()
 
 
 def solve_offline_cached(problem, t: int, cache_dir: str, problem_id: str,
-                         j: int = 0) -> OfflineSolution:
+                         key: str, j: int = 0) -> OfflineSolution:
     """Disk-cached solve_offline of seed j at its default tolerance; writes
-    via atomic rename. `problem_id` names seed j's stream."""
+    via atomic rename. `problem_id` names seed j's stream and `key` is the
+    run's `cache_key`. A file whose stored key differs is re-solved and
+    overwritten."""
     path = os.path.join(cache_dir, f"{problem_id}_t{t}.json")
+    file_key = hashlib.sha256(
+        f"{key} {problem_id} t={t}".encode()).hexdigest()
     if os.path.exists(path):
         with open(path) as fh:
             data = json.load(fh)
-        return OfflineSolution(
-            x_star=np.asarray(data["x_star"]),
-            objective=data["objective"],
-            iterations=data["iterations"],
-            tolerance_met=data["tolerance_met"],
-        )
+        if data.get("key") == file_key:
+            return OfflineSolution(
+                x_star=np.asarray(data["x_star"]),
+                objective=data["objective"],
+                iterations=data["iterations"],
+                tolerance_met=data["tolerance_met"],
+                mapping_norm=data["mapping_norm"],
+            )
     sol = solve_offline(problem, t, j=j)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump({
+                "key": file_key,
                 "x_star": sol.x_star.tolist(),
                 "objective": sol.objective,
                 "iterations": sol.iterations,
                 "tolerance_met": sol.tolerance_met,
+                "mapping_norm": sol.mapping_norm,
             }, fh)
         os.replace(tmp, path)
     finally:

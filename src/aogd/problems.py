@@ -64,21 +64,32 @@ def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
     return stream[:t]
 
 
+# rows per shuffled block of permutation_stream
+_SHUFFLE_ROWS = 256
+
+
 def permutation_stream(p: int, seeds, T: int) -> np.ndarray:
     """T uniformly random p x p permutation matrices per seed, (S, T, p, p);
     row j is drawn from its own generator, deterministic in seeds[j]."""
     if p < 2:
         raise ValueError("p must be >= 2")
     out = np.empty((len(seeds), T, p, p))
-    # the smallest integer type that holds 0..p-1: the shuffle draws the
-    # same swaps whatever the item type, and no (T, p) index array is made
+    # columns are kept in the smallest integer type that holds 0..p-1, but
+    # shuffled in intp blocks: numpy's shuffle is fast only for intp-sized
+    # items, draws the same swaps whatever the item type, and no (T, p)
+    # intp array is made
     k = np.arange(p, dtype=np.min_scalar_type(p - 1))
     cols = np.empty((T, p), dtype=k.dtype)
+    block = np.empty((min(T, _SHUFFLE_ROWS), p), dtype=np.intp)
     for ys, seed in zip(out, seeds):
-        cols[:] = k
-        # one shuffle per row draws the same stream as T calls to
-        # permutation(p)
-        np.random.default_rng(seed).permuted(cols, axis=1, out=cols)
+        rng = np.random.default_rng(seed)
+        for start in range(0, T, _SHUFFLE_ROWS):
+            rows = block[:T - start]
+            rows[:] = k
+            # one shuffle per row, block after block, draws the same stream
+            # as T calls to permutation(p)
+            rng.permuted(rows, axis=1, out=rows)
+            cols[start:start + len(rows)] = rows
         # Y[t, i, j] = 1 where j is row i's column, written in place
         np.equal(cols[:, :, None], k, out=ys, casting="unsafe")
     return out

@@ -1,0 +1,47 @@
+"""Reference oracle for the offline comparator: plain projected gradient.
+
+`offline.solve_offline` adds FISTA momentum with gradient restart to this
+loop; the tests compare the two. The oracle keeps the same backtracking
+test, step doubling capped at 1 and stopping rule, and takes each step
+from the last iterate.
+"""
+
+import numpy as np
+
+from aogd.offline import _SOLVE_MAX_ITER, _SOLVE_TOL, OfflineSolution
+
+
+def solve_offline_pgd(problem, t: int, tol: float = _SOLVE_TOL,
+                      j: int = 0) -> OfflineSolution:
+    """Projected gradient descent with backtracking for the average loss of
+    the first t rounds of seed j's stream over the feasible set."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+
+    def objective_grad(x):
+        total, grad = problem.loss_sum(t, x, j)
+        return total / t, grad / t
+
+    x = problem.project_feasible(np.zeros(problem.dim))
+    step = 1.0
+    fx, gx = objective_grad(x)
+    for it in range(1, _SOLVE_MAX_ITER + 1):
+        # backtracking on the projected step
+        while True:
+            x_new = problem.project_feasible(x - step * gx)
+            diff = x_new - x
+            f_new, g_new = objective_grad(x_new)
+            if f_new <= fx + gx @ diff + 0.5 / step * float(diff @ diff) + 1e-14:
+                break
+            step *= 0.5
+            if step < 1e-14:
+                break
+        mapping_norm = float(np.linalg.norm(x_new - x)) / step
+        x, fx, gx = x_new, f_new, g_new
+        if mapping_norm < tol:
+            return OfflineSolution(x_star=x, objective=fx, iterations=it,
+                                   tolerance_met=True,
+                                   mapping_norm=mapping_norm)
+        step = min(step * 2.0, 1.0)
+    return OfflineSolution(x_star=x, objective=fx, iterations=_SOLVE_MAX_ITER,
+                           tolerance_met=False, mapping_norm=mapping_norm)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aogd.cli import main
-from aogd import learner
+from aogd import learner, offline
 from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
                              compare_runs, run_experiment)
 from aogd.metrics import fit_rate_exponent
@@ -153,8 +153,39 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["offline_converged"] is False
         assert manifest["offline"]["2"][-1] == {
-            "t": t, "iterations": cached["iterations"], "tolerance_met": False}
+            "t": t, "iterations": cached["iterations"], "tolerance_met": False,
+            "mapping_norm": cached["mapping_norm"]}
         assert all(s["tolerance_met"] for s in manifest["offline"]["1"])
+
+    def test_edited_dataset_is_resolved(self, tmp_path, monkeypatch):
+        data = write_elasticnet_dataset(tmp_path)
+        _, cfg = write_config(
+            tmp_path, seeds=[3], T=40,
+            problem={"kind": "elasticnet", "dataset": data, "rho": 0.5})
+        solved = []
+        solve = offline.solve_offline
+        monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
+            solved.append(args[1]) or solve(*args, **kwargs)))
+        out = tmp_path / "out"
+
+        run_experiment(ExperimentConfig(**cfg))
+        checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
+        assert solved == checkpoints
+        run_experiment(ExperimentConfig(**cfg))  # the same bytes: all cached
+        assert solved == checkpoints
+
+        # the same path and size, one label flipped
+        with open(data) as fh:
+            text = fh.read()
+        with open(data, "w") as fh:
+            fh.write(("-" if text[0] == "+" else "+") + text[1:])
+        run_experiment(ExperimentConfig(**cfg))
+        assert solved == 2 * checkpoints
+        problem = build_problem(ExperimentConfig(**cfg)).materialize(40, [3])
+        t = checkpoints[-1]
+        (path,) = (out / "offline_cache").glob(f"*_seed3_t{t}.json")
+        assert (json.loads(path.read_text())["x_star"]
+                == solve(problem, t).x_star.tolist())
 
     def test_violation_and_max_lambda_recorded(self, tmp_path):
         # elastic net has slack rounds (g < 0) that the signed sum nets out

@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from aogd import offline
 from aogd.offline import (elasticnet_value, project_birkhoff,
                           project_elasticnet_ball, solve_offline,
                           solve_offline_cached)
 from aogd.problems import DsmProblem, ElasticNetProblem
+from pgd_oracle import solve_offline_pgd
 
 
 def birkhoff_2x2_oracle(A):
@@ -246,11 +252,64 @@ class TestSolveOffline:
             solve_offline(prob, 0)
 
 
+class TestSolveOfflineAgainstOracle:
+    """The accelerated solver against plain projected gradient."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(rho=st.floats(0.05, 5.0), t=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_elasticnet_objective_no_worse(self, rho, t, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 40, 5
+        u = rng.normal(size=(n, d))
+        y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
+        prob = ElasticNetProblem(y, u, rho=rho)
+        prob.materialize(t, [seed])
+        fast, ref = solve_offline(prob, t), solve_offline_pgd(prob, t)
+        assert fast.tolerance_met and ref.tolerance_met
+        assert fast.mapping_norm < 1e-8 and ref.mapping_norm < 1e-8
+        assert fast.objective <= ref.objective + 1e-12 * abs(ref.objective)
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_dsm_identical(self, p):
+        # the quadratic converges before the momentum coefficient leaves 0
+        prob = DsmProblem(p)
+        prob.materialize(300, [0, 5])
+        for j in (0, 1):
+            for t in (1, 2, 17, 300):
+                fast = solve_offline(prob, t, j=j)
+                ref = solve_offline_pgd(prob, t, j=j)
+                assert np.array_equal(fast.x_star, ref.x_star)
+                assert fast.objective == ref.objective
+                assert fast.iterations == ref.iterations
+                assert fast.mapping_norm == ref.mapping_norm
+
+    def test_criterion9_iterations_halved(self):
+        # acceptance criterion 9's data, rounded as its libsvm file is
+        rng = np.random.default_rng(7)
+        n, d = 500, 20
+        w = rng.normal(size=d)
+        w[6:] = 0.0
+        u = rng.normal(size=(n, d)) * 0.3
+        y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
+        prob = ElasticNetProblem(y, np.round(u, 6), rho=1.0)
+        prob.materialize(200, [0, 1])
+        fast = ref = 0
+        for j in (0, 1):
+            for t in (25, 100, 200):
+                a = solve_offline(prob, t, j=j)
+                b = solve_offline_pgd(prob, t, j=j)
+                assert a.tolerance_met and b.tolerance_met
+                fast, ref = fast + a.iterations, ref + b.iterations
+        assert 2 * fast <= ref
+
+
 class TestSolveOfflineCached:
     def test_cache_round_trip(self, tmp_path):
         prob = DsmProblem(3)
         prob.materialize(10, [4])
-        first = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4")
+        key = offline.cache_key({"kind": "dsm", "p": 3})
+        first = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", key)
         assert (tmp_path / "dsm_p3_s4_t10.json").exists()
 
         class Boom:
@@ -259,6 +318,32 @@ class TestSolveOfflineCached:
             def project_feasible(self, x):
                 raise AssertionError("cache should have been hit")
 
-        second = solve_offline_cached(Boom(), 10, str(tmp_path), "dsm_p3_s4")
+        second = solve_offline_cached(Boom(), 10, str(tmp_path), "dsm_p3_s4",
+                                      key)
         np.testing.assert_allclose(second.x_star, first.x_star)
         assert second.objective == first.objective
+        assert second.mapping_norm == first.mapping_norm < 1e-8
+
+    def test_other_solver_tag_is_resolved(self, tmp_path, monkeypatch):
+        prob = DsmProblem(3)
+        prob.materialize(10, [4])
+        spec = {"kind": "dsm", "p": 3}
+        path = tmp_path / "dsm_p3_s4_t10.json"
+        with monkeypatch.context() as m:
+            m.setattr(offline, "SOLVER_TAG", "another-solver")
+            stale_key = offline.cache_key(spec)
+            solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", stale_key)
+        # mark the other solver's file, so that returning it would show
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        objective=-1.0)))
+        key = offline.cache_key(spec)
+        assert key != stale_key
+
+        solves = []
+        monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
+            solves.append(args) or solve_offline(*args, **kwargs)))
+        sol = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", key)
+        assert len(solves) == 1 and sol.objective != -1.0
+        assert json.loads(path.read_text())["objective"] == sol.objective
+        solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", key)
+        assert len(solves) == 1  # the overwritten file now hits

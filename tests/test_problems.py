@@ -5,9 +5,10 @@ import pytest
 
 from aogd.learner import run
 from aogd.offline import project_birkhoff, project_elasticnet_ball
-from aogd.problems import (DsmProblem, ElasticNetBudget, ElasticNetProblem,
-                           dsm_constraints, dsm_loss_grad, elasticnet_constants,
-                           logloss_grad, permutation_stream)
+from aogd.problems import (_SHUFFLE_ROWS, DsmProblem, ElasticNetBudget,
+                           ElasticNetProblem, dsm_constraints, dsm_loss_grad,
+                           elasticnet_constants, logloss_grad,
+                           permutation_stream)
 from aogd.projections import g_max
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
@@ -311,7 +312,8 @@ def looped_permutation_stream(p, seed, T):
 
 class TestPermutationStream:
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
-    @pytest.mark.parametrize("T", [1, 7, 1000])
+    @pytest.mark.parametrize(
+        "T", [1, 7, 1000, 2 * _SHUFFLE_ROWS, 2 * _SHUFFLE_ROWS + 3])
     def test_matches_looped_draw(self, p, T):
         # the batched draw must reproduce the per-round stream of each seed
         # bit for bit, since recorded reference runs depend on it

@@ -5,9 +5,10 @@
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
 a checkout's root works too). The script runs a fixed matrix of 16 configs
 under both trees, each in a fresh output directory, and reports every seed
-CSV or `aggregate.csv` whose bytes differ and every manifest key whose value
-differs, with the echoed `config.output_dir` masked. For numbers it prints
-the relative difference. It exits 0 when all outputs match and 1 otherwise.
+CSV or `aggregate.csv` whose bytes differ (with the largest relative
+difference of its numbers) and every manifest key whose value differs, with
+the echoed `config.output_dir` masked. For numbers it prints the relative
+difference. It exits 0 when all outputs match and 1 otherwise.
 
 The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
 with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=16, T=2000, convex, 2 seeds;
@@ -139,6 +140,21 @@ def describe(a, b) -> str:
     return text
 
 
+def csv_difference(parent: str, change: str) -> str:
+    """The largest relative difference between the numbers of two CSVs of
+    one shape (NaN on both sides is a match; 0 against nonzero is inf)."""
+    a, b = (np.genfromtxt(p, delimiter=",", skip_header=1, ndmin=2)
+            for p in (parent, change))
+    if a.shape != b.shape:
+        return f" (shape {a.shape} -> {b.shape})"
+    if np.any(np.isnan(a) != np.isnan(b)):
+        return " (NaN in one tree only)"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(b - a) / np.abs(a)
+    rel[(a == b) | np.isnan(a)] = 0.0
+    return f" (max rel {float(np.max(rel)):.2e})"
+
+
 def read_manifest(out: str) -> dict:
     with open(os.path.join(out, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -157,7 +173,7 @@ def compare(name: str, parent_out: str, change_out: str) -> list[str]:
             continue
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             if a.read() != b.read():
-                diffs.append(f"{name}/{f}: bytes differ")
+                diffs.append(f"{name}/{f}: bytes differ{csv_difference(*paths)}")
     a = dict(flatten(read_manifest(parent_out)))
     b = dict(flatten(read_manifest(change_out)))
     for key in sorted(a.keys() | b.keys()):
