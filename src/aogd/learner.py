@@ -7,7 +7,8 @@ lambda^2 and a projected dual ascent step. Both updates use gradients
 evaluated at the old (x_t, lambda_t): the updates are simultaneous, not
 sequential. `run` plays the streams of S seeds in lockstep, so the state is
 the pair (X, lambda) of shapes (S, d) and (S,), one row per seed; it returns
-the whole run as one `Trace` of per-round columns.
+one `Trace` of the run's values at the checkpoints, so that its memory does
+not grow with T.
 """
 
 from __future__ import annotations
@@ -20,22 +21,88 @@ from .projections import g_max, project_ball, project_nonneg
 from .schedules import schedule_arrays
 
 
+# rounds per trace chunk: each round writes one row of (C, S) buffers, and
+# every C rounds the chunk is folded into the checkpoint columns
+_CHUNK_ROUNDS = 256
+
+
 @dataclass(frozen=True)
 class Trace:
-    """Per-round columns of one run, the ones its regret report reads;
-    entry t-1 is taken at the start of round t, before the update.
+    """What a run's outputs read, at K checkpoint rounds and per seed.
 
-    lam is the dual iterate, loss the loss at x_t and g the unshifted
-    constraint value for violation accounting, each (T, S) with column j
-    for the j-th seed; eta and theta are the (T,) schedule every seed
-    shares. The iterates x_t are not kept: they cost O(T S d) memory.
+    t (K,) are the checkpoints. Row k of loss_cum and g_cum holds each
+    seed's running sums f_1 + ... + f_t of the loss and g_1 + ... + g_t of
+    the unshifted constraint value, and row k of lam its dual iterate
+    lambda_t, for t = t[k]; each is (K, S) with column j for the j-th seed,
+    and per-round values are taken at the start of the round, before the
+    update. eta and theta (K,) are the schedule every seed shares.
+
+    Per seed (S,), over all T rounds: violation_clipped is sum_t [g_t]_+,
+    lam_max the largest lambda_t and lam_max_t the first t that reaches it,
+    and first_nonpositive_t the first t with g_1 + ... + g_t <= 0 (0 if
+    there is none). Every sum adds the rounds in order, so the sums are the
+    bits of np.cumsum over the per-round column. Nothing of size T is kept.
     """
 
+    t: np.ndarray
+    loss_cum: np.ndarray
+    g_cum: np.ndarray
     lam: np.ndarray
-    loss: np.ndarray
-    g: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
+    violation_clipped: np.ndarray
+    lam_max: np.ndarray
+    lam_max_t: np.ndarray
+    first_nonpositive_t: np.ndarray
+
+
+class _Chunks:
+    """The (C, S) per-round buffers of a run and the checkpoint columns and
+    per-seed values they are folded into."""
+
+    def __init__(self, checkpoints: np.ndarray, C: int, S: int, gamma: float):
+        self.checkpoints, self.gamma = checkpoints, gamma
+        K = len(checkpoints)
+        self.loss_cum, self.g_cum, self.lam = (np.empty((K, S)) for _ in range(3))
+        self.lams = np.empty((C, S))
+        # row 0 carries the sums of the rounds before the chunk; rows 1..n
+        # take each round's loss and g, and [g]_+ at the fold
+        self.sums = np.empty((C + 1, 3, S))
+        self.losses, self.gs = self.sums[1:, 0], self.sums[1:, 1]
+        self.lam_max = np.full(S, -np.inf)
+        self.lam_max_t = np.zeros(S, dtype=int)
+        self.first_nonpositive_t = np.zeros(S, dtype=int)
+
+    def fold(self, start: int, n: int):
+        """Fold rounds start + 1 .. start + n, held in the buffers' first n
+        rows."""
+        block, lams = self.sums[:n + 1], self.lams[:n]
+        g = block[1:, 1]
+        # (g + gamma) - gamma rather than g: the recorded value is rounded
+        # as the shifted constraint's arithmetic rounds it (+0.0 for -0.0)
+        g += self.gamma
+        g -= self.gamma
+        np.maximum(g, 0.0, out=block[1:, 2])
+        # the first chunk starts its sums at its first round, as np.cumsum
+        # does; later ones continue from the carry
+        sums = block if start else block[1:]
+        np.cumsum(sums, axis=0, out=sums)
+
+        lo, hi = np.searchsorted(self.checkpoints, [start + 1, start + n + 1])
+        rows = self.checkpoints[lo:hi] - start
+        self.loss_cum[lo:hi], self.g_cum[lo:hi] = block[rows, 0], block[rows, 1]
+        self.lam[lo:hi] = lams[rows - 1]
+
+        k = np.argmax(lams, axis=0)  # the first maximizer of each column
+        top = lams[k, np.arange(lams.shape[1])]
+        higher = top > self.lam_max
+        self.lam_max[higher] = top[higher]
+        self.lam_max_t[higher] = start + 1 + k[higher]
+        nonpos = block[1:, 1] <= 0.0
+        found = (self.first_nonpositive_t == 0) & nonpos.any(axis=0)
+        self.first_nonpositive_t[found] = (
+            start + 1 + np.argmax(nonpos[:, found], axis=0))
+        block[0] = block[n]
 
 
 def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
@@ -54,32 +121,46 @@ def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
             project_nonneg(lam + mu_t * (g_value - theta_t * lam)))
 
 
-def run(problem, schedule, T: int, seeds, gamma: float = 0.0) -> Trace:
+def run(problem, schedule, T: int, seeds, checkpoints,
+        gamma: float = 0.0) -> Trace:
     """Execute T rounds of the problem's stream of each of `seeds`, in
-    lockstep, and return their trace.
+    lockstep, and return their trace at `checkpoints`, strictly increasing
+    rounds in [1, T].
 
     Seed j's column is the run of that seed alone, bit for bit, and is
     deterministic given (problem, seeds[j], schedule, gamma). With gamma > 0
     the learner plays against the shifted constraint g + gamma: its dual
     update sees g + gamma with the dual step scaled as schedule_arrays does
-    for gamma, while the trace stores the unshifted g for violation
-    accounting. Raises ValueError for T < 1 or gamma < 0.
+    for gamma, while the trace sums the unshifted g for violation
+    accounting. Raises ValueError for T < 1, gamma < 0 or bad checkpoints.
     """
     theta, eta, mu = schedule_arrays(schedule, T, gamma)
+    ts = np.asarray(checkpoints, dtype=int)
+    if (ts.ndim != 1 or ts.size == 0 or ts[0] < 1 or ts[-1] > T
+            or np.any(np.diff(ts) <= 0)):
+        raise ValueError(f"checkpoints must be strictly increasing rounds in [1, {T}]")
     problem.materialize(T, seeds)
     R = problem.constants.R
     cs = problem.constraints
     S = len(seeds)
-    lams, losses, gs = np.empty((T, S)), np.empty((T, S)), np.empty((T, S))
+    C = min(T, _CHUNK_ROUNDS)
+    chunks = _Chunks(ts, C, S, gamma)
+    lams, losses, gs = chunks.lams, chunks.losses, chunks.gs
     X, lam = np.zeros((S, problem.dim)), np.zeros(S)
-    for t, (eta_t, mu_t, theta_t) in enumerate(zip(eta, mu, theta), start=1):
-        f_val, f_grad = problem.loss(t, X)
-        g_val, idx = g_max(cs, X)
-        lams[t - 1], losses[t - 1], gs[t - 1] = lam, f_val, g_val
-        X, lam = step(X, lam, t, f_grad, g_val + gamma, cs.subgradient(X, idx),
-                      eta_t, mu_t, theta_t, R)
-    # (g + gamma) - gamma rather than g: the recorded value is rounded as
-    # the shifted constraint's arithmetic rounds it (+0.0 for -0.0, too)
-    gs += gamma
-    gs -= gamma
-    return Trace(lam=lams, loss=losses, g=gs, eta=eta, theta=theta)
+    for start in range(0, T, C):
+        stop = min(start + C, T)
+        for i, (eta_t, mu_t, theta_t) in enumerate(
+                zip(eta[start:stop], mu[start:stop], theta[start:stop])):
+            t = start + i + 1
+            f_val, f_grad = problem.loss(t, X)
+            g_val, idx = g_max(cs, X)
+            lams[i], losses[i], gs[i] = lam, f_val, g_val
+            X, lam = step(X, lam, t, f_grad, g_val + gamma,
+                          cs.subgradient(X, idx), eta_t, mu_t, theta_t, R)
+        chunks.fold(start, stop - start)
+    return Trace(t=ts, loss_cum=chunks.loss_cum, g_cum=chunks.g_cum,
+                 lam=chunks.lam, eta=eta[ts - 1], theta=theta[ts - 1],
+                 violation_clipped=chunks.sums[0, 2].copy(),
+                 lam_max=chunks.lam_max,
+                 lam_max_t=chunks.lam_max_t,
+                 first_nonpositive_t=chunks.first_nonpositive_t)

@@ -52,33 +52,33 @@ def accumulate(trace: Trace,
                j: int = 0) -> RegretReport:
     """Build the per-checkpoint regret report of the run's j-th seed.
 
-    `offline` maps each checkpoint t to the optimum of the first t rounds of
-    that seed's stream.
+    `offline` maps checkpoints t of the trace to the optimum of the first t
+    rounds of that seed's stream.
     Theoretical bound columns are filled when adaptive schedule params are
     given, otherwise NaN (fixed-schedule baselines carry no closed form).
     """
     if not offline:
         raise ValueError("offline map must cover at least one checkpoint")
-    ts = sorted(offline)
-    outside = [t for t in ts if not 1 <= t <= len(trace.loss)]
-    if outside:
-        raise ValueError(f"checkpoint t={outside[0]} outside the recorded rounds")
-    t = np.array(ts)
+    t = np.array(sorted(offline))
+    missing = t[~np.isin(t, trace.t)]
+    if missing.size:
+        raise ValueError(f"checkpoint t={missing[0]} is not a checkpoint of the trace")
+    rows = np.searchsorted(trace.t, t)
     # one prefix solve per checkpoint, so one loss_sum per x_star
     offline_cum = np.array([problem.loss_sum(k, offline[k].x_star, j)[0]
-                            for k in ts])
+                            for k in t.tolist()])
     loss_bound, constraint_bound = (
         (loss_regret_bound(params, t), constraint_regret_bound(params, t))
-        if params else np.full((2, len(ts)), np.nan))
+        if params else np.full((2, len(t)), np.nan))
     return RegretReport(
         t=t,
-        loss_regret=np.cumsum(trace.loss[:, j])[t - 1] - offline_cum,
-        constraint_cum=np.cumsum(trace.g[:, j])[t - 1],
+        loss_regret=trace.loss_cum[rows, j] - offline_cum,
+        constraint_cum=trace.g_cum[rows, j],
         loss_bound=loss_bound,
         constraint_bound=constraint_bound,
-        lam=trace.lam[t - 1, j],
-        eta=trace.eta[t - 1],
-        theta=trace.theta[t - 1],
+        lam=trace.lam[rows, j],
+        eta=trace.eta[rows],
+        theta=trace.theta[rows],
     )
 
 

@@ -8,12 +8,14 @@ projection uses Dykstra's alternating projections (plain alternating
 projection would converge to a feasible point, not the Euclidean
 projection); the elastic-net ball projection has a closed form in the KKT
 multiplier once its support is known. Solutions are cached on disk under a
-key over the problem spec, the dataset's bytes, the stream, t and the
-solver's settings, so that a stale file is re-solved.
+key over the problem spec, the dataset's bytes, the stream, t, the
+solver's settings and the source of the code that computes them, so that a
+stale file is re-solved.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -37,8 +39,9 @@ _BIRKHOFF_TOL = 1e-10
 _BIRKHOFF_MAX_ITER = 10000
 _SOLVE_TOL = 1e-8
 _SOLVE_MAX_ITER = 5000
-# names the solver's arithmetic in cache keys; change it with the solver
-SOLVER_TAG = "pgd-fista-gradient-restart"
+# the modules whose source a cached comparator depends on: the solver and
+# projections, the problems' loss sums and the dataset reader
+_KEYED_SOURCES = ("offline.py", "problems.py", "ingest.py")
 
 
 def _project_doubly_stochastic_affine(X: np.ndarray) -> np.ndarray:
@@ -164,11 +167,23 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
                            mapping_norm=mapping_norm)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the source files of the modules in _KEYED_SOURCES, read
+    once per process."""
+    digest = hashlib.sha256()
+    for name in _KEYED_SOURCES:
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def cache_key(spec: dict) -> str:
     """Digest of what a cached comparator depends on besides its stream and
     t: the problem spec, with the sha256 of the dataset file's bytes in
-    place of its path, and the solver's tolerance, iteration cap and tag.
-    Computed once per run; `solve_offline_cached` folds in the stream and t.
+    place of its path, the solver's tolerance and iteration cap, and the
+    source of the code that computes it (`_source_digest`). Computed once
+    per run; `solve_offline_cached` folds in the stream and t.
     """
     spec = dict(spec)
     if "dataset" in spec:
@@ -176,7 +191,7 @@ def cache_key(spec: dict) -> str:
             spec["dataset"] = hashlib.sha256(fh.read()).hexdigest()
     return hashlib.sha256(json.dumps(
         {"problem": spec, "tol": _SOLVE_TOL, "max_iter": _SOLVE_MAX_ITER,
-         "solver": SOLVER_TAG}, sort_keys=True).encode()).hexdigest()
+         "source": _source_digest()}, sort_keys=True).encode()).hexdigest()
 
 
 def solve_offline_cached(problem, t: int, cache_dir: str, problem_id: str,

@@ -64,34 +64,35 @@ def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
     return stream[:t]
 
 
-# rows per shuffled block of permutation_stream
-_SHUFFLE_ROWS = 256
+# rows per shuffled block of permutation_stream, and rounds per refill of
+# DsmProblem's matrix buffer
+_CHUNK_ROWS = 256
+# rounds per np.bincount of DsmProblem.loss_sum, which bounds its (rows, p)
+# intp temporary
+_COUNT_ROWS = 1 << 16
 
 
 def permutation_stream(p: int, seeds, T: int) -> np.ndarray:
-    """T uniformly random p x p permutation matrices per seed, (S, T, p, p);
-    row j is drawn from its own generator, deterministic in seeds[j]."""
+    """T uniformly random p x p permutation matrices per seed as column
+    codes, (S, T, p) in the smallest unsigned type that holds p - 1: entry
+    (j, t, i) is the column of the one in row i of seed j's Y_{t+1}. Row j
+    is drawn from its own generator, deterministic in seeds[j]."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    out = np.empty((len(seeds), T, p, p))
-    # columns are kept in the smallest integer type that holds 0..p-1, but
-    # shuffled in intp blocks: numpy's shuffle is fast only for intp-sized
-    # items, draws the same swaps whatever the item type, and no (T, p)
-    # intp array is made
     k = np.arange(p, dtype=np.min_scalar_type(p - 1))
-    cols = np.empty((T, p), dtype=k.dtype)
-    block = np.empty((min(T, _SHUFFLE_ROWS), p), dtype=np.intp)
-    for ys, seed in zip(out, seeds):
+    out = np.empty((len(seeds), T, p), dtype=k.dtype)
+    # shuffled in intp blocks: numpy's shuffle is fast only for intp-sized
+    # items and draws the same swaps whatever the item type
+    block = np.empty((min(T, _CHUNK_ROWS), p), dtype=np.intp)
+    for cols, seed in zip(out, seeds):
         rng = np.random.default_rng(seed)
-        for start in range(0, T, _SHUFFLE_ROWS):
+        for start in range(0, T, _CHUNK_ROWS):
             rows = block[:T - start]
             rows[:] = k
             # one shuffle per row, block after block, draws the same stream
             # as T calls to permutation(p)
             rng.permuted(rows, axis=1, out=rows)
             cols[start:start + len(rows)] = rows
-        # Y[t, i, j] = 1 where j is row i's column, written in place
-        np.equal(cols[:, :, None], k, out=ys, casting="unsafe")
     return out
 
 
@@ -102,6 +103,10 @@ class DsmProblem:
     matrices; iterates are flattened p x p matrices. Derived constants:
     R = sqrt(p), G = 2R, D = R, sigma = 1; F is the loss range bound
     0.5 * (sqrt(p) + R)^2 over the enclosing ball.
+
+    The stream is held as permutation_stream's column codes, p bytes per
+    round and seed; `loss` expands the 0/1 matrices of _CHUNK_ROWS rounds at
+    a time into one reused buffer, and `loss_sum` counts codes.
     """
 
     def __init__(self, p: int):
@@ -114,25 +119,38 @@ class DsmProblem:
             R=R, G=2.0 * R, D=R, F=0.5 * (np.sqrt(p) + R) ** 2, sigma=1.0
         )
         self.constraints = dsm_constraints(p)
-        self._ys = None
+        self._row_starts = np.arange(0, self.dim, p)
+        self._codes = None
+        # the matrices of rounds _ys_start + 1 .. _ys_stop, (S, C, p, p)
+        self._ys, self._ys_start, self._ys_stop = None, 0, 0
 
     def materialize(self, T: int, seeds):
         """Draw the first T rounds of the stream of each of `seeds`."""
-        self._ys = None  # a re-materialized problem never holds two sets
-        self._ys = permutation_stream(self.p, seeds, T)
+        self._codes = self._ys = None  # never two sets alive at once
+        self._ys_start = self._ys_stop = 0
+        self._codes = permutation_stream(self.p, seeds, T)
+        self._ys = np.empty((len(seeds), min(T, _CHUNK_ROWS), self.p, self.p))
         return self
 
     @property
     def stream(self) -> np.ndarray:
-        """The materialized streams, (S, T, p, p)."""
-        if self._ys is None:
+        """The materialized streams as column codes, (S, T, p)."""
+        if self._codes is None:
             raise RuntimeError("call materialize(T, seeds) before accessing the stream")
-        return self._ys
+        return self._codes
 
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
         X (S, d), iterates flattened; t is 1-indexed."""
-        values, grads = dsm_loss_grad(self.stream[:, t - 1],
+        if not self._ys_start < t <= self._ys_stop:
+            _prefix(self.stream[0], t)  # a t outside the stream raises
+            start = (t - 1) - (t - 1) % _CHUNK_ROWS
+            codes = self.stream[:, start:start + _CHUNK_ROWS]
+            # Y[j, r, i, k] = 1 where k is row i's column, written in place
+            np.equal(codes[..., None], np.arange(self.p, dtype=codes.dtype),
+                     out=self._ys[:, :codes.shape[1]], casting="unsafe")
+            self._ys_start, self._ys_stop = start, start + codes.shape[1]
+        values, grads = dsm_loss_grad(self._ys[:, t - 1 - self._ys_start],
                                       X.reshape(-1, self.p, self.p))
         return values, grads.reshape(X.shape)
 
@@ -140,12 +158,18 @@ class DsmProblem:
         """Value and gradient of f_1 + ... + f_t of seed j at x (flattened).
 
         With S = sum of the Y_s and Q = sum of their squared norms, the sum
-        is 0.5 t ||x||^2 - x.S + 0.5 Q and its gradient t x - S.
+        is 0.5 t ||x||^2 - x.S + 0.5 Q and its gradient t x - S. S counts
+        how often each row's one falls in each column, and Q = t p: both are
+        integers, so exact in float64 whatever the order of summation.
         """
-        Ys = _prefix(self.stream[j], t).reshape(t, self.dim)
-        S = Ys.sum(axis=0)
-        Q = float(np.vdot(Ys, Ys))
-        return 0.5 * t * float(x @ x) - float(x @ S) + 0.5 * Q, t * x - S
+        codes = _prefix(self.stream[j], t)
+        S = np.zeros(self.dim)
+        for start in range(0, t, _COUNT_ROWS):
+            # flat index i p + codes[s, i] of the one in row i of Y_s
+            flat = codes[start:start + _COUNT_ROWS] + self._row_starts
+            S += np.bincount(flat.ravel(), minlength=self.dim)
+        return (0.5 * t * float(x @ x) - float(x @ S) + 0.5 * float(t * self.p),
+                t * x - S)
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
         return project_birkhoff(x.reshape(self.p, self.p)).ravel()
@@ -224,15 +248,18 @@ class ElasticNetProblem:
         self.constants = elasticnet_constants(rho, features)
         self.constraints = ElasticNetBudget(self.rho)
         self._order = None
+        self._prefix_rows = None  # (j, t, U, y) of the last loss_sum
 
     def materialize(self, T: int, seeds):
         """Draw the example order of the first T rounds of each of `seeds`'
         streams."""
-        order = np.empty((len(seeds), T), dtype=np.int64)
+        n = self.labels.shape[0]
+        # drawn in int64 (a smaller dtype draws other numbers) and stored in
+        # the smallest type that holds n - 1
+        order = np.empty((len(seeds), T), dtype=np.min_scalar_type(n - 1))
         for row, seed in zip(order, seeds):
-            row[:] = np.random.default_rng(seed).integers(
-                0, self.labels.shape[0], size=T)
-        self._order = order
+            row[:] = np.random.default_rng(seed).integers(0, n, size=T)
+        self._order, self._prefix_rows = order, None
         return self
 
     @property
@@ -245,13 +272,19 @@ class ElasticNetProblem:
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
         X (S, d); t is 1-indexed."""
-        i = self.stream[:, t - 1]
+        i = self.stream[:, t - 1].astype(np.intp)  # one cast for two gathers
         return logloss_grad(self.labels[i], self.features[i], X)
 
     def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
-        """Value and gradient of f_1 + ... + f_t of seed j at x."""
-        idx = _prefix(self.stream[j], t)
-        U, y = self.features[idx], self.labels[idx]
+        """Value and gradient of f_1 + ... + f_t of seed j at x.
+
+        The prefix's examples are gathered once for a run of calls with the
+        same (j, t), as an offline solve makes them.
+        """
+        if self._prefix_rows is None or self._prefix_rows[:2] != (j, t):
+            idx = _prefix(self.stream[j], t)
+            self._prefix_rows = (j, t, self.features[idx], self.labels[idx])
+        _, _, U, y = self._prefix_rows
         margin = y * (U @ x)
         value = float(np.sum(np.logaddexp(0.0, -margin)))
         return value, -(y * expit(-margin)) @ U

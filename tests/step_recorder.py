@@ -1,11 +1,16 @@
-"""Read a run's primal iterates through the hook the benchmark also wraps.
+"""Read a run's per-round values through the hooks the benchmark also wraps.
 
-`learner.run` keeps no iterate column; each round's iterates X_t, one row
-per seed, are the first argument of that round's `learner.step` call. A context manager rather than a
-pytest fixture, so that `hypothesis` tests can use it too.
+`learner.run` keeps no per-round column; each round's iterates X_t, dual
+iterates lambda_t and shifted constraint values g_t + gamma, one row per
+seed, are arguments of that round's `learner.step` call, and its losses are
+what `problem.loss` returns. Context managers rather than pytest fixtures,
+so that `hypothesis` tests can use them too.
 """
 
 from contextlib import contextmanager
+from types import SimpleNamespace
+
+import numpy as np
 
 from aogd import learner
 
@@ -27,3 +32,33 @@ def recorded_iterates():
         yield xs
     finally:
         learner.step = original
+
+
+@contextmanager
+def recorded_rounds(problem, gamma: float = 0.0):
+    """Record one run of `problem` round by round. On exit the namespace
+    holds the arrays x (T, S, d) and lam, loss and g (T, S): row t-1 has
+    X_t, lambda_t, f_t(x_t) and the unshifted g_t, rounded as the trace
+    rounds it, (g_t + gamma) - gamma. Restores `step` and `problem.loss`."""
+    rounds = SimpleNamespace(x=[], lam=[], loss=[], g=[])
+    step, loss = learner.step, problem.loss
+
+    def recording_step(x, lam, t, f_grad, g_value, *args):
+        rounds.x.append(x.copy())
+        rounds.lam.append(lam.copy())
+        rounds.g.append(g_value - gamma)
+        return step(x, lam, t, f_grad, g_value, *args)
+
+    def recording_loss(t, X):
+        values, grads = loss(t, X)
+        rounds.loss.append(values.copy())
+        return values, grads
+
+    learner.step, problem.loss = recording_step, recording_loss
+    try:
+        yield rounds
+    finally:
+        learner.step = step
+        del problem.loss
+        for name, column in vars(rounds).items():
+            setattr(rounds, name, np.array(column))

@@ -23,6 +23,7 @@ from aogd.projections import g_max
 from aogd.schedules import (ProblemConstants, Regime, ScheduleParams,
                             check_conditions, constraint_regret_bound,
                             loss_regret_bound, schedule_arrays, schedule_sums)
+from dsm_stream_oracle import stream_matrices
 from step_recorder import recorded_iterates
 
 BETA = 2.0 / 3.0
@@ -44,7 +45,8 @@ def theorem1_runs():
         params = ScheduleParams(beta=BETA, regime=Regime.CONVEX,
                                 constants=prob.constants)
         with recorded_iterates() as xs:
-            trace = run(prob, params, T=1000, seeds=[seed])
+            trace = run(prob, params, T=1000, seeds=[seed],
+                        checkpoints=range(1, 1001))
         offline = {t: solve_offline(prob, t) for t in grid}
         report = accumulate(trace, offline, prob, params)
         runs.append((prob, params, trace, report, np.array(xs)))
@@ -205,7 +207,8 @@ def test_criterion_6_oracle_equivalence():
     prob.materialize(100, [0])
     for t in (1, 10, 100):
         sol = solve_offline(prob, t)
-        mean = np.mean([Y.ravel() for Y in prob.stream[0, :t]], axis=0)
+        mean = np.mean([Y.ravel() for Y in stream_matrices(prob.stream[0, :t])],
+                       axis=0)
         ok &= float(np.abs(sol.x_star - mean).max()) <= 1e-6
     report_line(6, "birkhoff 2x2, elastic-net grid search, dsm mean", ok)
     assert ok

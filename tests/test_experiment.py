@@ -9,6 +9,7 @@ from aogd import learner, offline
 from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
                              compare_runs, run_experiment)
 from aogd.metrics import fit_rate_exponent
+from step_recorder import recorded_rounds
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -144,18 +145,21 @@ class TestRunExperiment:
             assert all(s["tolerance_met"] and s["iterations"] >= 1
                        for s in solves)
 
-        # a cached solve that missed its tolerance shows on the next run
+        # a cached solve that missed its tolerance fails the next run, and
+        # no regret is written against it
         t = manifest["checkpoints"][-1]
         (path,) = (out / "offline_cache").glob(f"*_seed2_t{t}.json")
         cached = json.loads(path.read_text())
         path.write_text(json.dumps(dict(cached, tolerance_met=False)))
-        run_experiment(ExperimentConfig(**cfg))
+        for csv_path in out.glob("*.csv"):
+            csv_path.unlink()
+        with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
+            run_experiment(ExperimentConfig(**cfg))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["offline_converged"] is False
-        assert manifest["offline"]["2"][-1] == {
-            "t": t, "iterations": cached["iterations"], "tolerance_met": False,
-            "mapping_norm": cached["mapping_norm"]}
-        assert all(s["tolerance_met"] for s in manifest["offline"]["1"])
+        assert manifest["status"] == "failed"
+        assert f"seed 2 at t={t}" in manifest["error"]
+        assert not (out / "seed_2.csv").exists()
+        assert not (out / "aggregate.csv").exists()
 
     def test_edited_dataset_is_resolved(self, tmp_path, monkeypatch):
         data = write_elasticnet_dataset(tmp_path)
@@ -200,9 +204,10 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         problem = build_problem(config)
         schedule = build_schedule(config, problem.constants)
-        trace = learner.run(problem, schedule, config.T, [3, 4])
+        with recorded_rounds(problem) as rounds:
+            learner.run(problem, schedule, config.T, [3, 4], [config.T])
         for j, seed in enumerate((3, 4)):
-            g, lam = trace.g[:, j], trace.lam[:, j]
+            g, lam = rounds.g[:, j], rounds.lam[:, j]
             clipped = manifest["violation_clipped"][str(seed)]
             assert clipped == pytest.approx(np.maximum(g, 0.0).sum(), rel=1e-12)
             k = int(np.argmax(lam))
@@ -218,12 +223,17 @@ class TestRunExperiment:
             tmp_path, seeds=[3], T=80,
             problem={"kind": "elasticnet", "dataset": data, "rho": 50.0})
         config = ExperimentConfig(**cfg)
-        run_experiment(config)
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         problem = build_problem(config)
         schedule = build_schedule(config, problem.constants)
-        assert not np.any(learner.run(problem, schedule, config.T, [3]).lam)
-        assert manifest["max_lambda"]["3"] == {"value": 0.0, "t": 1}
+        trace = learner.run(problem, schedule, config.T, [3],
+                            range(1, config.T + 1))
+        assert not np.any(trace.lam)
+        assert (trace.lam_max[0], trace.lam_max_t[0]) == (0.0, 1)
+        # the manifest copies these two values, but this run writes none:
+        # on the loose ball a one-example log-loss is nearly flat, and the
+        # t=1 comparator misses its tolerance, which fails the run
+        with pytest.raises(RuntimeError, match="seed 3 at t=1 missed"):
+            run_experiment(config)
 
     def test_negative_gamma_shift_rejected(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})

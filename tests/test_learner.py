@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from aogd.experiment import ExperimentConfig, run_experiment
-from aogd.learner import run, step
+from aogd.learner import _CHUNK_ROUNDS, run, step
+from aogd.metrics import checkpoint_grid
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
                             ScheduleParams, loss_regret_bound, schedule_arrays)
-from step_recorder import recorded_iterates
+from dsm_stream_oracle import stream_matrices
+from step_recorder import recorded_iterates, recorded_rounds
+
+
+def assert_same_trace(a, b):
+    for name, column in vars(a).items():
+        assert np.array_equal(column, getattr(b, name)), name
 
 
 def dsm_params(p, beta=2.0 / 3.0, regime=Regime.CONVEX):
@@ -122,25 +129,29 @@ class TestRun:
     def test_single_round(self):
         prob = DsmProblem(2)
         with recorded_iterates() as recorded:
-            trace = run(prob, dsm_params(2), T=1, seeds=[0])
+            trace = run(prob, dsm_params(2), T=1, seeds=[0], checkpoints=[1])
         xs = np.array(recorded)
         assert xs.shape == (1, 1, 4)
-        assert trace.lam.shape == trace.loss.shape == trace.g.shape == (1, 1)
+        assert trace.lam.shape == trace.loss_cum.shape == trace.g_cum.shape == (1, 1)
+        assert trace.t.tolist() == [1]
         assert trace.eta.shape == trace.theta.shape == (1,)
         assert trace.lam[0, 0] == 0.0
         np.testing.assert_array_equal(xs[0, 0], np.zeros(4))
-        assert trace.loss[0, 0] == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
-        assert trace.g[0, 0] == pytest.approx(1.0)  # row-sum deficit at X = 0
+        assert trace.loss_cum[0, 0] == pytest.approx(1.0)  # 0.5 * ||Y||_F^2 with Y a 2x2 permutation
+        assert trace.g_cum[0, 0] == pytest.approx(1.0)  # row-sum deficit at X = 0
+        assert trace.violation_clipped[0] == trace.g_cum[0, 0]
+        assert (trace.lam_max[0], trace.lam_max_t[0]) == (0.0, 1)
+        assert trace.first_nonpositive_t[0] == 0
 
     def test_three_rounds_match_hand_rolled(self):
         # independent replay of the update formulas for DSM p=2
         p = 2
         prob = DsmProblem(p)
         params = dsm_params(p)
-        with recorded_iterates() as recorded:
-            trace = run(prob, params, T=3, seeds=[5])
-        xs = np.array(recorded)[:, 0]
-        ys = prob.stream[0]
+        with recorded_rounds(prob) as recorded:
+            trace = run(prob, params, T=3, seeds=[5], checkpoints=[1, 2, 3])
+        xs = recorded.x[:, 0]
+        ys = stream_matrices(prob.stream[0])
         c = prob.constants
         x = np.zeros(p * p)
         lam = 0.0
@@ -158,7 +169,7 @@ class TestRun:
                 X.sum(axis=0) - 1, 1 - X.sum(axis=0),
             ])
             g_val = float(vals.max())
-            assert trace.g[t - 1, 0] == pytest.approx(g_val, abs=1e-14)
+            assert recorded.g[t - 1, 0] == pytest.approx(g_val, abs=1e-14)
             idx = int(np.argmax(vals))
             subs = np.zeros((12, 4))
             subs[:4] = -np.eye(4)
@@ -178,16 +189,19 @@ class TestRun:
         prob1 = DsmProblem(3)
         prob2 = DsmProblem(3)
         with recorded_iterates() as x1:
-            r1 = run(prob1, dsm_params(3), T=50, seeds=[9])
+            r1 = run(prob1, dsm_params(3), T=50, seeds=[9],
+                     checkpoints=range(1, 51))
         with recorded_iterates() as x2:
-            r2 = run(prob2, dsm_params(3), T=50, seeds=[9])
-        assert np.array_equal(x1, x2) and np.array_equal(r1.lam, r2.lam)
-        assert np.array_equal(r1.loss, r2.loss) and np.array_equal(r1.g, r2.g)
+            r2 = run(prob2, dsm_params(3), T=50, seeds=[9],
+                     checkpoints=range(1, 51))
+        assert np.array_equal(x1, x2)
+        assert_same_trace(r1, r2)
 
     def test_iterate_invariants(self):
         prob = DsmProblem(4)
         with recorded_iterates() as xs:
-            trace = run(prob, dsm_params(4), T=500, seeds=[2, 3])
+            trace = run(prob, dsm_params(4), T=500, seeds=[2, 3],
+                        checkpoints=range(1, 501))
         R = prob.constants.R
         assert np.all(np.linalg.norm(xs, axis=-1) <= R + 1e-9)
         assert np.all(trace.lam >= 0.0)
@@ -197,47 +211,63 @@ class TestRun:
         # max(lam1, D/theta) + mu*D for D bounding |g| along the run
         prob = DsmProblem(4)
         theta, mu = 2.0, 0.05
-        trace = run(prob, FixedScheduleParams(eta=0.05, theta=theta, mu=mu),
-                    T=2000, seeds=[0])
-        d_hat = np.max(np.abs(trace.g))
-        lam_max = np.max(trace.lam)
+        with recorded_rounds(prob) as recorded:
+            trace = run(prob, FixedScheduleParams(eta=0.05, theta=theta, mu=mu),
+                        T=2000, seeds=[0], checkpoints=[2000])
+        d_hat = np.max(np.abs(recorded.g))
+        lam_max = trace.lam_max[0]
+        assert lam_max == np.max(recorded.lam)
         assert np.isfinite(lam_max)
         assert lam_max <= max(0.0, d_hat / theta) + mu * d_hat + 1e-12
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError, match="T must be >= 1"):
-            run(DsmProblem(2), dsm_params(2), T=0, seeds=[0])
+            run(DsmProblem(2), dsm_params(2), T=0, seeds=[0], checkpoints=[1])
 
     @staticmethod
-    def assert_peak_holds_streams_and_columns(S, T):
-        # the run holds the S streams and its (T,) and (T, S) float columns
-        # (3 S trace columns, the 3 schedule columns and 2 of slack), no
-        # (T, d) iterate column, per-round Python lists or stream copies
+    def assert_peak_holds_codes_and_schedule(S, T):
+        # the run holds the S code streams (p bytes a round), one
+        # (S, C, p, p) matrix buffer, the (T,) float schedule (3 columns and
+        # 2 of slack for schedule_arrays' temporaries) and O((C + K) S)
+        # trace buffers within 64 KiB: no (T, S) trace column, (T, p, p)
+        # float stream, (T, d) iterate column or per-round Python list
         prob = DsmProblem(8)
         tracemalloc.start()
         try:
-            run(prob, FixedScheduleParams(0.05, 2.0, 0.05), T, list(range(S)))
+            trace = run(prob, FixedScheduleParams(0.05, 2.0, 0.05), T,
+                        list(range(S)), checkpoints=checkpoint_grid(T))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert prob.stream.nbytes == S * T * prob.dim * 8
-        assert peak < prob.stream.nbytes + (3 * S + 5) * T * 8
+        assert prob.stream.nbytes == S * T * prob.p
+        buffer = S * min(T, _CHUNK_ROUNDS) * prob.dim * 8
+        assert trace.loss_cum.shape == (len(checkpoint_grid(T)), S)
+        assert peak < prob.stream.nbytes + buffer + 5 * T * 8 + 64 * 1024
 
     def test_memory_holds_no_iterate_column(self):
-        self.assert_peak_holds_streams_and_columns(S=1, T=20000)
+        self.assert_peak_holds_codes_and_schedule(S=1, T=20000)
 
     def test_memory_lockstep_holds_one_stream_per_seed(self):
-        self.assert_peak_holds_streams_and_columns(S=4, T=5000)
+        self.assert_peak_holds_codes_and_schedule(S=4, T=5000)
+
+    @pytest.mark.parametrize("checkpoints", [[], [0], [3, 3], [2, 1], [6],
+                                             [[1, 2]]])
+    def test_bad_checkpoints_rejected(self, checkpoints):
+        with pytest.raises(ValueError, match="checkpoints"):
+            run(DsmProblem(2), dsm_params(2), T=5, seeds=[0],
+                checkpoints=checkpoints)
 
 
 class TestGammaShift:
     def test_zero_shift_is_identity(self):
         with recorded_iterates() as x1:
-            r1 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0])
+            r1 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0],
+                     checkpoints=range(1, 31))
         with recorded_iterates() as x2:
-            r2 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0], gamma=0.0)
-        assert np.array_equal(x1, x2) and np.array_equal(r1.lam, r2.lam)
-        assert np.array_equal(r1.g, r2.g)
+            r2 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0],
+                     checkpoints=range(1, 31), gamma=0.0)
+        assert np.array_equal(x1, x2)
+        assert_same_trace(r1, r2)
         assert np.array_equal(schedule_arrays(dsm_params(2), 30)[2],
                               schedule_arrays(dsm_params(2), 30, gamma=0.0)[2])
 
@@ -258,8 +288,9 @@ class TestGammaShift:
         assert raw == pytest.approx(-0.2)
         params = ScheduleParams(beta=0.5, regime=Regime.CONVEX,
                                 constants=prob.constants)
-        trace = run(prob, params, T=5, seeds=[1], gamma=0.5)
-        assert trace.g[0, 0] == pytest.approx(-0.2)
+        trace = run(prob, params, T=5, seeds=[1], checkpoints=[1, 2],
+                    gamma=0.5)
+        assert trace.g_cum[0, 0] == pytest.approx(-0.2)
         # from lambda_1 = 0 the dual ascent moves by mu_1 * (g + gamma)
         _, _, mu = schedule_arrays(params, 5, gamma=0.5)
         assert trace.lam[1, 0] == pytest.approx(mu[0] * 0.3)
@@ -292,10 +323,11 @@ class TestGammaShift:
             c = prob.constants
             params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.CONVEX,
                                     constants=replace(c, D=c.D + gamma))
-            return float(np.sum(run(prob, params, T, [3], gamma=gamma).g))
+            return float(run(prob, params, T, [3], [T], gamma=gamma).g_cum[0, 0])
 
         assert cum_violation(0.3) < cum_violation(0.0)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            run(DsmProblem(2), dsm_params(2), T=5, seeds=[0], gamma=-0.1)
+            run(DsmProblem(2), dsm_params(2), T=5, seeds=[0], checkpoints=[5],
+                gamma=-0.1)

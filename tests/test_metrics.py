@@ -9,6 +9,8 @@ from aogd.metrics import (BoundCompliance, accumulate, bound_compliance,
 from aogd.offline import solve_offline
 from aogd.problems import DsmProblem
 from aogd.schedules import Regime, ScheduleParams
+from dsm_stream_oracle import stream_matrices
+from step_recorder import recorded_rounds
 
 
 def dsm_params(p, beta=2.0 / 3.0):
@@ -37,24 +39,28 @@ class TestAccumulate:
     def run_with_offline(self, p, T, checkpoints, seed=0):
         prob = DsmProblem(p)
         params = dsm_params(p)
-        trace = run(prob, params, T, [seed])
+        trace = run(prob, params, T, [seed], checkpoints)
         offline = {t: solve_offline(prob, t) for t in checkpoints}
         return prob, params, trace, offline
 
     def test_three_round_hand_check(self):
-        prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2, 3])
+        prob, params = DsmProblem(2), dsm_params(2)
+        with recorded_rounds(prob) as rounds:
+            trace = run(prob, params, 3, [0], [1, 2, 3])
+        offline = {t: solve_offline(prob, t) for t in (1, 2, 3)}
         report = accumulate(trace, offline, prob, params)
         assert report.t.tolist() == [1, 2, 3]
+        ys = stream_matrices(prob.stream[0])
         for i, t in enumerate(report.t):
-            learner_cum = sum(trace.loss[:t, 0])
-            mean = np.mean([Y.ravel() for Y in prob.stream[0, :t]], axis=0)
+            learner_cum = sum(rounds.loss[:t, 0])
+            mean = np.mean([Y.ravel() for Y in ys[:t]], axis=0)
             offline_cum = sum(0.5 * np.sum((mean - Y.ravel()) ** 2)
-                              for Y in prob.stream[0, :t])
+                              for Y in ys[:t])
             assert report.loss_regret[i] == pytest.approx(
                 learner_cum - offline_cum, abs=1e-7)
             assert report.constraint_cum[i] == pytest.approx(
-                sum(trace.g[:t, 0]))
-            assert report.lam[i] == trace.lam[t - 1, 0]
+                sum(rounds.g[:t, 0]))
+            assert report.lam[i] == rounds.lam[t - 1, 0]
             assert report.eta[i] == trace.eta[t - 1]
 
     def test_bounds_nan_without_params(self):
@@ -69,6 +75,27 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             accumulate(trace, offline, prob, params)
 
+    def test_checkpoint_missing_from_trace(self):
+        prob, params = DsmProblem(2), dsm_params(2)
+        trace = run(prob, params, 5, [0], checkpoints=[2, 5])
+        offline = {t: solve_offline(prob, t) for t in (2, 3, 5)}
+        with pytest.raises(ValueError, match="t=3"):
+            accumulate(trace, offline, prob, params)
+
+    def test_checkpoint_trace_matches_every_round_trace(self):
+        # a trace kept at the checkpoints gives the report of a trace kept
+        # at every round, bit for bit, and so may cover more checkpoints
+        # than the report reads
+        prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 300, 600]
+        offline = {t: solve_offline(prob.materialize(600, [4]), t) for t in grid}
+        every = accumulate(run(prob, params, 600, [4], range(1, 601)),
+                           offline, prob, params)
+        for checkpoints in (grid, [1, 2, 7, 299, 300, 600]):
+            trace = run(prob, params, 600, [4], checkpoints=checkpoints)
+            report = accumulate(trace, offline, prob, params)
+            for got, want in zip(astuple(report), astuple(every)):
+                assert np.array_equal(got, want)
+
     def test_empty_offline_map(self):
         prob, params, trace, _ = self.run_with_offline(2, 3, [3])
         with pytest.raises(ValueError):
@@ -78,7 +105,7 @@ class TestAccumulate:
         # report j of a lockstep run, with seed j's own offline optima, is
         # the report of that seed run alone, bit for bit
         prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 40]
-        trace = run(prob, params, 40, [6, 2])
+        trace = run(prob, params, 40, [6, 2], grid)
         reports = [accumulate(trace, {t: solve_offline(prob, t, j=j)
                                       for t in grid}, prob, params, j)
                    for j in range(2)]
@@ -136,8 +163,8 @@ class TestBoundCompliance:
     def make_report(self, T=200, p=3, seed=1):
         prob = DsmProblem(p)
         params = dsm_params(p)
-        trace = run(prob, params, T, [seed])
         grid = checkpoint_grid(T, count=10)
+        trace = run(prob, params, T, [seed], grid)
         offline = {t: solve_offline(prob, t) for t in grid}
         return accumulate(trace, offline, prob, params), params
 

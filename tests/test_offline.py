@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from aogd import offline
+from aogd import ingest, offline, problems
 from aogd.offline import (elasticnet_value, project_birkhoff,
                           project_elasticnet_ball, solve_offline,
                           solve_offline_cached)
 from aogd.problems import DsmProblem, ElasticNetProblem
+from dsm_stream_oracle import stream_matrices
 from pgd_oracle import solve_offline_pgd
 
 
@@ -192,7 +195,8 @@ class TestSolveOffline:
         prob.materialize(1, [0])
         sol = solve_offline(prob, 1)
         assert sol.tolerance_met
-        np.testing.assert_allclose(sol.x_star, prob.stream[0, 0].ravel(), atol=1e-7)
+        np.testing.assert_allclose(sol.x_star, stream_matrices(prob.stream)[0, 0].ravel(),
+                                   atol=1e-7)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [10, 100])
@@ -202,7 +206,8 @@ class TestSolveOffline:
         prob = DsmProblem(4)
         prob.materialize(t, [3, 1])
         sol = solve_offline(prob, t, j=1)
-        mean = np.mean([Y.ravel() for Y in prob.stream[1, :t]], axis=0)
+        mean = np.mean([Y.ravel() for Y in stream_matrices(prob.stream[1, :t])],
+                       axis=0)
         assert sol.tolerance_met
         np.testing.assert_allclose(sol.x_star, mean, atol=1e-7)
 
@@ -324,16 +329,23 @@ class TestSolveOfflineCached:
         assert second.objective == first.objective
         assert second.mapping_norm == first.mapping_norm < 1e-8
 
-    def test_other_solver_tag_is_resolved(self, tmp_path, monkeypatch):
+    def test_key_covers_the_source_of_the_comparator(self):
+        # the solver, the problems' loss sums and the dataset reader
+        digest = hashlib.sha256()
+        for module in (offline, problems, ingest):
+            digest.update(Path(module.__file__).read_bytes())
+        assert offline._source_digest() == digest.hexdigest()
+
+    def test_other_source_is_resolved(self, tmp_path, monkeypatch):
         prob = DsmProblem(3)
         prob.materialize(10, [4])
         spec = {"kind": "dsm", "p": 3}
         path = tmp_path / "dsm_p3_s4_t10.json"
         with monkeypatch.context() as m:
-            m.setattr(offline, "SOLVER_TAG", "another-solver")
+            m.setattr(offline, "_source_digest", lambda: "other source")
             stale_key = offline.cache_key(spec)
             solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", stale_key)
-        # mark the other solver's file, so that returning it would show
+        # mark the other code's file, so that returning it would show
         path.write_text(json.dumps(dict(json.loads(path.read_text()),
                                         objective=-1.0)))
         key = offline.cache_key(spec)

@@ -26,7 +26,7 @@ def test_tracer_installs_counts_rounds_and_uninstalls():
         assert learner.step is not originals[1]
         T = 7
         trace = learner.run(DsmProblem(2), FixedScheduleParams(0.1, 1.0, 0.1), T,
-                            seeds=[0, 1, 2])
+                            seeds=[0, 1, 2], checkpoints=range(1, T + 1))
     finally:
         tracer.uninstall()
     assert (learner.run, learner.step, learner.g_max,

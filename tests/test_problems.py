@@ -3,16 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aogd import problems
 from aogd.learner import run
 from aogd.offline import project_birkhoff, project_elasticnet_ball
-from aogd.problems import (_SHUFFLE_ROWS, DsmProblem, ElasticNetBudget,
+from aogd.problems import (_CHUNK_ROWS, DsmProblem, ElasticNetBudget,
                            ElasticNetProblem, dsm_constraints, dsm_loss_grad,
                            elasticnet_constants, logloss_grad,
                            permutation_stream)
 from aogd.projections import g_max
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
-from step_recorder import recorded_iterates
+from dsm_stream_oracle import loss_sum_float, stream_matrices
+from step_recorder import recorded_rounds
 
 
 def sample_in_ball(rng, dim, R, n):
@@ -72,10 +74,10 @@ def dsm_constraint_closures(p):
 
 
 def recorded_run(prob, schedule, T, seeds, gamma):
-    """The trace of one run and its (T, S, d) iterates."""
-    with recorded_iterates() as xs:
-        trace = run(prob, schedule, T, seeds, gamma=gamma)
-    return trace, np.array(xs)
+    """The trace of one run and its per-round values (`recorded_rounds`)."""
+    with recorded_rounds(prob, gamma) as rounds:
+        trace = run(prob, schedule, T, seeds, range(1, T + 1), gamma=gamma)
+    return trace, rounds
 
 
 def assert_same_bits(a, b, name=None):
@@ -84,8 +86,8 @@ def assert_same_bits(a, b, name=None):
 
 
 def assert_same_trace(a, b, name):
-    for column in ("lam", "loss", "g"):
-        assert_same_bits(getattr(a, column), getattr(b, column), (name, column))
+    for column, values in vars(a).items():
+        assert_same_bits(values, getattr(b, column), (name, column))
 
 
 def dsm_schedules(p, T):
@@ -122,7 +124,7 @@ class TestDsmLoss:
         rng = np.random.default_rng(0)
         eps = 1e-6
         for _ in range(20):
-            Y = permutation_stream(3, [rng.integers(1000)], 1)[0, 0]
+            Y = stream_matrices(permutation_stream(3, [rng.integers(1000)], 1))[0, 0]
             X = rng.normal(size=(3, 3))
             _, grad = dsm_loss_grad(Y, X)
             fd = np.zeros_like(X)
@@ -205,7 +207,7 @@ class TestDsmLinearMatchesClosures:
         """(N, p^2) batches with exact +0.0 and -0.0 entries: all zeros of
         either sign, permutation matrices whose zeros are -0.0 (row and
         column sums exactly 1), and entries drawn from {+-0, +-1, 1/p}."""
-        perms = permutation_stream(p, [p + 1], 10)[0].reshape(10, -1)
+        perms = stream_matrices(permutation_stream(p, [p + 1], 10))[0].reshape(10, -1)
         return np.concatenate([
             np.zeros((1, p * p)), np.full((1, p * p), -0.0),
             np.where(perms == 0.0, -0.0, perms),
@@ -222,7 +224,7 @@ class TestDsmLinearMatchesClosures:
         sphere *= R / np.linalg.norm(sphere, axis=1, keepdims=True)
         xs = np.array([*sample_in_ball(rng, p * p, R, 200),
                        *sphere,
-                       *permutation_stream(p, [p], 20)[0].reshape(20, -1),
+                       *stream_matrices(permutation_stream(p, [p], 20))[0].reshape(20, -1),
                        np.full(p * p, 1.0 / p),
                        *(project_birkhoff(rng.normal(size=(p, p))).ravel()
                          for _ in range(10)),
@@ -234,12 +236,12 @@ class TestDsmLinearMatchesClosures:
         lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
         for name, (schedule, gamma) in dsm_schedules(p, self.T).items():
             prob = DsmProblem(p)
-            fast, fast_xs = recorded_run(prob, schedule, self.T, [p], gamma)
+            fast, fast_rounds = recorded_run(prob, schedule, self.T, [p], gamma)
             prob.constraints = ref
-            slow, slow_xs = recorded_run(prob, schedule, self.T, [p], gamma)
+            slow, slow_rounds = recorded_run(prob, schedule, self.T, [p], gamma)
             assert_same_trace(fast, slow, name)
-            assert_same_bits(fast_xs, slow_xs, (name, "x"))
-            self.assert_identical(lin, ref, fast_xs.reshape(-1, p * p))
+            assert_same_trace(fast_rounds, slow_rounds, name)
+            self.assert_identical(lin, ref, fast_rounds.x.reshape(-1, p * p))
 
 
 class TestElasticNetBudgetMatchesClosure:
@@ -292,12 +294,12 @@ class TestElasticNetBudgetMatchesClosure:
         }
         for name, (schedule, gamma) in variants.items():
             prob = ElasticNetProblem(y, u, rho=0.3)
-            fast, fast_xs = recorded_run(prob, schedule, T, [2, 3], gamma)
+            fast, fast_rounds = recorded_run(prob, schedule, T, [2, 3], gamma)
             prob.constraints = elasticnet_closure(0.3)
-            slow, slow_xs = recorded_run(prob, schedule, T, [2, 3], gamma)
+            slow, slow_rounds = recorded_run(prob, schedule, T, [2, 3], gamma)
             assert_same_trace(fast, slow, name)
-            assert_same_bits(fast_xs, slow_xs, (name, "x"))
-            assert np.any(fast.g > 0) and np.any(fast.g < 0), name
+            assert_same_trace(fast_rounds, slow_rounds, name)
+            assert np.any(fast_rounds.g > 0) and np.any(fast_rounds.g < 0), name
 
 
 def looped_permutation_stream(p, seed, T):
@@ -313,17 +315,41 @@ def looped_permutation_stream(p, seed, T):
 class TestPermutationStream:
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
     @pytest.mark.parametrize(
-        "T", [1, 7, 1000, 2 * _SHUFFLE_ROWS, 2 * _SHUFFLE_ROWS + 3])
+        "T", [1, 7, 1000, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
     def test_matches_looped_draw(self, p, T):
         # the batched draw must reproduce the per-round stream of each seed
         # bit for bit, since recorded reference runs depend on it
         seeds = (0, 1, 21, 12345)
+        codes = permutation_stream(p, seeds, T)
+        assert codes.dtype == np.uint8 and codes.shape == (len(seeds), T, p)
         assert np.array_equal(
-            permutation_stream(p, seeds, T),
+            stream_matrices(codes),
             [looped_permutation_stream(p, seed, T) for seed in seeds])
 
+    def test_codes_take_the_smallest_unsigned_type(self):
+        assert permutation_stream(256, [0], 2).dtype == np.uint8
+        codes = permutation_stream(257, [0], 2)
+        assert codes.dtype == np.uint16
+        assert np.array_equal(np.sort(codes, axis=-1),
+                              np.broadcast_to(np.arange(257), (1, 2, 257)))
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_loss_reads_the_matrices_at_any_round(self, p):
+        # loss expands one chunk of codes at a time; rounds read in any
+        # order, across chunks and in the short last one, give the loss of
+        # the float matrices
+        T = 2 * _CHUNK_ROWS + 3
+        prob = DsmProblem(p).materialize(T, [4, 9])
+        ys = stream_matrices(prob.stream).reshape(2, T, -1)
+        X = np.random.default_rng(p).normal(size=(2, prob.dim))
+        for t in (1, T, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2, T - 1, 1):
+            values, grads = prob.loss(t, X)
+            diff = X - ys[:, t - 1]
+            assert np.array_equal(values, 0.5 * (diff * diff).sum(axis=-1))
+            assert np.array_equal(grads, diff)
+
     def test_validity(self):
-        ys = permutation_stream(5, [1], 50)[0]
+        ys = stream_matrices(permutation_stream(5, [1], 50))[0]
         for Y in ys:
             assert np.array_equal(np.sort(Y.argmax(axis=1)), np.arange(5))
             np.testing.assert_array_equal(Y.sum(axis=0), np.ones(5))
@@ -335,8 +361,8 @@ class TestPermutationStream:
                                       permutation_stream(4, [7], 20))
 
     def test_uniform_frequency_p2(self):
-        ys = permutation_stream(2, [11], 10**4)[0]
-        frac_identity = np.mean(ys[:, 0, 0] == 1.0)
+        codes = permutation_stream(2, [11], 10**4)[0]
+        frac_identity = np.mean(codes[:, 0] == 0)
         assert abs(frac_identity - 0.5) < 0.05
 
 
@@ -416,7 +442,7 @@ class TestSampledProblemInvariants:
         c = prob.constants
         rng = np.random.default_rng(10)
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
-        Y = prob.stream[0, 0].ravel()
+        Y = stream_matrices(prob.stream)[0, 0].ravel()
         # loss gradient x - Y, vectorized over samples
         norms = np.linalg.norm(xs - Y, axis=1)
         assert norms.max() <= c.G + 1e-9
@@ -430,7 +456,8 @@ class TestSampledProblemInvariants:
         c = prob.constants
         rng = np.random.default_rng(11)
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
-        values = 0.5 * np.sum((xs - prob.stream[0, 0].ravel()) ** 2, axis=1)
+        values = 0.5 * np.sum((xs - stream_matrices(prob.stream)[0, 0].ravel()) ** 2,
+                              axis=1)
         assert values.max() - values.min() <= c.F + 1e-9
 
     @pytest.mark.xfail(strict=True,
@@ -510,6 +537,48 @@ class TestLossSum:
                 assert values[j] == value and np.array_equal(grads[j], grad)
                 got, want = prob.loss_sum(t, X[j], j), alone.loss_sum(t, X[j])
                 assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_elasticnet_order_is_the_int64_draw_in_a_small_type(self):
+        # drawn as int64 (a smaller dtype would draw other numbers), stored
+        # in the smallest type that holds the last row index, 39
+        seeds = (5, 9)
+        prob = _make_problem("elasticnet", self.T, seeds)
+        assert prob.stream.dtype == np.uint8
+        for row, seed in zip(prob.stream, seeds):
+            assert np.array_equal(
+                row, np.random.default_rng(seed).integers(0, 40, size=self.T))
+
+    def test_dsm_counts_in_blocks_match_the_float_sum(self, monkeypatch):
+        # loss_sum counts codes _COUNT_ROWS rounds at a time; blocks of 7
+        # rounds, one of them short, count what one block counts
+        prob = DsmProblem(3).materialize(self.T, [5, 9])
+        x = np.random.default_rng(1).normal(size=prob.dim)
+        monkeypatch.setattr(problems, "_COUNT_ROWS", 7)
+        for j, t in ((0, 1), (0, 7), (1, 8), (1, self.T)):
+            got, want = prob.loss_sum(t, x, j), loss_sum_float(prob, t, x, j)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_elasticnet_prefix_follows_seed_t_and_stream(self):
+        # the gathered prefix is reused only for the same (j, t) of the
+        # same materialized stream
+        prob = _make_problem("elasticnet", self.T, (5, 9))
+        x = np.random.default_rng(2).normal(size=prob.dim)
+        alone = {seed: _make_problem("elasticnet", self.T, [seed])
+                 for seed in (5, 9, 4)}
+        for j, t in ((0, 5), (1, 5), (1, 5), (0, 7), (0, 5)):
+            got, want = prob.loss_sum(t, x, j), alone[(5, 9)[j]].loss_sum(t, x)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        prob.materialize(self.T, [4])
+        got, want = prob.loss_sum(5, x), alone[4].loss_sum(5, x)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_dsm_loss_rejects_rounds_outside_the_stream(self):
+        prob = _make_problem("dsm", self.T)
+        X = np.zeros((1, prob.dim))
+        prob.loss(self.T, X)  # the short last chunk is in the buffer
+        for t in (0, self.T + 1):
+            with pytest.raises(ValueError, match="materialized"):
+                prob.loss(t, X)
 
     @pytest.mark.parametrize("kind", ["dsm", "elasticnet"])
     def test_rejects_prefix_past_the_stream(self, kind):

@@ -1,5 +1,6 @@
-"""Property tests: projection laws, the learner's iterate invariants and
-lockstep runs against single-seed runs.
+"""Property tests: projection laws, the learner's iterate invariants,
+lockstep runs against single-seed runs, and the checkpoint trace and the
+code-counting DSM loss sum against their per-round float forms.
 
 Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aogd.learner import run
+from aogd.learner import _CHUNK_ROUNDS, Trace, run
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import project_ball, project_nonneg
-from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
-from step_recorder import recorded_iterates
+from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
+                            schedule_arrays)
+from dsm_stream_oracle import loss_sum_float
+from step_recorder import recorded_iterates, recorded_rounds
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -108,7 +111,7 @@ def test_learner_iterates_stay_in_ball_with_nonneg_dual(case):
     prob = DsmProblem(p)
     R = prob.constants.R
     with recorded_iterates() as xs:
-        trace = run(prob, schedule, T, [seed], gamma=gamma)
+        trace = run(prob, schedule, T, [seed], range(1, T + 1), gamma=gamma)
     assert np.all(np.linalg.norm(xs, axis=-1) <= R + 1e-12)
     assert np.all(trace.lam >= 0.0)
 
@@ -125,14 +128,97 @@ def test_lockstep_columns_match_single_seed_runs(case):
     # run of seed j alone, bit for bit and sign of zero included
     make, schedule, gamma, T, seeds = case
     with recorded_iterates() as xs:
-        trace = run(make(), schedule, T, seeds, gamma=gamma)
-    assert trace.lam.shape == trace.loss.shape == trace.g.shape == (T, len(seeds))
+        trace = run(make(), schedule, T, seeds, range(1, T + 1), gamma=gamma)
+    assert trace.lam.shape == trace.loss_cum.shape == trace.g_cum.shape == (T, len(seeds))
     for j, seed in enumerate(seeds):
         with recorded_iterates() as xs_alone:
-            alone = run(make(), schedule, T, [seed], gamma=gamma)
-        for column in ("lam", "loss", "g"):
+            alone = run(make(), schedule, T, [seed], range(1, T + 1),
+                        gamma=gamma)
+        for column in ("lam", "loss_cum", "g_cum"):
             assert_same_bits(getattr(trace, column)[:, j],
                              getattr(alone, column)[:, 0])
+        for value in ("violation_clipped", "lam_max", "lam_max_t",
+                      "first_nonpositive_t"):
+            assert_same_bits(getattr(trace, value)[j], getattr(alone, value)[0])
         assert_same_bits(np.array(xs)[:, j], np.array(xs_alone)[:, 0])
     assert_same_bits(trace.eta, alone.eta)
     assert_same_bits(trace.theta, alone.theta)
+
+
+C = _CHUNK_ROUNDS
+
+
+@st.composite
+def checkpoint_runs(draw):
+    """(problem factory, schedule, gamma, T, seeds, checkpoints): DSM p in
+    {2, 3, 8}, or elastic net with a tight budget or one so loose that
+    every round is slack (lambda stays 0 and sum g <= 0 from round 1, so
+    the first maximizer and the first nonpositive round tie across
+    chunks); each schedule variant, 1 to 3 seeds, T at and around the
+    chunk boundaries, and every round or a random subset as checkpoints."""
+    make = draw(st.sampled_from([
+        lambda: DsmProblem(2), lambda: DsmProblem(3), lambda: DsmProblem(8),
+        lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=0.3),
+        lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=50.0)]))
+    schedule, gamma = schedules(draw, make().constants)
+    T = draw(st.sampled_from([1, C - 1, C, C + 1, 3 * C + 5]))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
+                          unique=True))
+    checkpoints = draw(st.just(list(range(1, T + 1)))
+                       | st.lists(st.integers(1, T), min_size=1,
+                                  unique=True).map(sorted))
+    return make, schedule, gamma, T, seeds, checkpoints
+
+
+def trace_from_rounds(rounds, eta, theta, checkpoints) -> Trace:
+    """The trace computed as the program computed it from whole (T, S)
+    per-round columns, one seed column at a time; Sigma [g]_+ as np.cumsum
+    adds it, in round order."""
+    t = np.array(checkpoints)
+    columns = {name: [] for name in ("loss_cum", "g_cum", "violation_clipped",
+                                     "lam_max", "lam_max_t",
+                                     "first_nonpositive_t")}
+    for loss, g, lam in zip(rounds.loss.T, rounds.g.T, rounds.lam.T):
+        g_cum = np.cumsum(g)
+        columns["loss_cum"].append(np.cumsum(loss)[t - 1])
+        columns["g_cum"].append(g_cum[t - 1])
+        columns["violation_clipped"].append(np.cumsum(np.maximum(g, 0.0))[-1])
+        k = int(np.argmax(lam))
+        columns["lam_max"].append(lam[k])
+        columns["lam_max_t"].append(k + 1)
+        nonpos = np.flatnonzero(g_cum <= 0.0)
+        columns["first_nonpositive_t"].append(nonpos[0] + 1 if nonpos.size else 0)
+    columns["loss_cum"] = np.stack(columns["loss_cum"], axis=1)
+    columns["g_cum"] = np.stack(columns["g_cum"], axis=1)
+    return Trace(t=t, lam=rounds.lam[t - 1], eta=eta[t - 1], theta=theta[t - 1],
+                 **{k: np.asarray(v) for k, v in columns.items()})
+
+
+@settings(SETTINGS, max_examples=30)
+@given(case=checkpoint_runs())
+def test_checkpoint_trace_matches_per_round_columns(case):
+    # the chunked fold of the round loop gives, bit for bit and sign of zero
+    # included, what whole per-round columns give; and the DSM loss sum from
+    # code counts is the float prefix sum
+    make, schedule, gamma, T, seeds, checkpoints = case
+    prob = make()
+    with recorded_rounds(prob, gamma) as rounds:
+        trace = run(prob, schedule, T, seeds, checkpoints, gamma=gamma)
+    theta, eta, _ = schedule_arrays(schedule, T, gamma)
+    expected = trace_from_rounds(rounds, eta, theta, checkpoints)
+    for name, column in vars(expected).items():
+        assert_same_bits(getattr(trace, name), column)
+    # the pairwise np.sum that violation_clipped was before differs from the
+    # in-order sum in the last bits at most
+    np.testing.assert_allclose(
+        trace.violation_clipped,
+        [np.sum(np.maximum(g, 0.0)) for g in rounds.g.T], rtol=1e-12)
+
+    if not isinstance(prob, DsmProblem):
+        return
+    x = rounds.x[-1, 0]
+    for j in range(len(seeds)):
+        for t in sorted({1, T // 2 + 1, T}):
+            got, want = prob.loss_sum(t, x, j), loss_sum_float(prob, t, x, j)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
