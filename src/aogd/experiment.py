@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,8 +59,10 @@ class ExperimentConfig:
             raise ValueError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        if self.gamma < 0:
-            raise ValueError("gamma_shift.c1 must be nonnegative")
+        if set(self.gamma_shift or {}) - {"c1"}:
+            raise ValueError(f"gamma_shift takes only c1: {self.gamma_shift}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma_shift.c1 must be finite and nonnegative")
 
     @property
     def gamma(self) -> float:
@@ -91,13 +93,13 @@ def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
             raise ValueError(f"unknown algorithm {algo!r}")
         return FixedScheduleParams(eta=float(algo["eta"]),
                                    theta=float(algo["theta"]),
-                                   mu=float(algo["mu"]))
+                                   mu=float(algo["mu"]), gamma=cfg.gamma)
     if algo == "a_ogd_convex":
         return ScheduleParams(beta=cfg.beta, regime=Regime.CONVEX,
-                              constants=constants)
+                              constants=constants, gamma=cfg.gamma)
     if algo == "a_ogd_strongly_convex":
         return ScheduleParams(beta=cfg.beta, regime=Regime.STRONGLY_CONVEX,
-                              constants=constants)
+                              constants=constants, gamma=cfg.gamma)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -136,14 +138,13 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     problem = build_problem(cfg)
     constants = problem.constants
 
-    # the shifted constraint g + gamma is bounded by D + gamma
-    gamma = cfg.gamma
-    schedule = build_schedule(cfg, replace(constants, D=constants.D + gamma))
+    schedule = build_schedule(cfg, constants)
+    gamma = schedule.gamma
     checkpoints = metrics.checkpoint_grid(cfg.T, cfg.checkpoints)
 
     # schedule condition report over the full horizon; its (T,) arrays die
     # with this statement, before learner.run draws its own
-    cond = check_conditions(*schedule_arrays(schedule, cfg.T, gamma),
+    cond = check_conditions(*schedule_arrays(schedule, cfg.T),
                             constants.sigma, constants.G, gamma)
     params = schedule if isinstance(schedule, ScheduleParams) else None
     sums = schedule_sums(schedule, cfg.T) if params else None
@@ -153,7 +154,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
 
     compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
     loss_cols, g_cols, first_nonpositive = [], [], []
-    trace = learner.run(problem, schedule, cfg.T, cfg.seeds, checkpoints, gamma)
+    trace = learner.run(problem, schedule, cfg.T, cfg.seeds, checkpoints)
     for j, seed in enumerate(cfg.seeds):
         solutions = {
             t: offline.solve_offline_cached(

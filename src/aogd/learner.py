@@ -60,8 +60,8 @@ class _Chunks:
     """The (C, S) per-round buffers of a run and the checkpoint columns and
     per-seed values they are folded into."""
 
-    def __init__(self, checkpoints: np.ndarray, C: int, S: int, gamma: float):
-        self.checkpoints, self.gamma = checkpoints, gamma
+    def __init__(self, checkpoints: np.ndarray, C: int, S: int):
+        self.checkpoints = checkpoints
         K = len(checkpoints)
         self.loss_cum, self.g_cum, self.lam = (np.empty((K, S)) for _ in range(3))
         self.lams = np.empty((C, S))
@@ -77,12 +77,7 @@ class _Chunks:
         """Fold rounds start + 1 .. start + n, held in the buffers' first n
         rows."""
         block, lams = self.sums[:n + 1], self.lams[:n]
-        g = block[1:, 1]
-        # (g + gamma) - gamma rather than g: the recorded value is rounded
-        # as the shifted constraint's arithmetic rounds it (+0.0 for -0.0)
-        g += self.gamma
-        g -= self.gamma
-        np.maximum(g, 0.0, out=block[1:, 2])
+        np.maximum(block[1:, 1], 0.0, out=block[1:, 2])
         # the first chunk starts its sums at its first round, as np.cumsum
         # does; later ones continue from the carry
         sums = block if start else block[1:]
@@ -121,20 +116,20 @@ def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
             project_nonneg(lam + mu_t * (g_value - theta_t * lam)))
 
 
-def run(problem, schedule, T: int, seeds, checkpoints,
-        gamma: float = 0.0) -> Trace:
+def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
     """Execute T rounds of the problem's stream of each of `seeds`, in
     lockstep, and return their trace at `checkpoints`, strictly increasing
     rounds in [1, T].
 
     Seed j's column is the run of that seed alone, bit for bit, and is
-    deterministic given (problem, seeds[j], schedule, gamma). With gamma > 0
-    the learner plays against the shifted constraint g + gamma: its dual
-    update sees g + gamma with the dual step scaled as schedule_arrays does
-    for gamma, while the trace sums the unshifted g for violation
-    accounting. Raises ValueError for T < 1, gamma < 0 or bad checkpoints.
+    deterministic given (problem, seeds[j], schedule). With schedule.gamma >
+    0 the learner plays against the shifted constraint g + gamma: its dual
+    update sees g + gamma with the dual step schedule_arrays gives, while
+    the trace sums the unshifted g for violation accounting. Raises
+    ValueError for T < 1 or bad checkpoints.
     """
-    theta, eta, mu = schedule_arrays(schedule, T, gamma)
+    theta, eta, mu = schedule_arrays(schedule, T)
+    gamma = schedule.gamma
     ts = np.asarray(checkpoints, dtype=int)
     if (ts.ndim != 1 or ts.size == 0 or ts[0] < 1 or ts[-1] > T
             or np.any(np.diff(ts) <= 0)):
@@ -144,7 +139,7 @@ def run(problem, schedule, T: int, seeds, checkpoints,
     cs = problem.constraints
     S = len(seeds)
     C = min(T, _CHUNK_ROUNDS)
-    chunks = _Chunks(ts, C, S, gamma)
+    chunks = _Chunks(ts, C, S)
     lams, losses, gs = chunks.lams, chunks.losses, chunks.gs
     X, lam = np.zeros((S, problem.dim)), np.zeros(S)
     for start in range(0, T, C):

@@ -272,7 +272,8 @@ class ElasticNetProblem:
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
         X (S, d); t is 1-indexed."""
-        i = self.stream[:, t - 1].astype(np.intp)  # one cast for two gathers
+        # round t's rows, cast once for two gathers; a t past the stream raises
+        i = _prefix(self.stream.T, t)[-1].astype(np.intp)
         return logloss_grad(self.labels[i], self.features[i], X)
 
     def loss_sum(self, t: int, x: np.ndarray, j: int = 0):

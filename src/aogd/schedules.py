@@ -51,13 +51,15 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Adaptive schedule configuration: trade-off exponent beta plus regime."""
+    """Adaptive schedule: trade-off exponent beta, regime and shift gamma."""
 
     beta: float
     regime: Regime
     constants: ProblemConstants
+    gamma: float = 0.0
 
     def __post_init__(self):
+        _shifted(self.gamma)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if self.regime is Regime.STRONGLY_CONVEX and self.constants.sigma <= 0:
@@ -66,13 +68,15 @@ class ScheduleParams:
 
 @dataclass(frozen=True)
 class FixedScheduleParams:
-    """Constant-parameter baseline: fixed eta, theta and mu for all rounds."""
+    """Constant-parameter baseline: fixed eta, theta, mu and shift gamma."""
 
     eta: float
     theta: float
     mu: float
+    gamma: float = 0.0
 
     def __post_init__(self):
+        _shifted(self.gamma)
         if self.eta <= 0 or self.theta <= 0 or self.mu <= 0:
             raise ValueError("eta, theta, mu must all be positive")
 
@@ -102,22 +106,22 @@ def mu_at(params: ScheduleParams, t):
 
 
 def _shifted(gamma: float) -> bool:
-    """Whether the learner runs against g + gamma; rejects gamma < 0.
+    """Whether the learner runs against g + gamma; rejects gamma < 0, inf, NaN.
 
     The analysis of the shifted constraint takes the dual step mu_t * 2/3
-    (schedule_arrays) and strengthens C2 by the factor 3/2
-    (check_conditions); its bounds are evaluated with the constant D + gamma.
+    (schedule_arrays), strengthens C2 by the factor 3/2 (check_conditions)
+    and bounds |g + gamma| by D + gamma (loss_regret_bound).
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     return gamma > 0.0
 
 
-def schedule_arrays(schedule, T: int, gamma: float = 0.0):
+def schedule_arrays(schedule, T: int):
     """Materialize (theta, eta, mu) for rounds 1..T as float arrays.
 
     Accepts either adaptive ScheduleParams or a FixedScheduleParams baseline.
-    With a constraint shift gamma > 0 the dual step mu is scaled by 2/3.
+    With a constraint shift schedule.gamma > 0 the dual step is 2/3 mu.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -129,7 +133,7 @@ def schedule_arrays(schedule, T: int, gamma: float = 0.0):
         t = np.arange(1, T + 1, dtype=float)
         theta, eta, mu = (theta_at(schedule, t), eta_at(schedule, t),
                           mu_at(schedule, t))
-    if _shifted(gamma):
+    if _shifted(schedule.gamma):
         mu = mu * (2.0 / 3.0)
     return theta, eta, mu
 
@@ -149,7 +153,7 @@ def check_conditions(theta, eta, mu, sigma: float, G: float,
     C1: 1/mu_t - 1/mu_{t-1} - theta_t <= 0.
     C2: eta_t G^2 + k * mu_t theta_t^2 - theta_t / 2 <= 0, with k = 1, or
     k = 3/2 for the constraint shifted upward by gamma > 0 (pass the mu
-    that schedule_arrays returns for the same gamma).
+    that schedule_arrays returns for a schedule with this gamma).
     C3 slack: sum_{t=2}^T [1/eta_t - 1/eta_{t-1} - sigma] (caller compares
     against its U_eta budget).
     """
@@ -175,15 +179,16 @@ def check_conditions(theta, eta, mu, sigma: float, G: float,
 def loss_regret_bound(params: ScheduleParams, T) -> float:
     """Closed-form bound on the cumulative loss regret at horizon T.
 
-    Returns [RG + D^2/(6 beta RG)] T^beta + (2RG/(1-beta)) T^(1-beta).
+    Returns [RG + D^2/(6 beta RG)] T^beta + (2RG/(1-beta)) T^(1-beta), with
+    D + gamma in place of D for the shifted constraint g + gamma.
     Stated for the convex regime; for the strongly convex schedules the same
     expression is returned as a conservative bound (the strongly convex
     bounds are tighter but share the leading terms).
     """
     T = np.asarray(T, dtype=float)
     c, b = params.constants, params.beta
-    rg = c.R * c.G
-    return (rg + c.D**2 / (6.0 * b * rg)) * T**b + 2.0 * rg / (1.0 - b) * T ** (1.0 - b)
+    rg, d = c.R * c.G, c.D + params.gamma
+    return (rg + d**2 / (6.0 * b * rg)) * T**b + 2.0 * rg / (1.0 - b) * T ** (1.0 - b)
 
 
 def constraint_regret_bound(params: ScheduleParams, T) -> float:

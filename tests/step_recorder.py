@@ -1,10 +1,10 @@
 """Read a run's per-round values through the hooks the benchmark also wraps.
 
-`learner.run` keeps no per-round column; each round's iterates X_t, dual
-iterates lambda_t and shifted constraint values g_t + gamma, one row per
-seed, are arguments of that round's `learner.step` call, and its losses are
-what `problem.loss` returns. Context managers rather than pytest fixtures,
-so that `hypothesis` tests can use them too.
+`learner.run` keeps no per-round column; each round's iterates X_t and dual
+iterates lambda_t, one row per seed, are arguments of that round's
+`learner.step` call, its losses are what `problem.loss` returns, and its
+unshifted constraint values what `learner.g_max` returns. Context managers
+rather than pytest fixtures, so that `hypothesis` tests can use them too.
 """
 
 from contextlib import contextmanager
@@ -35,30 +35,35 @@ def recorded_iterates():
 
 
 @contextmanager
-def recorded_rounds(problem, gamma: float = 0.0):
+def recorded_rounds(problem):
     """Record one run of `problem` round by round. On exit the namespace
     holds the arrays x (T, S, d) and lam, loss and g (T, S): row t-1 has
-    X_t, lambda_t, f_t(x_t) and the unshifted g_t, rounded as the trace
-    rounds it, (g_t + gamma) - gamma. Restores `step` and `problem.loss`."""
+    X_t, lambda_t, f_t(x_t) and the unshifted g_t. Restores `step`,
+    `g_max` and `problem.loss`."""
     rounds = SimpleNamespace(x=[], lam=[], loss=[], g=[])
-    step, loss = learner.step, problem.loss
+    step, g_max, loss = learner.step, learner.g_max, problem.loss
 
-    def recording_step(x, lam, t, f_grad, g_value, *args):
+    def recording_step(x, lam, *args):
         rounds.x.append(x.copy())
         rounds.lam.append(lam.copy())
-        rounds.g.append(g_value - gamma)
-        return step(x, lam, t, f_grad, g_value, *args)
+        return step(x, lam, *args)
+
+    def recording_g_max(constraints, X):
+        values, idx = g_max(constraints, X)
+        rounds.g.append(values.copy())
+        return values, idx
 
     def recording_loss(t, X):
         values, grads = loss(t, X)
         rounds.loss.append(values.copy())
         return values, grads
 
-    learner.step, problem.loss = recording_step, recording_loss
+    learner.step, learner.g_max = recording_step, recording_g_max
+    problem.loss = recording_loss
     try:
         yield rounds
     finally:
-        learner.step = step
+        learner.step, learner.g_max = step, g_max
         del problem.loss
         for name, column in vars(rounds).items():
             setattr(rounds, name, np.array(column))

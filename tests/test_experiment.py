@@ -244,6 +244,20 @@ class TestRunExperiment:
         assert "c1" in manifest["error"]
         assert not (tmp_path / "out" / "seed_42.csv").exists()
 
+    def test_gamma_shift_unknown_key_rejected(self, tmp_path):
+        # a misspelt c1 would otherwise run silently with the default c1 = 1
+        _, cfg = write_config(tmp_path, gamma_shift={"C1": 5.0})
+        with pytest.raises(ValueError, match="only c1"):
+            run_experiment(ExperimentConfig(**cfg))
+        assert not list((tmp_path / "out").glob("seed_*.csv"))
+
+    @pytest.mark.parametrize("c1", [float("nan"), float("inf")])
+    def test_non_finite_gamma_shift_rejected(self, tmp_path, c1):
+        _, cfg = write_config(tmp_path, gamma_shift={"c1": c1})
+        with pytest.raises(ValueError, match="finite"):
+            run_experiment(ExperimentConfig(**cfg))
+        assert not list((tmp_path / "out").glob("seed_*.csv"))
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, 7.0])
     @pytest.mark.parametrize("algorithm", [
         "a_ogd_convex",

@@ -5,13 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aogd import learner
 from aogd.experiment import ExperimentConfig, run_experiment
 from aogd.learner import _CHUNK_ROUNDS, run, step
 from aogd.metrics import checkpoint_grid
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
-                            ScheduleParams, loss_regret_bound, schedule_arrays)
+                            ScheduleParams, loss_regret_bound, mu_at,
+                            schedule_arrays)
 from dsm_stream_oracle import stream_matrices
 from step_recorder import recorded_iterates, recorded_rounds
 
@@ -259,17 +261,21 @@ class TestRun:
 
 
 class TestGammaShift:
-    def test_zero_shift_is_identity(self):
-        with recorded_iterates() as x1:
-            r1 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0],
-                     checkpoints=range(1, 31))
-        with recorded_iterates() as x2:
-            r2 = run(DsmProblem(2), dsm_params(2), T=30, seeds=[0],
-                     checkpoints=range(1, 31), gamma=0.0)
-        assert np.array_equal(x1, x2)
-        assert_same_trace(r1, r2)
+    def test_zero_shift_is_identity(self, monkeypatch):
+        # at gamma = 0 the dual step sees g itself with the schedule's own mu
+        seen = []
+
+        def spy(X, lam, t, f_grad, g_value, *args):
+            seen.append(g_value.copy())
+            return step(X, lam, t, f_grad, g_value, *args)
+
+        monkeypatch.setattr(learner, "step", spy)
+        prob = DsmProblem(2)
+        with recorded_rounds(prob) as rounds:
+            run(prob, dsm_params(2), T=30, seeds=[0], checkpoints=[30])
+        assert np.array_equal(seen, rounds.g)
         assert np.array_equal(schedule_arrays(dsm_params(2), 30)[2],
-                              schedule_arrays(dsm_params(2), 30, gamma=0.0)[2])
+                              mu_at(dsm_params(2), np.arange(1, 31)))
 
     def test_horizon_formula(self):
         cfg = ExperimentConfig(problem={"kind": "dsm", "p": 2},
@@ -287,12 +293,11 @@ class TestGammaShift:
         (raw,), _ = g_max(prob.constraints, np.zeros((1, 3)))
         assert raw == pytest.approx(-0.2)
         params = ScheduleParams(beta=0.5, regime=Regime.CONVEX,
-                                constants=prob.constants)
-        trace = run(prob, params, T=5, seeds=[1], checkpoints=[1, 2],
-                    gamma=0.5)
+                                constants=prob.constants, gamma=0.5)
+        trace = run(prob, params, T=5, seeds=[1], checkpoints=[1, 2])
         assert trace.g_cum[0, 0] == pytest.approx(-0.2)
         # from lambda_1 = 0 the dual ascent moves by mu_1 * (g + gamma)
-        _, _, mu = schedule_arrays(params, 5, gamma=0.5)
+        _, _, mu = schedule_arrays(params, 5)
         assert trace.lam[1, 0] == pytest.approx(mu[0] * 0.3)
 
     def test_bound_constants_use_shifted_d(self, tmp_path):
@@ -301,14 +306,18 @@ class TestGammaShift:
                                T=64, seeds=[0], output_dir=str(tmp_path),
                                checkpoints=4, gamma_shift={"c1": 1.0})
         run_experiment(cfg)
-        c = DsmProblem(2).constants
         params = ScheduleParams(beta=cfg.beta, regime=Regime.CONVEX,
-                                constants=replace(c, D=c.D + cfg.gamma))
+                                constants=DsmProblem(2).constants,
+                                gamma=cfg.gamma)
         with open(tmp_path / "seed_0.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
+            t = int(row["t"])
             assert float(row["loss_bound"]) == pytest.approx(
-                float(loss_regret_bound(params, int(row["t"]))), rel=1e-12)
+                float(loss_regret_bound(params, t)), rel=1e-12)
+            # the bound is taken with D + gamma, above the unshifted one
+            assert float(row["loss_bound"]) > loss_regret_bound(
+                replace(params, gamma=0.0), t)
 
     def test_shift_reduces_cumulative_violation_elasticnet(self):
         rng = np.random.default_rng(7)
@@ -320,14 +329,8 @@ class TestGammaShift:
 
         def cum_violation(gamma):
             prob = ElasticNetProblem(y, u, rho=1.0)
-            c = prob.constants
             params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.CONVEX,
-                                    constants=replace(c, D=c.D + gamma))
-            return float(run(prob, params, T, [3], [T], gamma=gamma).g_cum[0, 0])
+                                    constants=prob.constants, gamma=gamma)
+            return float(run(prob, params, T, [3], [T]).g_cum[0, 0])
 
         assert cum_violation(0.3) < cum_violation(0.0)
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            run(DsmProblem(2), dsm_params(2), T=5, seeds=[0], checkpoints=[5],
-                gamma=-0.1)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -73,10 +71,10 @@ def dsm_constraint_closures(p):
     return ConstraintSet(components=components)
 
 
-def recorded_run(prob, schedule, T, seeds, gamma):
+def recorded_run(prob, schedule, T, seeds):
     """The trace of one run and its per-round values (`recorded_rounds`)."""
-    with recorded_rounds(prob, gamma) as rounds:
-        trace = run(prob, schedule, T, seeds, range(1, T + 1), gamma=gamma)
+    with recorded_rounds(prob) as rounds:
+        trace = run(prob, schedule, T, seeds, range(1, T + 1))
     return trace, rounds
 
 
@@ -91,17 +89,16 @@ def assert_same_trace(a, b, name):
 
 
 def dsm_schedules(p, T):
-    """(schedule, gamma) of the four benchmark variants on DSM p."""
+    """The schedules of the four benchmark variants on DSM p."""
     c = DsmProblem(p).constants
     gamma = T ** (-1.0 / 3.0)  # c1 = 1, beta = 2/3
     return {
-        "a_ogd_convex": (ScheduleParams(2.0 / 3.0, Regime.CONVEX, c), 0.0),
-        "a_ogd_strongly_convex": (
-            ScheduleParams(2.0 / 3.0, Regime.STRONGLY_CONVEX, c), 0.0),
-        "fixed_ogd": (FixedScheduleParams(eta=0.05, theta=2.0, mu=0.05), 0.0),
-        "a_ogd_convex_gamma_shift": (
-            ScheduleParams(2.0 / 3.0, Regime.CONVEX, replace(c, D=c.D + gamma)),
-            gamma),
+        "a_ogd_convex": ScheduleParams(2.0 / 3.0, Regime.CONVEX, c),
+        "a_ogd_strongly_convex": ScheduleParams(2.0 / 3.0,
+                                                Regime.STRONGLY_CONVEX, c),
+        "fixed_ogd": FixedScheduleParams(eta=0.05, theta=2.0, mu=0.05),
+        "a_ogd_convex_gamma_shift": ScheduleParams(
+            2.0 / 3.0, Regime.CONVEX, c, gamma),
     }
 
 
@@ -234,11 +231,11 @@ class TestDsmLinearMatchesClosures:
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
     def test_replayed_iterates(self, p):
         lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
-        for name, (schedule, gamma) in dsm_schedules(p, self.T).items():
+        for name, schedule in dsm_schedules(p, self.T).items():
             prob = DsmProblem(p)
-            fast, fast_rounds = recorded_run(prob, schedule, self.T, [p], gamma)
+            fast, fast_rounds = recorded_run(prob, schedule, self.T, [p])
             prob.constraints = ref
-            slow, slow_rounds = recorded_run(prob, schedule, self.T, [p], gamma)
+            slow, slow_rounds = recorded_run(prob, schedule, self.T, [p])
             assert_same_trace(fast, slow, name)
             assert_same_trace(fast_rounds, slow_rounds, name)
             self.assert_identical(lin, ref, fast_rounds.x.reshape(-1, p * p))
@@ -286,17 +283,16 @@ class TestElasticNetBudgetMatchesClosure:
         c = ElasticNetProblem(y, u, rho=0.3).constants
         gamma = T ** (-1.0 / 3.0)
         variants = {
-            "a_ogd_convex": (ScheduleParams(2.0 / 3.0, Regime.CONVEX, c), 0.0),
-            "fixed_ogd": (FixedScheduleParams(eta=0.5, theta=2.0, mu=0.05), 0.0),
-            "a_ogd_convex_gamma_shift": (
-                ScheduleParams(2.0 / 3.0, Regime.CONVEX, replace(c, D=c.D + gamma)),
-                gamma),
+            "a_ogd_convex": ScheduleParams(2.0 / 3.0, Regime.CONVEX, c),
+            "fixed_ogd": FixedScheduleParams(eta=0.5, theta=2.0, mu=0.05),
+            "a_ogd_convex_gamma_shift": ScheduleParams(
+                2.0 / 3.0, Regime.CONVEX, c, gamma),
         }
-        for name, (schedule, gamma) in variants.items():
+        for name, schedule in variants.items():
             prob = ElasticNetProblem(y, u, rho=0.3)
-            fast, fast_rounds = recorded_run(prob, schedule, T, [2, 3], gamma)
+            fast, fast_rounds = recorded_run(prob, schedule, T, [2, 3])
             prob.constraints = elasticnet_closure(0.3)
-            slow, slow_rounds = recorded_run(prob, schedule, T, [2, 3], gamma)
+            slow, slow_rounds = recorded_run(prob, schedule, T, [2, 3])
             assert_same_trace(fast, slow, name)
             assert_same_trace(fast_rounds, slow_rounds, name)
             assert np.any(fast_rounds.g > 0) and np.any(fast_rounds.g < 0), name
@@ -576,6 +572,16 @@ class TestLossSum:
         prob = _make_problem("dsm", self.T)
         X = np.zeros((1, prob.dim))
         prob.loss(self.T, X)  # the short last chunk is in the buffer
+        for t in (0, self.T + 1):
+            with pytest.raises(ValueError, match="materialized"):
+                prob.loss(t, X)
+
+    def test_elasticnet_loss_rejects_rounds_outside_the_stream(self):
+        # t = 0 would otherwise index the order at -1 and read round T
+        prob = _make_problem("elasticnet", self.T, (5, 9))
+        X = np.zeros((2, prob.dim))
+        values, _ = prob.loss(self.T, X)
+        assert values.shape == (2,)
         for t in (0, self.T + 1):
             with pytest.raises(ValueError, match="materialized"):
                 prob.loss(t, X)

@@ -6,8 +6,6 @@ Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,14 +53,13 @@ def test_project_nonneg(lam):
 
 
 def schedules(draw, constants):
-    """(schedule, gamma) over the adaptive regimes the constants allow (the
+    """A schedule over the adaptive regimes the constants allow (the
     strongly convex one needs sigma > 0), the fixed-step baseline and the
     gamma-shift."""
     beta = draw(st.floats(0.1, 0.9))
     kind = draw(st.sampled_from(
         [k for k in ("convex", "strongly_convex", "fixed", "shift")
          if k != "strongly_convex" or constants.sigma > 0]))
-    gamma = 0.0
     if kind == "fixed":
         schedule = FixedScheduleParams(eta=draw(st.floats(1e-3, 2.0)),
                                        theta=draw(st.floats(0.1, 10.0)),
@@ -70,19 +67,17 @@ def schedules(draw, constants):
     elif kind == "strongly_convex":
         schedule = ScheduleParams(beta, Regime.STRONGLY_CONVEX, constants)
     else:
-        if kind == "shift":
-            gamma = draw(st.floats(0.01, 2.0))
-            constants = replace(constants, D=constants.D + gamma)
-        schedule = ScheduleParams(beta, Regime.CONVEX, constants)
-    return schedule, gamma
+        gamma = draw(st.floats(0.01, 2.0)) if kind == "shift" else 0.0
+        schedule = ScheduleParams(beta, Regime.CONVEX, constants, gamma)
+    return schedule
 
 
 @st.composite
 def dsm_runs(draw):
-    """(p, schedule, gamma, T, seed) over the four schedule variants."""
+    """(p, schedule, T, seed) over the four schedule variants."""
     p = draw(st.sampled_from([2, 3]))
-    schedule, gamma = schedules(draw, DsmProblem(p).constants)
-    return p, schedule, gamma, draw(st.integers(1, 80)), draw(st.integers(0, 2**16))
+    schedule = schedules(draw, DsmProblem(p).constants)
+    return p, schedule, draw(st.integers(1, 80)), draw(st.integers(0, 2**16))
 
 
 _en_rng = np.random.default_rng(16)
@@ -92,26 +87,26 @@ EN_LABELS = np.where(EN_FEATURES @ _en_rng.normal(size=5) > 0, 1.0, -1.0)
 
 @st.composite
 def lockstep_runs(draw):
-    """(problem factory, schedule, gamma, T, seeds): DSM p in {2, 3} or a
+    """(problem factory, schedule, T, seeds): DSM p in {2, 3} or a
     small elastic-net problem, each schedule variant it allows, and 1 to 5
     distinct seeds."""
     make = draw(st.sampled_from([
         lambda: DsmProblem(2), lambda: DsmProblem(3),
         lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=0.3)]))
-    schedule, gamma = schedules(draw, make().constants)
+    schedule = schedules(draw, make().constants)
     seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=5,
                           unique=True))
-    return make, schedule, gamma, draw(st.integers(1, 60)), seeds
+    return make, schedule, draw(st.integers(1, 60)), seeds
 
 
 @settings(SETTINGS, max_examples=25)
 @given(case=dsm_runs())
 def test_learner_iterates_stay_in_ball_with_nonneg_dual(case):
-    p, schedule, gamma, T, seed = case
+    p, schedule, T, seed = case
     prob = DsmProblem(p)
     R = prob.constants.R
     with recorded_iterates() as xs:
-        trace = run(prob, schedule, T, [seed], range(1, T + 1), gamma=gamma)
+        trace = run(prob, schedule, T, [seed], range(1, T + 1))
     assert np.all(np.linalg.norm(xs, axis=-1) <= R + 1e-12)
     assert np.all(trace.lam >= 0.0)
 
@@ -126,14 +121,13 @@ def assert_same_bits(a, b):
 def test_lockstep_columns_match_single_seed_runs(case):
     # seed j's column of a lockstep run, and row j of its iterates, are the
     # run of seed j alone, bit for bit and sign of zero included
-    make, schedule, gamma, T, seeds = case
+    make, schedule, T, seeds = case
     with recorded_iterates() as xs:
-        trace = run(make(), schedule, T, seeds, range(1, T + 1), gamma=gamma)
+        trace = run(make(), schedule, T, seeds, range(1, T + 1))
     assert trace.lam.shape == trace.loss_cum.shape == trace.g_cum.shape == (T, len(seeds))
     for j, seed in enumerate(seeds):
         with recorded_iterates() as xs_alone:
-            alone = run(make(), schedule, T, [seed], range(1, T + 1),
-                        gamma=gamma)
+            alone = run(make(), schedule, T, [seed], range(1, T + 1))
         for column in ("lam", "loss_cum", "g_cum"):
             assert_same_bits(getattr(trace, column)[:, j],
                              getattr(alone, column)[:, 0])
@@ -150,7 +144,7 @@ C = _CHUNK_ROUNDS
 
 @st.composite
 def checkpoint_runs(draw):
-    """(problem factory, schedule, gamma, T, seeds, checkpoints): DSM p in
+    """(problem factory, schedule, T, seeds, checkpoints): DSM p in
     {2, 3, 8}, or elastic net with a tight budget or one so loose that
     every round is slack (lambda stays 0 and sum g <= 0 from round 1, so
     the first maximizer and the first nonpositive round tie across
@@ -160,14 +154,14 @@ def checkpoint_runs(draw):
         lambda: DsmProblem(2), lambda: DsmProblem(3), lambda: DsmProblem(8),
         lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=0.3),
         lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=50.0)]))
-    schedule, gamma = schedules(draw, make().constants)
+    schedule = schedules(draw, make().constants)
     T = draw(st.sampled_from([1, C - 1, C, C + 1, 3 * C + 5]))
     seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
                           unique=True))
     checkpoints = draw(st.just(list(range(1, T + 1)))
                        | st.lists(st.integers(1, T), min_size=1,
                                   unique=True).map(sorted))
-    return make, schedule, gamma, T, seeds, checkpoints
+    return make, schedule, T, seeds, checkpoints
 
 
 def trace_from_rounds(rounds, eta, theta, checkpoints) -> Trace:
@@ -200,11 +194,11 @@ def test_checkpoint_trace_matches_per_round_columns(case):
     # the chunked fold of the round loop gives, bit for bit and sign of zero
     # included, what whole per-round columns give; and the DSM loss sum from
     # code counts is the float prefix sum
-    make, schedule, gamma, T, seeds, checkpoints = case
+    make, schedule, T, seeds, checkpoints = case
     prob = make()
-    with recorded_rounds(prob, gamma) as rounds:
-        trace = run(prob, schedule, T, seeds, checkpoints, gamma=gamma)
-    theta, eta, _ = schedule_arrays(schedule, T, gamma)
+    with recorded_rounds(prob) as rounds:
+        trace = run(prob, schedule, T, seeds, checkpoints)
+    theta, eta, _ = schedule_arrays(schedule, T)
     expected = trace_from_rounds(rounds, eta, theta, checkpoints)
     for name, column in vars(expected).items():
         assert_same_bits(getattr(trace, name), column)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             FixedScheduleParams(eta=0.0, theta=1.0, mu=1.0)
 
+    @pytest.mark.parametrize("gamma", [-0.1, -np.inf, np.nan, np.inf])
+    @pytest.mark.parametrize("schedule", [
+        convex_params(), sc_params(),
+        FixedScheduleParams(eta=0.05, theta=2.0, mu=0.05)])
+    def test_schedules_reject_bad_gamma(self, schedule, gamma):
+        # a NaN or infinite shift would pass a plain gamma < 0 check
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            replace(schedule, gamma=gamma)
+
 
 class TestConditions:
     def test_table_schedules_convex(self):
@@ -108,7 +119,7 @@ class TestConditions:
         # gamma > 0 scales mu by 2/3 and checks C2 with 3/2 mu theta^2
         p = convex_params()
         theta, eta, mu = schedule_arrays(p, 1000)
-        _, _, mu_shifted = schedule_arrays(p, 1000, gamma=0.1)
+        _, _, mu_shifted = schedule_arrays(replace(p, gamma=0.1), 1000)
         np.testing.assert_allclose(mu_shifted, mu * 2.0 / 3.0, rtol=1e-15)
         assert check_conditions(theta, eta, mu_shifted, 0.0, 1.0,
                                 gamma=0.1).c2_ok
@@ -121,9 +132,7 @@ class TestConditions:
                                     gamma=0.1).c2_ok
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_arrays(convex_params(), 10, gamma=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gamma"):
             check_conditions(np.ones(3), np.ones(3), np.ones(3), 0.0, 1.0,
                              gamma=-0.1)
 
@@ -156,6 +165,14 @@ class TestBounds:
         assert loss_regret_bound(p, 1000) == pytest.approx(
             (1 + 0.25) * 1000 ** (2 / 3) + 6 * 1000 ** (1 / 3))
         assert loss_regret_bound(p, 1) == pytest.approx(7.25)
+
+    def test_shifted_loss_bound_values(self):
+        # gamma = 1 doubles the bound on |g + gamma| to 2, so the D^2/(6
+        # beta RG) term goes from 1/4 to 4/4
+        p = replace(convex_params(), gamma=1.0)
+        assert loss_regret_bound(p, 1000) == pytest.approx(
+            (1 + 1.0) * 1000 ** (2 / 3) + 6 * 1000 ** (1 / 3))
+        assert loss_regret_bound(p, 1) == pytest.approx(8.0)
 
     def test_constraint_bound_values(self):
         p = convex_params()

@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 17 configs
+a checkout's root works too). The script runs a fixed matrix of 18 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with the largest relative
 difference of its numbers) and every manifest key whose value differs, with
@@ -11,7 +11,8 @@ the echoed `config.output_dir` masked. For numbers it prints the relative
 difference. It exits 0 when all outputs match and 1 otherwise.
 
 The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
-with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=16, T=2000, convex, 2 seeds;
+with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=8, T=1000, fixed_ogd with
+a c1=1 gamma-shift, 2 seeds; DSM p=16, T=2000, convex, 2 seeds;
 DSM p=3, T=100 (shorter than one 256-round chunk), convex, 3 seeds;
 elastic net on acceptance criterion 9's synthetic dataset (500 rows, 20
 features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
@@ -85,6 +86,9 @@ def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
             configs[f"dsm_p8_{variant}_s{n_seeds}"] = dict(
                 problem={"kind": "dsm", "p": 8}, T=1000,
                 seeds=list(range(n_seeds)), **VARIANTS[variant])
+    configs["dsm_p8_fixed_ogd_shift_s2"] = dict(
+        problem={"kind": "dsm", "p": 8}, T=1000, seeds=[0, 1],
+        algorithm=FIXED_OGD, gamma_shift={"c1": 1.0})
     configs["dsm_p16_convex_s2"] = dict(
         problem={"kind": "dsm", "p": 16}, T=2000, seeds=[0, 1],
         **VARIANTS["convex"])
