@@ -59,8 +59,9 @@ class ExperimentConfig:
             raise ValueError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        if set(self.gamma_shift or {}) - {"c1"}:
-            raise ValueError(f"gamma_shift takes only c1: {self.gamma_shift}")
+        if self.gamma_shift is not None and set(self.gamma_shift) != {"c1"}:
+            raise ValueError(
+                f"gamma_shift takes c1 and only c1: {self.gamma_shift}")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError("gamma_shift.c1 must be finite and nonnegative")
 
@@ -69,7 +70,7 @@ class ExperimentConfig:
         """Constraint shift gamma = c1 * T^(-beta/2); 0 without gamma_shift."""
         if self.gamma_shift is None:
             return 0.0
-        c1 = float(self.gamma_shift.get("c1", 1.0))
+        c1 = float(self.gamma_shift["c1"])
         return c1 * float(self.T) ** (-self.beta / 2.0)
 
 
@@ -86,6 +87,10 @@ def build_problem(cfg: ExperimentConfig):
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
+_ADAPTIVE = {"a_ogd_convex": Regime.CONVEX,
+             "a_ogd_strongly_convex": Regime.STRONGLY_CONVEX}
+
+
 def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
     algo = cfg.algorithm
     if isinstance(algo, dict):
@@ -94,13 +99,10 @@ def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
         return FixedScheduleParams(eta=float(algo["eta"]),
                                    theta=float(algo["theta"]),
                                    mu=float(algo["mu"]), gamma=cfg.gamma)
-    if algo == "a_ogd_convex":
-        return ScheduleParams(beta=cfg.beta, regime=Regime.CONVEX,
-                              constants=constants, gamma=cfg.gamma)
-    if algo == "a_ogd_strongly_convex":
-        return ScheduleParams(beta=cfg.beta, regime=Regime.STRONGLY_CONVEX,
-                              constants=constants, gamma=cfg.gamma)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if not isinstance(algo, str) or algo not in _ADAPTIVE:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return ScheduleParams(beta=cfg.beta, regime=_ADAPTIVE[algo],
+                          constants=constants, gamma=cfg.gamma)
 
 
 def _algorithm_label(cfg: ExperimentConfig) -> str:
@@ -148,29 +150,27 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                             constants.sigma, constants.G, gamma)
     params = schedule if isinstance(schedule, ScheduleParams) else None
     sums = schedule_sums(schedule, cfg.T) if params else None
-    pid = "_".join(f"{k}-{v}" for k, v in sorted(cfg.problem.items())
-                   if isinstance(v, (str, int, float)))
     run_key = offline.cache_key(cfg.problem)
 
-    compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
-    loss_cols, g_cols, first_nonpositive = [], [], []
     trace = learner.run(problem, schedule, cfg.T, cfg.seeds, checkpoints)
-    for j, seed in enumerate(cfg.seeds):
-        solutions = {
-            t: offline.solve_offline_cached(
-                problem, t, cache_dir,
-                problem_id=f"{pid}_seed{seed}".replace(os.sep, "-"),
-                key=run_key, j=j)
-            for t in checkpoints
-        }
-        # no regret is written against a comparator that missed its tolerance
-        for t, sol in solutions.items():
+    # every comparator is solved and gated before any output is written, so
+    # that no regret is written against one that missed its tolerance
+    solutions = [{t: offline.solve_offline_cached(problem, t, cache_dir,
+                                                 run_key, seed, j)
+                  for t in checkpoints}
+                 for j, seed in enumerate(cfg.seeds)]
+    for seed, seed_solutions in zip(cfg.seeds, solutions):
+        for t, sol in seed_solutions.items():
             if not sol.tolerance_met:
                 raise RuntimeError(
                     f"offline solve of seed {seed} at t={t} missed its "
                     f"tolerance after {sol.iterations} iterations "
                     f"(gradient-mapping norm {sol.mapping_norm:.3g})")
-        report = metrics.accumulate(trace, solutions, problem, params, j)
+
+    compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
+    loss_cols, g_cols, first_nonpositive = [], [], []
+    for j, (seed, seed_solutions) in enumerate(zip(cfg.seeds, solutions)):
+        report = metrics.accumulate(trace, seed_solutions, problem, params, j)
         # the report's fields are the CSV's columns, in order
         _write_csv(os.path.join(cfg.output_dir, f"seed_{seed}.csv"),
                    ["t", "loss_regret", "constraint_cum", "loss_bound",
@@ -185,7 +185,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         solves[key] = [{"t": t, "iterations": sol.iterations,
                         "tolerance_met": sol.tolerance_met,
                         "mapping_norm": sol.mapping_norm}
-                       for t, sol in solutions.items()]
+                       for t, sol in seed_solutions.items()]
         # signed sums can hide violated rounds behind slack ones
         violation_clipped[key] = float(trace.violation_clipped[j])
         max_lambda[key] = {"value": float(trace.lam_max[j]),

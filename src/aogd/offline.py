@@ -8,7 +8,7 @@ projection uses Dykstra's alternating projections (plain alternating
 projection would converge to a feasible point, not the Euclidean
 projection); the elastic-net ball projection has a closed form in the KKT
 multiplier once its support is known. Solutions are cached on disk under a
-key over the problem spec, the dataset's bytes, the stream, t, the
+key over the problem spec, the dataset's bytes, the seed, t, the
 solver's settings and the source of the code that computes them, so that a
 stale file is re-solved.
 """
@@ -183,7 +183,7 @@ def cache_key(spec: dict) -> str:
     t: the problem spec, with the sha256 of the dataset file's bytes in
     place of its path, the solver's tolerance and iteration cap, and the
     source of the code that computes it (`_source_digest`). Computed once
-    per run; `solve_offline_cached` folds in the stream and t.
+    per run; `solve_offline_cached` folds in the seed and t.
     """
     spec = dict(spec)
     if "dataset" in spec:
@@ -194,15 +194,15 @@ def cache_key(spec: dict) -> str:
          "source": _source_digest()}, sort_keys=True).encode()).hexdigest()
 
 
-def solve_offline_cached(problem, t: int, cache_dir: str, problem_id: str,
-                         key: str, j: int = 0) -> OfflineSolution:
+def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
+                         seed: int, j: int = 0) -> OfflineSolution:
     """Disk-cached solve_offline of seed j at its default tolerance; writes
-    via atomic rename. `problem_id` names seed j's stream and `key` is the
-    run's `cache_key`. A file whose stored key differs is re-solved and
+    via atomic rename. `key` is the run's `cache_key` and `seed` row j's
+    seed. The file is named by seed and t; the key it stores is its only
+    identity, and a file whose stored key differs is re-solved and
     overwritten."""
-    path = os.path.join(cache_dir, f"{problem_id}_t{t}.json")
-    file_key = hashlib.sha256(
-        f"{key} {problem_id} t={t}".encode()).hexdigest()
+    path = os.path.join(cache_dir, f"seed{seed}_t{t}.json")
+    file_key = hashlib.sha256(f"{key} seed={seed} t={t}".encode()).hexdigest()
     if os.path.exists(path):
         with open(path) as fh:
             data = json.load(fh)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .offline import (elasticnet_value, project_birkhoff,
-                      project_elasticnet_ball)
+from . import offline
 from .projections import LinearConstraints
 from .schedules import ProblemConstants
 
@@ -172,7 +171,7 @@ class DsmProblem:
                 t * x - S)
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
-        return project_birkhoff(x.reshape(self.p, self.p)).ravel()
+        return offline.project_birkhoff(x.reshape(self.p, self.p)).ravel()
 
 
 def logloss_grad(y, u: np.ndarray, x: np.ndarray):
@@ -220,7 +219,7 @@ class ElasticNetBudget:
     rho: float
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return (elasticnet_value(x) - self.rho)[..., None]
+        return (offline.elasticnet_value(x) - self.rho)[..., None]
 
     def subgradient(self, x: np.ndarray, j) -> np.ndarray:
         return np.sign(x) + x
@@ -291,4 +290,4 @@ class ElasticNetProblem:
         return value, -(y * expit(-margin)) @ U
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
-        return project_elasticnet_ball(x, self.rho)
+        return offline.project_elasticnet_ball(x, self.rho)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ class TestRunExperiment:
         # a cached solve that missed its tolerance fails the next run, and
         # no regret is written against it
         t = manifest["checkpoints"][-1]
-        (path,) = (out / "offline_cache").glob(f"*_seed2_t{t}.json")
+        (path,) = (out / "offline_cache").glob(f"seed2_t{t}.json")
         cached = json.loads(path.read_text())
         path.write_text(json.dumps(dict(cached, tolerance_met=False)))
         for csv_path in out.glob("*.csv"):
@@ -158,8 +159,8 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert f"seed 2 at t={t}" in manifest["error"]
-        assert not (out / "seed_2.csv").exists()
-        assert not (out / "aggregate.csv").exists()
+        # every comparator is gated before any output: not even seed 1's CSV
+        assert not list(out.glob("*.csv"))
 
     def test_edited_dataset_is_resolved(self, tmp_path, monkeypatch):
         data = write_elasticnet_dataset(tmp_path)
@@ -187,9 +188,45 @@ class TestRunExperiment:
         assert solved == 2 * checkpoints
         problem = build_problem(ExperimentConfig(**cfg)).materialize(40, [3])
         t = checkpoints[-1]
-        (path,) = (out / "offline_cache").glob(f"*_seed3_t{t}.json")
+        (path,) = (out / "offline_cache").glob(f"seed3_t{t}.json")
         assert (json.loads(path.read_text())["x_star"]
                 == solve(problem, t).x_star.tolist())
+
+    def test_long_dataset_path_is_cached_by_its_bytes(self, tmp_path,
+                                                      monkeypatch):
+        # a cache file is named by seed and t, never by the dataset's path:
+        # a path longer than a file name can be still runs, and caches
+        deep = tmp_path
+        while len(str(deep)) < 260:
+            deep = deep / ("d" * 60)
+        deep.mkdir(parents=True)
+        data = write_elasticnet_dataset(deep)
+        assert len(data) >= 260
+        _, cfg = write_config(
+            tmp_path, seeds=[3, 4], T=40,
+            problem={"kind": "elasticnet", "dataset": data, "rho": 0.5})
+        solved = []
+        solve = offline.solve_offline
+        monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
+            solved.append(args[1]) or solve(*args, **kwargs)))
+        out = tmp_path / "out"
+
+        run_experiment(ExperimentConfig(**cfg))
+        checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
+        assert solved == 2 * checkpoints
+        assert (sorted(p.name for p in (out / "offline_cache").iterdir())
+                == sorted(f"seed{s}_t{t}.json" for s in (3, 4)
+                          for t in checkpoints))
+        run_experiment(ExperimentConfig(**cfg))
+        assert solved == 2 * checkpoints
+
+        # the same bytes under another path are the same comparator
+        moved = Path(data).rename(tmp_path / "moved.libsvm")
+        cfg["problem"] = dict(cfg["problem"], dataset=str(moved))
+        run_experiment(ExperimentConfig(**cfg))
+        assert solved == 2 * checkpoints
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
 
     def test_violation_and_max_lambda_recorded(self, tmp_path):
         # elastic net has slack rounds (g < 0) that the signed sum nets out
@@ -251,6 +288,16 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(**cfg))
         assert not list((tmp_path / "out").glob("seed_*.csv"))
 
+    def test_gamma_shift_without_c1_rejected(self, tmp_path):
+        # an empty gamma_shift would otherwise run silently with c1 = 1
+        _, cfg = write_config(tmp_path, gamma_shift={})
+        with pytest.raises(ValueError, match="c1"):
+            run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "c1" in manifest["error"]
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     @pytest.mark.parametrize("c1", [float("nan"), float("inf")])
     def test_non_finite_gamma_shift_rejected(self, tmp_path, c1):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": c1})
@@ -297,6 +344,17 @@ class TestRunExperiment:
             assert rates[name] == fit_rate_exponent(cols["t"], cols[column])
         assert manifest["final_loss_regret_mean"] == cols["loss_regret_mean"][-1]
         assert manifest["final_constraint_cum_mean"] == cols["constraint_cum_mean"][-1]
+
+
+class TestBuildSchedule:
+    @pytest.mark.parametrize("algorithm", [
+        "a_ogd", "fixed_ogd", ["a_ogd_convex"], {"kind": "a_ogd_convex"},
+        {"eta": 0.1}])
+    def test_unknown_algorithm_rejected(self, tmp_path, algorithm):
+        _, cfg = write_config(tmp_path, algorithm=algorithm)
+        config = ExperimentConfig(**cfg)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            build_schedule(config, build_problem(config).constants)
 
 
 class TestCompareRuns:
@@ -392,7 +450,7 @@ class TestCli:
         solved = {3: [], 5: []}
         for seed, x_stars in solved.items():
             for t in (checkpoints[1], checkpoints[-1]):
-                (path,) = (out / "offline_cache").glob(f"*_seed{seed}_t{t}.json")
+                (path,) = (out / "offline_cache").glob(f"seed{seed}_t{t}.json")
                 assert main(["solve-offline", cfg_path, "--t", str(t),
                              "--seed", str(seed)]) == 0
                 x_stars.append(json.loads(capsys.readouterr().out)["x_star"])

@@ -314,8 +314,8 @@ class TestSolveOfflineCached:
         prob = DsmProblem(3)
         prob.materialize(10, [4])
         key = offline.cache_key({"kind": "dsm", "p": 3})
-        first = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", key)
-        assert (tmp_path / "dsm_p3_s4_t10.json").exists()
+        first = solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
+        assert (tmp_path / "seed4_t10.json").exists()
 
         class Boom:
             dim = 9
@@ -323,8 +323,7 @@ class TestSolveOfflineCached:
             def project_feasible(self, x):
                 raise AssertionError("cache should have been hit")
 
-        second = solve_offline_cached(Boom(), 10, str(tmp_path), "dsm_p3_s4",
-                                      key)
+        second = solve_offline_cached(Boom(), 10, str(tmp_path), key, seed=4)
         np.testing.assert_allclose(second.x_star, first.x_star)
         assert second.objective == first.objective
         assert second.mapping_norm == first.mapping_norm < 1e-8
@@ -340,11 +339,11 @@ class TestSolveOfflineCached:
         prob = DsmProblem(3)
         prob.materialize(10, [4])
         spec = {"kind": "dsm", "p": 3}
-        path = tmp_path / "dsm_p3_s4_t10.json"
+        path = tmp_path / "seed4_t10.json"
         with monkeypatch.context() as m:
             m.setattr(offline, "_source_digest", lambda: "other source")
             stale_key = offline.cache_key(spec)
-            solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", stale_key)
+            solve_offline_cached(prob, 10, str(tmp_path), stale_key, seed=4)
         # mark the other code's file, so that returning it would show
         path.write_text(json.dumps(dict(json.loads(path.read_text()),
                                         objective=-1.0)))
@@ -354,8 +353,8 @@ class TestSolveOfflineCached:
         solves = []
         monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
             solves.append(args) or solve_offline(*args, **kwargs)))
-        sol = solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", key)
+        sol = solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
         assert len(solves) == 1 and sol.objective != -1.0
         assert json.loads(path.read_text())["objective"] == sol.objective
-        solve_offline_cached(prob, 10, str(tmp_path), "dsm_p3_s4", key)
+        solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
         assert len(solves) == 1  # the overwritten file now hits

@@ -4,8 +4,10 @@ removes or renames one must fail the unit tests, not only the benchmark."""
 import importlib.util
 from pathlib import Path
 
-from aogd import learner
-from aogd.problems import DsmProblem
+import numpy as np
+
+from aogd import learner, offline
+from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.schedules import FixedScheduleParams
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -38,3 +40,21 @@ def test_tracer_installs_counts_rounds_and_uninstalls():
     for name in ("learner.step", "projections.g_max",
                  "projections.project_ball", "problems.loss.learner"):
         assert tracer.stats[name][0] == T, name
+
+
+def test_tracer_counts_the_offline_projections():
+    # the problems call both projections through `offline`, where the
+    # tracer wraps them; a name bound at import would count 0
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(20, 4))
+    labels = np.where(features[:, 0] > 0, 1.0, -1.0)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for problem in (DsmProblem(3),
+                        ElasticNetProblem(labels, features, rho=0.5)):
+            offline.solve_offline(problem.materialize(10, [1]), 10)
+    finally:
+        tracer.uninstall()
+    for name in ("offline.project_birkhoff", "offline.project_elasticnet_ball"):
+        assert tracer.stats[name][0] > 0, name

@@ -6,7 +6,8 @@ Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
 a checkout's root works too). The script runs a fixed matrix of 18 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with the largest relative
-difference of its numbers) and every manifest key whose value differs, with
+difference of its numbers, the column it is in and its absolute
+difference) and every manifest key whose value differs, with
 the echoed `config.output_dir` masked. For numbers it prints the relative
 difference. It exits 0 when all outputs match and 1 otherwise.
 
@@ -150,17 +151,23 @@ def describe(a, b) -> str:
 
 def csv_difference(parent: str, change: str) -> str:
     """The largest relative difference between the numbers of two CSVs of
-    one shape (NaN on both sides is a match; 0 against nonzero is inf)."""
+    one shape (NaN on both sides is a match; 0 against nonzero is inf), with
+    its column and its absolute difference."""
+    with open(parent) as fh:
+        header = fh.readline().strip().split(",")
     a, b = (np.genfromtxt(p, delimiter=",", skip_header=1, ndmin=2)
             for p in (parent, change))
     if a.shape != b.shape:
         return f" (shape {a.shape} -> {b.shape})"
     if np.any(np.isnan(a) != np.isnan(b)):
         return " (NaN in one tree only)"
+    same = (a == b) | np.isnan(a)
+    diff = np.where(same, 0.0, np.abs(b - a))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(b - a) / np.abs(a)
-    rel[(a == b) | np.isnan(a)] = 0.0
-    return f" (max rel {float(np.max(rel)):.2e})"
+        rel = np.where(same, 0.0, diff / np.abs(a))
+    row, col = np.unravel_index(np.argmax(rel), rel.shape)
+    return (f" (max rel {rel[row, col]:.2e} in {header[col]}, "
+            f"abs {diff[row, col]:.2e})")
 
 
 def read_manifest(out: str) -> dict:
