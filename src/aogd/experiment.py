@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from dataclasses import asdict, astuple, dataclass
 from typing import Iterable, Sequence
@@ -53,10 +54,14 @@ class ExperimentConfig:
         # beta also sets gamma = c1 T^(-beta/2), so fixed_ogd needs it too
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
+        _require_int("T", self.T)
+        _require_int("checkpoints", self.checkpoints)
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if not self.seeds:
             raise ValueError("at least one seed required")
+        for seed in self.seeds:
+            _require_int("seeds", seed)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.gamma_shift is not None and set(self.gamma_shift) != {"c1"}:
@@ -74,12 +79,20 @@ class ExperimentConfig:
         return c1 * float(self.T) ** (-self.beta / 2.0)
 
 
+def _require_int(name: str, value):
+    """A float such as 2.5 or 5e1 would otherwise be truncated or fail deep
+    inside the run with a message that names no field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def build_problem(cfg: ExperimentConfig):
     """The configured problem; its stream is drawn by `materialize(T, seed)`."""
     spec = cfg.problem
     kind = spec["kind"]
     if kind == "dsm":
-        return DsmProblem(p=int(spec["p"]))
+        _require_int("problem.p", spec["p"])
+        return DsmProblem(p=spec["p"])
     if kind == "elasticnet":
         ds = load_dataset(spec["dataset"], max_rows=spec.get("max_rows"))
         labels, features = ds.dense()
@@ -89,6 +102,7 @@ def build_problem(cfg: ExperimentConfig):
 
 _ADAPTIVE = {"a_ogd_convex": Regime.CONVEX,
              "a_ogd_strongly_convex": Regime.STRONGLY_CONVEX}
+_FIXED_OGD_KEYS = {"kind", "eta", "theta", "mu"}
 
 
 def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
@@ -96,6 +110,11 @@ def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
     if isinstance(algo, dict):
         if algo.get("kind") != "fixed_ogd":
             raise ValueError(f"unknown algorithm {algo!r}")
+        if set(algo) != _FIXED_OGD_KEYS:
+            raise ValueError(
+                f"fixed_ogd takes kind, eta, theta and mu and only those: "
+                f"missing {sorted(_FIXED_OGD_KEYS - set(algo))}, "
+                f"unknown {sorted(set(algo) - _FIXED_OGD_KEYS)}")
         return FixedScheduleParams(eta=float(algo["eta"]),
                                    theta=float(algo["theta"]),
                                    mu=float(algo["mu"]), gamma=cfg.gamma)
@@ -245,14 +264,19 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
 def compare_runs(manifest_paths: list[str], output_path: str | None = None):
     """Tabulate final regrets and rate exponents across run manifests.
 
-    All manifests must share the problem spec and horizon T. Returns the
-    table as a list of dict rows; optionally writes CSV plus a plain-text
-    rendering next to it.
+    All manifests must record ok runs that share the problem spec and
+    horizon T. Returns the table as a list of dict rows; optionally writes
+    CSV plus a plain-text rendering next to it.
     """
     manifests = []
     for path in manifest_paths:
         with open(path) as fh:
-            manifests.append(json.load(fh))
+            manifest = json.load(fh)
+        if manifest.get("status") != "ok":
+            raise ValueError(f"{path} is not an ok run: status "
+                             f"{manifest.get('status')!r}, error "
+                             f"{manifest.get('error')!r}")
+        manifests.append(manifest)
     ref = manifests[0]["config"]
     for m in manifests[1:]:
         if m["config"]["problem"] != ref["problem"] or m["config"]["T"] != ref["T"]:

@@ -3,7 +3,8 @@
 Two problems: online estimation of doubly-stochastic matrices (quadratic
 losses against random permutation matrices, linear constraints) and sparse
 binary classification (log-loss with an elastic-net budget constraint).
-Each problem derives its own bound constants (R, G, D, F, sigma).
+Each problem derives its own bound constants (R, G, D, F, sigma) and owns
+its constraint set.
 
 A problem holds the streams of S seeds at once, seed-major, so that the
 learner can play them in lockstep: `loss(t, X)` takes one iterate per seed
@@ -18,7 +19,6 @@ import numpy as np
 from scipy.special import expit
 
 from . import offline
-from .projections import LinearConstraints
 from .schedules import ProblemConstants
 
 
@@ -33,27 +33,48 @@ def dsm_loss_grad(Y: np.ndarray, X: np.ndarray):
     return 0.5 * (diff * diff).sum(axis=(-2, -1)), diff
 
 
-def dsm_constraints(p: int) -> LinearConstraints:
-    """Linear constraints of the doubly-stochastic polytope as rows of (A, b).
+class DsmConstraints:
+    """Linear constraints of the doubly-stochastic polytope, g_j(x) =
+    A[j] . x - b[j], with the rows of A as subgradients.
 
-    p^2 nonnegativity constraints -X_ij <= 0 followed by 4p inequalities
-    (row sums <= 1, >= 1, column sums <= 1, >= 1) that model the 2p equality
-    constraints. Matrices are flattened row-major to dimension p^2.
+    p^2 nonnegativity constraints -X_ij <= 0 (b = 0) followed by 4p
+    inequalities (row sums <= 1, >= 1, column sums <= 1, >= 1; b = +-1) that
+    model the 2p equality constraints. Matrices are flattened row-major to
+    dimension p^2.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    n = p * p
-    # filled in place, so no second (n, n) array is ever alive
-    A = np.zeros((n + 4 * p, n))
-    np.fill_diagonal(A[:n], -1.0)
-    sums = A[n:].reshape(4, p, p, p)  # family, constraint, row i, column j
-    k = np.arange(p)
-    sums[0, k, k, :] = 1.0  # row i sums to <= 1
-    sums[1] = -sums[0]      # ... and >= 1
-    sums[2, k, :, k] = 1.0  # column j sums to <= 1
-    sums[3] = -sums[2]      # ... and >= 1
-    b = np.repeat([0.0, 1.0, -1.0, 1.0, -1.0], [n, p, p, p, p])
-    return LinearConstraints(A, b)
+
+    def __init__(self, p: int):
+        if p < 2:
+            raise ValueError("p must be >= 2")
+        n = p * p
+        # filled in place, so no second (n, n) array is ever alive
+        A = np.zeros((n + 4 * p, n))
+        np.fill_diagonal(A[:n], -1.0)
+        sums = A[n:].reshape(4, p, p, p)  # family, constraint, row i, column j
+        k = np.arange(p)
+        sums[0, k, k, :] = 1.0  # row i sums to <= 1
+        sums[1] = -sums[0]      # ... and >= 1
+        sums[2, k, :, k] = 1.0  # column j sums to <= 1
+        sums[3] = -sums[2]      # ... and >= 1
+        b = np.repeat([1.0, -1.0, 1.0, -1.0], p)
+        # read-only: rows of A are handed out as subgradients
+        A.flags.writeable = b.flags.writeable = False
+        self.A = A
+        self._sums = (A[n:], b)  # the 4p sum rows and their b
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        # vecdot takes one BLAS dot per row, the kernel of a single
+        # `A[j] @ x`; A @ x (gemv) sums in another order, and where rows are
+        # tied mathematically (row and column sums) the last bit then moves
+        # the first maximizer that g_max returns
+        A, b = self._sums
+        sums = np.vecdot(A, x[..., None, :]) - b
+        # a row -e_i dots to exactly -x_i, and to +0.0 (never -0.0) where
+        # x_i is a signed zero; 0.0 - x_i gives the same bits, -x_i would not
+        return np.concatenate((0.0 - x, sums), axis=-1)
+
+    def subgradient(self, x: np.ndarray, j) -> np.ndarray:
+        return self.A[j]
 
 
 def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
@@ -117,7 +138,7 @@ class DsmProblem:
         self.constants = ProblemConstants(
             R=R, G=2.0 * R, D=R, F=0.5 * (np.sqrt(p) + R) ** 2, sigma=1.0
         )
-        self.constraints = dsm_constraints(p)
+        self.constraints = DsmConstraints(p)
         self._row_starts = np.arange(0, self.dim, p)
         self._codes = None
         # the matrices of rounds _ys_start + 1 .. _ys_stop, (S, C, p, p)

@@ -8,65 +8,18 @@ active component.
 
 A constraint set is any object with `values(X)` (all g_j(x), one row per
 row x of X, so (S, d) -> (S, m); a single x of shape (d,) gives (m,)) and
-`subgradient(X, j)` (a subgradient of g_{j[s]} at each row X[s]). Two exist:
-`LinearConstraints(A, b)` here, with g_j(x) = A[j] . x - b[j], and the
-single elastic-net budget, `problems.ElasticNetBudget`. The learner plays
-the S seeds of a run in lockstep, one row each.
+`subgradient(X, j)` (a subgradient of g_{j[s]} at each row X[s]). Each
+problem owns its set: `problems.DsmConstraints`, the linear constraints of
+the doubly-stochastic polytope, and `problems.ElasticNetBudget`, the single
+elastic-net budget. The learner plays the S seeds of a run in lockstep, one
+row each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LinearConstraints:
-    """Linear components g_j(x) = A[j] . x - b[j], one row of A each."""
-
-    A: np.ndarray
-    b: np.ndarray
-    # the leading rows -e_0, ..., -e_{k-1} with b = 0 (the DSM nonnegativity
-    # block) are evaluated without dot products; the rest is (A, b)[k:]
-    _nonneg: int = field(init=False, repr=False, compare=False)
-    _rest: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # read-only views: rows of A are handed out as subgradients
-        A = np.asarray(self.A, dtype=float).view()
-        b = np.asarray(self.b, dtype=float).view()
-        if A.ndim != 2 or b.shape != A.shape[:1]:
-            raise ValueError(f"A must be (m, n) and b (m,); got "
-                             f"{A.shape} and {b.shape}")
-        if len(b) < 1:
-            raise ValueError("constraint set needs at least one component")
-        A.flags.writeable = b.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        n = min(A.shape)
-        lead = np.all(A[:n] == -np.eye(n, A.shape[1]), axis=1) & (b[:n] == 0.0)
-        k = n if lead.all() else int(np.argmin(lead))
-        object.__setattr__(self, "_nonneg", k)
-        object.__setattr__(self, "_rest", (A[k:], b[k:]))
-
-    def __len__(self):
-        return len(self.b)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        A, b = self._rest
-        # vecdot takes one BLAS dot per row, the kernel of a single
-        # `A[j] @ x`; A @ x (gemv) sums in another order, and where rows are
-        # tied mathematically (DSM row and column sums) the last bit then
-        # moves the first maximizer that g_max returns
-        rest = np.vecdot(A, x[..., None, :]) - b
-        # a row -e_i dots to exactly -x_i, and to +0.0 (never -0.0) where
-        # x_i is a signed zero; 0.0 - x_i gives the same bits, -x_i would not
-        return np.concatenate((0.0 - x[..., :self._nonneg], rest), axis=-1)
-
-    def subgradient(self, x: np.ndarray, j) -> np.ndarray:
-        return self.A[j]
 
 
 def project_ball(x: np.ndarray, R: float) -> np.ndarray:

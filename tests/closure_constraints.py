@@ -1,7 +1,7 @@
 """Reference oracle for the constraint protocol: one Python closure per
 component.
 
-The program evaluates its constraints as arrays (`LinearConstraints`,
+The program evaluates its constraints as arrays (`DsmConstraints`,
 `ElasticNetBudget`); the tests compare those against this plain form, and
 use it for small hand-written constraint sets. Like the program's, its
 `values` and `subgradient` take one x (d,) or a batch X (S, d), and go

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,34 @@ class TestRunExperiment:
         assert "beta" in manifest["error"]
         assert not list((tmp_path / "out").glob("seed_*.csv"))
 
+    @pytest.mark.parametrize("overrides,message", [
+        # a float p ran silently as int(p); float T and checkpoints failed
+        # with a message that named no field
+        pytest.param({"problem": {"kind": "dsm", "p": 2.5}},
+                     "problem.p must be an integer", id="float_p"),
+        pytest.param({"T": 5e1}, "T must be an integer", id="float_T"),
+        pytest.param({"T": True}, "T must be an integer", id="bool_T"),
+        pytest.param({"checkpoints": 8.0}, "checkpoints must be an integer",
+                     id="float_checkpoints"),
+        pytest.param({"seeds": [1, 2.0]}, "seeds must be an integer",
+                     id="float_seed"),
+        # fixed_ogd takes kind, eta, theta and mu and only those
+        pytest.param({"algorithm": {"kind": "fixed_ogd", "eta": 0.05,
+                                    "mu": 0.05}},
+                     "missing ['theta']", id="fixed_ogd_without_theta"),
+        pytest.param({"algorithm": {"kind": "fixed_ogd", "eta": 0.05,
+                                    "theta": 2.0, "mu": 0.05, "m": 1}},
+                     "unknown ['m']", id="fixed_ogd_extra_key"),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, overrides, message):
+        _, cfg = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert message in manifest["error"]
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_duplicate_seeds_rejected(self, tmp_path):
         # a repeated seed would count twice in aggregate.csv's means
         _, cfg = write_config(tmp_path, seeds=[1, 1, 2])
@@ -381,6 +410,20 @@ class TestCompareRuns:
         m_b = run_experiment(ExperimentConfig(**cfg_b))
         with pytest.raises(ValueError):
             compare_runs([m_a, m_b])
+
+    def test_rejects_failed_run(self, tmp_path):
+        _, cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
+        m_a = run_experiment(ExperimentConfig(**cfg_a))
+        _, cfg_b = write_config(tmp_path, output_dir=str(tmp_path / "b"),
+                                gamma_shift={"c1": -1.0})
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(**cfg_b))
+        m_b = str(tmp_path / "b" / "manifest.json")
+        # a failed manifest has no algorithm or finals to tabulate
+        with pytest.raises(ValueError, match="status 'failed'") as info:
+            compare_runs([m_a, m_b])
+        assert m_b in str(info.value)
+        assert "gamma_shift.c1 must be finite and nonnegative" in str(info.value)
 
 
 class TestCli:

@@ -4,8 +4,8 @@ import pytest
 from aogd import problems
 from aogd.learner import run
 from aogd.offline import project_birkhoff, project_elasticnet_ball
-from aogd.problems import (_CHUNK_ROWS, DsmProblem, ElasticNetBudget,
-                           ElasticNetProblem, dsm_constraints, dsm_loss_grad,
+from aogd.problems import (_CHUNK_ROWS, DsmConstraints, DsmProblem,
+                           ElasticNetBudget, ElasticNetProblem, dsm_loss_grad,
                            elasticnet_constants, logloss_grad,
                            permutation_stream)
 from aogd.projections import g_max
@@ -26,7 +26,7 @@ def sample_in_ball(rng, dim, R, n):
 def dsm_constraint_closures(p):
     """Reference oracle: the DSM constraints as one closure per component.
 
-    Same order as `dsm_constraints`: -X_ij <= 0 row-major, then row sums
+    Same order as `DsmConstraints`: -X_ij <= 0 row-major, then row sums
     <= 1, >= 1, column sums <= 1, >= 1. Each value is one
     `float(row @ x) - b` with its own row: the per-row dot whose rounding
     the program must reproduce, signed zeros included (a dot of zeros is
@@ -136,22 +136,36 @@ class TestDsmLoss:
 
 class TestDsmConstraints:
     def test_component_count(self):
-        assert len(dsm_constraints(2)) == 12
-        assert len(dsm_constraints(5)) == 45
+        assert DsmConstraints(2).A.shape == (12, 4)
+        assert DsmConstraints(5).A.shape == (45, 25)
 
     def test_doubly_stochastic_feasible(self):
-        cs = dsm_constraints(3)
+        cs = DsmConstraints(3)
         X = np.full((1, 9), 1.0 / 3.0)
         (value,), _ = g_max(cs, X)
         assert value <= 1e-12
 
     def test_zero_matrix_deficit(self):
-        (value,), _ = g_max(dsm_constraints(2), np.zeros((1, 4)))
+        (value,), _ = g_max(DsmConstraints(2), np.zeros((1, 4)))
         assert value == pytest.approx(1.0)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            dsm_constraints(1)
+            DsmConstraints(1)
+
+    def test_subgradient_rows_read_only(self):
+        cs = DsmConstraints(2)
+        with pytest.raises(ValueError):
+            cs.subgradient(np.zeros(4), 0)[0] = 5.0
+        # the rows handed out are those of A, whatever the iterate
+        np.testing.assert_array_equal(cs.subgradient(np.ones((2, 4)), [4, 11]),
+                                      cs.A[[4, 11]])
+
+    def test_g_max_names_the_nonfinite_row(self):
+        X = np.full((3, 4), 0.5)
+        X[2, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="row 2 of x"):
+            g_max(DsmConstraints(2), X)
 
     def test_subgradient_inequality_sampled(self):
         prob = DsmProblem(3)
@@ -166,7 +180,7 @@ class TestDsmConstraints:
 
 
 class TestDsmLinearMatchesClosures:
-    """`dsm_constraints` (A, b) against the closure oracle, bit for bit.
+    """`DsmConstraints` against the closure oracle, bit for bit.
 
     Row-sum and column-sum constraints are tied mathematically at many
     iterates, so the last bit of each sum picks g_max's active index. A dense
@@ -213,8 +227,8 @@ class TestDsmLinearMatchesClosures:
 
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
     def test_static_points(self, p):
-        lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
-        assert len(lin) == len(ref)
+        lin, ref = DsmConstraints(p), dsm_constraint_closures(p)
+        assert len(lin.A) == len(ref)
         rng = np.random.default_rng(p)
         R = np.sqrt(p)
         sphere = rng.normal(size=(50, p * p))
@@ -230,7 +244,7 @@ class TestDsmLinearMatchesClosures:
 
     @pytest.mark.parametrize("p", [2, 3, 8, 16])
     def test_replayed_iterates(self, p):
-        lin, ref = dsm_constraints(p), dsm_constraint_closures(p)
+        lin, ref = DsmConstraints(p), dsm_constraint_closures(p)
         for name, schedule in dsm_schedules(p, self.T).items():
             prob = DsmProblem(p)
             fast, fast_rounds = recorded_run(prob, schedule, self.T, [p])

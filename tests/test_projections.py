@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from aogd.projections import (LinearConstraints, g_max, project_ball,
-                              project_nonneg)
+from aogd.projections import g_max, project_ball, project_nonneg
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
 
 
@@ -143,64 +142,3 @@ class TestGSubgradient:
                 gy, _ = g_max_at(cs, y)
                 s = cs.subgradient(x, idx)
                 assert gy >= gx + s @ (y - x) - 1e-10
-
-
-class TestLinearConstraints:
-    def test_values_and_subgradient(self):
-        # g_0 = x0 + x1 - 1, g_1 = -x0
-        cs = LinearConstraints(np.array([[1.0, 1.0], [-1.0, 0.0]]),
-                               np.array([1.0, 0.0]))
-        assert len(cs) == 2
-        x = np.array([0.25, 2.0])
-        np.testing.assert_array_equal(cs.values(x), [1.25, -0.25])
-        assert g_max_at(cs, x) == (1.25, 0)
-        np.testing.assert_array_equal(cs.subgradient(x, 1), [-1.0, 0.0])
-        np.testing.assert_array_equal(cs.subgradient(np.zeros((3, 2)), [1, 0, 1]),
-                                      [[-1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]])
-
-    def test_rows_read_only_and_input_untouched(self):
-        A, b = np.eye(2), np.zeros(2)
-        cs = LinearConstraints(A, b)
-        with pytest.raises(ValueError):
-            cs.subgradient(np.zeros(2), 0)[0] = 5.0
-        A[0, 0] = 3.0  # the caller's arrays stay writable
-        assert b.flags.writeable
-
-    def test_nonfinite_value_raises(self):
-        cs = LinearConstraints(np.eye(2), np.zeros(2))
-        with pytest.raises(FloatingPointError, match="row 2 of x"):
-            g_max(cs, np.array([[0.0, 1.0], [2.0, 3.0], [0.0, np.nan]]))
-
-    @pytest.mark.parametrize("A,b", [
-        # a full block -e_0, -e_1 ahead of a sum row
-        ([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0]),
-        # the block ends where b is not 0, and where a row is not -e_k
-        ([[-1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 0.5, 0.0]),
-        ([[-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0, 0.0]),
-        # no block: -e_1 first, or +e_0
-        ([[0.0, -1.0], [-1.0, 0.0]], [0.0, 0.0]),
-        ([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]),
-        # more columns than rows: the block covers the first columns
-        ([[-1.0, 0.0, 0.0]], [-0.0]),
-    ])
-    def test_values_match_rowwise_dot(self, A, b):
-        # whatever leading block of -e_k rows is found, every value is the
-        # per-row dot A[j] . x - b[j], signed zeros included
-        cs = LinearConstraints(np.array(A), np.array(b))
-        d = len(A[0])
-        X = np.random.default_rng(d).choice(
-            [0.0, -0.0, 1.0, -1.0, 0.3, -1e-300], size=(200, d))
-        expected = np.array([[float(np.array(r) @ x) - bj for r, bj in zip(A, b)]
-                             for x in X])
-        got = cs.values(X)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
-        for x, row in zip(X, got):
-            assert np.array_equal(cs.values(x), row)
-
-    @pytest.mark.parametrize("A,b", [(np.zeros((0, 2)), np.zeros(0)),
-                                     (np.eye(2), np.zeros(3)),
-                                     (np.zeros(2), np.zeros(2))])
-    def test_bad_shapes_rejected(self, A, b):
-        with pytest.raises(ValueError):
-            LinearConstraints(A, b)

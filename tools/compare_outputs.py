@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 18 configs
+a checkout's root works too). The script runs a fixed matrix of 19 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with the largest relative
 difference of its numbers, the column it is in and its absolute
@@ -15,6 +15,8 @@ The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
 with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=8, T=1000, fixed_ogd with
 a c1=1 gamma-shift, 2 seeds; DSM p=16, T=2000, convex, 2 seeds;
 DSM p=3, T=100 (shorter than one 256-round chunk), convex, 3 seeds;
+DSM p=2, T=300 (the smallest p, with the most row/column-sum ties),
+convex, 3 seeds;
 elastic net on acceptance criterion 9's synthetic dataset (500 rows, 20
 features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
 {3, 9 seeds}; elastic net, convex, T=300, 3 seeds, on a sparse file of 400
@@ -95,6 +97,9 @@ def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
         **VARIANTS["convex"])
     configs["dsm_p3_convex_s3_short"] = dict(
         problem={"kind": "dsm", "p": 3}, T=100, seeds=[0, 1, 2],
+        **VARIANTS["convex"])
+    configs["dsm_p2_convex_s3"] = dict(
+        problem={"kind": "dsm", "p": 2}, T=300, seeds=[0, 1, 2],
         **VARIANTS["convex"])
     for variant in ("convex", "fixed_ogd", "shift"):
         for n_seeds in (3, 9):
