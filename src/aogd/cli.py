@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,6 +62,8 @@ def _cmd_check_schedule(args) -> int:
 
 def _cmd_solve_offline(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
+    cfg.validate()
+    replace(cfg, seeds=[args.seed]).validate()  # --seed obeys the seed rules
     problem = build_problem(cfg)
     problem.materialize(max(args.t, cfg.T), [args.seed])
     sol = offline.solve_offline(problem, args.t)

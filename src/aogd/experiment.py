@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from dataclasses import asdict, astuple, dataclass
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
 
 @dataclass
 class ExperimentConfig:
+    """A run's JSON config; `validate` checks it against `_FIELDS` first."""
+
     problem: dict
     algorithm: str | dict
     beta: float
@@ -41,7 +43,7 @@ class ExperimentConfig:
     seeds: list[int]
     output_dir: str
     checkpoints: int = 20
-    gamma_shift: dict | None = None  # {"c1": float}
+    gamma_shift: dict | None = None
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
@@ -51,22 +53,19 @@ class ExperimentConfig:
         return cls(**raw)
 
     def validate(self):
+        _check_section("config", vars(self), "")
         # beta also sets gamma = c1 T^(-beta/2), so fixed_ogd needs it too
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        _require_int("T", self.T)
-        _require_int("checkpoints", self.checkpoints)
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if not self.seeds:
-            raise ValueError("at least one seed required")
-        for seed in self.seeds:
-            _require_int("seeds", seed)
+        if self.checkpoints < 1:
+            raise ValueError("checkpoints must be >= 1")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("seeds must be one or more integers >= 0, "
+                             f"got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        if self.gamma_shift is not None and set(self.gamma_shift) != {"c1"}:
-            raise ValueError(
-                f"gamma_shift takes c1 and only c1: {self.gamma_shift}")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError("gamma_shift.c1 must be finite and nonnegative")
 
@@ -75,15 +74,60 @@ class ExperimentConfig:
         """Constraint shift gamma = c1 * T^(-beta/2); 0 without gamma_shift."""
         if self.gamma_shift is None:
             return 0.0
-        c1 = float(self.gamma_shift["c1"])
-        return c1 * float(self.T) ** (-self.beta / 2.0)
+        return self.gamma_shift["c1"] * self.T ** (-self.beta / 2.0)
 
 
-def _require_int(name: str, value):
-    """A float such as 2.5 or 5e1 would otherwise be truncated or fail deep
-    inside the run with a message that names no field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+# Each config section's keys and value types. A type is Integral or Real
+# (never a bool), str, None (null, or the key left out), [t] (a list of t), a
+# section (an object of it, of its kind if it has one) or a tuple of these.
+_FIELDS = {
+    "config": {"problem": ("dsm", "elasticnet"),
+               "algorithm": (str, "fixed_ogd"), "beta": Real, "T": Integral,
+               "seeds": [Integral], "output_dir": str,
+               "checkpoints": Integral, "gamma_shift": (None, "gamma_shift")},
+    "dsm": {"kind": str, "p": Integral},
+    "elasticnet": {"kind": str, "dataset": str, "rho": Real,
+                   "max_rows": (None, Integral)},
+    "fixed_ogd": {"kind": str, "eta": Real, "theta": Real, "mu": Real},
+    "gamma_shift": {"c1": Real},
+}
+_WHAT = {Integral: "an integer", Real: "a number", str: "a string",
+         None: "null"}
+
+
+def _check_section(section: str, obj: dict, path: str):
+    fields = _FIELDS[section]
+    required = {k for k, t in fields.items()
+                if not (isinstance(t, tuple) and None in t)}
+    if not required <= obj.keys() <= fields.keys():
+        raise ValueError(f"{section} takes only {', '.join(fields)}: "
+                         f"missing {sorted(required - obj.keys())}, "
+                         f"unknown {sorted(obj.keys() - fields.keys())}")
+    for key, value in obj.items():
+        _check_value(path + key, value, fields[key])
+
+
+def _check_value(field: str, value, types):
+    types = types if isinstance(types, tuple) else (types,)
+    for t in types:
+        if isinstance(t, list) and isinstance(value, list):
+            for item in value:
+                _check_value(field, item, t[0])
+            return
+        if isinstance(t, str) and isinstance(value, dict) and (
+                "kind" not in _FIELDS[t] or value.get("kind") == t):
+            return _check_section(t, value, field + ".")
+        if (value is None if t is None else isinstance(t, type)
+                and isinstance(value, t) and not isinstance(value, bool)):
+            return
+    raise ValueError(f"{field} must be {' or '.join(map(_what, types))}, "
+                     f"got {value!r}")
+
+
+def _what(t) -> str:
+    if isinstance(t, str):
+        return f"an object of kind {t}" if "kind" in _FIELDS[t] else "an object"
+    return "a list" if isinstance(t, list) else _WHAT[t]
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -91,18 +135,16 @@ def build_problem(cfg: ExperimentConfig):
     spec = cfg.problem
     kind = spec["kind"]
     if kind == "dsm":
-        _require_int("problem.p", spec["p"])
         return DsmProblem(p=spec["p"])
     if kind == "elasticnet":
         ds = load_dataset(spec["dataset"], max_rows=spec.get("max_rows"))
         labels, features = ds.dense()
-        return ElasticNetProblem(labels, features, rho=float(spec["rho"]))
+        return ElasticNetProblem(labels, features, rho=spec["rho"])
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
 _ADAPTIVE = {"a_ogd_convex": Regime.CONVEX,
              "a_ogd_strongly_convex": Regime.STRONGLY_CONVEX}
-_FIXED_OGD_KEYS = {"kind", "eta", "theta", "mu"}
 
 
 def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
@@ -110,14 +152,8 @@ def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
     if isinstance(algo, dict):
         if algo.get("kind") != "fixed_ogd":
             raise ValueError(f"unknown algorithm {algo!r}")
-        if set(algo) != _FIXED_OGD_KEYS:
-            raise ValueError(
-                f"fixed_ogd takes kind, eta, theta and mu and only those: "
-                f"missing {sorted(_FIXED_OGD_KEYS - set(algo))}, "
-                f"unknown {sorted(set(algo) - _FIXED_OGD_KEYS)}")
-        return FixedScheduleParams(eta=float(algo["eta"]),
-                                   theta=float(algo["theta"]),
-                                   mu=float(algo["mu"]), gamma=cfg.gamma)
+        return FixedScheduleParams(eta=algo["eta"], theta=algo["theta"],
+                                   mu=algo["mu"], gamma=cfg.gamma)
     if not isinstance(algo, str) or algo not in _ADAPTIVE:
         raise ValueError(f"unknown algorithm {algo!r}")
     return ScheduleParams(beta=cfg.beta, regime=_ADAPTIVE[algo],

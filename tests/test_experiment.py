@@ -339,6 +339,46 @@ class TestRunExperiment:
         pytest.param({"algorithm": {"kind": "fixed_ogd", "eta": 0.05,
                                     "theta": 2.0, "mu": 0.05, "m": 1}},
                      "unknown ['m']", id="fixed_ogd_extra_key"),
+        # a missing p failed with a bare KeyError; a stray key ran silently
+        # and still entered the cache key
+        pytest.param({"problem": {"kind": "dsm"}}, "missing ['p']",
+                     id="dsm_without_p"),
+        pytest.param({"problem": {"kind": "dsm", "p": 2, "rho": 3}},
+                     "unknown ['rho']", id="dsm_extra_key"),
+        # the elastic-net specs name a dataset that does not exist: validate
+        # runs before build_problem reads it, so the field is what fails
+        pytest.param({"problem": {"kind": "elasticnet", "dataset": "none",
+                                  "rho": 1.0, "p": 2}},
+                     "unknown ['p']", id="elasticnet_extra_key"),
+        pytest.param({"problem": {"kind": "elasticnet", "dataset": "none",
+                                  "rho": "1.0"}},
+                     "problem.rho must be a number", id="string_rho"),
+        pytest.param({"problem": {"kind": "elasticnet", "dataset": "none",
+                                  "rho": True}},
+                     "problem.rho must be a number", id="bool_rho"),
+        pytest.param({"problem": {"kind": "elasticnet", "dataset": "none",
+                                  "rho": 1.0, "max_rows": 20.5}},
+                     "problem.max_rows must be null or an integer",
+                     id="float_max_rows"),
+        pytest.param({"problem": "dsm"}, "problem must be an object",
+                     id="string_problem"),
+        # strings went through float() or failed with a TypeError that
+        # named no field
+        pytest.param({"beta": "0.5"}, "beta must be a number",
+                     id="string_beta"),
+        pytest.param({"algorithm": {"kind": "fixed_ogd", "eta": "0.05",
+                                    "theta": 2.0, "mu": 0.05}},
+                     "algorithm.eta must be a number", id="string_eta"),
+        pytest.param({"gamma_shift": {"c1": "1.0"}},
+                     "gamma_shift.c1 must be a number", id="string_c1"),
+        pytest.param({"gamma_shift": {"c1": None}},
+                     "gamma_shift.c1 must be a number", id="null_c1"),
+        pytest.param({"seeds": 3}, "seeds must be a list", id="int_seeds"),
+        # numpy rejected these deep inside the run, naming no field
+        pytest.param({"seeds": [-1]}, "seeds must be one or more integers >= 0",
+                     id="negative_seed"),
+        pytest.param({"checkpoints": 0}, "checkpoints must be >= 1",
+                     id="zero_checkpoints"),
     ])
     def test_malformed_field_rejected(self, tmp_path, overrides, message):
         _, cfg = write_config(tmp_path, **overrides)
@@ -499,6 +539,24 @@ class TestCli:
                 x_stars.append(json.loads(capsys.readouterr().out)["x_star"])
                 assert x_stars[-1] == json.loads(path.read_text())["x_star"]
         assert solved[3] != solved[5]
+
+    @pytest.mark.parametrize("spec,argv,field", [
+        pytest.param({"kind": "dsm", "p": 2, "rho": 3.0}, [], "rho",
+                     id="dsm_extra_key"),
+        pytest.param({"kind": "elasticnet", "rho": 1.0, "max_rows": 20.5}, [],
+                     "max_rows", id="float_max_rows"),
+        pytest.param({"kind": "dsm", "p": 2}, ["--seed", "-1"], "seeds",
+                     id="negative_seed"),
+    ])
+    def test_solve_offline_validates_config(self, tmp_path, capsys, spec,
+                                            argv, field):
+        if spec["kind"] == "elasticnet":
+            spec["dataset"] = write_elasticnet_dataset(tmp_path)
+        cfg_path, _ = write_config(tmp_path, problem=spec)
+        assert main(["solve-offline", cfg_path, "--t", "10", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
 
     def test_run_rejects_beta_outside_unit_interval(self, tmp_path, capsys):
         cfg_path, _ = write_config(
