@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
@@ -50,6 +50,10 @@ class ExperimentConfig:
         with open(path) as fh:
             raw = json.load(fh)
         raw.update({k: v for k, v in overrides.items() if v is not None})
+        # with the defaults filled in, a key left out for its default is not missing
+        raw = {f.name: f.default for f in fields(cls)
+               if f.default is not MISSING} | raw
+        _check_keys("config", raw)
         return cls(**raw)
 
     def validate(self):
@@ -96,15 +100,19 @@ _WHAT = {Integral: "an integer", Real: "a number", str: "a string",
 
 
 def _check_section(section: str, obj: dict, path: str):
-    fields = _FIELDS[section]
-    required = {k for k, t in fields.items()
-                if not (isinstance(t, tuple) and None in t)}
-    if not required <= obj.keys() <= fields.keys():
-        raise ValueError(f"{section} takes only {', '.join(fields)}: "
-                         f"missing {sorted(required - obj.keys())}, "
-                         f"unknown {sorted(obj.keys() - fields.keys())}")
+    _check_keys(section, obj)
     for key, value in obj.items():
-        _check_value(path + key, value, fields[key])
+        _check_value(path + key, value, _FIELDS[section][key])
+
+
+def _check_keys(section: str, obj: dict):
+    keys = _FIELDS[section]
+    required = {k for k, t in keys.items()
+                if not (isinstance(t, tuple) and None in t)}
+    if not required <= obj.keys() <= keys.keys():
+        raise ValueError(f"{section} takes only {', '.join(keys)}: "
+                         f"missing {sorted(required - obj.keys())}, "
+                         f"unknown {sorted(obj.keys() - keys.keys())}")
 
 
 def _check_value(field: str, value, types):

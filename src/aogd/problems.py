@@ -9,6 +9,10 @@ its constraint set.
 A problem holds the streams of S seeds at once, seed-major, so that the
 learner can play them in lockstep: `loss(t, X)` takes one iterate per seed
 as the rows of X (S, d), and `loss_sum(t, x, j)` reads seed j's stream.
+
+scipy enters only through `expit`, which the logistic loss alone calls: it
+imports `scipy.special` on its first call, so that `import aogd` and a DSM
+run never load it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import offline
 from .schedules import ProblemConstants
@@ -193,6 +196,14 @@ class DsmProblem:
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
         return offline.project_birkhoff(x.reshape(self.p, self.p)).ravel()
+
+
+def expit(z):
+    """scipy.special.expit, imported on the first call, which rebinds this
+    name to scipy's ufunc so that later calls cost nothing extra."""
+    global expit
+    from scipy.special import expit
+    return expit(z)
 
 
 def logloss_grad(y, u: np.ndarray, x: np.ndarray):

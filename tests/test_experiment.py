@@ -577,6 +577,23 @@ class TestCli:
         assert captured.err.startswith("error: ") and "distinct" in captured.err
         assert not (tmp_path / "out" / "seed_1.csv").exists()
 
+    @pytest.mark.parametrize("edit,words", [
+        pytest.param(lambda cfg: cfg.update(chekpoints=cfg.pop("checkpoints")),
+                     "missing [], unknown ['chekpoints']", id="misspelt_key"),
+        pytest.param(lambda cfg: cfg.pop("beta"),
+                     "missing ['beta'], unknown []", id="missing_key"),
+    ])
+    def test_run_rejects_config_keys(self, tmp_path, capsys, edit, words):
+        # checked against the key set before the config object is built
+        cfg_path, cfg = write_config(tmp_path)
+        edit(cfg)
+        Path(cfg_path).write_text(json.dumps(cfg))
+        assert main(["run", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config takes only problem, ")
+        assert words in captured.err
+
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import aogd
 from aogd import problems
 from aogd.learner import run
 from aogd.offline import project_birkhoff, project_elasticnet_ball
@@ -410,6 +416,56 @@ class TestLogLoss:
                 xm[i] -= eps
                 fd[i] = (logloss_grad(y, u, xp)[0] - logloss_grad(y, u, xm)[0]) / (2 * eps)
             np.testing.assert_allclose(grad, fd, atol=1e-6)
+
+
+# Run in a fresh interpreter, since this test process has scipy loaded
+# already: a DSM run must not import scipy.special, and the elastic-net loss
+# must load it on first use and give scipy's expit bit for bit.
+_IMPORT_BOUNDARY = """
+import json, sys
+import numpy as np
+import aogd, aogd.cli
+from aogd import problems
+
+with open("config.json", "w") as fh:
+    json.dump({"problem": {"kind": "dsm", "p": 3}, "algorithm": "a_ogd_convex",
+               "beta": 0.5, "T": 50, "seeds": [0], "output_dir": "out"}, fh)
+assert aogd.cli.main(["run", "config.json"]) == 0
+after_dsm = "scipy.special" in sys.modules
+
+rng = np.random.default_rng(0)
+y = rng.choice([-1.0, 1.0], size=256)
+U = rng.normal(size=(256, 4))
+X = 3.0 * rng.normal(size=(256, 4))
+_, grad = problems.logloss_grad(y, U, X)
+problem = problems.ElasticNetProblem(y, U, rho=1.0).materialize(256, [0])
+_, grad_sum = problem.loss_sum(200, X[0])
+after_elasticnet = "scipy.special" in sys.modules
+
+from scipy.special import expit
+neg_margin = -y * np.vecdot(X, U)
+want = (-y)[:, None] * U * expit(neg_margin)[:, None]
+V, z = U[problem.stream[0, :200]], y[problem.stream[0, :200]]
+want_sum = -(z * expit(-(z * (V @ X[0])))) @ V
+print(json.dumps({
+    "after_dsm": after_dsm, "after_elasticnet": after_elasticnet,
+    "grad_bits_equal": grad.tobytes() == want.tobytes(),
+    "loss_sum_bits_equal": grad_sum.tobytes() == want_sum.tobytes()}))
+"""
+
+
+def test_scipy_special_loaded_only_by_elasticnet_loss(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aogd.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "after_dsm": False, "after_elasticnet": True,
+        "grad_bits_equal": True, "loss_sum_bits_equal": True}
 
 
 class TestElasticNetConstants:

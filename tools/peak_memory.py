@@ -4,8 +4,10 @@
 
 Runs `aogd run CONFIG` into a temporary output directory in a child Python
 with the BLAS thread pools set to one thread, and prints one JSON line: the
-wall seconds of the child and its peak resident set size (`ru_maxrss`) in
-MB. `--T` and `--seeds` override the config as `aogd run` does. `--src`
+wall seconds of the child, its peak resident set size (`ru_maxrss`) in MB,
+and as `import_s` the wall seconds of a second child, in the same
+environment, that only runs `import aogd.cli`: the startup share of
+`wall_s`. `--T` and `--seeds` override the config as `aogd run` does. `--src`
 names the directory that holds the `aogd` package (a checkout's `src/` or
 its root; default: this checkout), so that two trees can be compared on the
 same config.
@@ -49,10 +51,14 @@ def main(argv: list[str]) -> int:
         wall = time.perf_counter() - start
     if done.returncode != 0:
         return done.returncode
-    # the largest resident set of any waited-for child: the only one here
+    # the largest resident set of any waited-for child: the only one so far
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import aogd.cli"], env=env,
+                   check=True)
+    import_s = time.perf_counter() - start
     print(json.dumps({"config": args.config, "T": args.T, "seeds": args.seeds,
-                      "wall_s": round(wall, 3),
+                      "wall_s": round(wall, 3), "import_s": round(import_s, 3),
                       "peak_rss_mb": round(peak_kb / 1024.0, 1)}))
     return 0
 
