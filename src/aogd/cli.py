@@ -17,7 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import metrics, offline
-from .experiment import ExperimentConfig, build_problem, compare_runs, run_experiment
+from .experiment import (ExperimentConfig, build_problem, compare_runs,
+                         read_config, run_config)
 from .schedules import (ProblemConstants, Regime, ScheduleParams,
                         check_conditions, constraint_regret_bound,
                         loss_regret_bound, schedule_arrays, schedule_sums)
@@ -27,9 +28,7 @@ def _cmd_run(args) -> int:
     overrides = {"T": args.T, "beta": args.beta, "output_dir": args.output}
     if args.seeds is not None:
         overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
-    cfg = ExperimentConfig.from_file(args.config, **overrides)
-    manifest = run_experiment(cfg)
-    print(manifest)
+    print(run_config(read_config(args.config, **overrides)))
     return 0
 
 
@@ -61,7 +60,7 @@ def _cmd_check_schedule(args) -> int:
 
 
 def _cmd_solve_offline(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+    cfg = ExperimentConfig.from_dict(read_config(args.config))
     cfg.validate()
     replace(cfg, seeds=[args.seed]).validate()  # --seed obeys the seed rules
     problem = build_problem(cfg)

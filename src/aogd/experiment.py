@@ -46,10 +46,9 @@ class ExperimentConfig:
     gamma_shift: dict | None = None
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config of a dict as `read_config` returns it; a key left out
+        or not known raises ValueError."""
         # with the defaults filled in, a key left out for its default is not missing
         raw = {f.name: f.default for f in fields(cls)
                if f.default is not MISSING} | raw
@@ -79,6 +78,14 @@ class ExperimentConfig:
         if self.gamma_shift is None:
             return 0.0
         return self.gamma_shift["c1"] * self.T ** (-self.beta / 2.0)
+
+
+def read_config(path: str, **overrides) -> dict:
+    """The JSON config at path with the overrides that are not None."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw.update({k: v for k, v in overrides.items() if v is not None})
+    return raw
 
 
 # Each config section's keys and value types. A type is Integral or Real
@@ -181,6 +188,28 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]):
         writer.writerows(rows)
 
 
+def _write_failed_manifest(output_dir: str, exc: Exception, config: dict):
+    os.makedirs(output_dir, exist_ok=True)
+    with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
+        json.dump({"status": "failed", "error": str(exc), "config": config},
+                  fh, indent=2)
+
+
+def run_config(raw: dict) -> str:
+    """Execute the experiment of a config as read (`read_config`); returns
+    the manifest path. A config whose key set is wrong fails like a later
+    error: where it names an output directory, that directory gets a failed
+    manifest with the error and the config as read."""
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ValueError as exc:
+        output_dir = raw.get("output_dir")
+        if isinstance(output_dir, str) and output_dir:
+            _write_failed_manifest(output_dir, exc, raw)
+        raise
+    return run_experiment(cfg)
+
+
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the configured experiment; returns the manifest path."""
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -189,9 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     try:
         return _run_experiment(cfg, cache_dir, manifest_path)
     except Exception as exc:
-        with open(manifest_path, "w") as fh:
-            json.dump({"status": "failed", "error": str(exc),
-                       "config": asdict(cfg)}, fh, indent=2)
+        _write_failed_manifest(cfg.output_dir, exc, asdict(cfg))
         raise
 
 

@@ -78,10 +78,6 @@ def project_birkhoff(A: np.ndarray) -> np.ndarray:
     return X
 
 
-def _soft_threshold(v: np.ndarray, nu: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - nu, 0.0)
-
-
 def elasticnet_value(x: np.ndarray):
     """||x||_1 + 0.5 ||x||_2^2 of each row of x."""
     return np.abs(x).sum(axis=-1) + 0.5 * np.vecdot(x, x)
@@ -100,15 +96,19 @@ def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if not np.all(np.isfinite(v)):
+    # |v| serves the finiteness check, the feasibility test (the terms of
+    # elasticnet_value) and the soft threshold
+    abs_v = np.abs(v)
+    if not np.isfinite(abs_v).all():
         raise ValueError("input vector must be finite")
-    if elasticnet_value(v) <= rho:
+    if abs_v.sum(axis=-1) + 0.5 * np.vecdot(v, v) <= rho:
         return v.copy()
-    a = np.sort(np.abs(v))[::-1]
+    a = np.sort(abs_v)[::-1]
     nus = np.sqrt(np.cumsum((1.0 + a) ** 2)
                   / (2.0 * rho + np.arange(1, a.size + 1))) - 1.0
     nu = max(float(nus[np.count_nonzero(nus < a) - 1]), 0.0)
-    return _soft_threshold(v, nu) / (1.0 + nu)
+    # soft threshold at nu, scaled by 1 / (1 + nu)
+    return np.sign(v) * np.maximum(abs_v - nu, 0.0) / (1.0 + nu)
 
 
 def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
@@ -140,12 +140,14 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
             x_new = problem.project_feasible(y - step * gy)
             diff = x_new - y
             f_new, g_new = objective_grad(x_new)
-            if f_new <= fy + gy @ diff + 0.5 / step * float(diff @ diff) + 1e-14:
+            diff_sq = float(diff @ diff)
+            if f_new <= fy + gy @ diff + 0.5 / step * diff_sq + 1e-14:
                 break
             step *= 0.5
             if step < 1e-14:
                 break
-        mapping_norm = float(np.linalg.norm(diff)) / step
+        # np.linalg.norm(diff) is sqrt(diff @ diff): the same bits
+        mapping_norm = math.sqrt(diff_sq) / step
         if mapping_norm < tol:
             return OfflineSolution(x_star=x_new, objective=f_new,
                                    iterations=it, tolerance_met=True,

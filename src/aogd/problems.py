@@ -263,6 +263,12 @@ class ElasticNetProblem:
     Rounds draw (label, feature) pairs at random with replacement from the
     dataset; the long-term constraint keeps iterates near the elastic-net
     ball of budget rho.
+
+    `loss_sum` counts draws: with c_i the number of rounds among the first
+    t that drew example i, the prefix sum is sum_i c_i f(x; i) over the
+    examples with c_i > 0. Past the one O(t) count per (j, t), a call costs
+    O(min(t, n) d), and the rows it keeps stay within the dataset's n x d
+    however long the stream grows.
     """
 
     def __init__(self, labels: np.ndarray, features: np.ndarray, rho: float):
@@ -279,7 +285,9 @@ class ElasticNetProblem:
         self.constants = elasticnet_constants(rho, features)
         self.constraints = ElasticNetBudget(self.rho)
         self._order = None
-        self._prefix_rows = None  # (j, t, U, y) of the last loss_sum
+        # (j, t, U, c, -y, c (-y)) of the last loss_sum: the rows of U drawn
+        # in seed j's first t rounds, their counts c and negated labels
+        self._prefix_rows = None
 
     def materialize(self, T: int, seeds):
         """Draw the example order of the first T rounds of each of `seeds`'
@@ -308,18 +316,23 @@ class ElasticNetProblem:
         return logloss_grad(self.labels[i], self.features[i], X)
 
     def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
-        """Value and gradient of f_1 + ... + f_t of seed j at x.
+        """Value and gradient of f_1 + ... + f_t of seed j at x, as
+        sum_i c_i f(x; i) with c_i the draws of example i in those rounds.
 
-        The prefix's examples are gathered once for a run of calls with the
-        same (j, t), as an offline solve makes them.
+        The drawn examples, their counts and the weights c_i (-y_i) are
+        gathered once for a run of calls with the same (j, t), as an offline
+        solve makes them.
         """
         if self._prefix_rows is None or self._prefix_rows[:2] != (j, t):
-            idx = _prefix(self.stream[j], t)
-            self._prefix_rows = (j, t, self.features[idx], self.labels[idx])
-        _, _, U, y = self._prefix_rows
-        margin = y * (U @ x)
-        value = float(np.sum(np.logaddexp(0.0, -margin)))
-        return value, -(y * expit(-margin)) @ U
+            counts = np.bincount(_prefix(self.stream[j], t),
+                                 minlength=self.labels.shape[0])
+            rows = np.flatnonzero(counts)
+            c, neg_y = counts[rows].astype(float), -self.labels[rows]
+            self._prefix_rows = (j, t, self.features[rows], c, neg_y, c * neg_y)
+        _, _, U, c, neg_y, weights = self._prefix_rows
+        neg_margin = neg_y * (U @ x)
+        return (float(c @ np.logaddexp(0.0, neg_margin)),
+                (weights * expit(neg_margin)) @ U)
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
         return offline.project_elasticnet_ball(x, self.rho)

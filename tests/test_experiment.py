@@ -577,22 +577,43 @@ class TestCli:
         assert captured.err.startswith("error: ") and "distinct" in captured.err
         assert not (tmp_path / "out" / "seed_1.csv").exists()
 
-    @pytest.mark.parametrize("edit,words", [
+    @pytest.mark.parametrize("edit,flag,words,out", [
         pytest.param(lambda cfg: cfg.update(chekpoints=cfg.pop("checkpoints")),
-                     "missing [], unknown ['chekpoints']", id="misspelt_key"),
-        pytest.param(lambda cfg: cfg.pop("beta"),
-                     "missing ['beta'], unknown []", id="missing_key"),
+                     False, "missing [], unknown ['chekpoints']", "out",
+                     id="misspelt_key"),
+        pytest.param(lambda cfg: cfg.pop("beta"), False,
+                     "missing ['beta'], unknown []", "out", id="missing_key"),
+        pytest.param(lambda cfg: (cfg.pop("beta"), cfg.pop("output_dir")),
+                     True, "missing ['beta'], unknown []", "flag_out",
+                     id="output_flag"),
+        pytest.param(lambda cfg: cfg.pop("output_dir"), False,
+                     "missing ['output_dir'], unknown []", None,
+                     id="no_output_dir"),
+        pytest.param(lambda cfg: cfg.update(output_dir=7, chekpoints=3),
+                     False, "missing [], unknown ['chekpoints']", None,
+                     id="output_dir_not_a_string"),
     ])
-    def test_run_rejects_config_keys(self, tmp_path, capsys, edit, words):
-        # checked against the key set before the config object is built
+    def test_run_rejects_config_keys(self, tmp_path, capsys, edit, flag,
+                                     words, out):
+        # checked against the key set before the config object is built; a
+        # usable output directory, from the config or --output, gets a
+        # failed manifest with the error and the config as read
         cfg_path, cfg = write_config(tmp_path)
         edit(cfg)
         Path(cfg_path).write_text(json.dumps(cfg))
-        assert main(["run", cfg_path]) == 1
+        argv = ["--output", str(tmp_path / "flag_out")] if flag else []
+        assert main(["run", cfg_path, *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config takes only problem, ")
         assert words in captured.err
+        if out is None:
+            assert not list(tmp_path.rglob("manifest.json"))
+            return
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest == {
+            "status": "failed", "error": captured.err[len("error: "):-1],
+            "config": dict(cfg, output_dir=str(tmp_path / out))}
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -47,6 +47,38 @@ def elasticnet_ball_bisection_oracle(v, rho):
         else:
             hi = mid
     return x_of(0.5 * (lo + hi))
+
+
+def project_elasticnet_ball_reference(v, rho):
+    """project_elasticnet_ball as it was before it took |v| once: the leaner
+    one must return the same bytes."""
+    v = np.asarray(v, dtype=float)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("input vector must be finite")
+    if elasticnet_value(v) <= rho:
+        return v.copy()
+    a = np.sort(np.abs(v))[::-1]
+    nus = np.sqrt(np.cumsum((1.0 + a) ** 2)
+                  / (2.0 * rho + np.arange(1, a.size + 1))) - 1.0
+    nu = max(float(nus[np.count_nonzero(nus < a) - 1]), 0.0)
+    return np.sign(v) * np.maximum(np.abs(v) - nu, 0.0) / (1.0 + nu)
+
+
+@st.composite
+def elasticnet_ball_inputs(draw):
+    """(v, rho): 1 to 12 entries whose magnitudes come from a pool of at
+    most 3 (so they tie), zeros of either sign included, scaled by up to
+    1e150, inside and outside the ball."""
+    pool = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+                         min_size=1, max_size=3))
+    d = draw(st.integers(1, 12))
+    v = np.array([draw(st.sampled_from(pool)) for _ in range(d)])
+    v *= np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d,
+                                max_size=d)))
+    v *= draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0, 1e150]))
+    return v, draw(st.floats(1e-3, 1e3))
 
 
 class TestProjectBirkhoff:
@@ -179,6 +211,33 @@ class TestProjectElasticnetBall:
                 assert (np.linalg.norm(pw - x)
                         <= np.linalg.norm(w - x) + 1e-12)
                 assert elasticnet_value(pw) <= rho * (1.0 + 1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(case=elasticnet_ball_inputs())
+    @example(case=(np.zeros(3), 1.0))  # feasible
+    @example(case=(np.array([0.1, -0.0, -0.1]), 1.0))  # feasible, tied
+    @example(case=(np.array([2.0, -2.0, 0.0, 2.0]), 0.5))  # tied, outside
+    @example(case=(np.array([-1e150]), 3.0))
+    def test_same_bytes_as_reference(self, case):
+        v, rho = case
+        got = project_elasticnet_ball(v, rho)
+        want = project_elasticnet_ball_reference(v, rho)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v,rho,message", [
+        ([np.nan, 0.0], 1.0, "input vector must be finite"),
+        ([1.0, np.inf], 1.0, "input vector must be finite"),
+        ([-np.inf], 1.0, "input vector must be finite"),
+        ([1.0, 2.0], 0.0, "rho must be positive"),
+        ([np.nan], -1.0, "rho must be positive"),
+    ])
+    def test_errors_match_reference(self, v, rho, message):
+        for project in (project_elasticnet_ball,
+                        project_elasticnet_ball_reference):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                project(np.array(v), rho)
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):

@@ -445,8 +445,11 @@ after_elasticnet = "scipy.special" in sys.modules
 from scipy.special import expit
 neg_margin = -y * np.vecdot(X, U)
 want = (-y)[:, None] * U * expit(neg_margin)[:, None]
-V, z = U[problem.stream[0, :200]], y[problem.stream[0, :200]]
-want_sum = -(z * expit(-(z * (V @ X[0])))) @ V
+# count-weighted: example i drawn c_i times in the first 200 rounds
+c = np.bincount(problem.stream[0, :200], minlength=256)
+rows = np.flatnonzero(c)
+V, neg_z = U[rows], -y[rows]
+want_sum = (c[rows] * neg_z * expit(neg_z * (V @ X[0]))) @ V
 print(json.dumps({
     "after_dsm": after_dsm, "after_elasticnet": after_elasticnet,
     "grad_bits_equal": grad.tobytes() == want.tobytes(),

@@ -1,12 +1,14 @@
 """Property tests: projection laws, the learner's iterate invariants,
-lockstep runs against single-seed runs, and the checkpoint trace and the
-code-counting DSM loss sum against their per-round float forms.
+lockstep runs against single-seed runs, the checkpoint trace and the
+code-counting DSM loss sum against their per-round float forms, and the
+count-weighted elastic-net loss sum against the gathered prefix.
 
 Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,6 +19,7 @@ from aogd.projections import project_ball, project_nonneg
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
                             schedule_arrays)
 from dsm_stream_oracle import loss_sum_float
+from elasticnet_prefix_oracle import loss_sum_gathered
 from step_recorder import recorded_iterates, recorded_rounds
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -216,3 +219,42 @@ def test_checkpoint_trace_matches_per_round_columns(case):
             got, want = prob.loss_sum(t, x, j), loss_sum_float(prob, t, x, j)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
+
+
+@st.composite
+def elasticnet_prefix_calls(draw):
+    """(problem, calls): an elastic-net problem of n examples whose streams
+    run T < n or T >> n rounds for 1 to 3 seeds, and a sequence of
+    loss_sum calls (j, t, x) over a few (j, t) that repeats and switches
+    between them."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    features = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
+    labels = rng.choice([-1.0, 1.0], size=n)
+    T = draw(st.one_of(st.integers(1, n), st.integers(20 * n, 50 * n)))
+    S = draw(st.integers(1, 3))
+    prob = ElasticNetProblem(labels, features, rho=1.0).materialize(
+        T, draw(st.lists(st.integers(0, 2**16), min_size=S, max_size=S,
+                         unique=True)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, S - 1), st.integers(1, T)),
+                          min_size=1, max_size=3))
+    keys = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=8))
+    return prob, [(j, t, rng.normal(size=d) * rng.choice([0.1, 1.0, 3.0]))
+                  for j, t in keys]
+
+
+@SETTINGS
+@given(case=elasticnet_prefix_calls())
+def test_elasticnet_counts_match_gathered_prefix(case):
+    # sum_i c_i f(x; i) is the round-order sum up to rounding, and the rows
+    # it keeps are the distinct examples drawn, never more than n
+    prob, calls = case
+    n = prob.labels.shape[0]
+    for j, t, x in calls:
+        value, grad = prob.loss_sum(t, x, j)
+        want_value, want_grad = loss_sum_gathered(prob, t, x, j)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert (np.linalg.norm(grad - want_grad)
+                <= 1e-12 * np.linalg.norm(want_grad))
+        kept = prob._prefix_rows[2]
+        assert kept.shape[0] == np.unique(prob.stream[j, :t]).size <= n

@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 20 configs
+a checkout's root works too). The script runs a fixed matrix of 21 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with the largest relative
 difference of its numbers, the column it is in and its absolute
@@ -20,12 +20,12 @@ DSM p=2, T=300 (the smallest p, with the most row/column-sum ties),
 convex, 3 seeds;
 elastic net on acceptance criterion 9's synthetic dataset (500 rows, 20
 features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
-{3, 9 seeds}; elastic net, convex, T=300, 3 seeds, on a sparse file of 400
+{3, 9 seeds}; the same data, convex, T=2000 (four rounds per example),
+3 seeds; elastic net, convex, T=300, 3 seeds, on a sparse file of 400
 rows whose feature indices have gaps, with label-only rows, trailing
-comments, blank lines
-and a max_rows of 300, past which a larger feature index appears (criterion
-9's file is dense and plain, so it exercises none of these). A run of both
-trees takes about a minute on 2 CPUs.
+comments, blank lines and a max_rows of 300, past which a larger feature
+index appears (criterion 9's file is dense and plain, so it exercises none
+of these). A run of both trees takes about a minute on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
             configs[f"elasticnet_{variant}_s{n_seeds}"] = dict(
                 problem={"kind": "elasticnet", "dataset": dataset, "rho": 1.0},
                 T=300, seeds=list(range(n_seeds)), **VARIANTS[variant])
+    # four rounds per example: most examples are drawn several times
+    configs["elasticnet_convex_s3_T2000"] = dict(
+        problem={"kind": "elasticnet", "dataset": dataset, "rho": 1.0},
+        T=2000, seeds=[0, 1, 2], **VARIANTS["convex"])
     configs["elasticnet_sparse_convex_s3"] = dict(
         problem={"kind": "elasticnet", "dataset": sparse_dataset, "rho": 1.0,
                  "max_rows": 300},
