@@ -87,8 +87,7 @@ def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
     return stream[:t]
 
 
-# rows per shuffled block of permutation_stream, and rounds per refill of
-# DsmProblem's matrix buffer
+# rows per shuffled block of permutation_stream
 _CHUNK_ROWS = 256
 # rounds per np.bincount of DsmProblem.loss_sum, which bounds its (rows, p)
 # intp temporary
@@ -124,12 +123,13 @@ class DsmProblem:
 
     Losses f_t(X) = 0.5 * ||Y_t - X||_F^2 with Y_t random permutation
     matrices; iterates are flattened p x p matrices. Derived constants:
-    R = sqrt(p), G = 2R, D = R, sigma = 1; F is the loss range bound
-    0.5 * (sqrt(p) + R)^2 over the enclosing ball.
+    R = sqrt(p), G = 2R, sigma = 1; D = p + 1, since over the ball a row
+    sum lies in [-p, p], so 1 - (row sum) reaches p + 1; F is the loss range
+    bound 0.5 * (sqrt(p) + R)^2 over the enclosing ball.
 
-    The stream is held as permutation_stream's column codes, p bytes per
-    round and seed; `loss` expands the 0/1 matrices of _CHUNK_ROWS rounds at
-    a time into one reused buffer, and `loss_sum` counts codes.
+    The stream is held only as permutation_stream's column codes, p bytes
+    per round and seed: `loss` gathers round t's rows of the identity, and
+    `loss_sum` counts codes.
     """
 
     def __init__(self, p: int):
@@ -139,20 +139,18 @@ class DsmProblem:
         self.dim = p * p
         R = float(np.sqrt(p))
         self.constants = ProblemConstants(
-            R=R, G=2.0 * R, D=R, F=0.5 * (np.sqrt(p) + R) ** 2, sigma=1.0
+            R=R, G=2.0 * R, D=p + 1.0, F=0.5 * (np.sqrt(p) + R) ** 2,
+            sigma=1.0
         )
         self.constraints = DsmConstraints(p)
         self._row_starts = np.arange(0, self.dim, p)
+        self._eye = np.eye(p)  # row k is the one-hot row of column code k
         self._codes = None
-        # the matrices of rounds _ys_start + 1 .. _ys_stop, (S, C, p, p)
-        self._ys, self._ys_start, self._ys_stop = None, 0, 0
 
     def materialize(self, T: int, seeds):
         """Draw the first T rounds of the stream of each of `seeds`."""
-        self._codes = self._ys = None  # never two sets alive at once
-        self._ys_start = self._ys_stop = 0
+        self._codes = None  # never two streams alive at once
         self._codes = permutation_stream(self.p, seeds, T)
-        self._ys = np.empty((len(seeds), min(T, _CHUNK_ROWS), self.p, self.p))
         return self
 
     @property
@@ -165,17 +163,10 @@ class DsmProblem:
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
         X (S, d), iterates flattened; t is 1-indexed."""
-        if not self._ys_start < t <= self._ys_stop:
-            _prefix(self.stream[0], t)  # a t outside the stream raises
-            start = (t - 1) - (t - 1) % _CHUNK_ROWS
-            codes = self.stream[:, start:start + _CHUNK_ROWS]
-            # Y[j, r, i, k] = 1 where k is row i's column, written in place
-            np.equal(codes[..., None], np.arange(self.p, dtype=codes.dtype),
-                     out=self._ys[:, :codes.shape[1]], casting="unsafe")
-            self._ys_start, self._ys_stop = start, start + codes.shape[1]
-        values, grads = dsm_loss_grad(self._ys[:, t - 1 - self._ys_start],
-                                      X.reshape(-1, self.p, self.p))
-        return values, grads.reshape(X.shape)
+        # Y_t of each seed, (S, p, p); a t outside the stream raises
+        Y = self._eye.take(_prefix(self.stream.swapaxes(0, 1), t)[-1], axis=0)
+        grads = X - Y.reshape(X.shape)
+        return 0.5 * (grads * grads).sum(axis=-1), grads
 
     def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
         """Value and gradient of f_1 + ... + f_t of seed j at x (flattened).

@@ -202,11 +202,9 @@ def constraint_regret_bound(params: ScheduleParams, T) -> float:
 
 @dataclass(frozen=True)
 class ScheduleSums:
-    """Exact schedule sums together with their closed-form upper bounds."""
+    """Closed-form upper bounds on the schedule sums, and the terms of the
+    regret bound that depend on the schedule alone."""
 
-    s_theta: float
-    s_eta: float
-    s_mu: float
     s_theta_bound: float
     s_eta_bound: float
     s_mu_bound: float
@@ -216,14 +214,14 @@ class ScheduleSums:
 
 
 def schedule_sums(params: ScheduleParams, T: int) -> ScheduleSums:
-    """Exact sums of theta, eta, mu over 1..T plus their tabulated bounds.
+    """Tabulated bounds on the sums of theta, eta, mu over 1..T, and the
+    C3 budget u_eta.
 
     delta_mu = 1/mu_1 - theta_1 and delta_eta = 1/eta_1 - sigma are the
     initial-condition terms entering the regret bound.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    theta, eta, mu = schedule_arrays(params, T)
     c, b = params.constants, params.beta
     tb = float(T) ** b
     t1b = float(T) ** (1.0 - b)
@@ -244,9 +242,6 @@ def schedule_sums(params: ScheduleParams, T: int) -> ScheduleSums:
         delta_eta = 0.0
 
     return ScheduleSums(
-        s_theta=float(theta.sum()),
-        s_eta=float(eta.sum()),
-        s_mu=float(mu.sum()),
         s_theta_bound=float(s_theta_bound),
         s_eta_bound=float(s_eta_bound),
         s_mu_bound=float(s_mu_bound),

@@ -7,7 +7,7 @@ import pytest
 
 from aogd import learner
 from aogd.experiment import ExperimentConfig, run_experiment
-from aogd.learner import _CHUNK_ROUNDS, run, step
+from aogd.learner import run, step
 from aogd.metrics import checkpoint_grid
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max, project_ball
@@ -228,11 +228,11 @@ class TestRun:
 
     @staticmethod
     def assert_peak_holds_codes_and_schedule(S, T):
-        # the run holds the S code streams (p bytes a round), one
-        # (S, C, p, p) matrix buffer, the (T,) float schedule (3 columns and
-        # 2 of slack for schedule_arrays' temporaries) and O((C + K) S)
-        # trace buffers within 64 KiB: no (T, S) trace column, (T, p, p)
-        # float stream, (T, d) iterate column or per-round Python list
+        # the run holds the S code streams (p bytes a round), the (T,)
+        # float schedule (3 columns and 2 of slack for schedule_arrays'
+        # temporaries) and O((C + K) S) trace buffers within 64 KiB: no
+        # (T, S) trace column, float matrices of the stream, (T, d) iterate
+        # column or per-round Python list
         prob = DsmProblem(8)
         tracemalloc.start()
         try:
@@ -242,9 +242,8 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert prob.stream.nbytes == S * T * prob.p
-        buffer = S * min(T, _CHUNK_ROUNDS) * prob.dim * 8
         assert trace.loss_cum.shape == (len(checkpoint_grid(T)), S)
-        assert peak < prob.stream.nbytes + buffer + 5 * T * 8 + 64 * 1024
+        assert peak < prob.stream.nbytes + 5 * T * 8 + 64 * 1024
 
     def test_memory_holds_no_iterate_column(self):
         self.assert_peak_holds_codes_and_schedule(S=1, T=20000)

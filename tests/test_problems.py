@@ -351,18 +351,22 @@ class TestPermutationStream:
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_loss_reads_the_matrices_at_any_round(self, p):
-        # loss expands one chunk of codes at a time; rounds read in any
-        # order, across chunks and in the short last one, give the loss of
-        # the float matrices
+        # loss reads round t's codes, in any order of rounds, and gives the
+        # bits of dsm_loss_grad on the float matrices, signed zeros of the
+        # iterate included: criterion 7 checks that gradient by finite
+        # differences
         T = 2 * _CHUNK_ROWS + 3
-        prob = DsmProblem(p).materialize(T, [4, 9])
-        ys = stream_matrices(prob.stream).reshape(2, T, -1)
-        X = np.random.default_rng(p).normal(size=(2, prob.dim))
+        prob = DsmProblem(p).materialize(T, [4, 9, 2])
+        ys = stream_matrices(prob.stream)
+        X = np.random.default_rng(p).normal(size=(3, prob.dim))
+        X[1] = np.where(np.arange(prob.dim) % 2, -0.0, 0.0)
+        X[2, ::3] = -0.0
         for t in (1, T, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2, T - 1, 1):
             values, grads = prob.loss(t, X)
-            diff = X - ys[:, t - 1]
-            assert np.array_equal(values, 0.5 * (diff * diff).sum(axis=-1))
-            assert np.array_equal(grads, diff)
+            want_values, want_grads = dsm_loss_grad(
+                ys[:, t - 1], X.reshape(-1, p, p))
+            assert values.tobytes() == want_values.tobytes()
+            assert grads.tobytes() == want_grads.reshape(X.shape).tobytes()
 
     def test_validity(self):
         ys = stream_matrices(permutation_stream(5, [1], 50))[0]
@@ -440,6 +444,15 @@ X = 3.0 * rng.normal(size=(256, 4))
 _, grad = problems.logloss_grad(y, U, X)
 problem = problems.ElasticNetProblem(y, U, rho=1.0).materialize(256, [0])
 _, grad_sum = problem.loss_sum(200, X[0])
+# one example, drawn in all 200 rounds: each coordinate of the summed
+# gradient is one product that carries the bits of expit at the margin.
+# The 1024 iterates put the margins y u.x in (1, 30), where an expit taken
+# as 1/(1 + exp(-z)) moves the last bit of a few percent of the values; the
+# sum over the examples above rounds such moves away
+u = np.array([[0.5, -1.25, 2.0, 0.75]])
+xs = rng.uniform(1.0, 30.0, size=(1024, 1)) * u / (u @ u.T)
+one = problems.ElasticNetProblem([1.0], u, rho=1.0).materialize(256, [0])
+grad_sums = [grad_sum] + [one.loss_sum(200, x)[1] for x in xs]
 after_elasticnet = "scipy.special" in sys.modules
 
 from scipy.special import expit
@@ -449,11 +462,13 @@ want = (-y)[:, None] * U * expit(neg_margin)[:, None]
 c = np.bincount(problem.stream[0, :200], minlength=256)
 rows = np.flatnonzero(c)
 V, neg_z = U[rows], -y[rows]
-want_sum = (c[rows] * neg_z * expit(neg_z * (V @ X[0]))) @ V
+want_sums = [(c[rows] * neg_z * expit(neg_z * (V @ X[0]))) @ V]
+want_sums += [(200.0 * -1.0 * expit(-1.0 * (u @ x))) @ u for x in xs]
 print(json.dumps({
     "after_dsm": after_dsm, "after_elasticnet": after_elasticnet,
     "grad_bits_equal": grad.tobytes() == want.tobytes(),
-    "loss_sum_bits_equal": grad_sum.tobytes() == want_sum.tobytes()}))
+    "loss_sum_bits_equal": np.array(grad_sums).tobytes()
+                           == np.array(want_sums).tobytes()}))
 """
 
 
@@ -529,10 +544,6 @@ class TestSampledProblemInvariants:
                               axis=1)
         assert values.max() - values.min() <= c.F + 1e-9
 
-    @pytest.mark.xfail(strict=True,
-                       reason="the declared constraint-value bound D = sqrt(p) "
-                              "underestimates the row/column-sum range over the "
-                              "full enclosing ball")
     def test_dsm_constraint_value_bound(self):
         prob = DsmProblem(8)
         c = prob.constants
@@ -540,6 +551,12 @@ class TestSampledProblemInvariants:
         xs = sample_in_ball(rng, prob.dim, c.R, self.N)
         values, _ = g_max(prob.constraints, xs)
         assert np.abs(values).max() <= c.D + 1e-9
+        # and D is reached: a row of -1s has norm sqrt(p) = R, and its
+        # 1 - (row sum) is p + 1
+        x = np.zeros((1, prob.dim))
+        x[0, :prob.p] = -1.0
+        assert np.linalg.norm(x) == pytest.approx(c.R)
+        assert g_max(prob.constraints, x)[0][0] == c.D
 
     def test_elasticnet_bounds(self):
         rng = np.random.default_rng(13)
@@ -644,7 +661,7 @@ class TestLossSum:
     def test_dsm_loss_rejects_rounds_outside_the_stream(self):
         prob = _make_problem("dsm", self.T)
         X = np.zeros((1, prob.dim))
-        prob.loss(self.T, X)  # the short last chunk is in the buffer
+        prob.loss(self.T, X)  # the last round is in the stream
         for t in (0, self.T + 1):
             with pytest.raises(ValueError, match="materialized"):
                 prob.loss(t, X)
@@ -673,7 +690,7 @@ class TestProblemConstruction:
         c = prob.constants
         assert c.R == pytest.approx(np.sqrt(8))
         assert c.G == pytest.approx(2 * np.sqrt(8))
-        assert c.D == pytest.approx(np.sqrt(8))
+        assert c.D == 9.0
         assert c.sigma == 1.0
 
     def test_stream_requires_materialize(self):
