@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import g_max, project_ball, project_nonneg
+from .projections import all_finite, g_max, project_ball, project_nonneg
 from .schedules import schedule_arrays
 
 
@@ -107,13 +107,18 @@ def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
     each row: X, f_grad and g_sub are (S, d), lam and g_value (S,).
 
     The primal gradient of the saddle function is f_grad + lam * g_sub, the
-    dual gradient g_value - theta_t * lam; returns the next (X, lam).
+    dual gradient g_value - theta_t * lam; returns the next (X, lam). Raises
+    FloatingPointError, naming t, for a non-finite g_value, or a primal
+    gradient whose descent step leaves a row without a finite norm (the
+    ball projection checks every row).
     """
-    gx = f_grad + lam[:, None] * g_sub
-    if not (np.isfinite(gx).all() and np.isfinite(g_value).all()):
+    if not all_finite(g_value):
         raise FloatingPointError(f"non-finite gradient at round t={t}")
-    return (project_ball(X - eta_t * gx, R),
-            project_nonneg(lam + mu_t * (g_value - theta_t * lam)))
+    try:
+        X_next = project_ball(X - eta_t * (f_grad + lam[:, None] * g_sub), R)
+    except FloatingPointError as err:
+        raise FloatingPointError(f"non-finite gradient at round t={t}") from err
+    return X_next, project_nonneg(lam + mu_t * (g_value - theta_t * lam))
 
 
 def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
@@ -144,8 +149,11 @@ def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
     X, lam = np.zeros((S, problem.dim)), np.zeros(S)
     for start in range(0, T, C):
         stop = min(start + C, T)
+        # the chunk's schedule as Python floats: the same IEEE values,
+        # without a numpy scalar per round and operation
         for i, (eta_t, mu_t, theta_t) in enumerate(
-                zip(eta[start:stop], mu[start:stop], theta[start:stop])):
+                zip(eta[start:stop].tolist(), mu[start:stop].tolist(),
+                    theta[start:stop].tolist())):
             t = start + i + 1
             f_val, f_grad = problem.loss(t, X)
             g_val, idx = g_max(cs, X)

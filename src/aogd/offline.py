@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .projections import all_finite
+
 
 @dataclass(frozen=True)
 class OfflineSolution:
@@ -62,7 +64,7 @@ def project_birkhoff(A: np.ndarray) -> np.ndarray:
     than _BIRKHOFF_TOL in Frobenius norm.
     """
     A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
+    if not all_finite(A):
         raise ValueError("input matrix must be finite")
     X = A.copy()
     q = np.zeros_like(A)  # correction for the orthant (the non-affine set)
@@ -80,7 +82,7 @@ def project_birkhoff(A: np.ndarray) -> np.ndarray:
 
 def elasticnet_value(x: np.ndarray):
     """||x||_1 + 0.5 ||x||_2^2 of each row of x."""
-    return np.abs(x).sum(axis=-1) + 0.5 * np.vecdot(x, x)
+    return np.add.reduce(np.abs(x), axis=-1) + 0.5 * np.vecdot(x, x)
 
 
 def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
@@ -99,9 +101,9 @@ def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     # |v| serves the finiteness check, the feasibility test (the terms of
     # elasticnet_value) and the soft threshold
     abs_v = np.abs(v)
-    if not np.isfinite(abs_v).all():
+    if not all_finite(abs_v):
         raise ValueError("input vector must be finite")
-    if abs_v.sum(axis=-1) + 0.5 * np.vecdot(v, v) <= rho:
+    if np.add.reduce(abs_v, axis=-1) + 0.5 * np.vecdot(v, v) <= rho:
         return v.copy()
     a = np.sort(abs_v)[::-1]
     nus = np.sqrt(np.cumsum((1.0 + a) ** 2)

@@ -80,11 +80,20 @@ class DsmConstraints:
         return self.A[j]
 
 
+def _round(rounds: np.ndarray, t: int) -> np.ndarray:
+    """Round t (1-indexed) of a materialized stream held round-major."""
+    if not 1 <= t <= len(rounds):
+        raise ValueError(f"t={t} outside the {len(rounds)} materialized rounds")
+    return rounds[t - 1]
+
+
 def _prefix(stream: np.ndarray, t: int) -> np.ndarray:
     """The first t rounds of a materialized stream."""
-    if not 1 <= t <= len(stream):
-        raise ValueError(f"t={t} outside the {len(stream)} materialized rounds")
+    _round(stream, t)  # the range check
     return stream[:t]
+
+
+_NOT_MATERIALIZED = "call materialize(T, seeds) before accessing the stream"
 
 
 # rows per shuffled block of permutation_stream
@@ -145,28 +154,32 @@ class DsmProblem:
         self.constraints = DsmConstraints(p)
         self._row_starts = np.arange(0, self.dim, p)
         self._eye = np.eye(p)  # row k is the one-hot row of column code k
-        self._codes = None
+        # the codes (S, T, p) and their round-major view (T, S, p)
+        self._codes = self._rounds = None
 
     def materialize(self, T: int, seeds):
         """Draw the first T rounds of the stream of each of `seeds`."""
-        self._codes = None  # never two streams alive at once
+        self._codes = self._rounds = None  # never two streams alive at once
         self._codes = permutation_stream(self.p, seeds, T)
+        self._rounds = self._codes.swapaxes(0, 1)
         return self
 
     @property
     def stream(self) -> np.ndarray:
         """The materialized streams as column codes, (S, T, p)."""
         if self._codes is None:
-            raise RuntimeError("call materialize(T, seeds) before accessing the stream")
+            raise RuntimeError(_NOT_MATERIALIZED)
         return self._codes
 
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
         X (S, d), iterates flattened; t is 1-indexed."""
+        if self._rounds is None:
+            raise RuntimeError(_NOT_MATERIALIZED)
         # Y_t of each seed, (S, p, p); a t outside the stream raises
-        Y = self._eye.take(_prefix(self.stream.swapaxes(0, 1), t)[-1], axis=0)
+        Y = self._eye.take(_round(self._rounds, t), axis=0)
         grads = X - Y.reshape(X.shape)
-        return 0.5 * (grads * grads).sum(axis=-1), grads
+        return 0.5 * np.add.reduce(grads * grads, axis=-1), grads
 
     def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
         """Value and gradient of f_1 + ... + f_t of seed j at x (flattened).
@@ -203,7 +216,11 @@ def logloss_grad(y, u: np.ndarray, x: np.ndarray):
     y = np.asarray(y, dtype=float)
     if (np.abs(y) != 1.0).any():
         raise ValueError("label must be -1 or +1")
-    neg_y = -y
+    return _logloss_grad(-y, u, x)
+
+
+def _logloss_grad(neg_y: np.ndarray, u: np.ndarray, x: np.ndarray):
+    """logloss_grad from the negated labels -y, taken as valid."""
     neg_margin = neg_y * np.vecdot(x, u)  # -(y x.u), exactly
     value = np.logaddexp(0.0, neg_margin)
     grad = neg_y[..., None] * u * expit(neg_margin)[..., None]
@@ -270,12 +287,13 @@ class ElasticNetProblem:
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1")
         self.labels = labels
+        self._neg_labels = -labels  # what each round's loss reads
         self.features = features
         self.rho = float(rho)
         self.dim = features.shape[1]
         self.constants = elasticnet_constants(rho, features)
         self.constraints = ElasticNetBudget(self.rho)
-        self._order = None
+        self._order = self._rounds = None  # (S, T) and round-major (T, S)
         # (j, t, U, c, -y, c (-y)) of the last loss_sum: the rows of U drawn
         # in seed j's first t rounds, their counts c and negated labels
         self._prefix_rows = None
@@ -289,22 +307,24 @@ class ElasticNetProblem:
         order = np.empty((len(seeds), T), dtype=np.min_scalar_type(n - 1))
         for row, seed in zip(order, seeds):
             row[:] = np.random.default_rng(seed).integers(0, n, size=T)
-        self._order, self._prefix_rows = order, None
+        self._order, self._rounds, self._prefix_rows = order, order.T, None
         return self
 
     @property
     def stream(self) -> np.ndarray:
         """The materialized example indices, (S, T)."""
         if self._order is None:
-            raise RuntimeError("call materialize(T, seeds) before accessing the stream")
+            raise RuntimeError(_NOT_MATERIALIZED)
         return self._order
 
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
         X (S, d); t is 1-indexed."""
+        if self._rounds is None:
+            raise RuntimeError(_NOT_MATERIALIZED)
         # round t's rows, cast once for two gathers; a t past the stream raises
-        i = _prefix(self.stream.T, t)[-1].astype(np.intp)
-        return logloss_grad(self.labels[i], self.features[i], X)
+        i = _round(self._rounds, t).astype(np.intp)
+        return _logloss_grad(self._neg_labels[i], self.features[i], X)
 
     def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
         """Value and gradient of f_1 + ... + f_t of seed j at x, as

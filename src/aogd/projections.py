@@ -13,6 +13,12 @@ problem owns its set: `problems.DsmConstraints`, the linear constraints of
 the doubly-stochastic polytope, and `problems.ElasticNetBudget`, the single
 elastic-net budget. The learner plays the S seeds of a run in lockstep, one
 row each.
+
+Non-finite input raises FloatingPointError rather than flowing on:
+`project_ball` raises for any row whose squared norm is not finite (NaN or
+infinite entries, or a finite row too large to square), and `g_max` for
+any non-finite constraint component. `all_finite` is the array finiteness
+test of the round and of both offline projections.
 """
 
 from __future__ import annotations
@@ -22,23 +28,41 @@ import math
 import numpy as np
 
 
+def all_finite(a):
+    """Whether every entry of a is finite: one ufunc reduce, where
+    `np.isfinite(a).all()` also passes through ndarray.all's Python
+    wrapper."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
 def project_ball(x: np.ndarray, R: float) -> np.ndarray:
     """Project each row of x onto the Euclidean ball of radius R; x itself
-    when no row lies outside."""
+    when no row lies outside.
+
+    Raises FloatingPointError when a row's squared norm is not finite: a
+    NaN or infinite entry, or a finite row whose squared norm overflows
+    float64 (a norm past about 1.3e154). Such a row has no projection that
+    the row-norm formula can give: R / inf would zero it, R / NaN fill it
+    with NaN.
+    """
     if R <= 0:
         raise ValueError("R must be positive")
     squares = np.vecdot(x, x)
     # sqrt is monotone, so this is the largest row norm (NaN if any is)
-    if math.sqrt(squares.max()) <= R:
+    norm = math.sqrt(np.maximum.reduce(squares, axis=None))
+    if norm <= R:
         return x
+    if not math.isfinite(norm):
+        raise FloatingPointError("a row of x has a non-finite squared norm")
     # R / max(norm, R) is exactly 1.0 for the rows inside the ball
     return x * (R / np.maximum(np.sqrt(squares), R))[..., None]
 
 
 def project_nonneg(lam):
     """Project each dual iterate onto the nonnegative reals, as
-    `max(0.0, lam)` does: NaN and -0.0 become +0.0."""
-    return np.where(lam > 0.0, lam, 0.0)
+    `max(0.0, lam)` does: NaN and -0.0 become +0.0 (fmax drops the NaN,
+    and -0.0 + 0.0 is +0.0)."""
+    return np.fmax(lam, 0.0) + 0.0
 
 
 def g_max(cs, X: np.ndarray):
@@ -49,9 +73,8 @@ def g_max(cs, X: np.ndarray):
     is `cs.subgradient(X, active_indices)`.
     """
     values = cs.values(X)
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, bad = np.argwhere(~finite)[0]
+    if not all_finite(values):
+        row, bad = np.argwhere(~np.isfinite(values))[0]
         raise FloatingPointError(
             f"constraint component {bad} is non-finite at row {row} of x")
     idx = values.argmax(axis=1)  # argmax returns the first maximizer

@@ -1,0 +1,98 @@
+"""The online round as it was written before its per-round numpy calls were
+cut: `step`, `g_max`, `project_ball` and `project_nonneg` verbatim, and each
+problem's `loss` as it read its stream, for a randomized check that the
+lean round gives the same bits.
+
+`reference_round(problem)` plays a `learner.run` with these in place of
+`learner.step`, `learner.g_max` and `problem.loss`.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+
+from aogd import learner
+from aogd.problems import DsmProblem, logloss_grad
+
+
+def project_ball(x: np.ndarray, R: float) -> np.ndarray:
+    """Project each row of x onto the Euclidean ball of radius R; x itself
+    when no row lies outside."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    squares = np.vecdot(x, x)
+    # sqrt is monotone, so this is the largest row norm (NaN if any is)
+    if math.sqrt(squares.max()) <= R:
+        return x
+    # R / max(norm, R) is exactly 1.0 for the rows inside the ball
+    return x * (R / np.maximum(np.sqrt(squares), R))[..., None]
+
+
+def project_nonneg(lam):
+    """Project each dual iterate onto the nonnegative reals, as
+    `max(0.0, lam)` does: NaN and -0.0 become +0.0."""
+    return np.where(lam > 0.0, lam, 0.0)
+
+
+def g_max(cs, X: np.ndarray):
+    """Aggregate constraint value max_j g_j(x) of each row x of X (S, d).
+
+    Returns (values, active_indices), both (S,); ties break to the smallest
+    index so runs replay deterministically. A subgradient of g at each row
+    is `cs.subgradient(X, active_indices)`.
+    """
+    values = cs.values(X)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, bad = np.argwhere(~finite)[0]
+        raise FloatingPointError(
+            f"constraint component {bad} is non-finite at row {row} of x")
+    idx = values.argmax(axis=1)  # argmax returns the first maximizer
+    return values[np.arange(len(values)), idx], idx
+
+
+def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
+         g_value: np.ndarray, g_sub: np.ndarray, eta_t: float, mu_t: float,
+         theta_t: float, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """One simultaneous primal-descent / dual-ascent update of round t for
+    each row: X, f_grad and g_sub are (S, d), lam and g_value (S,).
+
+    The primal gradient of the saddle function is f_grad + lam * g_sub, the
+    dual gradient g_value - theta_t * lam; returns the next (X, lam).
+    """
+    gx = f_grad + lam[:, None] * g_sub
+    if not (np.isfinite(gx).all() and np.isfinite(g_value).all()):
+        raise FloatingPointError(f"non-finite gradient at round t={t}")
+    return (project_ball(X - eta_t * gx, R),
+            project_nonneg(lam + mu_t * (g_value - theta_t * lam)))
+
+
+def dsm_loss(problem, t: int, X: np.ndarray):
+    """DsmProblem.loss, reading round t through the public stream."""
+    Y = problem._eye.take(problem.stream.swapaxes(0, 1)[t - 1], axis=0)
+    grads = X - Y.reshape(X.shape)
+    return 0.5 * (grads * grads).sum(axis=-1), grads
+
+
+def elasticnet_loss(problem, t: int, X: np.ndarray):
+    """ElasticNetProblem.loss, checking and negating the labels each round."""
+    i = problem.stream.T[t - 1].astype(np.intp)
+    return logloss_grad(problem.labels[i], problem.features[i], X)
+
+
+@contextmanager
+def reference_round(problem):
+    """Run `problem` with the reference round until exit, which restores
+    `learner.step`, `learner.g_max` and the problem's own `loss`."""
+    saved = learner.step, learner.g_max
+    loss = dsm_loss if isinstance(problem, DsmProblem) else elasticnet_loss
+    learner.step, learner.g_max = step, g_max
+    problem.loss = lambda t, X: loss(problem, t, X)
+    try:
+        yield
+    finally:
+        learner.step, learner.g_max = saved
+        del problem.loss

@@ -174,6 +174,20 @@ class TestBoundCompliance:
         assert comp.loss_ok and comp.constraint_ok
         assert comp.max_ratio <= 1.0
 
+    def test_strongly_convex_loss_bound_holds_across_seeds(self):
+        # loss_regret_bound reuses the convex formula for the strongly
+        # convex schedules; check it on DSM p=4 (sigma = 1) at every
+        # checkpoint of 16 seeds
+        prob, T, seeds = DsmProblem(4), 2000, list(range(16))
+        params = ScheduleParams(beta=2.0 / 3.0, regime=Regime.STRONGLY_CONVEX,
+                                constants=prob.constants)
+        grid = checkpoint_grid(T)
+        trace = run(prob, params, T, seeds, grid)
+        for j in range(len(seeds)):
+            report = accumulate(trace, {t: solve_offline(prob, t, j=j)
+                                        for t in grid}, prob, params, j)
+            assert np.all(report.loss_regret <= report.loss_bound), seeds[j]
+
     def test_negative_control_detects_violation(self):
         report, params = self.make_report()
         loss_regret = report.loss_regret.copy()

@@ -48,6 +48,25 @@ class TestProjectBall:
         interior = X[1:3].copy()
         assert project_ball(interior, 1.0) is interior
 
+    @pytest.mark.parametrize("row", [[1e200, 0.0], [np.nan, 0.0],
+                                     [np.inf, 0.0], [-np.inf, 1.0]],
+                             ids=["huge_finite", "nan", "inf", "minus_inf"])
+    def test_nonfinite_squared_norm_raises(self, row):
+        # R / inf would zero a huge finite row ([[1e200, 0]] has the
+        # projection [[1, 0]]) and NaN or inf rows would come back as NaN;
+        # each raises instead, also beside a row inside the ball, and for a
+        # single vector
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError):
+                project_ball(np.array([[0.1, 0.2], row]), 1.0)
+            with pytest.raises(FloatingPointError):
+                project_ball(np.array(row), 1.0)
+
+    def test_largest_squarable_row_is_projected(self):
+        # 1e150^2 = 1e300 is finite, so the row is clipped, not rejected
+        np.testing.assert_allclose(project_ball(np.array([[1e150, 0.0]]), 1.0),
+                                   [[1.0, 0.0]])
+
     def test_idempotent_and_nonexpansive(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

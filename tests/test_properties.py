@@ -1,15 +1,18 @@
 """Property tests: projection laws, the learner's iterate invariants,
 lockstep runs against single-seed runs, the checkpoint trace and the
-code-counting DSM loss sum against their per-round float forms, and the
-count-weighted elastic-net loss sum against the gathered prefix.
+code-counting DSM loss sum against their per-round float forms, the
+count-weighted elastic-net loss sum against the gathered prefix, and the
+online round against its reference form.
 
 Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,6 +23,7 @@ from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
                             schedule_arrays)
 from dsm_stream_oracle import loss_sum_float
 from elasticnet_prefix_oracle import loss_sum_gathered
+from round_oracle import reference_round
 from step_recorder import recorded_iterates, recorded_rounds
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -258,3 +262,72 @@ def test_elasticnet_counts_match_gathered_prefix(case):
                 <= 1e-12 * np.linalg.norm(want_grad))
         kept = prob._prefix_rows[2]
         assert kept.shape[0] == np.unique(prob.stream[j, :t]).size <= n
+
+
+@st.composite
+def round_runs(draw):
+    """(problem factory, schedule, T, seeds): DSM with p in [2, 8], 1 to 5
+    seeds and T up to 600 (so runs cross the 256-round chunks) under the
+    convex, strongly convex or fixed-step schedule, each with gamma = 0 or
+    gamma > 0, or under a fixed step of eta = 1.5 that puts most iterates
+    outside the ball; or the small elastic-net problem with its schedules."""
+    kind = draw(st.sampled_from(["dsm", "dsm_clipped", "elasticnet"]))
+    if kind == "elasticnet":
+        make = lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=0.3)
+        return (make, schedules(draw, make().constants),
+                draw(st.integers(1, 300)),
+                draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
+                              unique=True)))
+    p = draw(st.integers(2, 8))
+    make = lambda: DsmProblem(p)
+    constants = make().constants
+    gamma = draw(st.sampled_from([0.0, 0.05, 0.7]))
+    if kind == "dsm_clipped":
+        schedule = FixedScheduleParams(eta=1.5, theta=2.0, mu=0.05,
+                                       gamma=gamma)
+    else:
+        regime = draw(st.sampled_from(["convex", "strongly_convex", "fixed"]))
+        schedule = (
+            FixedScheduleParams(eta=draw(st.floats(1e-3, 0.5)),
+                                theta=draw(st.floats(0.1, 10.0)),
+                                mu=draw(st.floats(1e-3, 0.5)), gamma=gamma)
+            if regime == "fixed" else
+            ScheduleParams(draw(st.floats(0.1, 0.9)), Regime(regime),
+                           constants, gamma))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=5,
+                          unique=True))
+    return make, schedule, draw(st.integers(1, 600)), seeds
+
+
+def p8_case(schedule, n_seeds):
+    """DSM p = 8 over 600 rounds, which random draws reach only rarely."""
+    return lambda: DsmProblem(8), schedule, 600, list(range(n_seeds))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=round_runs())
+@example(case=p8_case(FixedScheduleParams(1.5, 2.0, 0.05, gamma=0.05), 5))
+@example(case=p8_case(ScheduleParams(
+    2.0 / 3.0, Regime.STRONGLY_CONVEX, DsmProblem(8).constants), 5))
+@example(case=p8_case(ScheduleParams(
+    0.5, Regime.CONVEX, DsmProblem(8).constants, gamma=0.7), 3))
+def test_round_matches_reference_round(case):
+    # the lean round (learner.step, g_max, the projections and each
+    # problem's loss) gives the reference round's trace and iterates byte
+    # for byte, clipped rows and signed zeros included
+    make, schedule, T, seeds = case
+    checkpoints = list(range(1, T + 1))
+    runs = []
+    for reference in (False, True):
+        prob = make()
+        with (reference_round(prob) if reference else nullcontext()), \
+                recorded_iterates() as xs:
+            trace = run(prob, schedule, T, seeds, checkpoints)
+        runs.append((trace, np.array(xs)))
+    (trace, xs), (want, want_xs) = runs
+    for name, column in vars(want).items():
+        got = getattr(trace, name)
+        assert (got.dtype, got.shape) == (column.dtype, column.shape), name
+        assert got.tobytes() == column.tobytes(), name
+    assert xs.shape == want_xs.shape == (T, len(seeds), make().dim)
+    assert xs.tobytes() == want_xs.tobytes()

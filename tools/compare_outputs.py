@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 21 configs
+a checkout's root works too). The script runs a fixed matrix of 22 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with the largest relative
 difference of its numbers, the column it is in and its absolute
@@ -14,7 +14,10 @@ difference. It exits 0 when all outputs match and 1 otherwise.
 The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
 with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=8, T=1000, fixed_ogd with
 a c1=1 gamma-shift, 2 seeds, once more with the integers theta=2 and
-c1=1 in place of 2.0 and 1.0; DSM p=16, T=2000, convex, 2 seeds;
+c1=1 in place of 2.0 and 1.0; DSM p=8, T=1000, fixed_ogd with eta=1.5,
+theta=2, mu=0.05, 3 seeds (a step so long that the ball projection clips
+nearly every row, where the other DSM configs clip in few rounds);
+DSM p=16, T=2000, convex, 2 seeds;
 DSM p=3, T=100 (shorter than one 256-round chunk), convex, 3 seeds;
 DSM p=2, T=300 (the smallest p, with the most row/column-sum ties),
 convex, 3 seeds;
@@ -98,6 +101,9 @@ def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
     configs["dsm_p8_fixed_ogd_shift_int_s2"] = dict(
         problem={"kind": "dsm", "p": 8}, T=1000, seeds=[0, 1],
         algorithm=dict(FIXED_OGD, theta=2), gamma_shift={"c1": 1})
+    configs["dsm_p8_fixed_ogd_clipped_s3"] = dict(
+        problem={"kind": "dsm", "p": 8}, T=1000, seeds=[0, 1, 2],
+        algorithm=dict(FIXED_OGD, eta=1.5))
     configs["dsm_p16_convex_s2"] = dict(
         problem={"kind": "dsm", "p": 16}, T=2000, seeds=[0, 1],
         **VARIANTS["convex"])
