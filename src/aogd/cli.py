@@ -27,7 +27,11 @@ from .schedules import (ProblemConstants, Regime, ScheduleParams,
 def _cmd_run(args) -> int:
     overrides = {"T": args.T, "beta": args.beta, "output_dir": args.output}
     if args.seeds is not None:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
+        try:
+            overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ValueError(f"--seeds must be comma-separated integers, "
+                             f"got {args.seeds!r}") from None
     print(run_config(read_config(args.config, **overrides)))
     return 0
 

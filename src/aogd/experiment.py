@@ -84,6 +84,9 @@ def read_config(path: str, **overrides) -> dict:
     """The JSON config at path with the overrides that are not None."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must hold a JSON object, "
+                         f"not a {type(raw).__name__}")
     raw.update({k: v for k, v in overrides.items() if v is not None})
     return raw
 

@@ -53,7 +53,8 @@ def accumulate(trace: Trace,
     """Build the per-checkpoint regret report of the run's j-th seed.
 
     `offline` maps checkpoints t of the trace to the optimum of the first t
-    rounds of that seed's stream.
+    rounds of that seed's stream; the comparator's loss is the problem's
+    `prefix_loss(t, j)` at that optimum, one prefix count per checkpoint.
     Theoretical bound columns are filled when adaptive schedule params are
     given, otherwise NaN (fixed-schedule baselines carry no closed form).
     """
@@ -64,8 +65,7 @@ def accumulate(trace: Trace,
     if missing.size:
         raise ValueError(f"checkpoint t={missing[0]} is not a checkpoint of the trace")
     rows = np.searchsorted(trace.t, t)
-    # one prefix solve per checkpoint, so one loss_sum per x_star
-    offline_cum = np.array([problem.loss_sum(k, offline[k].x_star, j)[0]
+    offline_cum = np.array([problem.prefix_loss(k, j)(offline[k].x_star)[0]
                             for k in t.tolist()])
     loss_bound, constraint_bound = (
         (loss_regret_bound(params, t), constraint_regret_bound(params, t))

@@ -42,7 +42,7 @@ _BIRKHOFF_MAX_ITER = 10000
 _SOLVE_TOL = 1e-8
 _SOLVE_MAX_ITER = 5000
 # the modules whose source a cached comparator depends on: the solver and
-# projections, the problems' loss sums and the dataset reader
+# projections, the problems' prefix losses and the dataset reader
 _KEYED_SOURCES = ("offline.py", "problems.py", "ingest.py")
 
 
@@ -124,13 +124,15 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
     step size, and restarts the momentum when the step turns against the
     previous move. Terminates when the gradient-mapping norm at y falls
     below tol, or reports tolerance_met=False after _SOLVE_MAX_ITER
-    iterations. The problem must have its first t rounds materialized.
+    iterations. The problem must have its first t rounds materialized: its
+    `prefix_loss` counts them once, and every step evaluates that sum.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    prefix = problem.prefix_loss(t, j)
 
     def objective_grad(x):
-        total, grad = problem.loss_sum(t, x, j)
+        total, grad = prefix(x)
         return total / t, grad / t
 
     x = y = problem.project_feasible(np.zeros(problem.dim))
@@ -203,14 +205,17 @@ def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
     """Disk-cached solve_offline of seed j at its default tolerance; writes
     via atomic rename. `key` is the run's `cache_key` and `seed` row j's
     seed. The file is named by seed and t; the key it stores is its only
-    identity, and a file whose stored key differs is re-solved and
-    overwritten."""
+    identity, and a file that is not a JSON object with that key (a stale
+    key, a truncated write) is re-solved and overwritten."""
     path = os.path.join(cache_dir, f"seed{seed}_t{t}.json")
     file_key = hashlib.sha256(f"{key} seed={seed} t={t}".encode()).hexdigest()
     if os.path.exists(path):
         with open(path) as fh:
-            data = json.load(fh)
-        if data.get("key") == file_key:
+            try:
+                data = json.load(fh)
+            except ValueError:  # not JSON
+                data = None
+        if isinstance(data, dict) and data.get("key") == file_key:
             return OfflineSolution(
                 x_star=np.asarray(data["x_star"]),
                 objective=data["objective"],

@@ -8,7 +8,8 @@ its constraint set.
 
 A problem holds the streams of S seeds at once, seed-major, so that the
 learner can play them in lockstep: `loss(t, X)` takes one iterate per seed
-as the rows of X (S, d), and `loss_sum(t, x, j)` reads seed j's stream.
+as the rows of X (S, d), and `prefix_loss(t, j)` counts seed j's first t
+rounds once and returns x -> (value, gradient) of their sum.
 
 scipy enters only through `expit`, which the logistic loss alone calls: it
 imports `scipy.special` on its first call, so that `import aogd` and a DSM
@@ -98,8 +99,8 @@ _NOT_MATERIALIZED = "call materialize(T, seeds) before accessing the stream"
 
 # rows per shuffled block of permutation_stream
 _CHUNK_ROWS = 256
-# rounds per np.bincount of DsmProblem.loss_sum, which bounds its (rows, p)
-# intp temporary
+# rounds per np.bincount of DsmProblem.prefix_loss, which bounds its
+# (rows, p) intp temporary
 _COUNT_ROWS = 1 << 16
 
 
@@ -138,7 +139,7 @@ class DsmProblem:
 
     The stream is held only as permutation_stream's column codes, p bytes
     per round and seed: `loss` gathers round t's rows of the identity, and
-    `loss_sum` counts codes.
+    `prefix_loss` counts codes.
     """
 
     def __init__(self, p: int):
@@ -181,13 +182,15 @@ class DsmProblem:
         grads = X - Y.reshape(X.shape)
         return 0.5 * np.add.reduce(grads * grads, axis=-1), grads
 
-    def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
-        """Value and gradient of f_1 + ... + f_t of seed j at x (flattened).
+    def prefix_loss(self, t: int, j: int = 0):
+        """The function x -> (value, gradient) of f_1 + ... + f_t of seed j,
+        x flattened.
 
         With S = sum of the Y_s and Q = sum of their squared norms, the sum
         is 0.5 t ||x||^2 - x.S + 0.5 Q and its gradient t x - S. S counts
-        how often each row's one falls in each column, and Q = t p: both are
-        integers, so exact in float64 whatever the order of summation.
+        how often each row's one falls in each column, counted here once,
+        and Q = t p: both are integers, so exact in float64 whatever the
+        order of summation.
         """
         codes = _prefix(self.stream[j], t)
         S = np.zeros(self.dim)
@@ -195,8 +198,11 @@ class DsmProblem:
             # flat index i p + codes[s, i] of the one in row i of Y_s
             flat = codes[start:start + _COUNT_ROWS] + self._row_starts
             S += np.bincount(flat.ravel(), minlength=self.dim)
-        return (0.5 * t * float(x @ x) - float(x @ S) + 0.5 * float(t * self.p),
-                t * x - S)
+        half_q = 0.5 * float(t * self.p)
+
+        def loss(x: np.ndarray):
+            return 0.5 * t * float(x @ x) - float(x @ S) + half_q, t * x - S
+        return loss
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
         return offline.project_birkhoff(x.reshape(self.p, self.p)).ravel()
@@ -272,9 +278,9 @@ class ElasticNetProblem:
     dataset; the long-term constraint keeps iterates near the elastic-net
     ball of budget rho.
 
-    `loss_sum` counts draws: with c_i the number of rounds among the first
-    t that drew example i, the prefix sum is sum_i c_i f(x; i) over the
-    examples with c_i > 0. Past the one O(t) count per (j, t), a call costs
+    `prefix_loss` counts draws: with c_i the number of rounds among the
+    first t that drew example i, the prefix sum is sum_i c_i f(x; i) over
+    the examples with c_i > 0. Past the one O(t) count, an evaluation costs
     O(min(t, n) d), and the rows it keeps stay within the dataset's n x d
     however long the stream grows.
     """
@@ -294,9 +300,6 @@ class ElasticNetProblem:
         self.constants = elasticnet_constants(rho, features)
         self.constraints = ElasticNetBudget(self.rho)
         self._order = self._rounds = None  # (S, T) and round-major (T, S)
-        # (j, t, U, c, -y, c (-y)) of the last loss_sum: the rows of U drawn
-        # in seed j's first t rounds, their counts c and negated labels
-        self._prefix_rows = None
 
     def materialize(self, T: int, seeds):
         """Draw the example order of the first T rounds of each of `seeds`'
@@ -307,7 +310,7 @@ class ElasticNetProblem:
         order = np.empty((len(seeds), T), dtype=np.min_scalar_type(n - 1))
         for row, seed in zip(order, seeds):
             row[:] = np.random.default_rng(seed).integers(0, n, size=T)
-        self._order, self._rounds, self._prefix_rows = order, order.T, None
+        self._order, self._rounds = order, order.T
         return self
 
     @property
@@ -326,24 +329,23 @@ class ElasticNetProblem:
         i = _round(self._rounds, t).astype(np.intp)
         return _logloss_grad(self._neg_labels[i], self.features[i], X)
 
-    def loss_sum(self, t: int, x: np.ndarray, j: int = 0):
-        """Value and gradient of f_1 + ... + f_t of seed j at x, as
-        sum_i c_i f(x; i) with c_i the draws of example i in those rounds.
+    def prefix_loss(self, t: int, j: int = 0):
+        """The function x -> (value, gradient) of f_1 + ... + f_t of seed j,
+        as sum_i c_i f(x; i) with c_i the draws of example i in those
+        rounds. The drawn rows U, their counts c, negated labels and the
+        weights c_i (-y_i) are gathered here once."""
+        counts = np.bincount(_prefix(self.stream[j], t),
+                             minlength=self.labels.shape[0])
+        rows = np.flatnonzero(counts)
+        U, c = self.features[rows], counts[rows].astype(float)
+        neg_y = -self.labels[rows]
+        weights = c * neg_y
 
-        The drawn examples, their counts and the weights c_i (-y_i) are
-        gathered once for a run of calls with the same (j, t), as an offline
-        solve makes them.
-        """
-        if self._prefix_rows is None or self._prefix_rows[:2] != (j, t):
-            counts = np.bincount(_prefix(self.stream[j], t),
-                                 minlength=self.labels.shape[0])
-            rows = np.flatnonzero(counts)
-            c, neg_y = counts[rows].astype(float), -self.labels[rows]
-            self._prefix_rows = (j, t, self.features[rows], c, neg_y, c * neg_y)
-        _, _, U, c, neg_y, weights = self._prefix_rows
-        neg_margin = neg_y * (U @ x)
-        return (float(c @ np.logaddexp(0.0, neg_margin)),
-                (weights * expit(neg_margin)) @ U)
+        def loss(x: np.ndarray):
+            neg_margin = neg_y * (U @ x)
+            return (float(c @ np.logaddexp(0.0, neg_margin)),
+                    (weights * expit(neg_margin)) @ U)
+        return loss
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
         return offline.project_elasticnet_ball(x, self.rho)

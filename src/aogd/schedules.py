@@ -202,50 +202,17 @@ def constraint_regret_bound(params: ScheduleParams, T) -> float:
 
 @dataclass(frozen=True)
 class ScheduleSums:
-    """Closed-form upper bounds on the schedule sums, and the terms of the
-    regret bound that depend on the schedule alone."""
+    """The schedule's budget u_eta for the C3 slack."""
 
-    s_theta_bound: float
-    s_eta_bound: float
-    s_mu_bound: float
     u_eta: float
-    delta_mu: float
-    delta_eta: float
 
 
 def schedule_sums(params: ScheduleParams, T: int) -> ScheduleSums:
-    """Tabulated bounds on the sums of theta, eta, mu over 1..T, and the
-    C3 budget u_eta.
-
-    delta_mu = 1/mu_1 - theta_1 and delta_eta = 1/eta_1 - sigma are the
-    initial-condition terms entering the regret bound.
-    """
+    """The C3 budget u_eta at horizon T: G / R T^beta for the convex
+    schedule, 0 for the strongly convex one."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    c, b = params.constants, params.beta
-    tb = float(T) ** b
-    t1b = float(T) ** (1.0 - b)
-
+    c = params.constants
     if params.regime is Regime.CONVEX:
-        s_theta_bound = 6.0 * c.R * c.G / (1.0 - b) * t1b
-        s_eta_bound = c.R / (c.G * (1.0 - b)) * t1b
-        s_mu_bound = tb / (6.0 * b * c.R * c.G)
-        u_eta = c.G / c.R * tb
-        delta_mu = 6.0 * c.R * c.G
-        delta_eta = c.G / c.R
-    else:
-        s_theta_bound = 6.0 * c.G**2 / (c.sigma * (1.0 - b)) * t1b
-        s_eta_bound = (1.0 + np.log(T)) / c.sigma
-        s_mu_bound = c.sigma * tb / (6.0 * b * c.G**2)
-        u_eta = 0.0
-        delta_mu = 6.0 * c.G**2 / c.sigma
-        delta_eta = 0.0
-
-    return ScheduleSums(
-        s_theta_bound=float(s_theta_bound),
-        s_eta_bound=float(s_eta_bound),
-        s_mu_bound=float(s_mu_bound),
-        u_eta=float(u_eta),
-        delta_mu=float(delta_mu),
-        delta_eta=float(delta_eta),
-    )
+        return ScheduleSums(u_eta=float(c.G / c.R * float(T) ** params.beta))
+    return ScheduleSums(u_eta=0.0)

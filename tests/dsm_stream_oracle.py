@@ -1,10 +1,10 @@
 """Reference oracle for the DSM stream: the float matrices of its codes.
 
 `DsmProblem` holds each round's permutation matrix Y_t only as the column
-codes of `permutation_stream`, and `loss_sum` counts codes where it used
-to sum the (t, p, p) float prefix. The tests read the matrices through
-`stream_matrices` and compare `loss_sum` with `loss_sum_float`, the prefix
-sum it replaced.
+codes of `permutation_stream`, and `prefix_loss` counts codes where the
+prefix sum used to add up the (t, p, p) float prefix. The tests read the
+matrices through `stream_matrices` and compare what `prefix_loss` returns
+with `loss_sum_float`, the float prefix sum, bit for bit.
 """
 
 import numpy as np

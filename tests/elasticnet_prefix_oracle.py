@@ -1,9 +1,10 @@
 """Reference oracle for the elastic-net prefix sum: the gathered prefix.
 
-`ElasticNetProblem.loss_sum` counts how often each example is drawn in the
-first t rounds and sums c_i f(x; i) over the drawn examples, where it used
-to gather the (t, d) prefix of features and sum over rounds. The tests
-compare it with `loss_sum_gathered`, the prefix sum it replaced.
+`ElasticNetProblem.prefix_loss` counts how often each example is drawn in
+the first t rounds and sums c_i f(x; i) over the drawn examples, where the
+prefix sum used to gather the (t, d) prefix of features and sum over
+rounds. The tests compare what it returns with `loss_sum_gathered`, that
+gathered sum, to a tolerance.
 """
 
 import numpy as np

@@ -17,9 +17,10 @@ def solve_offline_pgd(problem, t: int, tol: float = _SOLVE_TOL,
     the first t rounds of seed j's stream over the feasible set."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    prefix = problem.prefix_loss(t, j)
 
     def objective_grad(x):
-        total, grad = problem.loss_sum(t, x, j)
+        total, grad = prefix(x)
         return total / t, grad / t
 
     x = problem.project_feasible(np.zeros(problem.dim))

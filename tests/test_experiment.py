@@ -229,6 +229,28 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
 
+    @pytest.mark.parametrize("text", ['{"key": "0123', "[]"],
+                             ids=["truncated", "array"])
+    def test_unreadable_cache_file_is_resolved(self, tmp_path, text):
+        # a cache file that is not a JSON object holding its key is re-solved
+        # and overwritten, as a stale key is
+        cfg_path, _ = write_config(tmp_path, seeds=[0, 1])
+        cold = tmp_path / "cold"
+        assert main(["run", cfg_path, "--output", str(cold)]) == 0
+        out = tmp_path / "out"
+        path = out / "offline_cache" / "seed0_t1.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        assert main(["run", cfg_path]) == 0
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (cold, out)]
+        assert manifests[1]["status"] == "ok"
+        assert manifests[1]["offline"] == manifests[0]["offline"]
+        for name in ("seed_0.csv", "seed_1.csv", "aggregate.csv"):
+            assert (out / name).read_bytes() == (cold / name).read_bytes()
+        assert (path.read_bytes()
+                == (cold / "offline_cache" / path.name).read_bytes())
+
     def test_violation_and_max_lambda_recorded(self, tmp_path):
         # elastic net has slack rounds (g < 0) that the signed sum nets out
         data = write_elasticnet_dataset(tmp_path)
@@ -568,6 +590,24 @@ class TestCli:
         assert captured.err.startswith("error: ") and "beta" in captured.err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_run_rejects_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: config {path} must hold a JSON object, not a list\n")
+
+    def test_run_rejects_malformed_seeds(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["run", cfg_path, "--seeds", "1,,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --seeds must be comma-separated "
+                                "integers, got '1,,2'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_run_rejects_repeated_seeds(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -315,6 +315,31 @@ class TestSolveOffline:
         with pytest.raises(ValueError):
             solve_offline(prob, 0)
 
+    def test_dsm_counts_the_prefix_once_per_solve(self, monkeypatch):
+        # one prefix per solve, counted _COUNT_ROWS rounds per np.bincount
+        # (two blocks of 10 for t = 20), however many times the steps
+        # evaluate it
+        prob = DsmProblem(4).materialize(20, [3, 1])
+        monkeypatch.setattr(problems, "_COUNT_ROWS", 10)
+        counts, prefixes, evaluations = [], [], []
+        bincount, prefix_loss = np.bincount, prob.prefix_loss
+
+        def counted_bincount(*args, **kwargs):
+            counts.append(1)
+            return bincount(*args, **kwargs)
+
+        def counted_prefix_loss(t, j=0):
+            prefixes.append((t, j))
+            loss = prefix_loss(t, j)
+            return lambda x: evaluations.append(1) or loss(x)
+
+        monkeypatch.setattr(np, "bincount", counted_bincount)
+        monkeypatch.setattr(prob, "prefix_loss", counted_prefix_loss)
+        sol = solve_offline(prob, 20, j=1)
+        assert sol.tolerance_met
+        assert prefixes == [(20, 1)] and len(counts) == 2
+        assert len(evaluations) > 1
+
 
 class TestSolveOfflineAgainstOracle:
     """The accelerated solver against plain projected gradient."""

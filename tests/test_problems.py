@@ -443,7 +443,7 @@ U = rng.normal(size=(256, 4))
 X = 3.0 * rng.normal(size=(256, 4))
 _, grad = problems.logloss_grad(y, U, X)
 problem = problems.ElasticNetProblem(y, U, rho=1.0).materialize(256, [0])
-_, grad_sum = problem.loss_sum(200, X[0])
+_, grad_sum = problem.prefix_loss(200)(X[0])
 # one example, drawn in all 200 rounds: each coordinate of the summed
 # gradient is one product that carries the bits of expit at the margin.
 # The 1024 iterates put the margins y u.x in (1, 30), where an expit taken
@@ -452,7 +452,8 @@ _, grad_sum = problem.loss_sum(200, X[0])
 u = np.array([[0.5, -1.25, 2.0, 0.75]])
 xs = rng.uniform(1.0, 30.0, size=(1024, 1)) * u / (u @ u.T)
 one = problems.ElasticNetProblem([1.0], u, rho=1.0).materialize(256, [0])
-grad_sums = [grad_sum] + [one.loss_sum(200, x)[1] for x in xs]
+prefix = one.prefix_loss(200)
+grad_sums = [grad_sum] + [prefix(x)[1] for x in xs]
 after_elasticnet = "scipy.special" in sys.modules
 
 from scipy.special import expit
@@ -467,7 +468,7 @@ want_sums += [(200.0 * -1.0 * expit(-1.0 * (u @ x))) @ u for x in xs]
 print(json.dumps({
     "after_dsm": after_dsm, "after_elasticnet": after_elasticnet,
     "grad_bits_equal": grad.tobytes() == want.tobytes(),
-    "loss_sum_bits_equal": np.array(grad_sums).tobytes()
+    "prefix_loss_bits_equal": np.array(grad_sums).tobytes()
                            == np.array(want_sums).tobytes()}))
 """
 
@@ -483,7 +484,7 @@ def test_scipy_special_loaded_only_by_elasticnet_loss(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "after_dsm": False, "after_elasticnet": True,
-        "grad_bits_equal": True, "loss_sum_bits_equal": True}
+        "grad_bits_equal": True, "prefix_loss_bits_equal": True}
 
 
 class TestElasticNetConstants:
@@ -592,6 +593,7 @@ class TestLossSum:
     def test_matches_per_round_loop(self, kind, t):
         prob = _make_problem(kind, self.T)
         rng = np.random.default_rng(t)
+        prefix = prob.prefix_loss(t)
         for _ in range(5):
             x = rng.normal(size=prob.dim) * rng.choice([0.1, 1.0, 3.0])
             value, grad = 0.0, np.zeros(prob.dim)
@@ -599,7 +601,7 @@ class TestLossSum:
                 (v,), (g,) = prob.loss(s, x[None])
                 value += v
                 grad += g
-            got_value, got_grad = prob.loss_sum(t, x)
+            got_value, got_grad = prefix(x)
             assert got_value == pytest.approx(value, rel=1e-12)
             assert got_grad.shape == (prob.dim,)
             assert (np.linalg.norm(got_grad - grad)
@@ -621,7 +623,8 @@ class TestLossSum:
                 values, grads = prob.loss(t, X)
                 (value,), (grad,) = alone.loss(t, X[j:j + 1])
                 assert values[j] == value and np.array_equal(grads[j], grad)
-                got, want = prob.loss_sum(t, X[j], j), alone.loss_sum(t, X[j])
+                got = prob.prefix_loss(t, j)(X[j])
+                want = alone.prefix_loss(t)(X[j])
                 assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_elasticnet_order_is_the_int64_draw_in_a_small_type(self):
@@ -635,27 +638,32 @@ class TestLossSum:
                 row, np.random.default_rng(seed).integers(0, 40, size=self.T))
 
     def test_dsm_counts_in_blocks_match_the_float_sum(self, monkeypatch):
-        # loss_sum counts codes _COUNT_ROWS rounds at a time; blocks of 7
+        # prefix_loss counts codes _COUNT_ROWS rounds at a time; blocks of 7
         # rounds, one of them short, count what one block counts
         prob = DsmProblem(3).materialize(self.T, [5, 9])
         x = np.random.default_rng(1).normal(size=prob.dim)
         monkeypatch.setattr(problems, "_COUNT_ROWS", 7)
         for j, t in ((0, 1), (0, 7), (1, 8), (1, self.T)):
-            got, want = prob.loss_sum(t, x, j), loss_sum_float(prob, t, x, j)
+            got = prob.prefix_loss(t, j)(x)
+            want = loss_sum_float(prob, t, x, j)
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_elasticnet_prefix_follows_seed_t_and_stream(self):
-        # the gathered prefix is reused only for the same (j, t) of the
-        # same materialized stream
+        # each prefix holds the (j, t) and the stream it was built from:
+        # calls interleaved across prefixes, or made after the problem
+        # draws another stream, read what a fresh single-seed prefix reads
         prob = _make_problem("elasticnet", self.T, (5, 9))
         x = np.random.default_rng(2).normal(size=prob.dim)
         alone = {seed: _make_problem("elasticnet", self.T, [seed])
                  for seed in (5, 9, 4)}
-        for j, t in ((0, 5), (1, 5), (1, 5), (0, 7), (0, 5)):
-            got, want = prob.loss_sum(t, x, j), alone[(5, 9)[j]].loss_sum(t, x)
-            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        keys = ((0, 5), (1, 5), (0, 7))
+        prefixes = {key: prob.prefix_loss(key[1], key[0]) for key in keys}
         prob.materialize(self.T, [4])
-        got, want = prob.loss_sum(5, x), alone[4].loss_sum(5, x)
+        for j, t in keys + keys[::-1]:
+            got = prefixes[j, t](x)
+            want = alone[(5, 9)[j]].prefix_loss(t)(x)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        got, want = prob.prefix_loss(5)(x), alone[4].prefix_loss(5)(x)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_dsm_loss_rejects_rounds_outside_the_stream(self):
@@ -681,7 +689,7 @@ class TestLossSum:
         prob = _make_problem(kind, self.T)
         for t in (0, self.T + 1):
             with pytest.raises(ValueError, match="materialized"):
-                prob.loss_sum(t, np.zeros(prob.dim))
+                prob.prefix_loss(t)
 
 
 class TestProblemConstruction:

@@ -1,13 +1,14 @@
 """Property tests: projection laws, the learner's iterate invariants,
 lockstep runs against single-seed runs, the checkpoint trace and the
-code-counting DSM loss sum against their per-round float forms, the
-count-weighted elastic-net loss sum against the gathered prefix, and the
+code-counting DSM prefix loss against their per-round float forms, the
+count-weighted elastic-net prefix loss against the gathered prefix, and the
 online round against its reference form.
 
 Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
 """
 
+import inspect
 from contextlib import nullcontext
 
 import numpy as np
@@ -220,48 +221,63 @@ def test_checkpoint_trace_matches_per_round_columns(case):
     x = rounds.x[-1, 0]
     for j in range(len(seeds)):
         for t in sorted({1, T // 2 + 1, T}):
-            got, want = prob.loss_sum(t, x, j), loss_sum_float(prob, t, x, j)
+            got = prob.prefix_loss(t, j)(x)
+            want = loss_sum_float(prob, t, x, j)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
 
 
 @st.composite
-def elasticnet_prefix_calls(draw):
-    """(problem, calls): an elastic-net problem of n examples whose streams
-    run T < n or T >> n rounds for 1 to 3 seeds, and a sequence of
-    loss_sum calls (j, t, x) over a few (j, t) that repeats and switches
-    between them."""
-    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+def prefix_calls(draw):
+    """(problem, pairs, calls): a DSM problem with p in [2, 6] and T up to
+    300, or an elastic-net problem of n examples whose streams run T < n
+    or T >> n rounds, for 1 to 3 seeds; a few (j, t) pairs, and a sequence
+    of calls (j, t, x) that interleaves them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    features = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
-    labels = rng.choice([-1.0, 1.0], size=n)
-    T = draw(st.one_of(st.integers(1, n), st.integers(20 * n, 50 * n)))
     S = draw(st.integers(1, 3))
-    prob = ElasticNetProblem(labels, features, rho=1.0).materialize(
-        T, draw(st.lists(st.integers(0, 2**16), min_size=S, max_size=S,
-                         unique=True)))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=S, max_size=S,
+                          unique=True))
+    if draw(st.booleans()):
+        T = draw(st.integers(1, 300))
+        prob = DsmProblem(draw(st.integers(2, 6))).materialize(T, seeds)
+    else:
+        n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+        features = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
+        labels = rng.choice([-1.0, 1.0], size=n)
+        T = draw(st.one_of(st.integers(1, n), st.integers(20 * n, 50 * n)))
+        prob = ElasticNetProblem(labels, features, rho=1.0).materialize(
+            T, seeds)
     pairs = draw(st.lists(st.tuples(st.integers(0, S - 1), st.integers(1, T)),
                           min_size=1, max_size=3))
     keys = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=8))
-    return prob, [(j, t, rng.normal(size=d) * rng.choice([0.1, 1.0, 3.0]))
-                  for j, t in keys]
+    return prob, pairs, [
+        (j, t, rng.normal(size=prob.dim) * rng.choice([0.1, 1.0, 3.0]))
+        for j, t in keys]
 
 
 @SETTINGS
-@given(case=elasticnet_prefix_calls())
-def test_elasticnet_counts_match_gathered_prefix(case):
-    # sum_i c_i f(x; i) is the round-order sum up to rounding, and the rows
-    # it keeps are the distinct examples drawn, never more than n
-    prob, calls = case
-    n = prob.labels.shape[0]
+@given(case=prefix_calls())
+def test_interleaved_prefix_losses_match_oracles(case):
+    # prefixes built for several (j, t) up front and called in any order:
+    # DSM's code counts give the float prefix sum bit for bit; the elastic
+    # net's sum_i c_i f(x; i) is the round-order sum up to rounding, and
+    # the rows it keeps are the distinct examples drawn, never more than n
+    prob, pairs, calls = case
+    prefixes = {(j, t): prob.prefix_loss(t, j) for j, t in pairs}
     for j, t, x in calls:
-        value, grad = prob.loss_sum(t, x, j)
+        value, grad = prefixes[j, t](x)
+        if isinstance(prob, DsmProblem):
+            want_value, want_grad = loss_sum_float(prob, t, x, j)
+            assert_same_bits(value, want_value)
+            assert_same_bits(grad, want_grad)
+            continue
         want_value, want_grad = loss_sum_gathered(prob, t, x, j)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert (np.linalg.norm(grad - want_grad)
                 <= 1e-12 * np.linalg.norm(want_grad))
-        kept = prob._prefix_rows[2]
-        assert kept.shape[0] == np.unique(prob.stream[j, :t]).size <= n
+        kept = inspect.getclosurevars(prefixes[j, t]).nonlocals["U"]
+        assert (kept.shape[0] == np.unique(prob.stream[j, :t]).size
+                <= prob.labels.shape[0])
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Compare the outputs of `aogd run` under two source trees.
+"""Compare the outputs of `aogd run` and `aogd solve-offline` under two
+source trees.
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
@@ -9,7 +10,11 @@ CSV or `aggregate.csv` whose bytes differ (with the largest relative
 difference of its numbers, the column it is in and its absolute
 difference) and every manifest key whose value differs, with
 the echoed `config.output_dir` masked. For numbers it prints the relative
-difference. It exits 0 when all outputs match and 1 otherwise.
+difference. It also runs `aogd solve-offline` (seed 0) on two of those
+configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
+reports every key of its JSON that differs: the objective and x_star, which
+no manifest records, come from the solver's evaluation path alone. It
+exits 0 when all outputs match and 1 otherwise.
 
 The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
 with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=8, T=1000, fixed_ogd with
@@ -43,6 +48,8 @@ import numpy as np
 
 BETA = 2.0 / 3.0
 FIXED_OGD = {"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05}
+SOLVE_OFFLINE_CONFIGS = ("dsm_p8_convex_s2", "elasticnet_convex_s3")
+SOLVE_OFFLINE_T = (1, 37, 1000)
 VARIANTS = {
     "convex": {"algorithm": "a_ogd_convex"},
     "strongly_convex": {"algorithm": "a_ogd_strongly_convex"},
@@ -136,18 +143,21 @@ def package_root(path: str) -> str:
     raise SystemExit(f"no aogd package under {path}")
 
 
-def run_tree(src: str, name: str, cfg: dict, workdir: str) -> str:
-    out = os.path.join(workdir, name)
+def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str) -> str:
+    """`aogd VERB CONFIG FLAGS...` under src, with cfg written to
+    out/config.json and its output directory out/out; returns stdout."""
     os.makedirs(out)
     cfg_path = os.path.join(out, "config.json")
     with open(cfg_path, "w") as fh:
         json.dump(dict(cfg, output_dir=os.path.join(out, "out")), fh)
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "aogd.cli", "run", cfg_path],
-                          env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-m", "aogd.cli", verb, cfg_path, *flags],
+        env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"{name} failed under {src}: {done.stderr.strip()}")
-    return os.path.join(out, "out")
+        raise SystemExit(f"{verb} {out} failed under {src}: "
+                         f"{done.stderr.strip()}")
+    return done.stdout
 
 
 def flatten(value, prefix=""):
@@ -198,6 +208,19 @@ def read_manifest(out: str) -> dict:
     return manifest
 
 
+def compare_values(label: str, parent: dict, change: dict) -> list[str]:
+    """The keys of two JSON documents, flattened, whose values differ."""
+    a, b = dict(flatten(parent)), dict(flatten(change))
+    diffs = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            diffs.append(f"{label} {key}: only in one tree")
+        # NaN != NaN: a NaN on both sides is a match
+        elif a[key] != b[key] and not (a[key] != a[key] and b[key] != b[key]):
+            diffs.append(f"{label} {key}: {describe(a[key], b[key])}")
+    return diffs
+
+
 def compare(name: str, parent_out: str, change_out: str) -> list[str]:
     diffs = []
     csvs = sorted({f for d in (parent_out, change_out) for f in os.listdir(d)
@@ -210,15 +233,9 @@ def compare(name: str, parent_out: str, change_out: str) -> list[str]:
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             if a.read() != b.read():
                 diffs.append(f"{name}/{f}: bytes differ{csv_difference(*paths)}")
-    a = dict(flatten(read_manifest(parent_out)))
-    b = dict(flatten(read_manifest(change_out)))
-    for key in sorted(a.keys() | b.keys()):
-        if key not in a or key not in b:
-            diffs.append(f"{name}/manifest.json {key}: only in one tree")
-        # NaN != NaN: a NaN on both sides is a match
-        elif a[key] != b[key] and not (a[key] != a[key] and b[key] != b[key]):
-            diffs.append(f"{name}/manifest.json {key}: {describe(a[key], b[key])}")
-    return diffs
+    return diffs + compare_values(f"{name}/manifest.json",
+                                  read_manifest(parent_out),
+                                  read_manifest(change_out))
 
 
 def main(argv: list[str]) -> int:
@@ -232,16 +249,34 @@ def main(argv: list[str]) -> int:
         sparse_dataset = os.path.join(workdir, "sparse.libsvm")
         write_sparse_dataset(sparse_dataset)
         configs = config_matrix(dataset, sparse_dataset)
+        trees = (("parent", parent), ("change", change))
         diffs = []
+
+        def report(label: str, found: list[str]):
+            print(f"{label}: "
+                  + (f"{len(found)} differences" if found else "identical"))
+            diffs.extend(found)
+
         for name, cfg in configs.items():
-            outs = [run_tree(src, name, cfg, os.path.join(workdir, tree))
-                    for tree, src in (("parent", parent), ("change", change))]
-            found = compare(name, *outs)
-            print(f"{name}: {'identical' if not found else f'{len(found)} differences'}")
-            diffs += found
+            outs = []
+            for tree, src in trees:
+                out = os.path.join(workdir, tree, name)
+                run_cli(src, "run", cfg, out)
+                outs.append(os.path.join(out, "out"))
+            report(name, compare(name, *outs))
+        for name in SOLVE_OFFLINE_CONFIGS:
+            for t in SOLVE_OFFLINE_T:
+                label = f"solve-offline {name} t={t}"
+                parent_json, change_json = (json.loads(run_cli(
+                    src, "solve-offline", configs[name],
+                    os.path.join(workdir, tree, f"{name}_t{t}"),
+                    "--t", str(t))) for tree, src in trees)
+                report(label, compare_values(label, parent_json, change_json))
     for line in diffs:
         print(line)
-    print(f"{len(configs)} configs, {len(diffs)} differences")
+    print(f"{len(configs)} configs, "
+          f"{len(SOLVE_OFFLINE_CONFIGS) * len(SOLVE_OFFLINE_T)} solve-offline "
+          f"prefixes, {len(diffs)} differences")
     return 1 if diffs else 0
 
 
