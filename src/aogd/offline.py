@@ -3,14 +3,15 @@
 The online learner never projects onto the feasible set; these projections
 exist only to compute the comparator x* = argmin over the feasible set of
 the average loss on a stream prefix, by accelerated projected gradient
-(FISTA momentum with gradient restart) with backtracking. Birkhoff-polytope
-projection uses Dykstra's alternating projections (plain alternating
-projection would converge to a feasible point, not the Euclidean
-projection); the elastic-net ball projection has a closed form in the KKT
-multiplier once its support is known. Solutions are cached on disk under a
-key over the problem spec, the dataset's bytes, the seed, t, the
-solver's settings and the source of the code that computes them, so that a
-stale file is re-solved.
+(FISTA momentum with gradient restart) at the constant step 1/L, L the
+prefix's bound on the Lipschitz constant of its gradient, with backtracking
+only as a guard. Birkhoff-polytope projection uses Dykstra's alternating
+projections (plain alternating projection would converge to a feasible
+point, not the Euclidean projection); the elastic-net ball projection has a
+closed form in the KKT multiplier once its support is known. Solutions are
+cached on disk under a key over the problem spec, the dataset's bytes, the
+seed, t, the solver's settings and the source of the code that computes
+them, so that a stale file is re-solved.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class OfflineSolution:
     objective: float
     iterations: int
     tolerance_met: bool
-    mapping_norm: float  # the gradient-mapping norm of the last iteration
+    # the gradient-mapping norm of the last iteration, at step min(step, 1)
+    mapping_norm: float
 
 
 _BIRKHOFF_TOL = 1e-10
@@ -120,11 +122,14 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
 
     Accelerated projected gradient (FISTA momentum, Beck & Teboulle 2009)
     with gradient restart (O'Donoghue & Candes 2015): each iteration takes a
-    projected step from the extrapolated point y, with backtracking on the
-    step size, and restarts the momentum when the step turns against the
-    previous move. Terminates when the gradient-mapping norm at y falls
-    below tol, or reports tolerance_met=False after _SOLVE_MAX_ITER
-    iterations. The problem must have its first t rounds materialized: its
+    projected step from the extrapolated point y and restarts the momentum
+    when the step turns against the previous move. The step is the constant
+    1/L of Beck & Teboulle's constant-step form, L the prefix's
+    `smoothness()` bound; the backtracking test stays as a guard, halving
+    the step should the descent inequality ever fail. Terminates when the
+    gradient-mapping norm at y, taken at step min(step, 1), falls below
+    tol, or reports tolerance_met=False after _SOLVE_MAX_ITER iterations.
+    The problem must have its first t rounds materialized: its
     `prefix_loss` counts them once, and every step evaluates that sum.
     """
     if t < 1:
@@ -137,7 +142,10 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
 
     x = y = problem.project_feasible(np.zeros(problem.dim))
     fy, gy = objective_grad(y)
-    step, k = 1.0, 1.0
+    smoothness = prefix.smoothness()
+    # with L = 0 the gradient is constant and any step is exact
+    step = 1.0 / smoothness if smoothness > 0.0 else 1.0
+    k = 1.0
     for it in range(1, _SOLVE_MAX_ITER + 1):
         # backtracking on the projected step from y
         while True:
@@ -150,8 +158,11 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
             step *= 0.5
             if step < 1e-14:
                 break
-        # np.linalg.norm(diff) is sqrt(diff @ diff): the same bits
-        mapping_norm = math.sqrt(diff_sq) / step
+        # np.linalg.norm(diff) is sqrt(diff @ diff): the same bits. The
+        # norm of the step-s mapping, ||diff|| / s, falls as s grows while
+        # ||diff|| does not, so for a step above 1 dividing by 1 bounds the
+        # unit-step mapping, and dividing by the step would not
+        mapping_norm = math.sqrt(diff_sq) / min(step, 1.0)
         if mapping_norm < tol:
             return OfflineSolution(x_star=x_new, objective=f_new,
                                    iterations=it, tolerance_met=True,
@@ -167,7 +178,6 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
             y = x_new + momentum * move
             fy, gy = objective_grad(y)
         x, k = x_new, k_next
-        step = min(step * 2.0, 1.0)
     return OfflineSolution(x_star=x_new, objective=f_new,
                            iterations=_SOLVE_MAX_ITER, tolerance_met=False,
                            mapping_norm=mapping_norm)

@@ -9,7 +9,9 @@ its constraint set.
 A problem holds the streams of S seeds at once, seed-major, so that the
 learner can play them in lockstep: `loss(t, X)` takes one iterate per seed
 as the rows of X (S, d), and `prefix_loss(t, j)` counts seed j's first t
-rounds once and returns x -> (value, gradient) of their sum.
+rounds once and returns x -> (value, gradient) of their sum, whose
+`smoothness()` bounds the Lipschitz constant of the gradient of their
+average.
 
 scipy enters only through `expit`, which the logistic loss alone calls: it
 imports `scipy.special` on its first call, so that `import aogd` and a DSM
@@ -190,7 +192,8 @@ class DsmProblem:
         is 0.5 t ||x||^2 - x.S + 0.5 Q and its gradient t x - S. S counts
         how often each row's one falls in each column, counted here once,
         and Q = t p: both are integers, so exact in float64 whatever the
-        order of summation.
+        order of summation. Its `smoothness()` is 1.0, the Lipschitz
+        constant of the gradient of the average sum / t.
         """
         codes = _prefix(self.stream[j], t)
         S = np.zeros(self.dim)
@@ -202,6 +205,9 @@ class DsmProblem:
 
         def loss(x: np.ndarray):
             return 0.5 * t * float(x @ x) - float(x @ S) + half_q, t * x - S
+        # the average 0.5 ||x||^2 - x.S / t + Q / (2t) has the identity as
+        # its Hessian
+        loss.smoothness = lambda: 1.0
         return loss
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
@@ -333,7 +339,15 @@ class ElasticNetProblem:
         """The function x -> (value, gradient) of f_1 + ... + f_t of seed j,
         as sum_i c_i f(x; i) with c_i the draws of example i in those
         rounds. The drawn rows U, their counts c, negated labels and the
-        weights c_i (-y_i) are gathered here once."""
+        weights c_i (-y_i) are gathered here once.
+
+        Its `smoothness()` bounds the Lipschitz constant of the gradient of
+        the average sum / t: the logistic sigma' is at most 1/4, so the
+        Hessian is below sum_i c_i u_i u_i^T / (4t). The top eigenvalue of
+        that Gram matrix W^T W, W = sqrt(c) U, is the one of W W^T too, and
+        the smaller of the d x d and k x k forms is decomposed, k the
+        number of drawn rows.
+        """
         counts = np.bincount(_prefix(self.stream[j], t),
                              minlength=self.labels.shape[0])
         rows = np.flatnonzero(counts)
@@ -345,6 +359,12 @@ class ElasticNetProblem:
             neg_margin = neg_y * (U @ x)
             return (float(c @ np.logaddexp(0.0, neg_margin)),
                     (weights * expit(neg_margin)) @ U)
+
+        def smoothness() -> float:
+            W = np.sqrt(c)[:, None] * U
+            gram = W.T @ W if W.shape[1] <= W.shape[0] else W @ W.T
+            return float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * t)
+        loss.smoothness = smoothness
         return loss
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:

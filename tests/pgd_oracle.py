@@ -1,9 +1,12 @@
 """Reference oracle for the offline comparator: plain projected gradient.
 
 `offline.solve_offline` adds FISTA momentum with gradient restart to this
-loop; the tests compare the two. The oracle keeps the same backtracking
-test, step doubling capped at 1 and stopping rule, and takes each step
-from the last iterate.
+loop and steps at 1/L from the prefix's smoothness bound; the tests compare
+the two. The oracle keeps the same backtracking test, and on purpose the
+old step rule: it starts at 1, doubles the step after each iteration up to
+a cap of 1 and divides the mapping by the step itself, so that it stays an
+independent reference that reads no bound. It takes each step from the
+last iterate.
 """
 
 import numpy as np

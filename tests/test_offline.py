@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from aogd import ingest, offline, problems
+from aogd.metrics import checkpoint_grid
 from aogd.offline import (elasticnet_value, project_birkhoff,
                           project_elasticnet_ball, solve_offline,
                           solve_offline_cached)
@@ -248,6 +249,53 @@ class TestProjectElasticnetBall:
             project_elasticnet_ball(np.array([np.inf, 0.0]), 1.0)
 
 
+def solve_recording(prob, t: int, j: int = 0):
+    """solve_offline with a log, taken from outside the solver, of its calls
+    to `project_feasible` ("project", argument) and to the prefix objective
+    ("evaluate", point), in order."""
+    events = []
+    project, prefix_loss = prob.project_feasible, prob.prefix_loss
+
+    def recording_project(v):
+        events.append(("project", v.copy()))
+        return project(v)
+
+    def recording_prefix_loss(t, j=0):
+        loss = prefix_loss(t, j)
+
+        def recording(x):
+            events.append(("evaluate", x.copy()))
+            return loss(x)
+        recording.smoothness = loss.smoothness
+        return recording
+
+    prob.project_feasible = recording_project
+    prob.prefix_loss = recording_prefix_loss
+    try:
+        return solve_offline(prob, t, j=j), events
+    finally:
+        del prob.project_feasible, prob.prefix_loss
+
+
+def halvings(sol, events) -> int:
+    """How often the backtracking guard halved the step: the solve projects
+    its start once, then once per iteration and once more per halving."""
+    return sum(kind == "project" for kind, _ in events) - sol.iterations - 1
+
+
+def criterion9_problem(seeds) -> ElasticNetProblem:
+    """Acceptance criterion 9's data, rounded as its libsvm file is, with
+    200 rounds of each of `seeds` drawn."""
+    rng = np.random.default_rng(7)
+    n, d = 500, 20
+    w = rng.normal(size=d)
+    w[6:] = 0.0
+    u = rng.normal(size=(n, d)) * 0.3
+    y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
+    prob = ElasticNetProblem(y, np.round(u, 6), rho=1.0)
+    return prob.materialize(200, seeds)
+
+
 class TestSolveOffline:
     def test_dsm_single_round_recovers_target(self):
         prob = DsmProblem(3)
@@ -331,7 +379,12 @@ class TestSolveOffline:
         def counted_prefix_loss(t, j=0):
             prefixes.append((t, j))
             loss = prefix_loss(t, j)
-            return lambda x: evaluations.append(1) or loss(x)
+
+            def counted(x):
+                evaluations.append(1)
+                return loss(x)
+            counted.smoothness = loss.smoothness
+            return counted
 
         monkeypatch.setattr(np, "bincount", counted_bincount)
         monkeypatch.setattr(prob, "prefix_loss", counted_prefix_loss)
@@ -354,7 +407,9 @@ class TestSolveOfflineAgainstOracle:
         y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
         prob = ElasticNetProblem(y, u, rho=rho)
         prob.materialize(t, [seed])
-        fast, ref = solve_offline(prob, t), solve_offline_pgd(prob, t)
+        fast, events = solve_recording(prob, t)
+        ref = solve_offline_pgd(prob, t)
+        assert halvings(fast, events) == 0
         assert fast.tolerance_met and ref.tolerance_met
         assert fast.mapping_norm < 1e-8 and ref.mapping_norm < 1e-8
         assert fast.objective <= ref.objective + 1e-12 * abs(ref.objective)
@@ -366,7 +421,8 @@ class TestSolveOfflineAgainstOracle:
         prob.materialize(300, [0, 5])
         for j in (0, 1):
             for t in (1, 2, 17, 300):
-                fast = solve_offline(prob, t, j=j)
+                fast, events = solve_recording(prob, t, j=j)
+                assert halvings(fast, events) == 0
                 ref = solve_offline_pgd(prob, t, j=j)
                 assert np.array_equal(fast.x_star, ref.x_star)
                 assert fast.objective == ref.objective
@@ -374,23 +430,69 @@ class TestSolveOfflineAgainstOracle:
                 assert fast.mapping_norm == ref.mapping_norm
 
     def test_criterion9_iterations_halved(self):
-        # acceptance criterion 9's data, rounded as its libsvm file is
-        rng = np.random.default_rng(7)
-        n, d = 500, 20
-        w = rng.normal(size=d)
-        w[6:] = 0.0
-        u = rng.normal(size=(n, d)) * 0.3
-        y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
-        prob = ElasticNetProblem(y, np.round(u, 6), rho=1.0)
-        prob.materialize(200, [0, 1])
+        prob = criterion9_problem([0, 1])
         fast = ref = 0
         for j in (0, 1):
             for t in (25, 100, 200):
-                a = solve_offline(prob, t, j=j)
-                b = solve_offline_pgd(prob, t, j=j)
+                (a, events), b = (solve_recording(prob, t, j=j),
+                                  solve_offline_pgd(prob, t, j=j))
+                assert halvings(a, events) == 0
                 assert a.tolerance_met and b.tolerance_met
                 fast, ref = fast + a.iterations, ref + b.iterations
         assert 2 * fast <= ref
+
+
+class TestSolveOfflineStep:
+    """The constant step 1/L from the prefix's bound, and the stopping rule
+    at steps above 1."""
+
+    def test_criterion9_checkpoints_never_backtrack(self):
+        # criterion 9's checkpoints: with a true bound L the guard never
+        # halves the step, and the eight solves of a seed take at most 200
+        # iterations together (323 to 429 under the unit step cap)
+        prob = criterion9_problem([0, 1, 2, 3])
+        for j in range(4):
+            iterations = 0
+            for t in checkpoint_grid(200, 8):
+                sol, events = solve_recording(prob, t, j=j)
+                assert sol.tolerance_met and halvings(sol, events) == 0
+                iterations += sol.iterations
+            assert iterations <= 200
+
+    def test_stopping_rule_bounds_the_unit_step_mapping(self):
+        # small features make 1/L large, and the optimum sits on the
+        # boundary of the budget, where the step-s mapping norm at y falls
+        # as s grows: the reported norm must bound the unit-step mapping at
+        # the final y. A norm taken at the step itself (about 2800) stops
+        # this solve where the unit-step mapping is still 1.9e-7
+        rng = np.random.default_rng(5)
+        n, d, t = 60, 5, 60
+        u = rng.normal(size=(n, d)) * 0.03
+        y = np.where(u @ rng.normal(size=d) > 0, 1.0, -1.0)
+        prob = ElasticNetProblem(y, u, rho=1.0).materialize(t, [4])
+        assert 1.0 / prob.prefix_loss(t).smoothness() > 1000.0
+        sol, events = solve_recording(prob, t)
+        assert sol.tolerance_met and halvings(sol, events) == 0
+        last = max(i for i, (kind, _) in enumerate(events)
+                   if kind == "project")
+        final_y = next(x for kind, x in reversed(events[:last])
+                       if kind == "evaluate")
+        grad = prob.prefix_loss(t)(final_y)[1] / t
+        unit_mapping = np.linalg.norm(
+            final_y - prob.project_feasible(final_y - grad))
+        assert unit_mapping <= sol.mapping_norm < 1e-8
+        assert elasticnet_value(sol.x_star) == pytest.approx(1.0, rel=1e-12)
+
+    def test_constant_gradient_takes_the_unit_step(self):
+        # all-zero feature rows, as label-only libsvm lines give: L = 0, the
+        # objective is the constant log 2 and the solve stops at its first
+        # iteration
+        prob = ElasticNetProblem(np.array([1.0, -1.0]), np.zeros((2, 3)),
+                                 rho=1.0).materialize(5, [0])
+        assert prob.prefix_loss(5).smoothness() == 0.0
+        sol = solve_offline(prob, 5)
+        assert sol.tolerance_met and sol.iterations == 1
+        assert sol.objective == pytest.approx(np.log(2.0), rel=1e-15)
 
 
 class TestSolveOfflineCached:

@@ -1,8 +1,9 @@
 """Property tests: projection laws, the learner's iterate invariants,
 lockstep runs against single-seed runs, the checkpoint trace and the
 code-counting DSM prefix loss against their per-round float forms, the
-count-weighted elastic-net prefix loss against the gathered prefix, and the
-online round against its reference form.
+count-weighted elastic-net prefix loss against the gathered prefix, each
+prefix's smoothness bound against the Hessian and the descent inequality,
+and the online round against its reference form.
 
 Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from aogd.learner import _CHUNK_ROUNDS, Trace, run
+from aogd.offline import project_elasticnet_ball
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import project_ball, project_nonneg
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
@@ -278,6 +281,69 @@ def test_interleaved_prefix_losses_match_oracles(case):
         kept = inspect.getclosurevars(prefixes[j, t]).nonlocals["U"]
         assert (kept.shape[0] == np.unique(prob.stream[j, :t]).size
                 <= prob.labels.shape[0])
+
+
+@st.composite
+def elasticnet_prefixes(draw):
+    """(problem, t, wide, rng): an elastic-net problem of n examples with
+    seed 0's first t rounds drawn, wide (d above n, so above the number k
+    of distinct examples drawn) or tall (d below n, with t >= 20 n rounds
+    drawing nearly all n examples, so k above d), and a generator for
+    points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    wide = draw(st.booleans())
+    if wide:
+        n = draw(st.integers(1, 8))
+        d, t = draw(st.integers(n + 1, 16)), draw(st.integers(1, 3 * n))
+    else:
+        d = draw(st.integers(1, 5))
+        n = draw(st.integers(d + 5, 40))
+        t = draw(st.integers(20 * n, 30 * n))
+    features = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
+    labels = rng.choice([-1.0, 1.0], size=n)
+    prob = ElasticNetProblem(labels, features, rho=1.0).materialize(
+        t, [draw(st.integers(0, 2**16))])
+    return prob, t, wide, rng
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=elasticnet_prefixes())
+def test_elasticnet_smoothness_bounds_the_average_objective(case):
+    # L from the prefix's counted rows bounds the top eigenvalue of the
+    # exact Hessian (1/t) sum_s sigma'(m_s) u_s u_s^T of the rounds at
+    # points of the ball, and the descent inequality holds between pairs
+    prob, t, wide, rng = case
+    prefix = prob.prefix_loss(t)
+    L = prefix.smoothness()
+    assert (prob.dim > np.unique(prob.stream[0, :t]).size) == wide
+    idx = prob.stream[0, :t]
+    U, y = prob.features[idx], prob.labels[idx]
+    for _ in range(5):
+        x = project_elasticnet_ball(rng.normal(size=prob.dim)
+                                    * rng.choice([0.1, 1.0, 10.0]), prob.rho)
+        margin = y * (U @ x)
+        curvature = expit(margin) * expit(-margin)  # sigma'(margin)
+        hessian = (U.T * curvature) @ U / t
+        assert np.linalg.eigvalsh(hessian)[-1] <= L * (1.0 + 1e-12)
+
+    def average(x):
+        value, grad = prefix(x)
+        return value / t, grad / t
+
+    for _ in range(5):
+        x, x_new = rng.normal(size=(2, prob.dim)) * rng.choice([0.1, 1.0, 3.0])
+        (f, grad), (f_new, _) = average(x), average(x_new)
+        diff = x_new - x
+        bound = f + grad @ diff + 0.5 * L * (diff @ diff)
+        assert f_new <= bound + 1e-12 * max(f, f_new)
+
+
+@SETTINGS
+@given(p=st.integers(2, 8), T=st.integers(1, 300), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_dsm_smoothness_is_one(p, T, seed, data):
+    prob = DsmProblem(p).materialize(T, [seed])
+    assert prob.prefix_loss(data.draw(st.integers(1, T))).smoothness() == 1.0
 
 
 @st.composite
