@@ -2,16 +2,18 @@
 
 The online learner never projects onto the feasible set; these projections
 exist only to compute the comparator x* = argmin over the feasible set of
-the average loss on a stream prefix, by accelerated projected gradient
-(FISTA momentum with gradient restart) at the constant step 1/L, L the
-prefix's bound on the Lipschitz constant of its gradient, with backtracking
-only as a guard. Birkhoff-polytope projection uses Dykstra's alternating
-projections (plain alternating projection would converge to a feasible
-point, not the Euclidean projection); the elastic-net ball projection has a
-closed form in the KKT multiplier once its support is known. Solutions are
-cached on disk under a key over the problem spec, the dataset's bytes, the
-seed, t, the solver's settings and the source of the code that computes
-them, so that a stale file is re-solved.
+the average loss on a stream prefix. Where the prefix supplies that
+minimizer in closed form (DSM: the prefix mean S/t), it is returned after
+one projection certifies it; otherwise x* is found by accelerated projected
+gradient (FISTA momentum with gradient restart) at the constant step 1/L,
+L the prefix's bound on the Lipschitz constant of its gradient, with
+backtracking only as a guard. Birkhoff-polytope projection uses Dykstra's
+alternating projections (plain alternating projection would converge to a
+feasible point, not the Euclidean projection); the elastic-net ball
+projection has a closed form in the KKT multiplier once its support is
+known. Solutions are cached on disk under a key over the problem spec, the
+dataset's bytes, the seed, t, the solver's settings and the source of the
+code that computes them, so that a stale file is re-solved.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class OfflineSolution:
     objective: float
     iterations: int
     tolerance_met: bool
-    # the gradient-mapping norm of the last iteration, at step min(step, 1)
+    # the gradient-mapping norm of the last iteration, at step min(step, 1);
+    # of a closed-form minimizer, at step 1
     mapping_norm: float
 
 
@@ -129,8 +132,13 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
     the step should the descent inequality ever fail. Terminates when the
     gradient-mapping norm at y, taken at step min(step, 1), falls below
     tol, or reports tolerance_met=False after _SOLVE_MAX_ITER iterations.
-    The problem must have its first t rounds materialized: its
-    `prefix_loss` counts them once, and every step evaluates that sum.
+
+    A prefix whose `minimizer()` gives a point skips the iterations: that
+    point is returned with iterations=0 and its unit-step gradient-mapping
+    norm ||project_feasible(x - grad(x)) - x||, the stopping rule at step 1,
+    so that a wrong closed form still misses the tolerance. The problem
+    must have its first t rounds materialized: its `prefix_loss` counts
+    them once, and every step evaluates that sum.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -140,6 +148,14 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
         total, grad = prefix(x)
         return total / t, grad / t
 
+    x = prefix.minimizer()
+    if x is not None:
+        f, g = objective_grad(x)
+        diff = problem.project_feasible(x - g) - x
+        mapping_norm = math.sqrt(float(diff @ diff))
+        return OfflineSolution(x_star=x, objective=f, iterations=0,
+                               tolerance_met=mapping_norm < tol,
+                               mapping_norm=mapping_norm)
     x = y = problem.project_feasible(np.zeros(problem.dim))
     fy, gy = objective_grad(y)
     smoothness = prefix.smoothness()
@@ -210,42 +226,62 @@ def cache_key(spec: dict) -> str:
          "source": _source_digest()}, sort_keys=True).encode()).hexdigest()
 
 
+def _read_cached(path: str, file_key: str, dim: int):
+    """The solution a cache file holds, or None where the file is missing,
+    is not a JSON object with `file_key` (a stale key, a truncated write),
+    lacks a field or holds an x_star that is not a vector of `dim` finite
+    numbers."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON
+            return None
+    if not (isinstance(data, dict) and data.get("key") == file_key):
+        return None
+    try:
+        sol = OfflineSolution(
+            x_star=np.asarray(data["x_star"], dtype=float),
+            objective=data["objective"],
+            iterations=data["iterations"],
+            tolerance_met=data["tolerance_met"],
+            mapping_norm=data["mapping_norm"],
+        )
+    except (KeyError, TypeError, ValueError):  # a field missing or not numeric
+        return None
+    if sol.x_star.shape != (dim,) or not all_finite(sol.x_star):
+        return None
+    return sol
+
+
 def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
                          seed: int, j: int = 0) -> OfflineSolution:
     """Disk-cached solve_offline of seed j at its default tolerance; writes
     via atomic rename. `key` is the run's `cache_key` and `seed` row j's
     seed. The file is named by seed and t; the key it stores is its only
-    identity, and a file that is not a JSON object with that key (a stale
-    key, a truncated write) is re-solved and overwritten."""
+    identity, and a file that `_read_cached` cannot read back as a solution
+    of `problem.dim` entries under that key is re-solved and overwritten."""
     path = os.path.join(cache_dir, f"seed{seed}_t{t}.json")
     file_key = hashlib.sha256(f"{key} seed={seed} t={t}".encode()).hexdigest()
-    if os.path.exists(path):
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError:  # not JSON
-                data = None
-        if isinstance(data, dict) and data.get("key") == file_key:
-            return OfflineSolution(
-                x_star=np.asarray(data["x_star"]),
-                objective=data["objective"],
-                iterations=data["iterations"],
-                tolerance_met=data["tolerance_met"],
-                mapping_norm=data["mapping_norm"],
-            )
+    sol = _read_cached(path, file_key, problem.dim)
+    if sol is not None:
+        return sol
     sol = solve_offline(problem, t, j=j)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump({
+            # json.dumps takes the C encoder, which json.dump never does; the
+            # bytes are the same
+            fh.write(json.dumps({
                 "key": file_key,
                 "x_star": sol.x_star.tolist(),
                 "objective": sol.objective,
                 "iterations": sol.iterations,
                 "tolerance_met": sol.tolerance_met,
                 "mapping_norm": sol.mapping_norm,
-            }, fh)
+            }))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

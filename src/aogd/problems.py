@@ -11,7 +11,8 @@ learner can play them in lockstep: `loss(t, X)` takes one iterate per seed
 as the rows of X (S, d), and `prefix_loss(t, j)` counts seed j's first t
 rounds once and returns x -> (value, gradient) of their sum, whose
 `smoothness()` bounds the Lipschitz constant of the gradient of their
-average.
+average and whose `minimizer()` is their minimizer over the feasible set
+where a closed form gives it, else None.
 
 scipy enters only through `expit`, which the logistic loss alone calls: it
 imports `scipy.special` on its first call, so that `import aogd` and a DSM
@@ -193,7 +194,10 @@ class DsmProblem:
         how often each row's one falls in each column, counted here once,
         and Q = t p: both are integers, so exact in float64 whatever the
         order of summation. Its `smoothness()` is 1.0, the Lipschitz
-        constant of the gradient of the average sum / t.
+        constant of the gradient of the average sum / t, and its
+        `minimizer()` over the Birkhoff polytope is the prefix mean S / t:
+        the unconstrained minimizer, which is an average of permutation
+        matrices and so lies in the polytope (Birkhoff-von Neumann).
         """
         codes = _prefix(self.stream[j], t)
         S = np.zeros(self.dim)
@@ -208,6 +212,7 @@ class DsmProblem:
         # the average 0.5 ||x||^2 - x.S / t + Q / (2t) has the identity as
         # its Hessian
         loss.smoothness = lambda: 1.0
+        loss.minimizer = lambda: S / t
         return loss
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:
@@ -346,7 +351,8 @@ class ElasticNetProblem:
         Hessian is below sum_i c_i u_i u_i^T / (4t). The top eigenvalue of
         that Gram matrix W^T W, W = sqrt(c) U, is the one of W W^T too, and
         the smaller of the d x d and k x k forms is decomposed, k the
-        number of drawn rows.
+        number of drawn rows. Its `minimizer()` is None: no closed form
+        gives the constrained logistic fit.
         """
         counts = np.bincount(_prefix(self.stream[j], t),
                              minlength=self.labels.shape[0])
@@ -365,6 +371,7 @@ class ElasticNetProblem:
             gram = W.T @ W if W.shape[1] <= W.shape[0] else W @ W.T
             return float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * t)
         loss.smoothness = smoothness
+        loss.minimizer = lambda: None
         return loss
 
     def project_feasible(self, x: np.ndarray) -> np.ndarray:

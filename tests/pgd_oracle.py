@@ -6,7 +6,8 @@ the two. The oracle keeps the same backtracking test, and on purpose the
 old step rule: it starts at 1, doubles the step after each iteration up to
 a cap of 1 and divides the mapping by the step itself, so that it stays an
 independent reference that reads no bound. It takes each step from the
-last iterate.
+last iterate, and it never reads the prefix's `minimizer()`, so that it is
+the reference for DSM's closed form S/t too.
 """
 
 import numpy as np

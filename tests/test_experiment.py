@@ -11,6 +11,7 @@ from aogd import learner, offline
 from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
                              compare_runs, run_experiment)
 from aogd.metrics import fit_rate_exponent
+from aogd.problems import DsmProblem
 from step_recorder import recorded_rounds
 
 
@@ -144,8 +145,10 @@ class TestRunExperiment:
         assert set(manifest["offline"]) == {"1", "2"}
         for solves in manifest["offline"].values():
             assert [s["t"] for s in solves] == manifest["checkpoints"]
-            assert all(s["tolerance_met"] and s["iterations"] >= 1
-                       for s in solves)
+            # DSM's comparator is its closed form, S / t, certified with
+            # no iteration
+            assert all(s["tolerance_met"] and s["iterations"] == 0
+                       and s["mapping_norm"] < 1e-8 for s in solves)
 
         # a cached solve that missed its tolerance fails the next run, and
         # no regret is written against it
@@ -161,6 +164,32 @@ class TestRunExperiment:
         assert manifest["status"] == "failed"
         assert f"seed 2 at t={t}" in manifest["error"]
         # every comparator is gated before any output: not even seed 1's CSV
+        assert not list(out.glob("*.csv"))
+
+    def test_wrong_closed_form_fails_the_gate(self, tmp_path, monkeypatch):
+        # a DSM prefix whose closed form is a point of the polytope other
+        # than S / t (here the uniform matrix) misses its tolerance, and the
+        # run fails before any CSV is written
+        prefix_loss = DsmProblem.prefix_loss
+
+        def off_optimum_prefix_loss(self, t, j=0):
+            loss = prefix_loss(self, t, j)
+            loss.minimizer = lambda: np.full(self.dim, 1.0 / self.p)
+            return loss
+
+        monkeypatch.setattr(DsmProblem, "prefix_loss", off_optimum_prefix_loss)
+        problem = DsmProblem(2).materialize(5, [42])
+        sol = offline.solve_offline(problem, 5)
+        assert not sol.tolerance_met and sol.iterations == 0
+        assert sol.mapping_norm > 1e-8
+
+        _, cfg = write_config(tmp_path, seeds=[1, 2])
+        with pytest.raises(RuntimeError, match="seed 1 at t=1 missed"):
+            run_experiment(ExperimentConfig(**cfg))
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "seed 1 at t=1 missed" in manifest["error"]
         assert not list(out.glob("*.csv"))
 
     def test_edited_dataset_is_resolved(self, tmp_path, monkeypatch):
@@ -229,18 +258,29 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
 
-    @pytest.mark.parametrize("text", ['{"key": "0123', "[]"],
-                             ids=["truncated", "array"])
-    def test_unreadable_cache_file_is_resolved(self, tmp_path, text):
-        # a cache file that is not a JSON object holding its key is re-solved
-        # and overwritten, as a stale key is
+    @pytest.mark.parametrize("corrupt", [
+        lambda entry: '{"key": "0123',
+        lambda entry: "[]",
+        lambda entry: json.dumps({k: v for k, v in entry.items()
+                                  if k != "objective"}),
+        lambda entry: json.dumps(dict(entry, x_star=entry["x_star"][:-1])),
+        lambda entry: json.dumps(dict(entry, x_star=[entry["x_star"]])),
+        lambda entry: json.dumps(dict(entry, x_star=[None] * 4)),
+        lambda entry: json.dumps(dict(entry, x_star=["a"] * 4)),
+    ], ids=["truncated", "array", "missing_field", "short_x_star",
+            "nested_x_star", "null_x_star", "text_x_star"])
+    def test_unreadable_cache_file_is_resolved(self, tmp_path, corrupt):
+        # a cache file that is not a JSON object holding its key, or that
+        # holds the key beside a malformed entry, is re-solved and
+        # overwritten, as a stale key is
         cfg_path, _ = write_config(tmp_path, seeds=[0, 1])
         cold = tmp_path / "cold"
         assert main(["run", cfg_path, "--output", str(cold)]) == 0
         out = tmp_path / "out"
         path = out / "offline_cache" / "seed0_t1.json"
         path.parent.mkdir(parents=True)
-        path.write_text(text)
+        entry = json.loads((cold / "offline_cache" / path.name).read_text())
+        path.write_text(corrupt(entry))
         assert main(["run", cfg_path]) == 0
         manifests = [json.loads((d / "manifest.json").read_text())
                      for d in (cold, out)]

@@ -267,6 +267,7 @@ def solve_recording(prob, t: int, j: int = 0):
             events.append(("evaluate", x.copy()))
             return loss(x)
         recording.smoothness = loss.smoothness
+        recording.minimizer = loss.minimizer
         return recording
 
     prob.project_feasible = recording_project
@@ -294,6 +295,15 @@ def criterion9_problem(seeds) -> ElasticNetProblem:
     y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
     prob = ElasticNetProblem(y, np.round(u, 6), rho=1.0)
     return prob.materialize(200, seeds)
+
+
+def assert_dsm_agrees(fast, ref):
+    """A closed-form DSM solve against the plain-PGD oracle's."""
+    assert fast.iterations == 0 and ref.iterations >= 1
+    assert fast.tolerance_met and ref.tolerance_met
+    assert fast.mapping_norm < 1e-8
+    assert np.max(np.abs(fast.x_star - ref.x_star)) <= 1e-15
+    assert fast.objective <= ref.objective + 1e-15 * abs(ref.objective)
 
 
 class TestSolveOffline:
@@ -365,8 +375,8 @@ class TestSolveOffline:
 
     def test_dsm_counts_the_prefix_once_per_solve(self, monkeypatch):
         # one prefix per solve, counted _COUNT_ROWS rounds per np.bincount
-        # (two blocks of 10 for t = 20), however many times the steps
-        # evaluate it
+        # (two blocks of 10 for t = 20); the closed form S / t reads those
+        # counts, and the solve evaluates the prefix once, at S / t
         prob = DsmProblem(4).materialize(20, [3, 1])
         monkeypatch.setattr(problems, "_COUNT_ROWS", 10)
         counts, prefixes, evaluations = [], [], []
@@ -384,6 +394,7 @@ class TestSolveOffline:
                 evaluations.append(1)
                 return loss(x)
             counted.smoothness = loss.smoothness
+            counted.minimizer = loss.minimizer
             return counted
 
         monkeypatch.setattr(np, "bincount", counted_bincount)
@@ -391,7 +402,7 @@ class TestSolveOffline:
         sol = solve_offline(prob, 20, j=1)
         assert sol.tolerance_met
         assert prefixes == [(20, 1)] and len(counts) == 2
-        assert len(evaluations) > 1
+        assert len(evaluations) == 1 and sol.iterations == 0
 
 
 class TestSolveOfflineAgainstOracle:
@@ -416,18 +427,34 @@ class TestSolveOfflineAgainstOracle:
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_dsm_identical(self, p):
-        # the quadratic converges before the momentum coefficient leaves 0
+        # the closed form S / t is the oracle's optimum up to the last bits:
+        # equal per entry within 1e-15, an objective no worse within 1e-15
+        # relative, certified by one projection without iterating
         prob = DsmProblem(p)
         prob.materialize(300, [0, 5])
         for j in (0, 1):
             for t in (1, 2, 17, 300):
                 fast, events = solve_recording(prob, t, j=j)
-                assert halvings(fast, events) == 0
                 ref = solve_offline_pgd(prob, t, j=j)
-                assert np.array_equal(fast.x_star, ref.x_star)
-                assert fast.objective == ref.objective
-                assert fast.iterations == ref.iterations
-                assert fast.mapping_norm == ref.mapping_norm
+                assert_dsm_agrees(fast, ref)
+                assert halvings(fast, events) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(p=st.integers(2, 16), t=st.integers(1, 3000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           row=st.integers(0, 2))
+    @example(p=16, t=3000, seeds=[11], row=0)
+    @example(p=2, t=1, seeds=[0, 1, 2], row=2)
+    def test_dsm_closed_form_against_oracle(self, p, t, seeds, row):
+        # seed j's stream of a problem that holds several: the prefix mean
+        # of that row, the oracle's optimum to the last bits
+        prob = DsmProblem(p).materialize(t, seeds)
+        j = row % len(seeds)
+        fast, ref = solve_offline(prob, t, j=j), solve_offline_pgd(prob, t, j=j)
+        assert_dsm_agrees(fast, ref)
+        counts = stream_matrices(prob.stream[j]).sum(axis=0).ravel()
+        assert np.array_equal(fast.x_star, counts / t)
 
     def test_criterion9_iterations_halved(self):
         prob = criterion9_problem([0, 1])

@@ -6,9 +6,9 @@ source trees.
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
 a checkout's root works too). The script runs a fixed matrix of 22 configs
 under both trees, each in a fresh output directory, and reports every seed
-CSV or `aggregate.csv` whose bytes differ (with the largest relative
-difference of its numbers, the column it is in and its absolute
-difference) and every manifest key whose value differs, with
+CSV or `aggregate.csv` whose bytes differ (with every column whose
+numbers moved, and the largest relative and largest absolute difference
+in each) and every manifest key whose value differs, with
 the echoed `config.output_dir` masked. For numbers it prints the relative
 difference. It also runs `aogd solve-offline` (seed 0) on two of those
 configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
@@ -181,9 +181,9 @@ def describe(a, b) -> str:
 
 
 def csv_difference(parent: str, change: str) -> str:
-    """The largest relative difference between the numbers of two CSVs of
-    one shape (NaN on both sides is a match; 0 against nonzero is inf), with
-    its column and its absolute difference."""
+    """Every column in which the numbers of two CSVs of one shape differ,
+    with its largest relative and largest absolute difference (NaN on both
+    sides is a match; 0 against nonzero is inf)."""
     with open(parent) as fh:
         header = fh.readline().strip().split(",")
     a, b = (np.genfromtxt(p, delimiter=",", skip_header=1, ndmin=2)
@@ -196,9 +196,10 @@ def csv_difference(parent: str, change: str) -> str:
     diff = np.where(same, 0.0, np.abs(b - a))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(same, 0.0, diff / np.abs(a))
-    row, col = np.unravel_index(np.argmax(rel), rel.shape)
-    return (f" (max rel {rel[row, col]:.2e} in {header[col]}, "
-            f"abs {diff[row, col]:.2e})")
+    moved = [f"{header[col]} max rel {rel[:, col].max():.2e}, "
+             f"max abs {diff[:, col].max():.2e}"
+             for col in np.flatnonzero(~same.all(axis=0))]
+    return f" ({'; '.join(moved)})" if moved else " (same numbers)"
 
 
 def read_manifest(out: str) -> dict:
