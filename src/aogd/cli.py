@@ -50,13 +50,13 @@ def _cmd_check_schedule(args) -> int:
                             constants=constants)
     theta, eta, mu = schedule_arrays(params, args.T)
     cond = check_conditions(theta, eta, mu, constants.sigma, constants.G)
-    sums = schedule_sums(params, args.T)
+    u_eta = schedule_sums(params, args.T)
     print(json.dumps({
         "c1_ok": cond.c1_ok,
         "c2_ok": cond.c2_ok,
         "c3_slack": cond.c3_slack,
-        "u_eta": sums.u_eta,
-        "c3_ok": cond.c3_slack <= sums.u_eta + 1e-9,
+        "u_eta": u_eta,
+        "c3_ok": cond.c3_slack <= u_eta + 1e-9,
         "loss_regret_bound": float(loss_regret_bound(params, args.T)),
         "constraint_regret_bound": float(constraint_regret_bound(params, args.T)),
     }, indent=2))

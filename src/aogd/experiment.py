@@ -215,6 +215,10 @@ def run_config(raw: dict) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the configured experiment; returns the manifest path."""
+    # every other error is reported in a manifest inside output_dir
+    _check_value("output_dir", cfg.output_dir, str)
+    if not cfg.output_dir:
+        raise ValueError("output_dir must not be the empty string")
     os.makedirs(cfg.output_dir, exist_ok=True)
     cache_dir = os.path.join(cfg.output_dir, "offline_cache")
     manifest_path = os.path.join(cfg.output_dir, "manifest.json")
@@ -242,7 +246,8 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     cond = check_conditions(*schedule_arrays(schedule, cfg.T),
                             constants.sigma, constants.G, gamma)
     params = schedule if isinstance(schedule, ScheduleParams) else None
-    sums = schedule_sums(schedule, cfg.T) if params else None
+    # None only without params: a strongly convex u_eta is 0.0
+    u_eta = schedule_sums(params, cfg.T) if params is not None else None
     run_key = offline.cache_key(cfg.problem)
 
     trace = learner.run(problem, schedule, cfg.T, cfg.seeds, checkpoints)
@@ -316,7 +321,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         "gamma": gamma,
         "conditions": {"c1_ok": cond.c1_ok, "c2_ok": cond.c2_ok,
                        "c3_slack": cond.c3_slack,
-                       "u_eta": sums.u_eta if sums else None},
+                       "u_eta": u_eta},
         "loss_bound_conservative": (
             params is not None and params.regime is Regime.STRONGLY_CONVEX),
         "rate_exponents": rate_exponents,

@@ -13,10 +13,6 @@ rounds once and returns x -> (value, gradient) of their sum, whose
 `smoothness()` bounds the Lipschitz constant of the gradient of their
 average and whose `minimizer()` is their minimizer over the feasible set
 where a closed form gives it, else None.
-
-scipy enters only through `expit`, which the logistic loss alone calls: it
-imports `scipy.special` on its first call, so that `import aogd` and a DSM
-run never load it.
 """
 
 from __future__ import annotations
@@ -219,12 +215,13 @@ class DsmProblem:
         return offline.project_birkhoff(x.reshape(self.p, self.p)).ravel()
 
 
-def expit(z):
-    """scipy.special.expit, imported on the first call, which rebinds this
-    name to scipy's ufunc so that later calls cost nothing extra."""
-    global expit
-    from scipy.special import expit
-    return expit(z)
+def _logistic(z: np.ndarray):
+    """log(1 + e^z) and its slope, the logistic sigmoid 1 / (1 + e^-z),
+    taken as exp(z - log(1 + e^z)), which neither overflows nor warns for
+    any finite z: the slope is exactly 1.0 above z ~ 33.3 and 0.0 below
+    z ~ -745.1."""
+    value = np.logaddexp(0.0, z)
+    return value, np.exp(z - value)
 
 
 def logloss_grad(y, u: np.ndarray, x: np.ndarray):
@@ -238,10 +235,8 @@ def logloss_grad(y, u: np.ndarray, x: np.ndarray):
 
 def _logloss_grad(neg_y: np.ndarray, u: np.ndarray, x: np.ndarray):
     """logloss_grad from the negated labels -y, taken as valid."""
-    neg_margin = neg_y * np.vecdot(x, u)  # -(y x.u), exactly
-    value = np.logaddexp(0.0, neg_margin)
-    grad = neg_y[..., None] * u * expit(neg_margin)[..., None]
-    return value, grad
+    value, slope = _logistic(neg_y * np.vecdot(x, u))  # at -(y x.u), exactly
+    return value, neg_y[..., None] * u * slope[..., None]
 
 
 def elasticnet_constants(rho: float, features: np.ndarray) -> ProblemConstants:
@@ -362,9 +357,8 @@ class ElasticNetProblem:
         weights = c * neg_y
 
         def loss(x: np.ndarray):
-            neg_margin = neg_y * (U @ x)
-            return (float(c @ np.logaddexp(0.0, neg_margin)),
-                    (weights * expit(neg_margin)) @ U)
+            value, slope = _logistic(neg_y * (U @ x))
+            return float(c @ value), (weights * slope) @ U
 
         def smoothness() -> float:
             W = np.sqrt(c)[:, None] * U

@@ -200,19 +200,12 @@ def constraint_regret_bound(params: ScheduleParams, T) -> float:
     return np.sqrt(inner * (rf + c.F * T) * T ** (1.0 - b))
 
 
-@dataclass(frozen=True)
-class ScheduleSums:
-    """The schedule's budget u_eta for the C3 slack."""
-
-    u_eta: float
-
-
-def schedule_sums(params: ScheduleParams, T: int) -> ScheduleSums:
+def schedule_sums(params: ScheduleParams, T: int) -> float:
     """The C3 budget u_eta at horizon T: G / R T^beta for the convex
     schedule, 0 for the strongly convex one."""
     if T < 1:
         raise ValueError("T must be >= 1")
     c = params.constants
     if params.regime is Regime.CONVEX:
-        return ScheduleSums(u_eta=float(c.G / c.R * float(T) ** params.beta))
-    return ScheduleSums(u_eta=0.0)
+        return float(c.G / c.R * float(T) ** params.beta)
+    return 0.0

@@ -77,9 +77,9 @@ def test_criterion_2_condition_suite():
                                         constants=constants)
                 theta, eta, mu = schedule_arrays(params, T)
                 rep = check_conditions(theta, eta, mu, sigma, G)
-                sums = schedule_sums(params, T)
+                u_eta = schedule_sums(params, T)
                 ok &= rep.c1_ok and rep.c2_ok
-                ok &= rep.c3_slack <= sums.u_eta + 1e-9
+                ok &= rep.c3_slack <= u_eta + 1e-9
     report_line(2, "C1/C2/C3 over 100 random draws x 3 betas", ok)
     assert ok
 

@@ -108,6 +108,13 @@ class TestRunExperiment:
         assert manifest["status"] == "failed"
         assert "sigma" in manifest["error"]
 
+    def test_strongly_convex_u_eta_is_zero(self, tmp_path):
+        # a zero budget is written as 0.0, not as the null of fixed_ogd
+        _, cfg = write_config(tmp_path, algorithm="a_ogd_strongly_convex")
+        run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["conditions"]["u_eta"] == 0.0
+
     def test_elasticnet_run(self, tmp_path):
         data = write_elasticnet_dataset(tmp_path)
         _, cfg = write_config(
@@ -128,6 +135,7 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["algorithm"] == "fixed_ogd"
         assert manifest["compliance"]["42"] is None
+        assert manifest["conditions"]["u_eta"] is None
 
     def test_gamma_shift_recorded(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": 1.0}, T=64)
@@ -694,6 +702,23 @@ class TestCli:
         assert manifest == {
             "status": "failed", "error": captured.err[len("error: "):-1],
             "config": dict(cfg, output_dir=str(tmp_path / out))}
+
+    @pytest.mark.parametrize("output_dir,error", [
+        (5, "output_dir must be a string, got 5"),
+        (None, "output_dir must be a string, got None"),
+        (["a"], "output_dir must be a string, got ['a']"),
+        ("", "output_dir must not be the empty string"),
+    ], ids=["int", "null", "list", "empty"])
+    def test_run_rejects_unusable_output_dir(self, tmp_path, capsys,
+                                             output_dir, error):
+        # with the key set right, the directory is checked before anything
+        # is written: there is nowhere to put a failed manifest
+        cfg_path, _ = write_config(tmp_path, output_dir=output_dir)
+        assert main(["run", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import aogd
 from aogd import problems
@@ -421,70 +422,77 @@ class TestLogLoss:
                 fd[i] = (logloss_grad(y, u, xp)[0] - logloss_grad(y, u, xm)[0]) / (2 * eps)
             np.testing.assert_allclose(grad, fd, atol=1e-6)
 
+    # 709.8 overflows exp(z), 745.2 flushes exp(-z) to zero, 1e300 is
+    # near the top of the float range; each with both signs, and 0
+    @pytest.mark.parametrize("z", [0.0] + [s * m for m in (
+        709.8, 745.2, 800.0, 1e4, 1e300) for s in (1.0, -1.0)])
+    def test_extreme_margins(self, z):
+        # label -1 and feature 1 make z the logistic's argument: the value
+        # is log(1 + e^z) and the gradient its slope, in the round and in a
+        # one-example prefix alike
+        u, x = np.ones(1), np.array([z])
+        one = ElasticNetProblem([-1.0], u[None], rho=1.0).materialize(1, [0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, grad = logloss_grad(-1.0, u, x)
+            prefix_value, prefix_grad = one.prefix_loss(1)(x)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        assert value.tobytes() == np.logaddexp(0.0, z).tobytes()
+        assert np.float64(prefix_value).tobytes() == value.tobytes()
+        assert prefix_grad.tobytes() == grad.tobytes()  # one formula
+        if abs(z) > 745.0:
+            assert grad[0] == (1.0 if z > 0 else 0.0)
+        else:
+            assert 0.0 < grad[0] <= 1.0
+
+    def test_slope_within_64_ulps_of_scipy_expit(self):
+        # scipy's expit as a reference: numpy's exp is not libm's, so last
+        # bits differ. Below z ~ -708.4 scipy's expit is no normal float
+        # (below -709.78 it flushes to 0.0); there the slope is e^z itself
+        rng = np.random.default_rng(24)
+        z = np.concatenate((rng.uniform(-745.0, 745.0, 10**5),
+                            rng.uniform(-40.0, 40.0, 10**5)))
+        _, grad = logloss_grad(-np.ones(len(z)), np.ones((len(z), 1)),
+                               z[:, None])
+        slope, want = grad[:, 0], expit(z)
+        normal = want >= np.finfo(float).tiny
+        ulps = np.abs(slope.view(np.int64) - want.view(np.int64))
+        assert ulps[normal].max() <= 64
+        assert slope[~normal].tobytes() == np.exp(z[~normal]).tobytes()
+
 
 # Run in a fresh interpreter, since this test process has scipy loaded
-# already: a DSM run must not import scipy.special, and the elastic-net loss
-# must load it on first use and give scipy's expit bit for bit.
-_IMPORT_BOUNDARY = """
+# already (the oracles import it): neither a DSM nor an elastic-net
+# `aogd run` may load any scipy module.
+_NO_SCIPY = """
 import json, sys
-import numpy as np
-import aogd, aogd.cli
-from aogd import problems
+import aogd.cli
 
-with open("config.json", "w") as fh:
-    json.dump({"problem": {"kind": "dsm", "p": 3}, "algorithm": "a_ogd_convex",
-               "beta": 0.5, "T": 50, "seeds": [0], "output_dir": "out"}, fh)
-assert aogd.cli.main(["run", "config.json"]) == 0
-after_dsm = "scipy.special" in sys.modules
-
-rng = np.random.default_rng(0)
-y = rng.choice([-1.0, 1.0], size=256)
-U = rng.normal(size=(256, 4))
-X = 3.0 * rng.normal(size=(256, 4))
-_, grad = problems.logloss_grad(y, U, X)
-problem = problems.ElasticNetProblem(y, U, rho=1.0).materialize(256, [0])
-_, grad_sum = problem.prefix_loss(200)(X[0])
-# one example, drawn in all 200 rounds: each coordinate of the summed
-# gradient is one product that carries the bits of expit at the margin.
-# The 1024 iterates put the margins y u.x in (1, 30), where an expit taken
-# as 1/(1 + exp(-z)) moves the last bit of a few percent of the values; the
-# sum over the examples above rounds such moves away
-u = np.array([[0.5, -1.25, 2.0, 0.75]])
-xs = rng.uniform(1.0, 30.0, size=(1024, 1)) * u / (u @ u.T)
-one = problems.ElasticNetProblem([1.0], u, rho=1.0).materialize(256, [0])
-prefix = one.prefix_loss(200)
-grad_sums = [grad_sum] + [prefix(x)[1] for x in xs]
-after_elasticnet = "scipy.special" in sys.modules
-
-from scipy.special import expit
-neg_margin = -y * np.vecdot(X, U)
-want = (-y)[:, None] * U * expit(neg_margin)[:, None]
-# count-weighted: example i drawn c_i times in the first 200 rounds
-c = np.bincount(problem.stream[0, :200], minlength=256)
-rows = np.flatnonzero(c)
-V, neg_z = U[rows], -y[rows]
-want_sums = [(c[rows] * neg_z * expit(neg_z * (V @ X[0]))) @ V]
-want_sums += [(200.0 * -1.0 * expit(-1.0 * (u @ x))) @ u for x in xs]
-print(json.dumps({
-    "after_dsm": after_dsm, "after_elasticnet": after_elasticnet,
-    "grad_bits_equal": grad.tobytes() == want.tobytes(),
-    "prefix_loss_bits_equal": np.array(grad_sums).tobytes()
-                           == np.array(want_sums).tobytes()}))
+with open("data.libsvm", "w") as fh:
+    for i in range(40):
+        fh.write(f"{(-1) ** i:+d} 1:{i % 7 - 3} 2:{(i * i) % 5 - 2}\\n")
+for problem in ({"kind": "dsm", "p": 3},
+                {"kind": "elasticnet", "dataset": "data.libsvm", "rho": 1.0}):
+    with open("config.json", "w") as fh:
+        json.dump({"problem": problem, "algorithm": "a_ogd_convex",
+                   "beta": 0.5, "T": 50, "seeds": [0],
+                   "output_dir": problem["kind"]}, fh)
+    assert aogd.cli.main(["run", "config.json"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_scipy_special_loaded_only_by_elasticnet_loss(tmp_path):
+def test_runs_load_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(aogd.__file__)))
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {
-        "after_dsm": False, "after_elasticnet": True,
-        "grad_bits_equal": True, "prefix_loss_bits_equal": True}
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert json.loads((tmp_path / "elasticnet" / "manifest.json")
+                      .read_text())["status"] == "ok"
 
 
 class TestElasticNetConstants:

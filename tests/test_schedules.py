@@ -148,9 +148,9 @@ class TestConditions:
                 theta, eta, mu = schedule_arrays(params, T)
                 rep = check_conditions(theta, eta, mu, params.constants.sigma,
                                        G)
-                sums = schedule_sums(params, T)
+                u_eta = schedule_sums(params, T)
                 assert rep.c1_ok and rep.c2_ok
-                assert rep.c3_slack <= sums.u_eta + 1e-9
+                assert rep.c3_slack <= u_eta + 1e-9
 
     def test_stronger_c2_condition_convex(self):
         # eta_t <= theta_t / (6 G^2) at every t for the adaptive convex schedules
@@ -205,9 +205,9 @@ class TestBounds:
 class TestScheduleSums:
     def test_single_round(self):
         theta, _, _ = schedule_arrays(convex_params(), 1)
-        sums = schedule_sums(convex_params(), 1)
+        u_eta = schedule_sums(convex_params(), 1)
         assert theta.sum() == pytest.approx(6.0)
-        assert sums.u_eta == pytest.approx(1.0)  # G / R T^beta
+        assert u_eta == pytest.approx(1.0)  # G / R T^beta
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     @pytest.mark.parametrize("T", [10, 1000, 100000])
