@@ -72,7 +72,7 @@ def _cmd_solve_offline(args) -> int:
     sol = offline.solve_offline(problem, args.t)
     print(json.dumps({
         "t": args.t,
-        "objective": sol.objective,
+        "objective": sol.loss_sum / args.t,
         "iterations": sol.iterations,
         "tolerance_met": sol.tolerance_met,
         "x_star": np.asarray(sol.x_star).tolist(),

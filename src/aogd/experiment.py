@@ -268,7 +268,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
     compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
     loss_cols, g_cols, first_nonpositive = [], [], []
     for j, (seed, seed_solutions) in enumerate(zip(cfg.seeds, solutions)):
-        report = metrics.accumulate(trace, seed_solutions, problem, params, j)
+        report = metrics.accumulate(trace, seed_solutions, params, j)
         # the report's fields are the CSV's columns, in order
         _write_csv(os.path.join(cfg.output_dir, f"seed_{seed}.csv"),
                    ["t", "loss_regret", "constraint_cum", "loss_bound",
@@ -345,8 +345,15 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
 
     All manifests must record ok runs that share the problem spec and
     horizon T. Returns the table as a list of dict rows; optionally writes
-    CSV plus a plain-text rendering next to it.
+    CSV plus a plain-text rendering next to it, at the path with a .txt
+    extension in place of its own; a path that is its own text twin is
+    rejected before anything is read or written.
     """
+    if output_path:
+        text_path = os.path.splitext(output_path)[0] + ".txt"
+        if text_path == output_path:
+            raise ValueError(f"output path {output_path} is also the path of "
+                             f"its text table; give the CSV another extension")
     manifests = []
     for path in manifest_paths:
         with open(path) as fh:
@@ -375,7 +382,7 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
     if output_path:
         header = list(rows[0].keys())
         _write_csv(output_path, header, [[r[k] for k in header] for r in rows])
-        with open(os.path.splitext(output_path)[0] + ".txt", "w") as fh:
+        with open(text_path, "w") as fh:
             widths = {k: max(len(k), *(len(f"{r[k]}") for r in rows)) for k in header}
             fh.write("  ".join(k.ljust(widths[k]) for k in header) + "\n")
             for r in rows:

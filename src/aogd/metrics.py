@@ -47,38 +47,33 @@ def checkpoint_grid(T: int, count: int = 20) -> list[int]:
 
 def accumulate(trace: Trace,
                offline: Mapping[int, OfflineSolution],
-               problem,
                params: ScheduleParams | None = None,
                j: int = 0) -> RegretReport:
     """Build the per-checkpoint regret report of the run's j-th seed.
 
-    `offline` maps checkpoints t of the trace to the optimum of the first t
-    rounds of that seed's stream; the comparator's loss is the problem's
-    `prefix_loss(t, j)` at that optimum, one prefix count per checkpoint.
-    Theoretical bound columns are filled when adaptive schedule params are
-    given, otherwise NaN (fixed-schedule baselines carry no closed form).
+    `offline` maps each checkpoint t of the trace, and nothing else, to the
+    optimum of the first t rounds of that seed's stream; the comparator's
+    loss is that solution's `loss_sum`. Theoretical bound columns are
+    filled when adaptive schedule params are given, otherwise NaN
+    (fixed-schedule baselines carry no closed form).
     """
-    if not offline:
-        raise ValueError("offline map must cover at least one checkpoint")
-    t = np.array(sorted(offline))
-    missing = t[~np.isin(t, trace.t)]
-    if missing.size:
-        raise ValueError(f"checkpoint t={missing[0]} is not a checkpoint of the trace")
-    rows = np.searchsorted(trace.t, t)
-    offline_cum = np.array([problem.prefix_loss(k, j)(offline[k].x_star)[0]
-                            for k in t.tolist()])
+    t = trace.t
+    if sorted(offline) != t.tolist():
+        raise ValueError(f"offline comparators at t={sorted(offline)} are not "
+                         f"the trace's checkpoints t={t.tolist()}")
     loss_bound, constraint_bound = (
         (loss_regret_bound(params, t), constraint_regret_bound(params, t))
         if params else np.full((2, len(t)), np.nan))
     return RegretReport(
         t=t,
-        loss_regret=trace.loss_cum[rows, j] - offline_cum,
-        constraint_cum=trace.g_cum[rows, j],
+        loss_regret=trace.loss_cum[:, j] - np.array(
+            [offline[k].loss_sum for k in t.tolist()]),
+        constraint_cum=trace.g_cum[:, j],
         loss_bound=loss_bound,
         constraint_bound=constraint_bound,
-        lam=trace.lam[rows, j],
-        eta=trace.eta[rows],
-        theta=trace.theta[rows],
+        lam=trace.lam[:, j],
+        eta=trace.eta,
+        theta=trace.theta,
     )
 
 

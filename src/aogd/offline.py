@@ -24,7 +24,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .projections import all_finite
 @dataclass(frozen=True)
 class OfflineSolution:
     x_star: np.ndarray
-    objective: float
+    # f_1(x_star) + ... + f_t(x_star), as the solver evaluated it
+    loss_sum: float
     iterations: int
     tolerance_met: bool
     # the gradient-mapping norm of the last iteration, at step min(step, 1);
@@ -123,41 +124,52 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
     """Minimize the average loss of the first t rounds of seed j's stream
     over the feasible set.
 
-    Accelerated projected gradient (FISTA momentum, Beck & Teboulle 2009)
-    with gradient restart (O'Donoghue & Candes 2015): each iteration takes a
-    projected step from the extrapolated point y and restarts the momentum
-    when the step turns against the previous move. The step is the constant
-    1/L of Beck & Teboulle's constant-step form, L the prefix's
-    `smoothness()` bound; the backtracking test stays as a guard, halving
-    the step should the descent inequality ever fail. Terminates when the
-    gradient-mapping norm at y, taken at step min(step, 1), falls below
-    tol, or reports tolerance_met=False after _SOLVE_MAX_ITER iterations.
-
-    A prefix whose `minimizer()` gives a point skips the iterations: that
-    point is returned with iterations=0 and its unit-step gradient-mapping
-    norm ||project_feasible(x - grad(x)) - x||, the stopping rule at step 1,
-    so that a wrong closed form still misses the tolerance. The problem
-    must have its first t rounds materialized: its `prefix_loss` counts
-    them once, and every step evaluates that sum.
+    A prefix whose `minimizer()` gives a point is not iterated: that point
+    is returned with iterations=0 and its unit-step gradient-mapping norm
+    ||project_feasible(x - grad(x)) - x||, the stopping rule at step 1, so
+    that a wrong closed form still misses the tolerance. Any other prefix
+    is minimized by `_accelerated_descent`. The problem must have its first
+    t rounds materialized: its `prefix_loss` counts them once, and every
+    evaluation reads that count. The solution's `loss_sum` is the prefix
+    sum of the evaluation at x_star; tolerance_met is mapping_norm < tol.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     prefix = problem.prefix_loss(t, j)
-
-    def objective_grad(x):
-        total, grad = prefix(x)
-        return total / t, grad / t
-
     x = prefix.minimizer()
     if x is not None:
-        f, g = objective_grad(x)
-        diff = problem.project_feasible(x - g) - x
+        loss_sum, grad = prefix(x)
+        diff = problem.project_feasible(x - grad / t) - x
         mapping_norm = math.sqrt(float(diff @ diff))
-        return OfflineSolution(x_star=x, objective=f, iterations=0,
-                               tolerance_met=mapping_norm < tol,
-                               mapping_norm=mapping_norm)
+        iterations = 0
+    else:
+        x, loss_sum, iterations, mapping_norm = _accelerated_descent(
+            problem, prefix, t, tol)
+    return OfflineSolution(x_star=x, loss_sum=loss_sum, iterations=iterations,
+                           tolerance_met=mapping_norm < tol,
+                           mapping_norm=mapping_norm)
+
+
+def _accelerated_descent(problem, prefix, t: int, tol: float):
+    """(x, prefix sum at x, iterations, gradient-mapping norm) of prefix / t
+    minimized over the feasible set by accelerated projected gradient (FISTA
+    momentum, Beck & Teboulle 2009) with gradient restart (O'Donoghue &
+    Candes 2015): each iteration takes a projected step from the
+    extrapolated point y and restarts the momentum when the step turns
+    against the previous move. The step is the constant 1/L of Beck &
+    Teboulle's constant-step form, L the prefix's `smoothness()` bound; the
+    backtracking test stays as a guard, halving the step should the descent
+    inequality ever fail. Stops when the gradient-mapping norm at y, taken
+    at step min(step, 1), falls below tol, or after _SOLVE_MAX_ITER
+    iterations.
+    """
+
+    def evaluate(x):  # the prefix sum, the average loss and its gradient
+        total, grad = prefix(x)
+        return total, total / t, grad / t
+
     x = y = problem.project_feasible(np.zeros(problem.dim))
-    fy, gy = objective_grad(y)
+    _, fy, gy = evaluate(y)
     smoothness = prefix.smoothness()
     # with L = 0 the gradient is constant and any step is exact
     step = 1.0 / smoothness if smoothness > 0.0 else 1.0
@@ -167,7 +179,7 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
         while True:
             x_new = problem.project_feasible(y - step * gy)
             diff = x_new - y
-            f_new, g_new = objective_grad(x_new)
+            loss_sum, f_new, g_new = evaluate(x_new)
             diff_sq = float(diff @ diff)
             if f_new <= fy + gy @ diff + 0.5 / step * diff_sq + 1e-14:
                 break
@@ -180,9 +192,7 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
         # unit-step mapping, and dividing by the step would not
         mapping_norm = math.sqrt(diff_sq) / min(step, 1.0)
         if mapping_norm < tol:
-            return OfflineSolution(x_star=x_new, objective=f_new,
-                                   iterations=it, tolerance_met=True,
-                                   mapping_norm=mapping_norm)
+            break
         move = x_new - x
         if float(diff @ move) < 0.0:  # (y - x_new).(x_new - x) > 0: restart
             k = 1.0
@@ -192,11 +202,9 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
             y, fy, gy = x_new, f_new, g_new
         else:
             y = x_new + momentum * move
-            fy, gy = objective_grad(y)
+            _, fy, gy = evaluate(y)
         x, k = x_new, k_next
-    return OfflineSolution(x_star=x_new, objective=f_new,
-                           iterations=_SOLVE_MAX_ITER, tolerance_met=False,
-                           mapping_norm=mapping_norm)
+    return x_new, loss_sum, it, mapping_norm
 
 
 @functools.cache
@@ -229,8 +237,10 @@ def cache_key(spec: dict) -> str:
 def _read_cached(path: str, file_key: str, dim: int):
     """The solution a cache file holds, or None where the file is missing,
     is not a JSON object with `file_key` (a stale key, a truncated write),
-    lacks a field or holds an x_star that is not a vector of `dim` finite
-    numbers."""
+    lacks a field of `OfflineSolution` or holds one of the wrong type: an
+    x_star that is not a vector of `dim` finite numbers, an `iterations`
+    that is not an int, a `tolerance_met` that is not a bool, or a
+    `loss_sum` or `mapping_norm` that is not a finite float."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -241,16 +251,17 @@ def _read_cached(path: str, file_key: str, dim: int):
     if not (isinstance(data, dict) and data.get("key") == file_key):
         return None
     try:
-        sol = OfflineSolution(
-            x_star=np.asarray(data["x_star"], dtype=float),
-            objective=data["objective"],
-            iterations=data["iterations"],
-            tolerance_met=data["tolerance_met"],
-            mapping_norm=data["mapping_norm"],
-        )
+        values = {f.name: data[f.name] for f in fields(OfflineSolution)}
+        values["x_star"] = np.asarray(values["x_star"], dtype=float)
     except (KeyError, TypeError, ValueError):  # a field missing or not numeric
         return None
-    if sol.x_star.shape != (dim,) or not all_finite(sol.x_star):
+    sol = OfflineSolution(**values)
+    # bool is a subclass of int, so the types are compared, not isinstance
+    if (sol.x_star.shape != (dim,) or not all_finite(sol.x_star)
+            or type(sol.iterations) is not int
+            or type(sol.tolerance_met) is not bool
+            or not all(type(v) is float and math.isfinite(v)
+                       for v in (sol.loss_sum, sol.mapping_norm))):
         return None
     return sol
 
@@ -274,14 +285,9 @@ def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
         with os.fdopen(fd, "w") as fh:
             # json.dumps takes the C encoder, which json.dump never does; the
             # bytes are the same
-            fh.write(json.dumps({
-                "key": file_key,
-                "x_star": sol.x_star.tolist(),
-                "objective": sol.objective,
-                "iterations": sol.iterations,
-                "tolerance_met": sol.tolerance_met,
-                "mapping_norm": sol.mapping_norm,
-            }))
+            entry = {f.name: getattr(sol, f.name) for f in fields(sol)}
+            fh.write(json.dumps({"key": file_key, **entry,
+                                 "x_star": sol.x_star.tolist()}))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

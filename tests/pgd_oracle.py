@@ -23,30 +23,30 @@ def solve_offline_pgd(problem, t: int, tol: float = _SOLVE_TOL,
         raise ValueError("t must be >= 1")
     prefix = problem.prefix_loss(t, j)
 
-    def objective_grad(x):
+    def evaluate(x):  # the prefix sum, the average loss and its gradient
         total, grad = prefix(x)
-        return total / t, grad / t
+        return total, total / t, grad / t
 
     x = problem.project_feasible(np.zeros(problem.dim))
     step = 1.0
-    fx, gx = objective_grad(x)
+    sx, fx, gx = evaluate(x)
     for it in range(1, _SOLVE_MAX_ITER + 1):
         # backtracking on the projected step
         while True:
             x_new = problem.project_feasible(x - step * gx)
             diff = x_new - x
-            f_new, g_new = objective_grad(x_new)
+            s_new, f_new, g_new = evaluate(x_new)
             if f_new <= fx + gx @ diff + 0.5 / step * float(diff @ diff) + 1e-14:
                 break
             step *= 0.5
             if step < 1e-14:
                 break
         mapping_norm = float(np.linalg.norm(x_new - x)) / step
-        x, fx, gx = x_new, f_new, g_new
+        x, sx, fx, gx = x_new, s_new, f_new, g_new
         if mapping_norm < tol:
-            return OfflineSolution(x_star=x, objective=fx, iterations=it,
+            return OfflineSolution(x_star=x, loss_sum=sx, iterations=it,
                                    tolerance_met=True,
                                    mapping_norm=mapping_norm)
         step = min(step * 2.0, 1.0)
-    return OfflineSolution(x_star=x, objective=fx, iterations=_SOLVE_MAX_ITER,
+    return OfflineSolution(x_star=x, loss_sum=sx, iterations=_SOLVE_MAX_ITER,
                            tolerance_met=False, mapping_norm=mapping_norm)

@@ -24,7 +24,7 @@ from aogd.schedules import (ProblemConstants, Regime, ScheduleParams,
                             check_conditions, constraint_regret_bound,
                             loss_regret_bound, schedule_arrays, schedule_sums)
 from dsm_stream_oracle import stream_matrices
-from step_recorder import recorded_iterates
+from step_recorder import recorded_rounds
 
 BETA = 2.0 / 3.0
 SEEDS = list(range(10))
@@ -37,19 +37,19 @@ def report_line(num, label, ok):
 @pytest.fixture(scope="module")
 def theorem1_runs():
     """DSM p=8, T=1000, beta=2/3, convex A-OGD, 10 seeds, with per-checkpoint
-    regret reports and the (T, d) iterates. Shared by criteria 1, 3 and 8."""
+    regret reports and the (T,) dual and (T, d) primal iterates of every
+    round. Shared by criteria 1, 3 and 8."""
     runs = []
     grid = checkpoint_grid(1000, count=20)
     for seed in SEEDS:
         prob = DsmProblem(8)
         params = ScheduleParams(beta=BETA, regime=Regime.CONVEX,
                                 constants=prob.constants)
-        with recorded_iterates() as xs:
-            trace = run(prob, params, T=1000, seeds=[seed],
-                        checkpoints=range(1, 1001))
+        with recorded_rounds(prob) as rounds:
+            trace = run(prob, params, T=1000, seeds=[seed], checkpoints=grid)
         offline = {t: solve_offline(prob, t) for t in grid}
-        report = accumulate(trace, offline, prob, params)
-        runs.append((prob, params, trace, report, np.array(xs)))
+        report = accumulate(trace, offline, params)
+        runs.append((prob, params, rounds.lam, report, rounds.x))
     return runs
 
 
@@ -248,10 +248,10 @@ def test_criterion_7_gradient_checks():
 
 def test_criterion_8_invariant_suite(theorem1_runs):
     ok = True
-    for prob, _, trace, _, xs in theorem1_runs:
+    for prob, _, lams, _, xs in theorem1_runs:
         R = prob.constants.R
         ok &= bool(np.all(np.linalg.norm(xs, axis=-1) <= R + 1e-9))
-        ok &= bool(np.all(trace.lam >= 0.0))
+        ok &= bool(np.all(lams >= 0.0))
     # subgradient inequality on 1e4 random pairs per benchmark
     rng = np.random.default_rng(8)
     dsm = DsmProblem(4)

@@ -270,13 +270,20 @@ class TestRunExperiment:
         lambda entry: '{"key": "0123',
         lambda entry: "[]",
         lambda entry: json.dumps({k: v for k, v in entry.items()
-                                  if k != "objective"}),
+                                  if k != "loss_sum"}),
         lambda entry: json.dumps(dict(entry, x_star=entry["x_star"][:-1])),
         lambda entry: json.dumps(dict(entry, x_star=[entry["x_star"]])),
         lambda entry: json.dumps(dict(entry, x_star=[None] * 4)),
         lambda entry: json.dumps(dict(entry, x_star=["a"] * 4)),
+        lambda entry: json.dumps(dict(entry, tolerance_met="no")),
+        lambda entry: json.dumps(dict(entry, iterations="many")),
+        lambda entry: json.dumps(dict(entry, mapping_norm=None)),
+        lambda entry: json.dumps(dict(entry, loss_sum=None)),
+        lambda entry: json.dumps(dict(entry, loss_sum="0.5")),
     ], ids=["truncated", "array", "missing_field", "short_x_star",
-            "nested_x_star", "null_x_star", "text_x_star"])
+            "nested_x_star", "null_x_star", "text_x_star",
+            "text_tolerance_met", "text_iterations", "null_mapping_norm",
+            "null_loss_sum", "text_loss_sum"])
     def test_unreadable_cache_file_is_resolved(self, tmp_path, corrupt):
         # a cache file that is not a JSON object holding its key, or that
         # holds the key beside a malformed entry, is re-solved and
@@ -582,6 +589,22 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["algorithm"] == "a_ogd_convex"
+
+    def test_compare_rejects_output_that_is_its_own_table(self, tmp_path,
+                                                          capsys):
+        # the text table goes to the output path with a .txt extension: a
+        # .txt output would be overwritten by its own table
+        cfg_path, _ = write_config(tmp_path)
+        main(["run", cfg_path])
+        capsys.readouterr()
+        manifest = str(tmp_path / "out" / "manifest.json")
+        table = tmp_path / "table.txt"
+        assert main(["compare", manifest, manifest,
+                     "--output", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(table) in captured.err
+        assert not table.exists()
 
     def test_solve_offline_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -48,7 +48,7 @@ class TestAccumulate:
         with recorded_rounds(prob) as rounds:
             trace = run(prob, params, 3, [0], [1, 2, 3])
         offline = {t: solve_offline(prob, t) for t in (1, 2, 3)}
-        report = accumulate(trace, offline, prob, params)
+        report = accumulate(trace, offline, params)
         assert report.t.tolist() == [1, 2, 3]
         ys = stream_matrices(prob.stream[0])
         for i, t in enumerate(report.t):
@@ -65,41 +65,52 @@ class TestAccumulate:
 
     def test_bounds_nan_without_params(self):
         prob, _, trace, offline = self.run_with_offline(2, 3, [3])
-        report = accumulate(trace, offline, prob, params=None)
+        report = accumulate(trace, offline, params=None)
         assert np.isnan(report.loss_bound[0])
         assert np.isnan(report.constraint_bound[0])
 
     def test_checkpoint_out_of_range(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [3])
         offline[10] = offline[3]
-        with pytest.raises(ValueError):
-            accumulate(trace, offline, prob, params)
+        with pytest.raises(ValueError) as info:
+            accumulate(trace, offline, params)
+        assert str(info.value) == ("offline comparators at t=[3, 10] are not "
+                                   "the trace's checkpoints t=[3]")
 
     def test_checkpoint_missing_from_trace(self):
         prob, params = DsmProblem(2), dsm_params(2)
         trace = run(prob, params, 5, [0], checkpoints=[2, 5])
         offline = {t: solve_offline(prob, t) for t in (2, 3, 5)}
-        with pytest.raises(ValueError, match="t=3"):
-            accumulate(trace, offline, prob, params)
+        with pytest.raises(ValueError) as info:
+            accumulate(trace, offline, params)
+        assert str(info.value) == ("offline comparators at t=[2, 3, 5] are "
+                                   "not the trace's checkpoints t=[2, 5]")
+
+    @pytest.mark.parametrize("keys", [[5], []], ids=["missing_t", "empty"])
+    def test_offline_keys_must_be_the_trace_checkpoints(self, keys):
+        prob, params, trace, _ = self.run_with_offline(2, 5, [2, 5])
+        offline = {t: solve_offline(prob, t) for t in keys}
+        with pytest.raises(ValueError) as info:
+            accumulate(trace, offline, params)
+        assert str(info.value) == (f"offline comparators at t={keys} are not "
+                                   f"the trace's checkpoints t=[2, 5]")
 
     def test_checkpoint_trace_matches_every_round_trace(self):
-        # a trace kept at the checkpoints gives the report of a trace kept
-        # at every round, bit for bit, and so may cover more checkpoints
-        # than the report reads
-        prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 300, 600]
-        offline = {t: solve_offline(prob.materialize(600, [4]), t) for t in grid}
-        every = accumulate(run(prob, params, 600, [4], range(1, 601)),
-                           offline, prob, params)
-        for checkpoints in (grid, [1, 2, 7, 299, 300, 600]):
+        # a trace kept at the checkpoints holds the rows of a trace kept at
+        # every round, bit for bit
+        prob, params = DsmProblem(3), dsm_params(3)
+        every = run(prob, params, 600, [4], range(1, 601))
+        for checkpoints in ([1, 7, 300, 600], [1, 2, 7, 299, 300, 600]):
             trace = run(prob, params, 600, [4], checkpoints=checkpoints)
-            report = accumulate(trace, offline, prob, params)
-            for got, want in zip(astuple(report), astuple(every)):
-                assert np.array_equal(got, want)
-
-    def test_empty_offline_map(self):
-        prob, params, trace, _ = self.run_with_offline(2, 3, [3])
-        with pytest.raises(ValueError):
-            accumulate(trace, {}, prob, params)
+            rows = np.asarray(checkpoints) - 1
+            assert np.array_equal(trace.t, every.t[rows])
+            for name in ("loss_cum", "g_cum", "lam", "eta", "theta"):
+                assert np.array_equal(getattr(trace, name),
+                                      getattr(every, name)[rows]), name
+            for name in ("violation_clipped", "lam_max", "lam_max_t",
+                         "first_nonpositive_t"):
+                assert np.array_equal(getattr(trace, name),
+                                      getattr(every, name)), name
 
     def test_seed_column_matches_single_seed_run(self):
         # report j of a lockstep run, with seed j's own offline optima, is
@@ -107,17 +118,17 @@ class TestAccumulate:
         prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 40]
         trace = run(prob, params, 40, [6, 2], grid)
         reports = [accumulate(trace, {t: solve_offline(prob, t, j=j)
-                                      for t in grid}, prob, params, j)
+                                      for t in grid}, params, j)
                    for j in range(2)]
         for seed, report in zip((6, 2), reports):
             single, _, alone, offline = self.run_with_offline(3, 40, grid, seed)
-            expected = accumulate(alone, offline, single, params)
+            expected = accumulate(alone, offline, params)
             for got, want in zip(astuple(report), astuple(expected)):
                 assert np.array_equal(got, want)
 
     def test_report_requires_increasing_t(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2])
-        report = accumulate(trace, offline, prob, params)
+        report = accumulate(trace, offline, params)
         with pytest.raises(ValueError):
             replace(report, t=report.t[::-1])
 
@@ -166,7 +177,7 @@ class TestBoundCompliance:
         grid = checkpoint_grid(T, count=10)
         trace = run(prob, params, T, [seed], grid)
         offline = {t: solve_offline(prob, t) for t in grid}
-        return accumulate(trace, offline, prob, params), params
+        return accumulate(trace, offline, params), params
 
     def test_adaptive_run_complies(self):
         report, params = self.make_report()
@@ -185,7 +196,7 @@ class TestBoundCompliance:
         trace = run(prob, params, T, seeds, grid)
         for j in range(len(seeds)):
             report = accumulate(trace, {t: solve_offline(prob, t, j=j)
-                                        for t in grid}, prob, params, j)
+                                        for t in grid}, params, j)
             assert np.all(report.loss_regret <= report.loss_bound), seeds[j]
 
     def test_negative_control_detects_violation(self):

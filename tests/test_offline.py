@@ -14,7 +14,8 @@ from aogd.offline import (elasticnet_value, project_birkhoff,
                           project_elasticnet_ball, solve_offline,
                           solve_offline_cached)
 from aogd.problems import DsmProblem, ElasticNetProblem
-from dsm_stream_oracle import stream_matrices
+from dsm_stream_oracle import loss_sum_float, stream_matrices
+from elasticnet_prefix_oracle import loss_sum_gathered
 from pgd_oracle import solve_offline_pgd
 
 
@@ -303,7 +304,7 @@ def assert_dsm_agrees(fast, ref):
     assert fast.tolerance_met and ref.tolerance_met
     assert fast.mapping_norm < 1e-8
     assert np.max(np.abs(fast.x_star - ref.x_star)) <= 1e-15
-    assert fast.objective <= ref.objective + 1e-15 * abs(ref.objective)
+    assert fast.loss_sum <= ref.loss_sum + 1e-15 * abs(ref.loss_sum)
 
 
 class TestSolveOffline:
@@ -314,7 +315,7 @@ class TestSolveOffline:
         assert sol.tolerance_met
         np.testing.assert_allclose(sol.x_star, stream_matrices(prob.stream)[0, 0].ravel(),
                                    atol=1e-7)
-        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+        assert sol.loss_sum == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [10, 100])
     def test_dsm_prefix_mean(self, t):
@@ -362,10 +363,10 @@ class TestSolveOffline:
         def avg_loss(x):
             return np.mean([prob.loss(t, x[None])[0][0] for t in range(1, n + 1)])
 
-        assert sol.objective == pytest.approx(avg_loss(sol.x_star), abs=1e-10)
+        assert sol.loss_sum / n == pytest.approx(avg_loss(sol.x_star), abs=1e-10)
         for _ in range(100):
             cand = project_elasticnet_ball(rng.normal(size=d), rho)
-            assert avg_loss(cand) >= sol.objective - 1e-7
+            assert avg_loss(cand) >= sol.loss_sum / n - 1e-7
 
     def test_rejects_bad_t(self):
         prob = DsmProblem(2)
@@ -423,12 +424,12 @@ class TestSolveOfflineAgainstOracle:
         assert halvings(fast, events) == 0
         assert fast.tolerance_met and ref.tolerance_met
         assert fast.mapping_norm < 1e-8 and ref.mapping_norm < 1e-8
-        assert fast.objective <= ref.objective + 1e-12 * abs(ref.objective)
+        assert fast.loss_sum <= ref.loss_sum + 1e-12 * abs(ref.loss_sum)
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_dsm_identical(self, p):
         # the closed form S / t is the oracle's optimum up to the last bits:
-        # equal per entry within 1e-15, an objective no worse within 1e-15
+        # equal per entry within 1e-15, a loss sum no worse within 1e-15
         # relative, certified by one projection without iterating
         prob = DsmProblem(p)
         prob.materialize(300, [0, 5])
@@ -455,6 +456,33 @@ class TestSolveOfflineAgainstOracle:
         assert_dsm_agrees(fast, ref)
         counts = stream_matrices(prob.stream[j]).sum(axis=0).ravel()
         assert np.array_equal(fast.x_star, counts / t)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(p=st.integers(2, 16), t=st.integers(1, 3000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           row=st.integers(0, 2))
+    @example(p=16, t=3000, seeds=[11], row=0)
+    @example(p=2, t=1, seeds=[0, 1, 2], row=2)
+    def test_loss_sum_against_prefix_oracles(self, p, t, seeds, row):
+        # the regret accounting subtracts loss_sum as the comparator's loss:
+        # it is the prefix sum at x_star, bit for bit against the float
+        # prefix of DSM, and within 1e-12 of the gathered elastic-net prefix
+        # of 200 examples with p random features and labels, under a budget
+        # that binds and one that is slack at most optima
+        j = row % len(seeds)
+        prob = DsmProblem(p).materialize(t, seeds)
+        sol = solve_offline(prob, t, j=j)
+        assert sol.loss_sum == loss_sum_float(prob, t, sol.x_star, j)[0]
+        rng = np.random.default_rng(seeds)
+        u = rng.normal(size=(200, p))
+        y = np.where(rng.uniform(size=200) > 0.5, 1.0, -1.0)
+        for rho in (0.05, 5.0):
+            prob = ElasticNetProblem(y, u, rho=rho).materialize(t, seeds)
+            sol = solve_offline(prob, t, j=j)
+            assert sol.tolerance_met
+            assert sol.loss_sum == pytest.approx(
+                loss_sum_gathered(prob, t, sol.x_star, j)[0], rel=1e-12)
 
     def test_criterion9_iterations_halved(self):
         prob = criterion9_problem([0, 1])
@@ -519,7 +547,7 @@ class TestSolveOfflineStep:
         assert prob.prefix_loss(5).smoothness() == 0.0
         sol = solve_offline(prob, 5)
         assert sol.tolerance_met and sol.iterations == 1
-        assert sol.objective == pytest.approx(np.log(2.0), rel=1e-15)
+        assert sol.loss_sum / 5 == pytest.approx(np.log(2.0), rel=1e-15)
 
 
 class TestSolveOfflineCached:
@@ -538,7 +566,7 @@ class TestSolveOfflineCached:
 
         second = solve_offline_cached(Boom(), 10, str(tmp_path), key, seed=4)
         np.testing.assert_allclose(second.x_star, first.x_star)
-        assert second.objective == first.objective
+        assert second.loss_sum == first.loss_sum
         assert second.mapping_norm == first.mapping_norm < 1e-8
 
     def test_key_covers_the_source_of_the_comparator(self):
@@ -559,7 +587,7 @@ class TestSolveOfflineCached:
             solve_offline_cached(prob, 10, str(tmp_path), stale_key, seed=4)
         # mark the other code's file, so that returning it would show
         path.write_text(json.dumps(dict(json.loads(path.read_text()),
-                                        objective=-1.0)))
+                                        loss_sum=-1.0)))
         key = offline.cache_key(spec)
         assert key != stale_key
 
@@ -567,7 +595,7 @@ class TestSolveOfflineCached:
         monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
             solves.append(args) or solve_offline(*args, **kwargs)))
         sol = solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
-        assert len(solves) == 1 and sol.objective != -1.0
-        assert json.loads(path.read_text())["objective"] == sol.objective
+        assert len(solves) == 1 and sol.loss_sum != -1.0
+        assert json.loads(path.read_text())["loss_sum"] == sol.loss_sum
         solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
         assert len(solves) == 1  # the overwritten file now hits

@@ -10,7 +10,11 @@ CSV or `aggregate.csv` whose bytes differ (with every column whose
 numbers moved, and the largest relative and largest absolute difference
 in each) and every manifest key whose value differs, with
 the echoed `config.output_dir` masked. For numbers it prints the relative
-difference. It also runs `aogd solve-offline` (seed 0) on two of those
+difference. After each config's cold run, each tree runs the config once
+more into the same output directory, where every offline comparator is
+read back from the cache, and every seed CSV, `aggregate.csv` or manifest
+whose bytes the warm run changes is reported with the bytes that differ:
+the comparators must survive their JSON round trip. It also runs `aogd solve-offline` (seed 0) on two of those
 configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
 reports every key of its JSON that differs: the objective and x_star, which
 no manifest records, come from the solver's evaluation path alone. It
@@ -33,7 +37,8 @@ features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
 rows whose feature indices have gaps, with label-only rows, trailing
 comments, blank lines and a max_rows of 300, past which a larger feature
 index appears (criterion 9's file is dense and plain, so it exercises none
-of these). A run of both trees takes about a minute on 2 CPUs.
+of these). A run of both trees, cold and warm, takes about half a minute
+on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ def package_root(path: str) -> str:
 def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str) -> str:
     """`aogd VERB CONFIG FLAGS...` under src, with cfg written to
     out/config.json and its output directory out/out; returns stdout."""
-    os.makedirs(out)
+    os.makedirs(out, exist_ok=True)
     cfg_path = os.path.join(out, "config.json")
     with open(cfg_path, "w") as fh:
         json.dump(dict(cfg, output_dir=os.path.join(out, "out")), fh)
@@ -239,6 +244,36 @@ def compare(name: str, parent_out: str, change_out: str) -> list[str]:
                                   read_manifest(change_out))
 
 
+def warm_differences(label: str, src: str, cfg: dict, out: str) -> list[str]:
+    """Run cfg again under src into out, the directory of its cold run, and
+    list every CSV or manifest whose bytes the warm run changed."""
+    out_dir = os.path.join(out, "out")
+
+    def outputs() -> dict[str, bytes]:
+        files = {}
+        for f in sorted(os.listdir(out_dir)):
+            if f.endswith(".csv") or f == "manifest.json":
+                with open(os.path.join(out_dir, f), "rb") as fh:
+                    files[f] = fh.read()
+        return files
+
+    cold = outputs()
+    run_cli(src, "run", cfg, out)
+    warm = outputs()
+    diffs = []
+    for f in sorted(cold.keys() | warm.keys()):
+        a, b = cold.get(f), warm.get(f)
+        if a is None or b is None:
+            run = "warm" if a is None else "cold"
+            diffs.append(f"{label}/{f}: only in the {run} run")
+        elif a != b:
+            moved = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+            diffs.append(f"{label}/{f}: warm run differs from cold in "
+                         f"{len(moved)} bytes (first at {moved[:1]}), "
+                         f"length {len(a)} -> {len(b)}")
+    return diffs
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -259,12 +294,15 @@ def main(argv: list[str]) -> int:
             diffs.extend(found)
 
         for name, cfg in configs.items():
-            outs = []
-            for tree, src in trees:
-                out = os.path.join(workdir, tree, name)
+            outs = [os.path.join(workdir, tree, name) for tree, _ in trees]
+            for (_, src), out in zip(trees, outs):
                 run_cli(src, "run", cfg, out)
-                outs.append(os.path.join(out, "out"))
-            report(name, compare(name, *outs))
+            report(name, compare(name, *(os.path.join(out, "out")
+                                         for out in outs)))
+            report(f"{name} warm", [
+                diff for (tree, src), out in zip(trees, outs)
+                for diff in warm_differences(f"{name} ({tree}, warm)", src,
+                                             cfg, out)])
         for name in SOLVE_OFFLINE_CONFIGS:
             for t in SOLVE_OFFLINE_T:
                 label = f"solve-offline {name} t={t}"
@@ -275,7 +313,7 @@ def main(argv: list[str]) -> int:
                 report(label, compare_values(label, parent_json, change_json))
     for line in diffs:
         print(line)
-    print(f"{len(configs)} configs, "
+    print(f"{len(configs)} configs, each run cold and warm, "
           f"{len(SOLVE_OFFLINE_CONFIGS) * len(SOLVE_OFFLINE_T)} solve-offline "
           f"prefixes, {len(diffs)} differences")
     return 1 if diffs else 0
