@@ -20,7 +20,7 @@ from . import metrics, offline
 from .experiment import (ExperimentConfig, build_problem, compare_runs,
                          read_config, run_config)
 from .schedules import (ProblemConstants, Regime, ScheduleParams,
-                        check_conditions, constraint_regret_bound,
+                        c3_ok, check_conditions, constraint_regret_bound,
                         loss_regret_bound, schedule_arrays, schedule_sums)
 
 
@@ -56,7 +56,7 @@ def _cmd_check_schedule(args) -> int:
         "c2_ok": cond.c2_ok,
         "c3_slack": cond.c3_slack,
         "u_eta": u_eta,
-        "c3_ok": cond.c3_slack <= u_eta + 1e-9,
+        "c3_ok": c3_ok(cond.c3_slack, u_eta),
         "loss_regret_bound": float(loss_regret_bound(params, args.T)),
         "constraint_regret_bound": float(constraint_regret_bound(params, args.T)),
     }, indent=2))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from numbers import Integral, Real
@@ -29,8 +30,8 @@ from . import learner, metrics, offline
 from .ingest import load_dataset
 from .problems import DsmProblem, ElasticNetProblem
 from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
-                        ScheduleParams, check_conditions, schedule_arrays,
-                        schedule_sums)
+                        ScheduleParams, c3_ok, check_conditions,
+                        schedule_arrays, schedule_sums)
 
 @dataclass
 class ExperimentConfig:
@@ -137,6 +138,10 @@ def _check_value(field: str, value, types):
             return _check_section(t, value, field + ".")
         if (value is None if t is None else isinstance(t, type)
                 and isinstance(value, t) and not isinstance(value, bool)):
+            # json reads NaN, Infinity and -Infinity as floats
+            if t is Real and not math.isfinite(value):
+                raise ValueError(f"{field} must be a finite number, "
+                                 f"got {value!r}")
             return
     raise ValueError(f"{field} must be {' or '.join(map(_what, types))}, "
                      f"got {value!r}")
@@ -321,7 +326,9 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         "gamma": gamma,
         "conditions": {"c1_ok": cond.c1_ok, "c2_ok": cond.c2_ok,
                        "c3_slack": cond.c3_slack,
-                       "u_eta": u_eta},
+                       "u_eta": u_eta,
+                       "c3_ok": (c3_ok(cond.c3_slack, u_eta)
+                                 if params is not None else None)},
         "loss_bound_conservative": (
             params is not None and params.regime is Regime.STRONGLY_CONVEX),
         "rate_exponents": rate_exponents,

@@ -6,8 +6,8 @@ the average loss on a stream prefix. Where the prefix supplies that
 minimizer in closed form (DSM: the prefix mean S/t), it is returned after
 one projection certifies it; otherwise x* is found by accelerated projected
 gradient (FISTA momentum with gradient restart) at the constant step 1/L,
-L the prefix's bound on the Lipschitz constant of its gradient, with
-backtracking only as a guard. Birkhoff-polytope projection uses Dykstra's
+L the prefix's bound on the Lipschitz constant of its gradient.
+Birkhoff-polytope projection uses Dykstra's
 alternating projections (plain alternating projection would converge to a
 feasible point, not the Euclidean projection); the elastic-net ball
 projection has a closed form in the KKT multiplier once its support is
@@ -157,40 +157,27 @@ def _accelerated_descent(problem, prefix, t: int, tol: float):
     Candes 2015): each iteration takes a projected step from the
     extrapolated point y and restarts the momentum when the step turns
     against the previous move. The step is the constant 1/L of Beck &
-    Teboulle's constant-step form, L the prefix's `smoothness()` bound; the
-    backtracking test stays as a guard, halving the step should the descent
-    inequality ever fail. Stops when the gradient-mapping norm at y, taken
-    at step min(step, 1), falls below tol, or after _SOLVE_MAX_ITER
-    iterations.
+    Teboulle's constant-step form, L the prefix's `smoothness()` bound.
+    Stops when the gradient-mapping norm at y, taken at step min(step, 1),
+    falls below tol, or after _SOLVE_MAX_ITER iterations. That norm bounds
+    the unit-step mapping whatever the step, so a bound L that is not one
+    can slow or stall the solve but not pass a point the rule rejects.
+    The prefix is evaluated once at each y and once at the last iterate.
     """
-
-    def evaluate(x):  # the prefix sum, the average loss and its gradient
-        total, grad = prefix(x)
-        return total, total / t, grad / t
-
     x = y = problem.project_feasible(np.zeros(problem.dim))
-    _, fy, gy = evaluate(y)
+    gy = prefix(y)[1] / t
     smoothness = prefix.smoothness()
     # with L = 0 the gradient is constant and any step is exact
     step = 1.0 / smoothness if smoothness > 0.0 else 1.0
     k = 1.0
     for it in range(1, _SOLVE_MAX_ITER + 1):
-        # backtracking on the projected step from y
-        while True:
-            x_new = problem.project_feasible(y - step * gy)
-            diff = x_new - y
-            loss_sum, f_new, g_new = evaluate(x_new)
-            diff_sq = float(diff @ diff)
-            if f_new <= fy + gy @ diff + 0.5 / step * diff_sq + 1e-14:
-                break
-            step *= 0.5
-            if step < 1e-14:
-                break
+        x_new = problem.project_feasible(y - step * gy)
+        diff = x_new - y
         # np.linalg.norm(diff) is sqrt(diff @ diff): the same bits. The
         # norm of the step-s mapping, ||diff|| / s, falls as s grows while
         # ||diff|| does not, so for a step above 1 dividing by 1 bounds the
         # unit-step mapping, and dividing by the step would not
-        mapping_norm = math.sqrt(diff_sq) / min(step, 1.0)
+        mapping_norm = math.sqrt(float(diff @ diff)) / min(step, 1.0)
         if mapping_norm < tol:
             break
         move = x_new - x
@@ -198,13 +185,11 @@ def _accelerated_descent(problem, prefix, t: int, tol: float):
             k = 1.0
         k_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * k * k))
         momentum = (k - 1.0) / k_next
-        if momentum == 0.0:  # y is x_new, whose value and gradient are known
-            y, fy, gy = x_new, f_new, g_new
-        else:
-            y = x_new + momentum * move
-            _, fy, gy = evaluate(y)
+        # x_new + 0.0 * move would turn a -0.0 entry into +0.0
+        y = x_new if momentum == 0.0 else x_new + momentum * move
+        gy = prefix(y)[1] / t
         x, k = x_new, k_next
-    return x_new, loss_sum, it, mapping_norm
+    return x_new, prefix(x_new)[0], it, mapping_norm
 
 
 @functools.cache

@@ -25,17 +25,6 @@ from . import offline
 from .schedules import ProblemConstants
 
 
-def dsm_loss_grad(Y: np.ndarray, X: np.ndarray):
-    """Quadratic tracking loss 0.5 * ||Y - X||_F^2 and its gradient X - Y,
-    over the last two axes: (..., p, p) matrices give (...) values."""
-    Y = np.asarray(Y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if Y.shape != X.shape:
-        raise ValueError(f"shape mismatch: {Y.shape} vs {X.shape}")
-    diff = X - Y
-    return 0.5 * (diff * diff).sum(axis=(-2, -1)), diff
-
-
 class DsmConstraints:
     """Linear constraints of the doubly-stochastic polytope, g_j(x) =
     A[j] . x - b[j], with the rows of A as subgradients.
@@ -249,9 +238,11 @@ def elasticnet_constants(rho: float, features: np.ndarray) -> ProblemConstants:
     if rho <= 0:
         raise ValueError("rho must be positive")
     features = np.asarray(features, dtype=float)
-    if features.size == 0:
+    n, d = features.shape
+    if n == 0:
         raise ValueError("dataset must be nonempty")
-    d = features.shape[1]
+    if d == 0:
+        raise ValueError(f"dataset has {n} rows and no feature")
     R = float(np.sqrt(1.0 + 2.0 * rho) - 1.0)
     max_u = float(np.max(np.linalg.norm(features, axis=1)))
     G = max(np.sqrt(d) + R, max_u)

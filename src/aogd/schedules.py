@@ -43,9 +43,10 @@ class ProblemConstants:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.R <= 0 or self.G <= 0 or self.D <= 0 or self.F <= 0:
+        # `not x > 0` rejects NaN too
+        if not (self.R > 0 and self.G > 0 and self.D > 0 and self.F > 0):
             raise ValueError("R, G, D, F must all be positive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
 
 
@@ -77,7 +78,7 @@ class FixedScheduleParams:
 
     def __post_init__(self):
         _shifted(self.gamma)
-        if self.eta <= 0 or self.theta <= 0 or self.mu <= 0:
+        if not (self.eta > 0 and self.theta > 0 and self.mu > 0):
             raise ValueError("eta, theta, mu must all be positive")
 
 
@@ -154,8 +155,8 @@ def check_conditions(theta, eta, mu, sigma: float, G: float,
     C2: eta_t G^2 + k * mu_t theta_t^2 - theta_t / 2 <= 0, with k = 1, or
     k = 3/2 for the constraint shifted upward by gamma > 0 (pass the mu
     that schedule_arrays returns for a schedule with this gamma).
-    C3 slack: sum_{t=2}^T [1/eta_t - 1/eta_{t-1} - sigma] (caller compares
-    against its U_eta budget).
+    C3 slack: sum_{t=2}^T [1/eta_t - 1/eta_{t-1} - sigma] (`c3_ok` compares
+    it with the budget u_eta).
     """
     k = 1.5 if _shifted(gamma) else 1.0
     th = np.asarray(theta, dtype=float)
@@ -209,3 +210,9 @@ def schedule_sums(params: ScheduleParams, T: int) -> float:
     if params.regime is Regime.CONVEX:
         return float(c.G / c.R * float(T) ** params.beta)
     return 0.0
+
+
+def c3_ok(c3_slack: float, u_eta: float) -> bool:
+    """The C3 verdict: the slack of `check_conditions` within the budget
+    u_eta of `schedule_sums`, up to an absolute 1e-9."""
+    return c3_slack <= u_eta + 1e-9

@@ -4,7 +4,8 @@
 codes of `permutation_stream`, and `prefix_loss` counts codes where the
 prefix sum used to add up the (t, p, p) float prefix. The tests read the
 matrices through `stream_matrices` and compare what `prefix_loss` returns
-with `loss_sum_float`, the float prefix sum, bit for bit.
+with `loss_sum_float`, the float prefix sum, and what `loss` returns with
+`loss_grad_float`, the loss of one float matrix, bit for bit.
 """
 
 import numpy as np
@@ -14,6 +15,13 @@ def stream_matrices(codes: np.ndarray) -> np.ndarray:
     """The 0/1 float matrices (..., p, p) of column codes (..., p): row i
     of a matrix has its one in column codes[..., i]."""
     return np.eye(codes.shape[-1])[codes]
+
+
+def loss_grad_float(Y: np.ndarray, X: np.ndarray):
+    """Quadratic tracking loss 0.5 * ||Y - X||_F^2 and its gradient X - Y,
+    over the last two axes: (..., p, p) matrices give (...) values."""
+    diff = X - Y
+    return 0.5 * (diff * diff).sum(axis=(-2, -1)), diff
 
 
 def loss_sum_float(problem, t: int, x: np.ndarray, j: int = 0):

@@ -12,6 +12,7 @@ from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
                              compare_runs, run_experiment)
 from aogd.metrics import fit_rate_exponent
 from aogd.problems import DsmProblem
+from aogd.schedules import c3_ok
 from step_recorder import recorded_rounds
 
 
@@ -60,7 +61,9 @@ class TestRunExperiment:
         assert manifest_path == str(out / "manifest.json")
         assert manifest["status"] == "ok"
         assert manifest["conditions"]["c1_ok"] and manifest["conditions"]["c2_ok"]
-        assert manifest["conditions"]["c3_slack"] <= manifest["conditions"]["u_eta"] + 1e-9
+        conditions = manifest["conditions"]
+        assert conditions["c3_ok"] is True
+        assert c3_ok(conditions["c3_slack"], conditions["u_eta"])
         assert not manifest["loss_bound_conservative"]
         assert manifest["compliance"]["1"]["loss_ok"]
         assert manifest["config"]["problem"] == {"kind": "dsm", "p": 2}
@@ -114,6 +117,7 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(**cfg))
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["conditions"]["u_eta"] == 0.0
+        assert manifest["conditions"]["c3_ok"] is True
 
     def test_elasticnet_run(self, tmp_path):
         data = write_elasticnet_dataset(tmp_path)
@@ -136,6 +140,7 @@ class TestRunExperiment:
         assert manifest["algorithm"] == "fixed_ogd"
         assert manifest["compliance"]["42"] is None
         assert manifest["conditions"]["u_eta"] is None
+        assert manifest["conditions"]["c3_ok"] is None
 
     def test_gamma_shift_recorded(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": 1.0}, T=64)
@@ -650,6 +655,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and field in captured.err
+
+    @pytest.mark.parametrize("text,shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                            ("-Infinity", "-inf")])
+    @pytest.mark.parametrize("field", ["eta", "theta", "mu", "rho"])
+    def test_run_rejects_non_finite_number(self, tmp_path, capsys, field,
+                                           text, shown):
+        # json reads NaN and +-Infinity as floats: theta NaN ran to status
+        # ok with lambda 0 in every round, and the others failed later
+        # with messages that named no field
+        algorithm = {"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05}
+        problem = {"kind": "elasticnet", "rho": 1.0,
+                   "dataset": write_elasticnet_dataset(tmp_path)}
+        section, name = ((problem, "problem.") if field == "rho"
+                         else (algorithm, "algorithm."))
+        section[field] = float(text)
+        cfg_path, _ = write_config(tmp_path, problem=problem,
+                                   algorithm=algorithm)
+        assert f": {text}" in Path(cfg_path).read_text()
+        assert main(["run", cfg_path]) == 1
+        message = f"{name}{field} must be a finite number, got {shown}"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == message
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_run_rejects_beta_outside_unit_interval(self, tmp_path, capsys):
         cfg_path, _ = write_config(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from aogd import ingest, offline, problems
+from aogd.experiment import ExperimentConfig, build_problem, run_experiment
 from aogd.metrics import checkpoint_grid
 from aogd.offline import (elasticnet_value, project_birkhoff,
                           project_elasticnet_ball, solve_offline,
@@ -279,23 +280,53 @@ def solve_recording(prob, t: int, j: int = 0):
         del prob.project_feasible, prob.prefix_loss
 
 
-def halvings(sol, events) -> int:
-    """How often the backtracking guard halved the step: the solve projects
-    its start once, then once per iteration and once more per halving."""
-    return sum(kind == "project" for kind, _ in events) - sol.iterations - 1
+def evaluations(events) -> int:
+    """How often the solve evaluated the prefix objective: a converged
+    solve evaluates it once at each of its iterations' y and once more at
+    x_star, iterations + 1 times; a closed form once, at 0 iterations."""
+    return sum(kind == "evaluate" for kind, _ in events)
 
 
-def criterion9_problem(seeds) -> ElasticNetProblem:
-    """Acceptance criterion 9's data, rounded as its libsvm file is, with
-    200 rounds of each of `seeds` drawn."""
+def criterion9_data():
+    """Acceptance criterion 9's labels and features."""
     rng = np.random.default_rng(7)
     n, d = 500, 20
     w = rng.normal(size=d)
     w[6:] = 0.0
     u = rng.normal(size=(n, d)) * 0.3
     y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
+    return y, u
+
+
+def criterion9_problem(seeds) -> ElasticNetProblem:
+    """Acceptance criterion 9's data, rounded as its libsvm file is, with
+    200 rounds of each of `seeds` drawn."""
+    y, u = criterion9_data()
     prob = ElasticNetProblem(y, np.round(u, 6), rho=1.0)
     return prob.materialize(200, seeds)
+
+
+def write_criterion9_dataset(path) -> str:
+    """Acceptance criterion 9's libsvm file, written at `path`."""
+    y, u = criterion9_data()
+    path.write_text("".join(
+        f"{'+1' if label > 0 else '-1'} "
+        + " ".join(f"{k + 1}:{v:.6f}" for k, v in enumerate(row)) + "\n"
+        for label, row in zip(y, u)))
+    return str(path)
+
+
+def scale_smoothness(monkeypatch, factor: float):
+    """Every elastic-net prefix reports `factor` times its smoothness bound:
+    below 1 the solver steps past 1/L."""
+    prefix_loss = ElasticNetProblem.prefix_loss
+
+    def scaled(self, t, j=0):
+        loss = prefix_loss(self, t, j)
+        smoothness = loss.smoothness
+        loss.smoothness = lambda: factor * smoothness()
+        return loss
+    monkeypatch.setattr(ElasticNetProblem, "prefix_loss", scaled)
 
 
 def assert_dsm_agrees(fast, ref):
@@ -421,7 +452,7 @@ class TestSolveOfflineAgainstOracle:
         prob.materialize(t, [seed])
         fast, events = solve_recording(prob, t)
         ref = solve_offline_pgd(prob, t)
-        assert halvings(fast, events) == 0
+        assert evaluations(events) == fast.iterations + 1
         assert fast.tolerance_met and ref.tolerance_met
         assert fast.mapping_norm < 1e-8 and ref.mapping_norm < 1e-8
         assert fast.loss_sum <= ref.loss_sum + 1e-12 * abs(ref.loss_sum)
@@ -438,7 +469,7 @@ class TestSolveOfflineAgainstOracle:
                 fast, events = solve_recording(prob, t, j=j)
                 ref = solve_offline_pgd(prob, t, j=j)
                 assert_dsm_agrees(fast, ref)
-                assert halvings(fast, events) == 0
+                assert evaluations(events) == fast.iterations + 1
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -491,7 +522,7 @@ class TestSolveOfflineAgainstOracle:
             for t in (25, 100, 200):
                 (a, events), b = (solve_recording(prob, t, j=j),
                                   solve_offline_pgd(prob, t, j=j))
-                assert halvings(a, events) == 0
+                assert evaluations(events) == a.iterations + 1
                 assert a.tolerance_met and b.tolerance_met
                 fast, ref = fast + a.iterations, ref + b.iterations
         assert 2 * fast <= ref
@@ -501,18 +532,57 @@ class TestSolveOfflineStep:
     """The constant step 1/L from the prefix's bound, and the stopping rule
     at steps above 1."""
 
-    def test_criterion9_checkpoints_never_backtrack(self):
-        # criterion 9's checkpoints: with a true bound L the guard never
-        # halves the step, and the eight solves of a seed take at most 200
-        # iterations together (323 to 429 under the unit step cap)
+    def test_criterion9_checkpoints_evaluate_once_per_iteration(self):
+        # criterion 9's checkpoints: each solve evaluates the prefix
+        # iterations + 1 times, and the eight solves of a seed take at most
+        # 200 iterations together (323 to 429 under the unit step cap)
         prob = criterion9_problem([0, 1, 2, 3])
         for j in range(4):
             iterations = 0
             for t in checkpoint_grid(200, 8):
                 sol, events = solve_recording(prob, t, j=j)
-                assert sol.tolerance_met and halvings(sol, events) == 0
+                assert sol.tolerance_met
+                assert evaluations(events) == sol.iterations + 1
                 iterations += sol.iterations
             assert iterations <= 200
+
+    @pytest.mark.parametrize("factor", [1.0, 1.0 / 4.0, 1.0 / 64.0])
+    def test_underestimated_smoothness_cannot_pass_a_wrong_optimum(
+            self, tmp_path, monkeypatch, factor):
+        # a bound below the true L lengthens the step past 1/L: the solve
+        # may stall, but the stopping rule certifies every point it accepts
+        # at any step, so each solve either agrees with the oracle or misses
+        # its tolerance, and a run fails at its first miss
+        data = write_criterion9_dataset(tmp_path / "criterion9.libsvm")
+        cfg = ExperimentConfig(
+            problem={"kind": "elasticnet", "dataset": data, "rho": 1.0},
+            algorithm="a_ogd_convex", beta=2.0 / 3.0, T=200, seeds=[1],
+            output_dir=str(tmp_path / "out"), checkpoints=8)
+        prob = build_problem(cfg).materialize(cfg.T, cfg.seeds)
+        scale_smoothness(monkeypatch, factor)
+        missed = []
+        for t in checkpoint_grid(cfg.T, cfg.checkpoints):
+            sol = solve_offline(prob, t)
+            if sol.tolerance_met:
+                ref = solve_offline_pgd(prob, t)
+                assert ref.tolerance_met
+                assert sol.loss_sum == pytest.approx(ref.loss_sum, rel=1e-12)
+            else:
+                missed.append(t)
+        if factor == 1.0:
+            assert not missed
+        if factor == 1.0 / 64.0:
+            assert missed
+        if not missed:
+            return
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(cfg)
+        assert str(info.value).startswith(
+            f"offline solve of seed 1 at t={missed[0]} missed its tolerance "
+            f"after 5000 iterations")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_stopping_rule_bounds_the_unit_step_mapping(self):
         # small features make 1/L large, and the optimum sits on the
@@ -527,7 +597,7 @@ class TestSolveOfflineStep:
         prob = ElasticNetProblem(y, u, rho=1.0).materialize(t, [4])
         assert 1.0 / prob.prefix_loss(t).smoothness() > 1000.0
         sol, events = solve_recording(prob, t)
-        assert sol.tolerance_met and halvings(sol, events) == 0
+        assert sol.tolerance_met and evaluations(events) == sol.iterations + 1
         last = max(i for i, (kind, _) in enumerate(events)
                    if kind == "project")
         final_y = next(x for kind, x in reversed(events[:last])

@@ -9,16 +9,17 @@ from scipy.special import expit
 
 import aogd
 from aogd import problems
+from aogd.ingest import load_dataset
 from aogd.learner import run
 from aogd.offline import project_birkhoff, project_elasticnet_ball
 from aogd.problems import (_CHUNK_ROWS, DsmConstraints, DsmProblem,
-                           ElasticNetBudget, ElasticNetProblem, dsm_loss_grad,
+                           ElasticNetBudget, ElasticNetProblem,
                            elasticnet_constants, logloss_grad,
                            permutation_stream)
 from aogd.projections import g_max
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
-from dsm_stream_oracle import loss_sum_float, stream_matrices
+from dsm_stream_oracle import loss_grad_float, loss_sum_float, stream_matrices
 from step_recorder import recorded_rounds
 
 
@@ -107,38 +108,6 @@ def dsm_schedules(p, T):
         "a_ogd_convex_gamma_shift": ScheduleParams(
             2.0 / 3.0, Regime.CONVEX, c, gamma),
     }
-
-
-class TestDsmLoss:
-    def test_identity_match(self):
-        value, grad = dsm_loss_grad(np.eye(2), np.eye(2))
-        assert value == 0.0
-        np.testing.assert_array_equal(grad, np.zeros((2, 2)))
-
-    def test_zero_iterate(self):
-        value, grad = dsm_loss_grad(np.eye(2), np.zeros((2, 2)))
-        assert value == pytest.approx(1.0)
-        np.testing.assert_allclose(grad, -np.eye(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dsm_loss_grad(np.eye(2), np.eye(3))
-
-    def test_gradient_finite_differences(self):
-        rng = np.random.default_rng(0)
-        eps = 1e-6
-        for _ in range(20):
-            Y = stream_matrices(permutation_stream(3, [rng.integers(1000)], 1))[0, 0]
-            X = rng.normal(size=(3, 3))
-            _, grad = dsm_loss_grad(Y, X)
-            fd = np.zeros_like(X)
-            for i in range(3):
-                for j in range(3):
-                    Xp, Xm = X.copy(), X.copy()
-                    Xp[i, j] += eps
-                    Xm[i, j] -= eps
-                    fd[i, j] = (dsm_loss_grad(Y, Xp)[0] - dsm_loss_grad(Y, Xm)[0]) / (2 * eps)
-            np.testing.assert_allclose(grad, fd, atol=1e-6)
 
 
 class TestDsmConstraints:
@@ -353,7 +322,7 @@ class TestPermutationStream:
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_loss_reads_the_matrices_at_any_round(self, p):
         # loss reads round t's codes, in any order of rounds, and gives the
-        # bits of dsm_loss_grad on the float matrices, signed zeros of the
+        # bits of loss_grad_float on the float matrices, signed zeros of the
         # iterate included: criterion 7 checks that gradient by finite
         # differences
         T = 2 * _CHUNK_ROWS + 3
@@ -364,7 +333,7 @@ class TestPermutationStream:
         X[2, ::3] = -0.0
         for t in (1, T, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2, T - 1, 1):
             values, grads = prob.loss(t, X)
-            want_values, want_grads = dsm_loss_grad(
+            want_values, want_grads = loss_grad_float(
                 ys[:, t - 1], X.reshape(-1, p, p))
             assert values.tobytes() == want_values.tobytes()
             assert grads.tobytes() == want_grads.reshape(X.shape).tobytes()
@@ -524,6 +493,22 @@ class TestElasticNetConstants:
         # the bound is tight along a single axis
         x_axis = np.array([R, 0.0, 0.0, 0.0])
         assert np.sum(np.abs(x_axis)) + 0.5 * x_axis @ x_axis == pytest.approx(rho)
+
+    def test_label_only_rows_have_no_feature(self, tmp_path):
+        # a file of label-only rows parses to 3 rows of 0 features, which
+        # is not an empty dataset
+        path = tmp_path / "labels.libsvm"
+        path.write_text("+1\n-1\n+1\n")
+        labels, features = load_dataset(str(path)).dense()
+        assert features.shape == (3, 0)
+        with pytest.raises(ValueError) as info:
+            ElasticNetProblem(labels, features, rho=1.0)
+        assert str(info.value) == "dataset has 3 rows and no feature"
+
+    def test_no_rows_is_empty(self):
+        with pytest.raises(ValueError) as info:
+            elasticnet_constants(1.0, np.zeros((0, 3)))
+        assert str(info.value) == "dataset must be nonempty"
 
 
 class TestSampledProblemInvariants:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
-                            ScheduleParams, check_conditions,
+                            ScheduleParams, c3_ok, check_conditions,
                             constraint_regret_bound, eta_at,
                             loss_regret_bound, mu_at, schedule_arrays,
                             schedule_sums, theta_at)
@@ -73,12 +73,18 @@ class TestValidation:
                            constants=ProblemConstants(R=1, G=1, D=1, F=1, sigma=0.0))
 
     def test_constants_positive(self):
-        with pytest.raises(ValueError):
-            ProblemConstants(R=-1, G=1, D=1, F=1)
+        # NaN passes a plain x <= 0 check
+        for bad in ({"R": -1.0}, {"R": np.nan}, {"G": np.nan}, {"D": np.nan},
+                    {"F": np.nan}, {"sigma": -1.0}, {"sigma": np.nan}):
+            with pytest.raises(ValueError, match="positive|nonnegative"):
+                ProblemConstants(**({"R": 1, "G": 1, "D": 1, "F": 1} | bad))
 
     def test_fixed_schedule_positive(self):
-        with pytest.raises(ValueError):
-            FixedScheduleParams(eta=0.0, theta=1.0, mu=1.0)
+        for bad in ({"eta": 0.0}, {"eta": np.nan}, {"theta": np.nan},
+                    {"mu": np.nan}):
+            with pytest.raises(ValueError, match="must all be positive"):
+                FixedScheduleParams(**({"eta": 1.0, "theta": 1.0, "mu": 1.0}
+                                       | bad))
 
     @pytest.mark.parametrize("gamma", [-0.1, -np.inf, np.nan, np.inf])
     @pytest.mark.parametrize("schedule", [
@@ -150,7 +156,7 @@ class TestConditions:
                                        G)
                 u_eta = schedule_sums(params, T)
                 assert rep.c1_ok and rep.c2_ok
-                assert rep.c3_slack <= u_eta + 1e-9
+                assert c3_ok(rep.c3_slack, u_eta)
 
     def test_stronger_c2_condition_convex(self):
         # eta_t <= theta_t / (6 G^2) at every t for the adaptive convex schedules
