@@ -81,13 +81,19 @@ class ExperimentConfig:
         return self.gamma_shift["c1"] * self.T ** (-self.beta / 2.0)
 
 
-def read_config(path: str, **overrides) -> dict:
-    """The JSON config at path with the overrides that are not None."""
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path, which the error names as `what`."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must hold a JSON object, "
+        raise ValueError(f"{what} {path} must hold a JSON object, "
                          f"not a {type(raw).__name__}")
+    return raw
+
+
+def read_config(path: str, **overrides) -> dict:
+    """The JSON config at path with the overrides that are not None."""
+    raw = _read_object(path, "config")
     raw.update({k: v for k, v in overrides.items() if v is not None})
     return raw
 
@@ -363,8 +369,7 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
                              f"its text table; give the CSV another extension")
     manifests = []
     for path in manifest_paths:
-        with open(path) as fh:
-            manifest = json.load(fh)
+        manifest = _read_object(path, "manifest")
         if manifest.get("status") != "ok":
             raise ValueError(f"{path} is not an ok run: status "
                              f"{manifest.get('status')!r}, error "

@@ -72,9 +72,11 @@ def project_birkhoff(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if not all_finite(A):
         raise ValueError("input matrix must be finite")
-    X = A.copy()
+    # every sweep binds X to new arrays and writes none in place, so
+    # neither A nor a previous sweep's X needs a copy, and the X returned
+    # is never A
+    X = prev = A
     q = np.zeros_like(A)  # correction for the orthant (the non-affine set)
-    prev = X.copy()
     for _ in range(_BIRKHOFF_MAX_ITER):
         Y = _project_doubly_stochastic_affine(X)
         Z = np.maximum(Y + q, 0.0)
@@ -82,7 +84,7 @@ def project_birkhoff(A: np.ndarray) -> np.ndarray:
         X = Z
         if np.linalg.norm(X - prev) < _BIRKHOFF_TOL:
             return X
-        prev = X.copy()
+        prev = X
     return X
 
 
@@ -119,8 +121,7 @@ def project_elasticnet_ball(v: np.ndarray, rho: float) -> np.ndarray:
     return np.sign(v) * np.maximum(abs_v - nu, 0.0) / (1.0 + nu)
 
 
-def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
-                  j: int = 0) -> OfflineSolution:
+def solve_offline(problem, t: int, j: int = 0) -> OfflineSolution:
     """Minimize the average loss of the first t rounds of seed j's stream
     over the feasible set.
 
@@ -131,7 +132,8 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
     is minimized by `_accelerated_descent`. The problem must have its first
     t rounds materialized: its `prefix_loss` counts them once, and every
     evaluation reads that count. The solution's `loss_sum` is the prefix
-    sum of the evaluation at x_star; tolerance_met is mapping_norm < tol.
+    sum of the evaluation at x_star; tolerance_met is mapping_norm below
+    _SOLVE_TOL, the one tolerance of every solve.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -144,13 +146,13 @@ def solve_offline(problem, t: int, tol: float = _SOLVE_TOL,
         iterations = 0
     else:
         x, loss_sum, iterations, mapping_norm = _accelerated_descent(
-            problem, prefix, t, tol)
+            problem, prefix, t)
     return OfflineSolution(x_star=x, loss_sum=loss_sum, iterations=iterations,
-                           tolerance_met=mapping_norm < tol,
+                           tolerance_met=mapping_norm < _SOLVE_TOL,
                            mapping_norm=mapping_norm)
 
 
-def _accelerated_descent(problem, prefix, t: int, tol: float):
+def _accelerated_descent(problem, prefix, t: int):
     """(x, prefix sum at x, iterations, gradient-mapping norm) of prefix / t
     minimized over the feasible set by accelerated projected gradient (FISTA
     momentum, Beck & Teboulle 2009) with gradient restart (O'Donoghue &
@@ -159,9 +161,10 @@ def _accelerated_descent(problem, prefix, t: int, tol: float):
     against the previous move. The step is the constant 1/L of Beck &
     Teboulle's constant-step form, L the prefix's `smoothness()` bound.
     Stops when the gradient-mapping norm at y, taken at step min(step, 1),
-    falls below tol, or after _SOLVE_MAX_ITER iterations. That norm bounds
-    the unit-step mapping whatever the step, so a bound L that is not one
-    can slow or stall the solve but not pass a point the rule rejects.
+    falls below _SOLVE_TOL, or after _SOLVE_MAX_ITER iterations. That norm
+    bounds the unit-step mapping whatever the step, so a bound L that is
+    not one can slow or stall the solve but not pass a point the rule
+    rejects.
     The prefix is evaluated once at each y and once at the last iterate.
     """
     x = y = problem.project_feasible(np.zeros(problem.dim))
@@ -178,7 +181,7 @@ def _accelerated_descent(problem, prefix, t: int, tol: float):
         # ||diff|| does not, so for a step above 1 dividing by 1 bounds the
         # unit-step mapping, and dividing by the step would not
         mapping_norm = math.sqrt(float(diff @ diff)) / min(step, 1.0)
-        if mapping_norm < tol:
+        if mapping_norm < _SOLVE_TOL:
             break
         move = x_new - x
         if float(diff @ move) < 0.0:  # (y - x_new).(x_new - x) > 0: restart
@@ -253,11 +256,11 @@ def _read_cached(path: str, file_key: str, dim: int):
 
 def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
                          seed: int, j: int = 0) -> OfflineSolution:
-    """Disk-cached solve_offline of seed j at its default tolerance; writes
-    via atomic rename. `key` is the run's `cache_key` and `seed` row j's
-    seed. The file is named by seed and t; the key it stores is its only
-    identity, and a file that `_read_cached` cannot read back as a solution
-    of `problem.dim` entries under that key is re-solved and overwritten."""
+    """Disk-cached solve_offline of seed j; writes via atomic rename. `key`
+    is the run's `cache_key` and `seed` row j's seed. The file is named by
+    seed and t; the key it stores is its only identity, and a file that
+    `_read_cached` cannot read back as a solution of `problem.dim` entries
+    under that key is re-solved and overwritten."""
     path = os.path.join(cache_dir, f"seed{seed}_t{t}.json")
     file_key = hashlib.sha256(f"{key} seed={seed} t={t}".encode()).hexdigest()
     sol = _read_cached(path, file_key, problem.dim)

@@ -213,21 +213,6 @@ def _logistic(z: np.ndarray):
     return value, np.exp(z - value)
 
 
-def logloss_grad(y, u: np.ndarray, x: np.ndarray):
-    """Logistic loss log(1 + exp(-y x.u)) and gradient, overflow-safe; one
-    per row of labels y (S,), features u (S, d) and iterates x (S, d)."""
-    y = np.asarray(y, dtype=float)
-    if (np.abs(y) != 1.0).any():
-        raise ValueError("label must be -1 or +1")
-    return _logloss_grad(-y, u, x)
-
-
-def _logloss_grad(neg_y: np.ndarray, u: np.ndarray, x: np.ndarray):
-    """logloss_grad from the negated labels -y, taken as valid."""
-    value, slope = _logistic(neg_y * np.vecdot(x, u))  # at -(y x.u), exactly
-    return value, neg_y[..., None] * u * slope[..., None]
-
-
 def elasticnet_constants(rho: float, features: np.ndarray) -> ProblemConstants:
     """Derived constants for the elastic-net constrained logistic problem.
 
@@ -319,12 +304,16 @@ class ElasticNetProblem:
 
     def loss(self, t: int, X: np.ndarray):
         """Values (S,) and gradients (S, d) of each seed's f_t at its row of
-        X (S, d); t is 1-indexed."""
+        X (S, d), the logistic loss log(1 + exp(-y x.u)) of the example
+        (y, u) the seed drew; t is 1-indexed."""
         if self._rounds is None:
             raise RuntimeError(_NOT_MATERIALIZED)
         # round t's rows, cast once for two gathers; a t past the stream raises
         i = _round(self._rounds, t).astype(np.intp)
-        return _logloss_grad(self._neg_labels[i], self.features[i], X)
+        neg_y, U = self._neg_labels[i], self.features[i]
+        # at -(y x.u), exactly
+        value, slope = _logistic(neg_y * np.vecdot(X, U))
+        return value, neg_y[..., None] * U * slope[..., None]
 
     def prefix_loss(self, t: int, j: int = 0):
         """The function x -> (value, gradient) of f_1 + ... + f_t of seed j,

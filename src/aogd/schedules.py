@@ -24,6 +24,18 @@ class Regime(enum.Enum):
     STRONGLY_CONVEX = "strongly_convex"
 
 
+def _check_positive(params, names: str):
+    """Reject the first of the fields `names` (comma-separated) of params
+    that is not a finite positive number: an infinite bound or step makes
+    every schedule and bound built on it infinite or NaN."""
+    for name in names.split(", "):
+        value = getattr(params, name)
+        # `not 0 < x < inf` rejects NaN too
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{names} must all be positive and finite, "
+                             f"got {name}={value}")
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Bounds characterizing a problem instance over the enclosing ball.
@@ -43,11 +55,11 @@ class ProblemConstants:
     sigma: float = 0.0
 
     def __post_init__(self):
-        # `not x > 0` rejects NaN too
-        if not (self.R > 0 and self.G > 0 and self.D > 0 and self.F > 0):
-            raise ValueError("R, G, D, F must all be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_positive(self, "R, G, D, F")
+        # `not 0 <= x < inf` rejects NaN too
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, "
+                             f"got sigma={self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +90,7 @@ class FixedScheduleParams:
 
     def __post_init__(self):
         _shifted(self.gamma)
-        if not (self.eta > 0 and self.theta > 0 and self.mu > 0):
-            raise ValueError("eta, theta, mu must all be positive")
+        _check_positive(self, "eta, theta, mu")
 
 
 def theta_at(params: ScheduleParams, t):

@@ -1,7 +1,9 @@
 """The online round as it was written before its per-round numpy calls were
 cut: `step`, `g_max`, `project_ball` and `project_nonneg` verbatim, and each
 problem's `loss` as it read its stream, for a randomized check that the
-lean round gives the same bits.
+lean round gives the same bits. `logloss_grad` is the elastic-net round's
+formula as it stood, with its label check: the reference the loss tests
+check by finite differences and tie `ElasticNetProblem.loss` to.
 
 `reference_round(problem)` plays a `learner.run` with these in place of
 `learner.step`, `learner.g_max` and `problem.loss`.
@@ -15,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from aogd import learner
-from aogd.problems import DsmProblem, logloss_grad
+from aogd.problems import DsmProblem
 
 
 def project_ball(x: np.ndarray, R: float) -> np.ndarray:
@@ -75,6 +77,21 @@ def dsm_loss(problem, t: int, X: np.ndarray):
     Y = problem._eye.take(problem.stream.swapaxes(0, 1)[t - 1], axis=0)
     grads = X - Y.reshape(X.shape)
     return 0.5 * (grads * grads).sum(axis=-1), grads
+
+
+def logloss_grad(y, u: np.ndarray, x: np.ndarray):
+    """Logistic loss log(1 + exp(-y x.u)) and gradient, overflow-safe; one
+    per row of labels y (S,), features u (S, d) and iterates x (S, d). The
+    value log(1 + e^z) at z = -y x.u is np.logaddexp(0, z), and the slope
+    exp(z - value)."""
+    y = np.asarray(y, dtype=float)
+    if (np.abs(y) != 1.0).any():
+        raise ValueError("label must be -1 or +1")
+    neg_y = -y
+    z = neg_y * np.vecdot(x, u)
+    value = np.logaddexp(0.0, z)
+    slope = np.exp(z - value)
+    return value, neg_y[..., None] * u * slope[..., None]
 
 
 def elasticnet_loss(problem, t: int, X: np.ndarray):

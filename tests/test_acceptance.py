@@ -17,12 +17,13 @@ from aogd.experiment import ExperimentConfig, run_experiment
 from aogd.learner import run
 from aogd.metrics import accumulate, checkpoint_grid, fit_rate_exponent
 from aogd.offline import project_birkhoff, project_elasticnet_ball, solve_offline
-from aogd.problems import DsmProblem, ElasticNetProblem, logloss_grad
+from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max
 from aogd.schedules import (ProblemConstants, Regime, ScheduleParams, c3_ok,
                             check_conditions, constraint_regret_bound,
                             loss_regret_bound, schedule_arrays, schedule_sums)
 from dsm_stream_oracle import loss_grad_float, stream_matrices
+from round_oracle import logloss_grad
 from step_recorder import recorded_rounds
 
 BETA = 2.0 / 3.0

@@ -585,6 +585,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "sigma" in captured.err
 
+    @pytest.mark.parametrize("name,value", [
+        ("R", "inf"), ("G", "inf"), ("D", "inf"), ("F", "inf"),
+        ("sigma", "inf"), ("sigma", "-inf")])
+    def test_check_schedule_rejects_infinite_constant(self, capsys, name,
+                                                      value):
+        # an infinite constant would print a bound of Infinity, which is not
+        # JSON, or a C3 verdict on a slack of -Infinity
+        args = {"beta": "0.5", "R": "1", "G": "2", "D": "3", "T": "10",
+                name: value}
+        assert main(["check-schedule",
+                     *(f"--{k}={v}" for k, v in args.items())]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f" and finite, got {name}={value}\n")
+
     def test_compare_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         main(["run", cfg_path])
@@ -610,6 +626,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(table) in captured.err
         assert not table.exists()
+
+    def test_compare_rejects_manifest_that_is_not_an_object(self, tmp_path,
+                                                            capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[1]")
+        assert main(["compare", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: manifest {manifest} must hold a JSON "
+                                f"object, not a list\n")
 
     def test_solve_offline_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -14,12 +14,12 @@ from aogd.learner import run
 from aogd.offline import project_birkhoff, project_elasticnet_ball
 from aogd.problems import (_CHUNK_ROWS, DsmConstraints, DsmProblem,
                            ElasticNetBudget, ElasticNetProblem,
-                           elasticnet_constants, logloss_grad,
-                           permutation_stream)
+                           elasticnet_constants, permutation_stream)
 from aogd.projections import g_max
 from aogd.schedules import FixedScheduleParams, Regime, ScheduleParams
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
 from dsm_stream_oracle import loss_grad_float, loss_sum_float, stream_matrices
+from round_oracle import logloss_grad
 from step_recorder import recorded_rounds
 
 
@@ -356,24 +356,51 @@ class TestPermutationStream:
         assert abs(frac_identity - 0.5) < 0.05
 
 
+def one_example(y: float, u: np.ndarray) -> ElasticNetProblem:
+    """A problem whose one example (y, u) every round draws."""
+    return ElasticNetProblem([y], u[None], rho=1.0).materialize(1, [0])
+
+
 class TestLogLoss:
+    """`ElasticNetProblem.loss` against `round_oracle.logloss_grad`, the
+    formula the finite differences check."""
+
     def test_at_origin(self):
         u = np.array([1.0, -2.0])
-        value, grad = logloss_grad(1.0, u, np.zeros(2))
-        assert value == pytest.approx(np.log(2.0))
-        np.testing.assert_allclose(grad, -u / 2.0)
+        value, grad = one_example(1.0, u).loss(1, np.zeros((1, 2)))
+        assert value[0] == pytest.approx(np.log(2.0))
+        np.testing.assert_allclose(grad[0], -u / 2.0)
 
     def test_large_margin_no_overflow(self):
-        u = np.array([50.0])
-        value, grad = logloss_grad(1.0, u, np.array([1.0]))
-        assert 0.0 <= value < 1e-20
+        u, x = np.array([50.0]), np.ones((1, 1))
+        value, grad = one_example(1.0, u).loss(1, x)
+        assert 0.0 <= value[0] < 1e-20
         assert np.all(np.isfinite(grad))
-        value_neg, _ = logloss_grad(-1.0, u, np.array([1.0]))
-        assert np.isfinite(value_neg)
+        value_neg, _ = one_example(-1.0, u).loss(1, x)
+        assert np.isfinite(value_neg).all()
 
     def test_invalid_label(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"label must be -1 or \+1"):
             logloss_grad(2.0, np.ones(1), np.ones(1))
+        with pytest.raises(ValueError, match=r"labels must be -1/\+1"):
+            ElasticNetProblem([2.0], np.ones((1, 1)), rho=1.0)
+
+    def test_loss_matches_oracle_formula(self):
+        # every round of 4 seeds on 30 examples, at iterates whose entries
+        # span 1e-3..1e3 in size, so the margins reach past +-745
+        rng = np.random.default_rng(27)
+        y = np.where(rng.normal(size=30) > 0, 1.0, -1.0)
+        u = rng.normal(size=(30, 5))
+        prob = ElasticNetProblem(y, u, rho=1.0).materialize(40, [0, 1, 2, 3])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for t in range(1, 41):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0, (4, 1))
+                X = rng.normal(size=(4, 5)) * scale
+                i = prob.stream[:, t - 1]
+                value, grad = prob.loss(t, X)
+                want_value, want_grad = logloss_grad(y[i], u[i], X)
+                assert value.tobytes() == want_value.tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -399,10 +426,10 @@ class TestLogLoss:
         # label -1 and feature 1 make z the logistic's argument: the value
         # is log(1 + e^z) and the gradient its slope, in the round and in a
         # one-example prefix alike
-        u, x = np.ones(1), np.array([z])
-        one = ElasticNetProblem([-1.0], u[None], rho=1.0).materialize(1, [0])
+        x = np.array([z])
+        one = one_example(-1.0, np.ones(1))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            value, grad = logloss_grad(-1.0, u, x)
+            (value,), (grad,) = one.loss(1, x[None])
             prefix_value, prefix_grad = one.prefix_loss(1)(x)
         assert np.isfinite(value) and np.isfinite(grad).all()
         assert value.tobytes() == np.logaddexp(0.0, z).tobytes()

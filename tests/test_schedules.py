@@ -73,15 +73,18 @@ class TestValidation:
                            constants=ProblemConstants(R=1, G=1, D=1, F=1, sigma=0.0))
 
     def test_constants_positive(self):
-        # NaN passes a plain x <= 0 check
+        # NaN passes a plain x <= 0 check, inf a plain x > 0 check
         for bad in ({"R": -1.0}, {"R": np.nan}, {"G": np.nan}, {"D": np.nan},
-                    {"F": np.nan}, {"sigma": -1.0}, {"sigma": np.nan}):
+                    {"F": np.nan}, {"sigma": -1.0}, {"sigma": np.nan},
+                    {"R": np.inf}, {"G": np.inf}, {"D": np.inf},
+                    {"F": np.inf}, {"sigma": np.inf}):
             with pytest.raises(ValueError, match="positive|nonnegative"):
                 ProblemConstants(**({"R": 1, "G": 1, "D": 1, "F": 1} | bad))
 
     def test_fixed_schedule_positive(self):
         for bad in ({"eta": 0.0}, {"eta": np.nan}, {"theta": np.nan},
-                    {"mu": np.nan}):
+                    {"mu": np.nan}, {"eta": np.inf}, {"theta": np.inf},
+                    {"mu": np.inf}):
             with pytest.raises(ValueError, match="must all be positive"):
                 FixedScheduleParams(**({"eta": 1.0, "theta": 1.0, "mu": 1.0}
                                        | bad))
