@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import metrics, offline
+from . import offline
 from .experiment import (ExperimentConfig, build_problem, compare_runs,
                          read_config, run_config)
 from .schedules import (ProblemConstants, Regime, ScheduleParams,
@@ -37,29 +37,31 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = compare_runs(args.manifests, output_path=args.output)
-    for row in rows:
+    for row in compare_runs(args.manifests, output_path=args.output):
         print(json.dumps(row))
     return 0
 
 
 def _cmd_check_schedule(args) -> int:
-    constants = ProblemConstants(R=args.R, G=args.G, D=args.D, F=args.F,
-                                 sigma=args.sigma)
+    # as numpy floats the constants overflow to inf, which the checks name,
+    # where a Python float's power would raise an unnamed OverflowError
+    constants = ProblemConstants(*map(np.float64, (args.R, args.G, args.D,
+                                                   args.F, args.sigma)))
     params = ScheduleParams(beta=args.beta, regime=Regime(args.regime),
                             constants=constants)
-    theta, eta, mu = schedule_arrays(params, args.T)
-    cond = check_conditions(theta, eta, mu, constants.sigma, constants.G)
-    u_eta = schedule_sums(params, args.T)
-    print(json.dumps({
-        "c1_ok": cond.c1_ok,
-        "c2_ok": cond.c2_ok,
-        "c3_slack": cond.c3_slack,
-        "u_eta": u_eta,
-        "c3_ok": c3_ok(cond.c3_slack, u_eta),
-        "loss_regret_bound": float(loss_regret_bound(params, args.T)),
-        "constraint_regret_bound": float(constraint_regret_bound(params, args.T)),
-    }, indent=2))
+    with np.errstate(over="ignore"):
+        theta, eta, mu = schedule_arrays(params, args.T)
+        cond = check_conditions(theta, eta, mu, constants.sigma, constants.G)
+        u_eta = schedule_sums(params, args.T)
+        report = {**asdict(cond), "u_eta": u_eta,
+                  "c3_ok": c3_ok(cond.c3_slack, u_eta),
+                  "loss_regret_bound": float(loss_regret_bound(params, args.T)),
+                  "constraint_regret_bound": float(
+                      constraint_regret_bound(params, args.T))}
+    for name, value in report.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} is not finite")
+    print(json.dumps(report, indent=2))
     return 0
 
 

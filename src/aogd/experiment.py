@@ -189,12 +189,6 @@ def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
                           constants=constants, gamma=cfg.gamma)
 
 
-def _algorithm_label(cfg: ExperimentConfig) -> str:
-    if isinstance(cfg.algorithm, dict):
-        return "fixed_ogd"
-    return cfg.algorithm
-
-
 def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -276,43 +270,28 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
                     f"tolerance after {sol.iterations} iterations "
                     f"(gradient-mapping norm {sol.mapping_norm:.3g})")
 
-    compliance, solves, violation_clipped, max_lambda = {}, {}, {}, {}
-    loss_cols, g_cols, first_nonpositive = [], [], []
-    for j, (seed, seed_solutions) in enumerate(zip(cfg.seeds, solutions)):
-        report = metrics.accumulate(trace, seed_solutions, params, j)
-        # the report's fields are the CSV's columns, in order
+    report = metrics.accumulate(trace, solutions, params)
+    # the report's fields are the CSV's columns, in order; seed j's CSV
+    # takes column j of each (K, S) field
+    columns = astuple(report)
+    for j, seed in enumerate(cfg.seeds):
         _write_csv(os.path.join(cfg.output_dir, f"seed_{seed}.csv"),
                    ["t", "loss_regret", "constraint_cum", "loss_bound",
                     "constraint_bound", "lambda", "step_eta", "step_theta"],
-                   zip(*(col.tolist() for col in astuple(report))))
-        loss_cols.append(report.loss_regret)
-        g_cols.append(report.constraint_cum)
+                   zip(*((col if col.ndim == 1 else col[:, j]).tolist()
+                         for col in columns)))
 
-        key = str(seed)
-        compliance[key] = (asdict(metrics.bound_compliance(report))
-                           if params else None)
-        solves[key] = [{"t": t, "iterations": sol.iterations,
-                        "tolerance_met": sol.tolerance_met,
-                        "mapping_norm": sol.mapping_norm}
-                       for t, sol in seed_solutions.items()]
-        # signed sums can hide violated rounds behind slack ones
-        violation_clipped[key] = float(trace.violation_clipped[j])
-        max_lambda[key] = {"value": float(trace.lam_max[j]),
-                           "t": int(trace.lam_max_t[j])}
-        if gamma > 0.0 and trace.first_nonpositive_t[j]:
-            first_nonpositive.append(int(trace.first_nonpositive_t[j]))
-
-    # seed statistics per checkpoint: (K, S) reduced along the seed axis;
-    # the bound columns are the same for every seed
-    loss_mat, g_mat = np.stack(loss_cols, axis=1), np.stack(g_cols, axis=1)
-    loss_mean, g_mean = np.mean(loss_mat, axis=1), np.mean(g_mat, axis=1)
+    # seed statistics per checkpoint: the (K, S) columns reduced along the
+    # seed axis; the bound columns are the same for every seed
+    loss, g = report.loss_regret, report.constraint_cum
+    loss_mean, g_mean = np.mean(loss, axis=1), np.mean(g, axis=1)
     _write_csv(os.path.join(cfg.output_dir, "aggregate.csv"),
                ["t", "loss_regret_mean", "loss_regret_std",
                 "constraint_cum_mean", "constraint_cum_std",
                 "loss_bound", "constraint_bound"],
                zip(report.t.tolist(), loss_mean.tolist(),
-                   np.std(loss_mat, axis=1).tolist(), g_mean.tolist(),
-                   np.std(g_mat, axis=1).tolist(), report.loss_bound.tolist(),
+                   np.std(loss, axis=1).tolist(), g_mean.tolist(),
+                   np.std(g, axis=1).tolist(), report.loss_bound.tolist(),
                    report.constraint_bound.tolist()))
 
     rate_exponents = {}
@@ -324,28 +303,40 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
         rate_exponents = {name: metrics.fit_rate_exponent(report.t, v)
                           for name, v in curves.items()}
 
+    # the manifest's per-seed maps, each a list in seed order
+    per_seed = {
+        "compliance": (map(asdict, metrics.bound_compliance(report))
+                       if params else [None] * len(cfg.seeds)),
+        "offline": ([{"t": t, "iterations": sol.iterations,
+                      "tolerance_met": sol.tolerance_met,
+                      "mapping_norm": sol.mapping_norm}
+                     for t, sol in seed_solutions.items()]
+                    for seed_solutions in solutions),
+        # signed sums can hide violated rounds behind slack ones
+        "violation_clipped": trace.violation_clipped.tolist(),
+        "max_lambda": ({"value": value, "t": t} for value, t in zip(
+            trace.lam_max.tolist(), trace.lam_max_t.tolist())),
+    }
+    reached = trace.first_nonpositive_t[trace.first_nonpositive_t > 0]
     manifest = {
         "status": "ok",
         "config": asdict(cfg),
-        "algorithm": _algorithm_label(cfg),
+        "algorithm": "fixed_ogd" if isinstance(cfg.algorithm, dict) else cfg.algorithm,
         "constants": asdict(constants),
         "gamma": gamma,
-        "conditions": {"c1_ok": cond.c1_ok, "c2_ok": cond.c2_ok,
-                       "c3_slack": cond.c3_slack,
-                       "u_eta": u_eta,
+        "conditions": {**asdict(cond), "u_eta": u_eta,
                        "c3_ok": (c3_ok(cond.c3_slack, u_eta)
                                  if params is not None else None)},
         "loss_bound_conservative": (
             params is not None and params.regime is Regime.STRONGLY_CONVEX),
         "rate_exponents": rate_exponents,
-        "compliance": compliance,
-        "offline": solves,
-        "violation_clipped": violation_clipped,
-        "max_lambda": max_lambda,
+        **{name: dict(zip(map(str, cfg.seeds), values))
+           for name, values in per_seed.items()},
         "offline_converged": True,  # a missed tolerance fails the run
         "final_loss_regret_mean": float(loss_mean[-1]),
         "final_constraint_cum_mean": float(g_mean[-1]),
-        "first_nonpositive_violation_t": min(first_nonpositive, default=None),
+        "first_nonpositive_violation_t": (
+            int(reached.min()) if gamma > 0.0 and reached.size else None),
         "checkpoints": checkpoints,
     }
     with open(manifest_path, "w") as fh:
@@ -374,22 +365,27 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
             raise ValueError(f"{path} is not an ok run: status "
                              f"{manifest.get('status')!r}, error "
                              f"{manifest.get('error')!r}")
+        # the keys read below, a dot after a section's name
+        for key in ("config.problem", "config.T", "config.beta", "algorithm",
+                    "final_loss_regret_mean", "final_constraint_cum_mean",
+                    "rate_exponents"):
+            value = manifest
+            for name in key.split("."):
+                if not (isinstance(value, dict) and name in value):
+                    raise ValueError(f"manifest {path} lacks the key {key}")
+                value = value[name]
         manifests.append(manifest)
     ref = manifests[0]["config"]
     for m in manifests[1:]:
         if m["config"]["problem"] != ref["problem"] or m["config"]["T"] != ref["T"]:
             raise ValueError("manifests must share problem and T")
 
-    rows = []
-    for m in manifests:
-        rows.append({
-            "algorithm": m["algorithm"],
-            "beta": m["config"]["beta"],
-            "final_loss_regret": m["final_loss_regret_mean"],
-            "final_constraint_cum": m["final_constraint_cum_mean"],
-            "loss_bound_exponent": m["rate_exponents"].get("loss_bound"),
-            "constraint_bound_exponent": m["rate_exponents"].get("constraint_bound"),
-        })
+    rows = [{"algorithm": m["algorithm"], "beta": m["config"]["beta"],
+             "final_loss_regret": m["final_loss_regret_mean"],
+             "final_constraint_cum": m["final_constraint_cum_mean"],
+             "loss_bound_exponent": m["rate_exponents"].get("loss_bound"),
+             "constraint_bound_exponent": m["rate_exponents"].get("constraint_bound")}
+            for m in manifests]
 
     if output_path:
         header = list(rows[0].keys())

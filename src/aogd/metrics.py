@@ -1,15 +1,16 @@
 """Cumulative regret accounting and comparison against theoretical bounds.
 
-Loss regret at a checkpoint t uses the offline optimum re-solved for that
-prefix (which upper-bounds the fixed-comparator regret); the constraint
-column is the signed running sum of g(x_s), negative when the learner
-over-satisfies the constraint.
+One `RegretReport` holds a run: its measured columns are (K, S), one per
+seed of the lockstep trace. Loss regret at a checkpoint t uses the offline
+optimum re-solved for that prefix (which upper-bounds the fixed-comparator
+regret); the constraint column is the signed running sum of g(x_s),
+negative when the learner over-satisfies the constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .schedules import ScheduleParams, constraint_regret_bound, loss_regret_boun
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Per-checkpoint columns of one run, each of shape (K,), in the seed
-    CSV's column order; the bound columns are NaN without a closed form."""
+    """Per-checkpoint columns of a run, in the seed CSV's column order:
+    loss_regret, constraint_cum and lam are (K, S), column j for seed j,
+    the others (K,); the bound columns are NaN without a closed form."""
 
     t: np.ndarray
     loss_regret: np.ndarray
@@ -32,10 +34,6 @@ class RegretReport:
     eta: np.ndarray
     theta: np.ndarray
 
-    def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("checkpoints must be strictly increasing in t")
-
 
 def checkpoint_grid(T: int, count: int = 20) -> list[int]:
     """Logarithmically spaced round indices in [1, T], deduplicated."""
@@ -45,33 +43,35 @@ def checkpoint_grid(T: int, count: int = 20) -> list[int]:
     return [int(t) for t in grid if 1 <= t <= T]
 
 
-def accumulate(trace: Trace,
-               offline: Mapping[int, OfflineSolution],
-               params: ScheduleParams | None = None,
-               j: int = 0) -> RegretReport:
-    """Build the per-checkpoint regret report of the run's j-th seed.
+def accumulate(trace: Trace, offline: Sequence[Mapping[int, OfflineSolution]],
+               params: ScheduleParams | None = None) -> RegretReport:
+    """Build the per-checkpoint regret report of every seed of the run.
 
-    `offline` maps each checkpoint t of the trace, and nothing else, to the
-    optimum of the first t rounds of that seed's stream; the comparator's
+    `offline[j]` maps each checkpoint t of the trace, and nothing else, to
+    the optimum of the first t rounds of seed j's stream; the comparator's
     loss is that solution's `loss_sum`. Theoretical bound columns are
     filled when adaptive schedule params are given, otherwise NaN
     (fixed-schedule baselines carry no closed form).
     """
     t = trace.t
-    if sorted(offline) != t.tolist():
-        raise ValueError(f"offline comparators at t={sorted(offline)} are not "
-                         f"the trace's checkpoints t={t.tolist()}")
+    if len(offline) != trace.lam.shape[1]:
+        raise ValueError(f"{len(offline)} offline comparator maps for "
+                         f"{trace.lam.shape[1]} seeds")
+    for solutions in offline:
+        if sorted(solutions) != t.tolist():
+            raise ValueError(f"offline comparators at t={sorted(solutions)} "
+                             f"are not the trace's checkpoints t={t.tolist()}")
     loss_bound, constraint_bound = (
         (loss_regret_bound(params, t), constraint_regret_bound(params, t))
         if params else np.full((2, len(t)), np.nan))
+    comparators = [[sols[k].loss_sum for sols in offline] for k in t.tolist()]
     return RegretReport(
         t=t,
-        loss_regret=trace.loss_cum[:, j] - np.array(
-            [offline[k].loss_sum for k in t.tolist()]),
-        constraint_cum=trace.g_cum[:, j],
+        loss_regret=trace.loss_cum - np.array(comparators),
+        constraint_cum=trace.g_cum,
         loss_bound=loss_bound,
         constraint_bound=constraint_bound,
-        lam=trace.lam[:, j],
+        lam=trace.lam,
         eta=trace.eta,
         theta=trace.theta,
     )
@@ -105,11 +105,10 @@ class BoundCompliance:
     max_ratio: float
 
 
-def bound_compliance(report: RegretReport) -> BoundCompliance:
-    """Check the measured columns against the report's bound columns."""
-    ratios = np.concatenate([report.loss_regret / report.loss_bound,
-                             report.constraint_cum / report.constraint_bound])
-    return BoundCompliance(
-        loss_ok=bool(np.all(report.loss_regret <= report.loss_bound)),
-        constraint_ok=bool(np.all(report.constraint_cum <= report.constraint_bound)),
-        max_ratio=float(np.max(ratios)))
+def bound_compliance(report: RegretReport) -> list[BoundCompliance]:
+    """Each seed's measured columns against the report's bound columns."""
+    lb, cb = report.loss_bound, report.constraint_bound
+    return [BoundCompliance(
+        loss_ok=bool(np.all(loss <= lb)), constraint_ok=bool(np.all(cons <= cb)),
+        max_ratio=float(np.max(np.concatenate([loss / lb, cons / cb]))))
+        for loss, cons in zip(report.loss_regret.T, report.constraint_cum.T)]

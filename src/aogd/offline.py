@@ -12,8 +12,8 @@ alternating projections (plain alternating projection would converge to a
 feasible point, not the Euclidean projection); the elastic-net ball
 projection has a closed form in the KKT multiplier once its support is
 known. Solutions are cached on disk under a key over the problem spec, the
-dataset's bytes, the seed, t, the solver's settings and the source of the
-code that computes them, so that a stale file is re-solved.
+dataset's bytes, the seed, t and the source of the code that computes them,
+the solver's settings among it, so that a stale file is re-solved.
 """
 
 from __future__ import annotations
@@ -37,10 +37,13 @@ class OfflineSolution:
     # f_1(x_star) + ... + f_t(x_star), as the solver evaluated it
     loss_sum: float
     iterations: int
-    tolerance_met: bool
     # the gradient-mapping norm of the last iteration, at step min(step, 1);
     # of a closed-form minimizer, at step 1
     mapping_norm: float
+
+    @property
+    def tolerance_met(self) -> bool:  # derived, so never stored or read back
+        return self.mapping_norm < _SOLVE_TOL
 
 
 _BIRKHOFF_TOL = 1e-10
@@ -132,8 +135,8 @@ def solve_offline(problem, t: int, j: int = 0) -> OfflineSolution:
     is minimized by `_accelerated_descent`. The problem must have its first
     t rounds materialized: its `prefix_loss` counts them once, and every
     evaluation reads that count. The solution's `loss_sum` is the prefix
-    sum of the evaluation at x_star; tolerance_met is mapping_norm below
-    _SOLVE_TOL, the one tolerance of every solve.
+    sum of the evaluation at x_star, and its `tolerance_met` derives from
+    its mapping norm.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -148,7 +151,6 @@ def solve_offline(problem, t: int, j: int = 0) -> OfflineSolution:
         x, loss_sum, iterations, mapping_norm = _accelerated_descent(
             problem, prefix, t)
     return OfflineSolution(x_star=x, loss_sum=loss_sum, iterations=iterations,
-                           tolerance_met=mapping_norm < _SOLVE_TOL,
                            mapping_norm=mapping_norm)
 
 
@@ -209,17 +211,16 @@ def _source_digest() -> str:
 def cache_key(spec: dict) -> str:
     """Digest of what a cached comparator depends on besides its stream and
     t: the problem spec, with the sha256 of the dataset file's bytes in
-    place of its path, the solver's tolerance and iteration cap, and the
-    source of the code that computes it (`_source_digest`). Computed once
-    per run; `solve_offline_cached` folds in the seed and t.
+    place of its path, and the source of the code that computes it, the
+    solver's settings among it (`_source_digest`). Computed once per run;
+    `solve_offline_cached` folds in the seed and t.
     """
     spec = dict(spec)
     if "dataset" in spec:
         with open(spec["dataset"], "rb") as fh:
             spec["dataset"] = hashlib.sha256(fh.read()).hexdigest()
-    return hashlib.sha256(json.dumps(
-        {"problem": spec, "tol": _SOLVE_TOL, "max_iter": _SOLVE_MAX_ITER,
-         "source": _source_digest()}, sort_keys=True).encode()).hexdigest()
+    key = {"problem": spec, "source": _source_digest()}
+    return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
 
 
 def _read_cached(path: str, file_key: str, dim: int):
@@ -227,8 +228,8 @@ def _read_cached(path: str, file_key: str, dim: int):
     is not a JSON object with `file_key` (a stale key, a truncated write),
     lacks a field of `OfflineSolution` or holds one of the wrong type: an
     x_star that is not a vector of `dim` finite numbers, an `iterations`
-    that is not an int, a `tolerance_met` that is not a bool, or a
-    `loss_sum` or `mapping_norm` that is not a finite float."""
+    that is not an int, or a `loss_sum` or `mapping_norm` that is not a
+    finite float."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -247,7 +248,6 @@ def _read_cached(path: str, file_key: str, dim: int):
     # bool is a subclass of int, so the types are compared, not isinstance
     if (sol.x_star.shape != (dim,) or not all_finite(sol.x_star)
             or type(sol.iterations) is not int
-            or type(sol.tolerance_met) is not bool
             or not all(type(v) is float and math.isfinite(v)
                        for v in (sol.loss_sum, sol.mapping_norm))):
         return None

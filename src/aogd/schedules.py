@@ -175,8 +175,11 @@ def check_conditions(theta, eta, mu, sigma: float, G: float,
     m = np.asarray(mu, dtype=float)
     if not th.size == et.size == m.size:
         raise ValueError("sequences must have equal length")
-    if np.any(th <= 0) or np.any(et <= 0) or np.any(m <= 0):
-        raise ValueError("sequence entries must be positive")
+    for name, seq in (("theta_t", th), ("eta_t", et), ("mu_t", m)):
+        bad = np.flatnonzero(~((seq > 0.0) & (seq < np.inf)))  # NaN too
+        if bad.size:  # index i is round i + 1
+            raise ValueError(f"sequence entries must be positive and finite, "
+                             f"got {name}={seq[bad[0]]} at round t={bad[0] + 1}")
 
     c1 = 1.0 / m[1:] - 1.0 / m[:-1] - th[1:]
     c2 = et[1:] * G**2 + k * m[1:] * th[1:] ** 2 - 0.5 * th[1:]

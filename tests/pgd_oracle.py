@@ -15,8 +15,7 @@ import numpy as np
 from aogd.offline import _SOLVE_MAX_ITER, _SOLVE_TOL, OfflineSolution
 
 
-def solve_offline_pgd(problem, t: int, tol: float = _SOLVE_TOL,
-                      j: int = 0) -> OfflineSolution:
+def solve_offline_pgd(problem, t: int, j: int = 0) -> OfflineSolution:
     """Projected gradient descent with backtracking for the average loss of
     the first t rounds of seed j's stream over the feasible set."""
     if t < 1:
@@ -43,10 +42,9 @@ def solve_offline_pgd(problem, t: int, tol: float = _SOLVE_TOL,
                 break
         mapping_norm = float(np.linalg.norm(x_new - x)) / step
         x, sx, fx, gx = x_new, s_new, f_new, g_new
-        if mapping_norm < tol:
+        if mapping_norm < _SOLVE_TOL:
             return OfflineSolution(x_star=x, loss_sum=sx, iterations=it,
-                                   tolerance_met=True,
                                    mapping_norm=mapping_norm)
         step = min(step * 2.0, 1.0)
     return OfflineSolution(x_star=x, loss_sum=sx, iterations=_SOLVE_MAX_ITER,
-                           tolerance_met=False, mapping_norm=mapping_norm)
+                           mapping_norm=mapping_norm)

@@ -48,7 +48,7 @@ def theorem1_runs():
         with recorded_rounds(prob) as rounds:
             trace = run(prob, params, T=1000, seeds=[seed], checkpoints=grid)
         offline = {t: solve_offline(prob, t) for t in grid}
-        report = accumulate(trace, offline, params)
+        report = accumulate(trace, [offline], params)
         runs.append((prob, params, rounds.lam, report, rounds.x))
     return runs
 
@@ -56,8 +56,8 @@ def theorem1_runs():
 def test_criterion_1_theorem1_compliance(theorem1_runs):
     ok = True
     for _, params, _, report, _ in theorem1_runs:
-        for t, loss, cons in zip(report.t, report.loss_regret,
-                                 report.constraint_cum):
+        for t, loss, cons in zip(report.t, report.loss_regret[:, 0],
+                                 report.constraint_cum[:, 0]):
             ok &= loss <= loss_regret_bound(params, t)
             ok &= cons <= constraint_regret_bound(params, t)
     report_line(1, "theorem 1 compliance, dsm p=8 T=1000, 10 seeds", ok)
@@ -95,8 +95,8 @@ def test_criterion_3_rate_exponents(theorem1_runs):
         values = [float(constraint_regret_bound(params, t)) for t in grid]
         ok &= abs(fit_rate_exponent(grid, values) - (1 - beta / 2)) <= 0.02
     # measured positive-part constraint curve on DSM (upper rate only)
-    g_mean = np.mean([rep.constraint_cum for _, _, _, rep, _ in theorem1_runs],
-                     axis=0)
+    g_mean = np.mean([rep.constraint_cum[:, 0]
+                      for _, _, _, rep, _ in theorem1_runs], axis=0)
     ts = theorem1_runs[0][3].t
     measured = fit_rate_exponent(ts, [max(g, 1e-12) for g in g_mean])
     ok &= measured <= 1 - BETA / 2 + 0.1

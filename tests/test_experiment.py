@@ -168,7 +168,7 @@ class TestRunExperiment:
         t = manifest["checkpoints"][-1]
         (path,) = (out / "offline_cache").glob(f"seed2_t{t}.json")
         cached = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(cached, tolerance_met=False)))
+        path.write_text(json.dumps(dict(cached, mapping_norm=1e-6)))
         for csv_path in out.glob("*.csv"):
             csv_path.unlink()
         with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
@@ -178,6 +178,22 @@ class TestRunExperiment:
         assert f"seed 2 at t={t}" in manifest["error"]
         # every comparator is gated before any output: not even seed 1's CSV
         assert not list(out.glob("*.csv"))
+
+    def test_cached_verdict_is_derived_from_the_mapping_norm(self, tmp_path):
+        # a cache file's tolerance verdict is not read back: one that claims
+        # tolerance_met beside a mapping norm of 0.5 fails the run
+        _, cfg = write_config(tmp_path, problem={"kind": "dsm", "p": 3},
+                              seeds=[1])
+        run_experiment(ExperimentConfig(**cfg))
+        out = tmp_path / "out"
+        path = out / "offline_cache" / "seed1_t50.json"
+        cached = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(cached, tolerance_met=True,
+                                        mapping_norm=0.5)))
+        with pytest.raises(RuntimeError, match="seed 1 at t=50 missed"):
+            run_experiment(ExperimentConfig(**cfg))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
 
     def test_wrong_closed_form_fails_the_gate(self, tmp_path, monkeypatch):
         # a DSM prefix whose closed form is a point of the polytope other
@@ -280,14 +296,13 @@ class TestRunExperiment:
         lambda entry: json.dumps(dict(entry, x_star=[entry["x_star"]])),
         lambda entry: json.dumps(dict(entry, x_star=[None] * 4)),
         lambda entry: json.dumps(dict(entry, x_star=["a"] * 4)),
-        lambda entry: json.dumps(dict(entry, tolerance_met="no")),
         lambda entry: json.dumps(dict(entry, iterations="many")),
         lambda entry: json.dumps(dict(entry, mapping_norm=None)),
         lambda entry: json.dumps(dict(entry, loss_sum=None)),
         lambda entry: json.dumps(dict(entry, loss_sum="0.5")),
     ], ids=["truncated", "array", "missing_field", "short_x_star",
             "nested_x_star", "null_x_star", "text_x_star",
-            "text_tolerance_met", "text_iterations", "null_mapping_norm",
+            "text_iterations", "null_mapping_norm",
             "null_loss_sum", "text_loss_sum"])
     def test_unreadable_cache_file_is_resolved(self, tmp_path, corrupt):
         # a cache file that is not a JSON object holding its key, or that
@@ -601,6 +616,22 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert captured.err.endswith(f" and finite, got {name}={value}\n")
 
+    @pytest.mark.parametrize("args,message", [
+        (["--R=1e300", "--G=1e300", "--D=1e300", "--F=1e300"],
+         "sequence entries must be positive and finite, got theta_t=inf at "
+         "round t=1"),
+        (["--R=1", "--G=1", "--D=1e300"], "loss_regret_bound is not finite"),
+        (["--R=1", "--G=1", "--D=1", "--F=1e308"],
+         "constraint_regret_bound is not finite"),
+    ], ids=["theta", "loss_bound", "constraint_bound"])
+    def test_check_schedule_rejects_overflow(self, capsys, args, message):
+        # finite constants whose schedule or bound overflows: no Infinity,
+        # which is not JSON, and no unnamed OverflowError
+        assert main(["check-schedule", "--beta=0.5", "--T=10", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_compare_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         main(["run", cfg_path])
@@ -636,6 +667,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: manifest {manifest} must hold a JSON "
                                 f"object, not a list\n")
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda m: {"status": "ok"}, "config.problem"),
+        (lambda m: dict(m, config={k: v for k, v in m["config"].items()
+                                   if k != "beta"}), "config.beta"),
+        (lambda m: {k: v for k, v in m.items() if k != "rate_exponents"},
+         "rate_exponents"),
+    ], ids=["only_status", "no_beta", "no_rate_exponents"])
+    def test_compare_rejects_manifest_without_a_compared_key(
+            self, tmp_path, capsys, edit, key):
+        cfg_path, _ = write_config(tmp_path)
+        main(["run", cfg_path])
+        capsys.readouterr()
+        good = tmp_path / "out" / "manifest.json"
+        manifest = tmp_path / "edited.json"
+        manifest.write_text(json.dumps(edit(json.loads(good.read_text()))))
+        assert main(["compare", str(good), str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: manifest {manifest} lacks the key "
+                                f"{key}\n")
 
     def test_solve_offline_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -48,7 +48,7 @@ class TestAccumulate:
         with recorded_rounds(prob) as rounds:
             trace = run(prob, params, 3, [0], [1, 2, 3])
         offline = {t: solve_offline(prob, t) for t in (1, 2, 3)}
-        report = accumulate(trace, offline, params)
+        report = accumulate(trace, [offline], params)
         assert report.t.tolist() == [1, 2, 3]
         ys = stream_matrices(prob.stream[0])
         for i, t in enumerate(report.t):
@@ -56,16 +56,16 @@ class TestAccumulate:
             mean = np.mean([Y.ravel() for Y in ys[:t]], axis=0)
             offline_cum = sum(0.5 * np.sum((mean - Y.ravel()) ** 2)
                               for Y in ys[:t])
-            assert report.loss_regret[i] == pytest.approx(
+            assert report.loss_regret[i, 0] == pytest.approx(
                 learner_cum - offline_cum, abs=1e-7)
-            assert report.constraint_cum[i] == pytest.approx(
+            assert report.constraint_cum[i, 0] == pytest.approx(
                 sum(rounds.g[:t, 0]))
-            assert report.lam[i] == rounds.lam[t - 1, 0]
+            assert report.lam[i, 0] == rounds.lam[t - 1, 0]
             assert report.eta[i] == trace.eta[t - 1]
 
     def test_bounds_nan_without_params(self):
         prob, _, trace, offline = self.run_with_offline(2, 3, [3])
-        report = accumulate(trace, offline, params=None)
+        report = accumulate(trace, [offline], params=None)
         assert np.isnan(report.loss_bound[0])
         assert np.isnan(report.constraint_bound[0])
 
@@ -73,7 +73,7 @@ class TestAccumulate:
         prob, params, trace, offline = self.run_with_offline(2, 3, [3])
         offline[10] = offline[3]
         with pytest.raises(ValueError) as info:
-            accumulate(trace, offline, params)
+            accumulate(trace, [offline], params)
         assert str(info.value) == ("offline comparators at t=[3, 10] are not "
                                    "the trace's checkpoints t=[3]")
 
@@ -82,7 +82,7 @@ class TestAccumulate:
         trace = run(prob, params, 5, [0], checkpoints=[2, 5])
         offline = {t: solve_offline(prob, t) for t in (2, 3, 5)}
         with pytest.raises(ValueError) as info:
-            accumulate(trace, offline, params)
+            accumulate(trace, [offline], params)
         assert str(info.value) == ("offline comparators at t=[2, 3, 5] are "
                                    "not the trace's checkpoints t=[2, 5]")
 
@@ -91,7 +91,7 @@ class TestAccumulate:
         prob, params, trace, _ = self.run_with_offline(2, 5, [2, 5])
         offline = {t: solve_offline(prob, t) for t in keys}
         with pytest.raises(ValueError) as info:
-            accumulate(trace, offline, params)
+            accumulate(trace, [offline], params)
         assert str(info.value) == (f"offline comparators at t={keys} are not "
                                    f"the trace's checkpoints t=[2, 5]")
 
@@ -112,25 +112,32 @@ class TestAccumulate:
                 assert np.array_equal(getattr(trace, name),
                                       getattr(every, name)), name
 
-    def test_seed_column_matches_single_seed_run(self):
-        # report j of a lockstep run, with seed j's own offline optima, is
-        # the report of that seed run alone, bit for bit
-        prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 40]
-        trace = run(prob, params, 40, [6, 2], grid)
-        reports = [accumulate(trace, {t: solve_offline(prob, t, j=j)
-                                      for t in grid}, params, j)
-                   for j in range(2)]
-        for seed, report in zip((6, 2), reports):
-            single, _, alone, offline = self.run_with_offline(3, 40, grid, seed)
-            expected = accumulate(alone, offline, params)
-            for got, want in zip(astuple(report), astuple(expected)):
-                assert np.array_equal(got, want)
+    def test_one_offline_map_per_seed(self):
+        # one map for two seeds would broadcast against both columns
+        prob, params = DsmProblem(2), dsm_params(2)
+        trace = run(prob, params, 5, [0, 1], checkpoints=[2, 5])
+        offline = {t: solve_offline(prob, t) for t in (2, 5)}
+        with pytest.raises(ValueError) as info:
+            accumulate(trace, [offline], params)
+        assert str(info.value) == "1 offline comparator maps for 2 seeds"
 
-    def test_report_requires_increasing_t(self):
-        prob, params, trace, offline = self.run_with_offline(2, 3, [1, 2])
-        report = accumulate(trace, offline, params)
-        with pytest.raises(ValueError):
-            replace(report, t=report.t[::-1])
+    def test_seed_column_matches_single_seed_run(self):
+        # column j of a lockstep run's report, with seed j's own offline
+        # optima, is the report of that seed run alone, bit for bit; the
+        # (K,) columns are every seed's
+        prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 40]
+        seeds = [6, 2, 9]
+        trace = run(prob, params, 40, seeds, grid)
+        report = accumulate(trace, [{t: solve_offline(prob, t, j=j)
+                                     for t in grid}
+                                    for j in range(len(seeds))], params)
+        for j, seed in enumerate(seeds):
+            single, _, alone, offline = self.run_with_offline(3, 40, grid, seed)
+            expected = accumulate(alone, [offline], params)
+            for got, want in zip(astuple(report), astuple(expected)):
+                column = got if got.ndim == 1 else got[:, [j]]
+                assert column.tobytes() == want.tobytes()
+                assert column.shape == want.shape
 
 
 class TestFitRateExponent:
@@ -177,11 +184,11 @@ class TestBoundCompliance:
         grid = checkpoint_grid(T, count=10)
         trace = run(prob, params, T, [seed], grid)
         offline = {t: solve_offline(prob, t) for t in grid}
-        return accumulate(trace, offline, params), params
+        return accumulate(trace, [offline], params), params
 
     def test_adaptive_run_complies(self):
         report, params = self.make_report()
-        comp = bound_compliance(report)
+        (comp,) = bound_compliance(report)
         assert comp.loss_ok and comp.constraint_ok
         assert comp.max_ratio <= 1.0
 
@@ -194,25 +201,42 @@ class TestBoundCompliance:
                                 constants=prob.constants)
         grid = checkpoint_grid(T)
         trace = run(prob, params, T, seeds, grid)
-        for j in range(len(seeds)):
-            report = accumulate(trace, {t: solve_offline(prob, t, j=j)
-                                        for t in grid}, params, j)
-            assert np.all(report.loss_regret <= report.loss_bound), seeds[j]
+        report = accumulate(trace, [{t: solve_offline(prob, t, j=j)
+                                     for t in grid}
+                                    for j in range(len(seeds))], params)
+        assert report.loss_regret.shape == (len(grid), len(seeds))
+        comps = bound_compliance(report)
+        assert [c.loss_ok for c in comps] == [True] * len(seeds)
 
     def test_negative_control_detects_violation(self):
         report, params = self.make_report()
         loss_regret = report.loss_regret.copy()
-        loss_regret[-1] = 2 * report.loss_bound[-1]
+        loss_regret[-1, 0] = 2 * report.loss_bound[-1]
         broken = replace(report, loss_regret=loss_regret)
-        comp = bound_compliance(broken)
+        (comp,) = bound_compliance(broken)
         assert not comp.loss_ok
         assert comp.max_ratio > 1.0
 
+    def test_one_verdict_per_seed_column(self):
+        # a violation in seed 1's column fails seed 1's verdict alone
+        prob, params, grid = DsmProblem(3), dsm_params(3), checkpoint_grid(200, 10)
+        trace = run(prob, params, 200, [1, 2, 3], grid)
+        report = accumulate(trace, [{t: solve_offline(prob, t, j=j)
+                                     for t in grid} for j in range(3)], params)
+        constraint_cum = report.constraint_cum.copy()
+        constraint_cum[0, 1] = 3 * report.constraint_bound[0]
+        comps = bound_compliance(replace(report, constraint_cum=constraint_cum))
+        assert all(isinstance(c, BoundCompliance) for c in comps)
+        assert [c.constraint_ok for c in comps] == [True, False, True]
+        assert [c.loss_ok for c in comps] == [True] * 3
+        assert comps[1].max_ratio == pytest.approx(3.0)
+        assert max(comps[0].max_ratio, comps[2].max_ratio) <= 1.0
+
     def test_max_ratio_matches_columns(self):
         report, params = self.make_report()
-        comp = bound_compliance(report)
+        (comp,) = bound_compliance(report)
         ratios = []
         for i in range(len(report.t)):
-            ratios += [report.loss_regret[i] / report.loss_bound[i],
-                       report.constraint_cum[i] / report.constraint_bound[i]]
+            ratios += [report.loss_regret[i, 0] / report.loss_bound[i],
+                       report.constraint_cum[i, 0] / report.constraint_bound[i]]
         assert comp.max_ratio == pytest.approx(max(ratios))

@@ -124,6 +124,21 @@ class TestConditions:
             with pytest.raises(ValueError, match="equal length"):
                 check_conditions(*seqs, 0.0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("index,name", [(0, "theta_t"), (1, "eta_t"),
+                                            (2, "mu_t")])
+    def test_entry_not_finite_and_positive_named(self, index, name, value):
+        # the first bad sequence is named, with its first bad round; mu_t's
+        # zero at round 5 comes after every other bad entry
+        seqs = [np.ones(5) for _ in range(3)]
+        seqs[index][3] = value
+        seqs[2][4] = 0.0
+        message = (f"sequence entries must be positive and finite, got "
+                   f"{name}={value} at round t=4")
+        with pytest.raises(ValueError) as info:
+            check_conditions(*seqs, 0.0, 1.0)
+        assert str(info.value) == message
+
     def test_shifted_dual_step_and_c2(self):
         # gamma > 0 scales mu by 2/3 and checks C2 with 3/2 mu theta^2
         p = convex_params()
