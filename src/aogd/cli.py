@@ -18,7 +18,7 @@ import numpy as np
 
 from . import offline
 from .experiment import (ExperimentConfig, build_problem, compare_runs,
-                         read_config, run_config)
+                         read_config, run_experiment)
 from .schedules import (ProblemConstants, Regime, ScheduleParams,
                         c3_ok, check_conditions, constraint_regret_bound,
                         loss_regret_bound, schedule_arrays, schedule_sums)
@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
         except ValueError:
             raise ValueError(f"--seeds must be comma-separated integers, "
                              f"got {args.seeds!r}") from None
-    print(run_config(read_config(args.config, **overrides)))
+    print(run_experiment(read_config(args.config, **overrides)))
     return 0
 
 
@@ -66,9 +66,9 @@ def _cmd_check_schedule(args) -> int:
 
 
 def _cmd_solve_offline(args) -> int:
-    cfg = ExperimentConfig.from_dict(read_config(args.config))
-    cfg.validate()
-    replace(cfg, seeds=[args.seed]).validate()  # --seed obeys the seed rules
+    # replace checks the config again, with --seed as its only seed
+    cfg = replace(ExperimentConfig.from_dict(read_config(args.config)),
+                  seeds=[args.seed])
     problem = build_problem(cfg)
     problem.materialize(max(args.t, cfg.T), [args.seed])
     sol = offline.solve_offline(problem, args.t)

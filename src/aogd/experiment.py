@@ -10,16 +10,20 @@ A run produces, under the configured output directory:
     tolerance and its final gradient-mapping norm; per seed also the clipped
     violation sum_t [g(x_t)]_+ and the largest dual iterate with its round.
 
-A run whose offline solve misses its tolerance at any checkpoint fails:
-its manifest has status "failed" and an error naming the seed and t.
+`run_experiment(raw)`, for a config as `read_config` returns it, is the
+one way into a run. A failed run's manifest holds status "failed", the
+error and the config: as read if it fails its check, checked (defaults
+filled in) if the run fails later; an output_dir that is not a non-empty
+string gets none. An offline solve that misses its tolerance at any
+checkpoint fails the run, with an error naming the seed and t.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
+import sys
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -33,9 +37,9 @@ from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
                         ScheduleParams, c3_ok, check_conditions,
                         schedule_arrays, schedule_sums)
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A run's JSON config; `validate` checks it against `_FIELDS` first."""
+    """A run's JSON config; building one checks it, so every one is valid."""
 
     problem: dict
     algorithm: str | dict
@@ -56,7 +60,11 @@ class ExperimentConfig:
         _check_keys("config", raw)
         return cls(**raw)
 
-    def validate(self):
+    def __post_init__(self):
+        # output_dir first: a failure after it is reported in a manifest there
+        _check_value("output_dir", self.output_dir, str)
+        if not self.output_dir:
+            raise ValueError("output_dir must not be the empty string")
         _check_section("config", vars(self), "")
         # beta also sets gamma = c1 T^(-beta/2), so fixed_ogd needs it too
         if not 0.0 < self.beta < 1.0:
@@ -65,6 +73,12 @@ class ExperimentConfig:
             raise ValueError("T must be >= 1")
         if self.checkpoints < 1:
             raise ValueError("checkpoints must be >= 1")
+        # numpy holds these as int64; a seed only seeds a generator, of any size
+        for field, value in (("T", self.T), ("checkpoints", self.checkpoints),
+                             ("problem.p", self.problem.get("p", 0))):
+            if value > 2**63 - 1:
+                raise ValueError(f"{field} must be at most 2**63 - 1, "
+                                 f"got {value}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError("seeds must be one or more integers >= 0, "
                              f"got {self.seeds}")
@@ -113,7 +127,7 @@ _FIELDS = {
     "gamma_shift": {"c1": Real},
 }
 _WHAT = {Integral: "an integer", Real: "a number", str: "a string",
-         None: "null"}
+         None: "null", dict: "an object"}
 
 
 def _check_section(section: str, obj: dict, path: str):
@@ -144,8 +158,9 @@ def _check_value(field: str, value, types):
             return _check_section(t, value, field + ".")
         if (value is None if t is None else isinstance(t, type)
                 and isinstance(value, t) and not isinstance(value, bool)):
-            # json reads NaN, Infinity and -Infinity as floats
-            if t is Real and not math.isfinite(value):
+            # json reads NaN and +-Infinity as floats; an int compares with
+            # a float exactly, so an int past the largest float fails too
+            if t is Real and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{field} must be a finite number, "
                                  f"got {value!r}")
             return
@@ -162,14 +177,11 @@ def _what(t) -> str:
 def build_problem(cfg: ExperimentConfig):
     """The configured problem; its stream is drawn by `materialize(T, seed)`."""
     spec = cfg.problem
-    kind = spec["kind"]
-    if kind == "dsm":
+    if spec["kind"] == "dsm":
         return DsmProblem(p=spec["p"])
-    if kind == "elasticnet":
-        ds = load_dataset(spec["dataset"], max_rows=spec.get("max_rows"))
-        labels, features = ds.dense()
-        return ElasticNetProblem(labels, features, rho=spec["rho"])
-    raise ValueError(f"unknown problem kind {kind!r}")
+    ds = load_dataset(spec["dataset"], max_rows=spec.get("max_rows"))
+    labels, features = ds.dense()
+    return ElasticNetProblem(labels, features, rho=spec["rho"])
 
 
 _ADAPTIVE = {"a_ogd_convex": Regime.CONVEX,
@@ -178,12 +190,10 @@ _ADAPTIVE = {"a_ogd_convex": Regime.CONVEX,
 
 def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
     algo = cfg.algorithm
-    if isinstance(algo, dict):
-        if algo.get("kind") != "fixed_ogd":
-            raise ValueError(f"unknown algorithm {algo!r}")
+    if isinstance(algo, dict):  # of kind fixed_ogd in a checked config
         return FixedScheduleParams(eta=algo["eta"], theta=algo["theta"],
                                    mu=algo["mu"], gamma=cfg.gamma)
-    if not isinstance(algo, str) or algo not in _ADAPTIVE:
+    if algo not in _ADAPTIVE:
         raise ValueError(f"unknown algorithm {algo!r}")
     return ScheduleParams(beta=cfg.beta, regime=_ADAPTIVE[algo],
                           constants=constants, gamma=cfg.gamma)
@@ -203,40 +213,24 @@ def _write_failed_manifest(output_dir: str, exc: Exception, config: dict):
                   fh, indent=2)
 
 
-def run_config(raw: dict) -> str:
-    """Execute the experiment of a config as read (`read_config`); returns
-    the manifest path. A config whose key set is wrong fails like a later
-    error: where it names an output directory, that directory gets a failed
-    manifest with the error and the config as read."""
+def run_experiment(raw: dict) -> str:
+    """Execute the experiment of a config as read; returns the manifest
+    path. A failure's manifest echoes the config as read until it passes its
+    check, and the checked config from then on."""
+    config = raw
     try:
         cfg = ExperimentConfig.from_dict(raw)
-    except ValueError as exc:
-        output_dir = raw.get("output_dir")
-        if isinstance(output_dir, str) and output_dir:
-            _write_failed_manifest(output_dir, exc, raw)
+        config = asdict(cfg)
+        return _run_experiment(cfg)
+    except Exception as exc:
+        if isinstance(config.get("output_dir"), str) and config["output_dir"]:
+            _write_failed_manifest(config["output_dir"], exc, config)
         raise
-    return run_experiment(cfg)
 
 
-def run_experiment(cfg: ExperimentConfig) -> str:
-    """Execute the configured experiment; returns the manifest path."""
-    # every other error is reported in a manifest inside output_dir
-    _check_value("output_dir", cfg.output_dir, str)
-    if not cfg.output_dir:
-        raise ValueError("output_dir must not be the empty string")
+def _run_experiment(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     cache_dir = os.path.join(cfg.output_dir, "offline_cache")
-    manifest_path = os.path.join(cfg.output_dir, "manifest.json")
-    try:
-        return _run_experiment(cfg, cache_dir, manifest_path)
-    except Exception as exc:
-        _write_failed_manifest(cfg.output_dir, exc, asdict(cfg))
-        raise
-
-
-def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
-                    manifest_path: str) -> str:
-    cfg.validate()
     # one problem for every seed: learner.run materializes all their streams
     # and plays them in lockstep; the offline solves read seed j's row
     problem = build_problem(cfg)
@@ -339,6 +333,7 @@ def _run_experiment(cfg: ExperimentConfig, cache_dir: str,
             int(reached.min()) if gamma > 0.0 and reached.size else None),
         "checkpoints": checkpoints,
     }
+    manifest_path = os.path.join(cfg.output_dir, "manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest_path
@@ -365,15 +360,18 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
             raise ValueError(f"{path} is not an ok run: status "
                              f"{manifest.get('status')!r}, error "
                              f"{manifest.get('error')!r}")
-        # the keys read below, a dot after a section's name
-        for key in ("config.problem", "config.T", "config.beta", "algorithm",
-                    "final_loss_regret_mean", "final_constraint_cum_mean",
-                    "rate_exponents"):
+        # the keys read below, a dot after a section's name, and their types
+        for key, types in (("config.problem", dict), ("config.T", Integral),
+                           ("config.beta", Real), ("algorithm", str),
+                           ("final_loss_regret_mean", Real),
+                           ("final_constraint_cum_mean", Real),
+                           ("rate_exponents", dict)):
             value = manifest
             for name in key.split("."):
                 if not (isinstance(value, dict) and name in value):
                     raise ValueError(f"manifest {path} lacks the key {key}")
                 value = value[name]
+            _check_value(f"{key} of manifest {path}", value, types)
         manifests.append(manifest)
     ref = manifests[0]["config"]
     for m in manifests[1:]:

@@ -3,8 +3,8 @@
 Lines read "<label> <idx>:<val> ..." with 1-based, strictly increasing
 indices. Labels 0/-1 map to -1 and 1/+1 to +1. Trailing '#' comments and
 repeated whitespace are tolerated, and the reader skips blank and
-comment-only lines; duplicate or non-increasing indices are rejected loudly
-rather than silently repaired.
+comment-only lines; indices below 1, duplicate or non-increasing are
+rejected loudly rather than silently repaired.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ def parse_libsvm_line(line: str, lineno: int = 0
             idx, val = int(idx_str), float(val_str)
         except ValueError:
             raise ParseError(f"line {lineno}: malformed token {token!r}") from None
+        if idx < 1:
+            raise ParseError(f"line {lineno}: feature index {idx} is below 1")
         if idx <= prev_idx:
             raise ParseError(f"line {lineno}: non-increasing feature index {idx}")
         if not math.isfinite(val):

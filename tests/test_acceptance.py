@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from aogd.experiment import ExperimentConfig, run_experiment
+from aogd.experiment import run_experiment
 from aogd.learner import run
 from aogd.metrics import accumulate, checkpoint_grid, fit_rate_exponent
 from aogd.offline import project_birkhoff, project_elasticnet_ball, solve_offline
@@ -127,7 +127,7 @@ def test_criterion_5_gamma_shift_dsm(tmp_path):
     # Kept faithful to document the gap; the shift works on elastic net.
     finals = {}
     for c1 in (0.5, 1.0, 2.0):
-        cfg = ExperimentConfig(
+        cfg = dict(
             problem={"kind": "dsm", "p": 8},
             algorithm="a_ogd_convex",
             beta=BETA, T=1000, seeds=[0],
@@ -275,7 +275,7 @@ def test_criterion_8_invariant_suite(theorem1_runs):
 def test_criterion_9_qualitative_reproduction(tmp_path):
     # soft criterion: reported, not asserted
     def dsm_final(algorithm):
-        cfg = ExperimentConfig(
+        cfg = dict(
             problem={"kind": "dsm", "p": 8},
             algorithm=algorithm, beta=BETA, T=1000,
             seeds=SEEDS, output_dir=str(tmp_path / algorithm),
@@ -300,7 +300,7 @@ def test_criterion_9_qualitative_reproduction(tmp_path):
              for i, yi in enumerate(y)]
     data_path = tmp_path / "synthetic.libsvm"
     data_path.write_text("\n".join(lines) + "\n")
-    cfg = ExperimentConfig(
+    cfg = dict(
         problem={"kind": "elasticnet", "dataset": str(data_path), "rho": 1.0},
         algorithm="a_ogd_convex", beta=BETA, T=3000,
         seeds=[0, 1, 2], output_dir=str(tmp_path / "en"), checkpoints=8)

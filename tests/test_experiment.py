@@ -52,7 +52,7 @@ def read_csv(path):
 class TestRunExperiment:
     def test_outputs_exist(self, tmp_path):
         _, cfg = write_config(tmp_path, seeds=[1, 2])
-        manifest_path = run_experiment(ExperimentConfig(**cfg))
+        manifest_path = run_experiment(cfg)
         out = tmp_path / "out"
         assert (out / "seed_1.csv").exists()
         assert (out / "seed_2.csv").exists()
@@ -70,7 +70,7 @@ class TestRunExperiment:
 
     def test_row_count_matches_checkpoints(self, tmp_path):
         _, cfg = write_config(tmp_path)
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         rows = read_csv(tmp_path / "out" / "seed_42.csv")
         assert rows[0] == ["t", "loss_regret", "constraint_cum", "loss_bound",
@@ -81,9 +81,9 @@ class TestRunExperiment:
 
     def test_deterministic_rerun(self, tmp_path):
         _, cfg = write_config(tmp_path, output_dir=str(tmp_path / "a"))
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         cfg2 = dict(cfg, output_dir=str(tmp_path / "b"))
-        run_experiment(ExperimentConfig(**cfg2))
+        run_experiment(cfg2)
         assert ((tmp_path / "a" / "seed_42.csv").read_bytes()
                 == (tmp_path / "b" / "seed_42.csv").read_bytes())
         assert ((tmp_path / "a" / "aggregate.csv").read_bytes()
@@ -91,7 +91,7 @@ class TestRunExperiment:
 
     def test_single_seed_aggregate_equals_seed(self, tmp_path):
         _, cfg = write_config(tmp_path)
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         seed_rows = read_csv(tmp_path / "out" / "seed_42.csv")[1:]
         agg_rows = read_csv(tmp_path / "out" / "aggregate.csv")[1:]
         for s, a in zip(seed_rows, agg_rows):
@@ -106,7 +106,7 @@ class TestRunExperiment:
             problem={"kind": "elasticnet", "dataset": data, "rho": 1.0},
             algorithm="a_ogd_strongly_convex", T=20)
         with pytest.raises(ValueError, match="sigma"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "sigma" in manifest["error"]
@@ -114,7 +114,7 @@ class TestRunExperiment:
     def test_strongly_convex_u_eta_is_zero(self, tmp_path):
         # a zero budget is written as 0.0, not as the null of fixed_ogd
         _, cfg = write_config(tmp_path, algorithm="a_ogd_strongly_convex")
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["conditions"]["u_eta"] == 0.0
         assert manifest["conditions"]["c3_ok"] is True
@@ -125,7 +125,7 @@ class TestRunExperiment:
             tmp_path,
             problem={"kind": "elasticnet", "dataset": data, "rho": 1.0},
             T=30, checkpoints=6)
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "ok"
 
@@ -133,7 +133,7 @@ class TestRunExperiment:
         _, cfg = write_config(
             tmp_path, algorithm={"kind": "fixed_ogd", "eta": 0.05,
                                  "theta": 2.0, "mu": 0.05})
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         rows = read_csv(tmp_path / "out" / "seed_42.csv")[1:]
         assert all(r[3] == "nan" and r[4] == "nan" for r in rows)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -144,14 +144,14 @@ class TestRunExperiment:
 
     def test_gamma_shift_recorded(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": 1.0}, T=64)
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["gamma"] == pytest.approx(64 ** (-1.0 / 3.0))
         assert "first_nonpositive_violation_t" in manifest
 
     def test_offline_solves_recorded(self, tmp_path):
         _, cfg = write_config(tmp_path, seeds=[1, 2])
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["offline_converged"] is True
@@ -172,7 +172,7 @@ class TestRunExperiment:
         for csv_path in out.glob("*.csv"):
             csv_path.unlink()
         with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert f"seed 2 at t={t}" in manifest["error"]
@@ -184,14 +184,14 @@ class TestRunExperiment:
         # tolerance_met beside a mapping norm of 0.5 fails the run
         _, cfg = write_config(tmp_path, problem={"kind": "dsm", "p": 3},
                               seeds=[1])
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         out = tmp_path / "out"
         path = out / "offline_cache" / "seed1_t50.json"
         cached = json.loads(path.read_text())
         path.write_text(json.dumps(dict(cached, tolerance_met=True,
                                         mapping_norm=0.5)))
         with pytest.raises(RuntimeError, match="seed 1 at t=50 missed"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
@@ -214,7 +214,7 @@ class TestRunExperiment:
 
         _, cfg = write_config(tmp_path, seeds=[1, 2])
         with pytest.raises(RuntimeError, match="seed 1 at t=1 missed"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
@@ -232,10 +232,10 @@ class TestRunExperiment:
             solved.append(args[1]) or solve(*args, **kwargs)))
         out = tmp_path / "out"
 
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
         assert solved == checkpoints
-        run_experiment(ExperimentConfig(**cfg))  # the same bytes: all cached
+        run_experiment(cfg)  # the same bytes: all cached
         assert solved == checkpoints
 
         # the same path and size, one label flipped
@@ -243,7 +243,7 @@ class TestRunExperiment:
             text = fh.read()
         with open(data, "w") as fh:
             fh.write(("-" if text[0] == "+" else "+") + text[1:])
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         assert solved == 2 * checkpoints
         problem = build_problem(ExperimentConfig(**cfg)).materialize(40, [3])
         t = checkpoints[-1]
@@ -270,19 +270,19 @@ class TestRunExperiment:
             solved.append(args[1]) or solve(*args, **kwargs)))
         out = tmp_path / "out"
 
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
         assert solved == 2 * checkpoints
         assert (sorted(p.name for p in (out / "offline_cache").iterdir())
                 == sorted(f"seed{s}_t{t}.json" for s in (3, 4)
                           for t in checkpoints))
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         assert solved == 2 * checkpoints
 
         # the same bytes under another path are the same comparator
         moved = Path(data).rename(tmp_path / "moved.libsvm")
         cfg["problem"] = dict(cfg["problem"], dataset=str(moved))
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         assert solved == 2 * checkpoints
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
@@ -333,8 +333,8 @@ class TestRunExperiment:
             tmp_path, seeds=[3, 4], T=80,
             problem={"kind": "elasticnet", "dataset": data, "rho": 0.05},
             algorithm={"kind": "fixed_ogd", "eta": 0.5, "theta": 2.0, "mu": 0.05})
+        run_experiment(cfg)
         config = ExperimentConfig(**cfg)
-        run_experiment(config)
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         problem = build_problem(config)
@@ -368,12 +368,12 @@ class TestRunExperiment:
         # on the loose ball a one-example log-loss is nearly flat, and the
         # t=1 comparator misses its tolerance, which fails the run
         with pytest.raises(RuntimeError, match="seed 3 at t=1 missed"):
-            run_experiment(config)
+            run_experiment(cfg)
 
     def test_negative_gamma_shift_rejected(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})
         with pytest.raises(ValueError, match="c1"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "c1" in manifest["error"]
@@ -383,14 +383,14 @@ class TestRunExperiment:
         # a misspelt c1 would otherwise run silently with the default c1 = 1
         _, cfg = write_config(tmp_path, gamma_shift={"C1": 5.0})
         with pytest.raises(ValueError, match="only c1"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         assert not list((tmp_path / "out").glob("seed_*.csv"))
 
     def test_gamma_shift_without_c1_rejected(self, tmp_path):
         # an empty gamma_shift would otherwise run silently with c1 = 1
         _, cfg = write_config(tmp_path, gamma_shift={})
         with pytest.raises(ValueError, match="c1"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "c1" in manifest["error"]
@@ -400,7 +400,7 @@ class TestRunExperiment:
     def test_non_finite_gamma_shift_rejected(self, tmp_path, c1):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": c1})
         with pytest.raises(ValueError, match="finite"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         assert not list((tmp_path / "out").glob("seed_*.csv"))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 7.0])
@@ -412,7 +412,7 @@ class TestRunExperiment:
         _, cfg = write_config(tmp_path, algorithm=algorithm, beta=beta,
                               gamma_shift={"c1": 1.0})
         with pytest.raises(ValueError, match="beta"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "beta" in manifest["error"]
@@ -442,8 +442,9 @@ class TestRunExperiment:
                      id="dsm_without_p"),
         pytest.param({"problem": {"kind": "dsm", "p": 2, "rho": 3}},
                      "unknown ['rho']", id="dsm_extra_key"),
-        # the elastic-net specs name a dataset that does not exist: validate
-        # runs before build_problem reads it, so the field is what fails
+        # the elastic-net specs name a dataset that does not exist: the
+        # config's check runs before build_problem reads it, so the field
+        # is what fails
         pytest.param({"problem": {"kind": "elasticnet", "dataset": "none",
                                   "rho": 1.0, "p": 2}},
                      "unknown ['p']", id="elasticnet_extra_key"),
@@ -480,7 +481,7 @@ class TestRunExperiment:
     def test_malformed_field_rejected(self, tmp_path, overrides, message):
         _, cfg = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert message in manifest["error"]
@@ -490,7 +491,7 @@ class TestRunExperiment:
         # a repeated seed would count twice in aggregate.csv's means
         _, cfg = write_config(tmp_path, seeds=[1, 1, 2])
         with pytest.raises(ValueError, match="distinct"):
-            run_experiment(ExperimentConfig(**cfg))
+            run_experiment(cfg)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "distinct" in manifest["error"]
@@ -499,7 +500,7 @@ class TestRunExperiment:
     def test_rates_and_finals_read_aggregate_means(self, tmp_path):
         # with 9 seeds a different summation order would show in the last bits
         _, cfg = write_config(tmp_path, seeds=list(range(9)))
-        run_experiment(ExperimentConfig(**cfg))
+        run_experiment(cfg)
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         header, *rows = read_csv(out / "aggregate.csv")
@@ -518,6 +519,12 @@ class TestBuildSchedule:
         {"eta": 0.1}])
     def test_unknown_algorithm_rejected(self, tmp_path, algorithm):
         _, cfg = write_config(tmp_path, algorithm=algorithm)
+        if not isinstance(algorithm, str):
+            # a checked config holds a string or a fixed_ogd object
+            with pytest.raises(ValueError, match="algorithm must be a string "
+                               "or an object of kind fixed_ogd"):
+                ExperimentConfig(**cfg)
+            return
         config = ExperimentConfig(**cfg)
         with pytest.raises(ValueError, match="unknown algorithm"):
             build_schedule(config, build_problem(config).constants)
@@ -526,11 +533,11 @@ class TestBuildSchedule:
 class TestCompareRuns:
     def test_table_and_files(self, tmp_path):
         _, cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
-        m_a = run_experiment(ExperimentConfig(**cfg_a))
+        m_a = run_experiment(cfg_a)
         _, cfg_b = write_config(
             tmp_path, output_dir=str(tmp_path / "b"),
             algorithm={"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05})
-        m_b = run_experiment(ExperimentConfig(**cfg_b))
+        m_b = run_experiment(cfg_b)
         out = str(tmp_path / "table.csv")
         rows = compare_runs([m_a, m_b], output_path=out)
         assert [r["algorithm"] for r in rows] == ["a_ogd_convex", "fixed_ogd"]
@@ -541,20 +548,20 @@ class TestCompareRuns:
 
     def test_rejects_mismatched_problems(self, tmp_path):
         _, cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
-        m_a = run_experiment(ExperimentConfig(**cfg_a))
+        m_a = run_experiment(cfg_a)
         _, cfg_b = write_config(tmp_path, output_dir=str(tmp_path / "b"),
                                 problem={"kind": "dsm", "p": 3})
-        m_b = run_experiment(ExperimentConfig(**cfg_b))
+        m_b = run_experiment(cfg_b)
         with pytest.raises(ValueError):
             compare_runs([m_a, m_b])
 
     def test_rejects_failed_run(self, tmp_path):
         _, cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
-        m_a = run_experiment(ExperimentConfig(**cfg_a))
+        m_a = run_experiment(cfg_a)
         _, cfg_b = write_config(tmp_path, output_dir=str(tmp_path / "b"),
                                 gamma_shift={"c1": -1.0})
         with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(**cfg_b))
+            run_experiment(cfg_b)
         m_b = str(tmp_path / "b" / "manifest.json")
         # a failed manifest has no algorithm or finals to tabulate
         with pytest.raises(ValueError, match="status 'failed'") as info:
@@ -689,6 +696,34 @@ class TestCli:
         assert captured.err == (f"error: manifest {manifest} lacks the key "
                                 f"{key}\n")
 
+    @pytest.mark.parametrize("key,value,what", [
+        ("config.problem", "dsm", "an object"),
+        ("config.T", 50.0, "an integer"),
+        ("config.beta", "0.5", "a number"),
+        ("algorithm", 7, "a string"),
+        ("final_loss_regret_mean", "abc", "a number"),
+        ("final_constraint_cum_mean", float("nan"), "a finite number"),
+        ("rate_exponents", [1], "an object"),
+    ])
+    def test_compare_rejects_manifest_value_of_a_wrong_type(
+            self, tmp_path, capsys, key, value, what):
+        # a list of rate exponents failed with "'list' object has no
+        # attribute 'get'", and a text final was printed in the table
+        cfg_path, _ = write_config(tmp_path)
+        main(["run", cfg_path])
+        capsys.readouterr()
+        good = tmp_path / "out" / "manifest.json"
+        edited = json.loads(good.read_text())
+        section, _, name = key.rpartition(".")
+        (edited[section] if section else edited)[name] = value
+        manifest = tmp_path / "edited.json"
+        manifest.write_text(json.dumps(edited))
+        assert main(["compare", str(good), str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {key} of manifest {manifest} must be "
+                                f"{what}, got {value!r}\n")
+
     def test_solve_offline_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         assert main(["solve-offline", cfg_path, "--t", "10", "--seed", "1"]) == 0
@@ -758,6 +793,52 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["error"] == message
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("field", ["beta", "problem.rho", "algorithm.eta",
+                                       "algorithm.theta", "algorithm.mu",
+                                       "gamma_shift.c1"])
+    def test_run_rejects_integer_past_the_largest_float(self, tmp_path,
+                                                         capsys, field):
+        # such an integer failed with "int too large to convert to float",
+        # which names no field
+        huge = 10 ** 400
+        cfg_path, cfg = write_config(
+            tmp_path, gamma_shift={"c1": 1.0},
+            problem={"kind": "elasticnet", "rho": 1.0,
+                     "dataset": write_elasticnet_dataset(tmp_path)},
+            algorithm={"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0,
+                       "mu": 0.05})
+        section, _, name = field.rpartition(".")
+        (cfg[section] if section else cfg)[name] = huge
+        Path(cfg_path).write_text(json.dumps(cfg))
+        assert main(["run", cfg_path]) == 1
+        message = f"{field} must be a finite number, got {huge}"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == message
+
+    @pytest.mark.parametrize("field", ["T", "checkpoints", "problem.p"])
+    def test_run_rejects_integer_past_int64(self, tmp_path, capsys, field):
+        # numpy failed on these deep inside the run, naming no field; only
+        # values past int64 are tried, since one that fits would be allocated
+        huge = 10 ** 30
+        cfg_path, cfg = write_config(tmp_path)
+        section, _, name = field.rpartition(".")
+        (cfg[section] if section else cfg)[name] = huge
+        Path(cfg_path).write_text(json.dumps(cfg))
+        assert main(["run", cfg_path]) == 1
+        message = f"{field} must be at most 2**63 - 1, got {huge}"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == message
+
+    def test_run_takes_a_seed_past_int64(self, tmp_path):
+        # a seed only seeds a generator, which takes an integer of any size
+        cfg_path, _ = write_config(tmp_path, seeds=[10 ** 30])
+        assert main(["run", cfg_path]) == 0
+        assert (tmp_path / "out" / f"seed_{10 ** 30}.csv").exists()
 
     def test_run_rejects_beta_outside_unit_interval(self, tmp_path, capsys):
         cfg_path, _ = write_config(
@@ -833,6 +914,35 @@ class TestCli:
         assert manifest == {
             "status": "failed", "error": captured.err[len("error: "):-1],
             "config": dict(cfg, output_dir=str(tmp_path / out))}
+
+    @pytest.mark.parametrize("overrides,echo", [
+        pytest.param({"chekpoints": 8}, "read", id="key_set"),
+        pytest.param({"beta": "0.5"}, "read", id="type"),
+        pytest.param({"beta": 7.0}, "read", id="range"),
+        pytest.param({"problem": {"kind": "elasticnet", "rho": 1.0,
+                                  "dataset": "missing.libsvm"}},
+                     "checked", id="later_failure"),
+        pytest.param({"output_dir": ""}, None, id="unusable_output_dir"),
+    ])
+    def test_failed_manifest_echo(self, tmp_path, capsys, monkeypatch,
+                                  overrides, echo):
+        # one rule for every stage: a failed manifest echoes the config as
+        # read until it passes its check, and the checked config, defaults
+        # filled in, after; with no usable output_dir there is none
+        monkeypatch.chdir(tmp_path)
+        cfg_path, cfg = write_config(tmp_path)
+        del cfg["checkpoints"]  # so that a checked echo differs from the read
+        cfg.update(overrides)
+        Path(cfg_path).write_text(json.dumps(cfg))
+        assert main(["run", cfg_path]) == 1
+        error = capsys.readouterr().err[len("error: "):-1]
+        if echo is None:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+            return
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest == {"status": "failed", "error": error, "config": (
+            cfg if echo == "read"
+            else dict(cfg, checkpoints=20, gamma_shift=None))}
 
     @pytest.mark.parametrize("output_dir,error", [
         (5, "output_dir must be a string, got 5"),

@@ -44,7 +44,8 @@ class TestParseLine:
         ("2 1:1", "label"),
         ("+1 1:1 1:2", "non-increasing"),
         ("+1 3:1 2:2", "non-increasing"),
-        ("+1 0:1", "non-increasing"),
+        ("+1 0:1", "below 1"),
+        ("+1 -2:1", "below 1"),
         ("+1 a:1", "malformed"),
         ("+1 1:xyz", "malformed"),
         ("+1 1", "malformed"),

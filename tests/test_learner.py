@@ -1,6 +1,6 @@
 import csv
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -304,7 +304,7 @@ class TestGammaShift:
                                algorithm="a_ogd_convex", beta=2.0 / 3.0,
                                T=64, seeds=[0], output_dir=str(tmp_path),
                                checkpoints=4, gamma_shift={"c1": 1.0})
-        run_experiment(cfg)
+        run_experiment(asdict(cfg))
         params = ScheduleParams(beta=cfg.beta, regime=Regime.CONVEX,
                                 constants=DsmProblem(2).constants,
                                 gamma=cfg.gamma)

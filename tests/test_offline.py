@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -585,7 +586,7 @@ class TestSolveOfflineStep:
         if not missed:
             return
         with pytest.raises(RuntimeError) as info:
-            run_experiment(cfg)
+            run_experiment(asdict(cfg))
         assert str(info.value).startswith(
             f"offline solve of seed 1 at t={missed[0]} missed its tolerance "
             f"after 5000 iterations")

@@ -17,7 +17,13 @@ whose bytes the warm run changes is reported with the bytes that differ:
 the comparators must survive their JSON round trip. It also runs `aogd solve-offline` (seed 0) on two of those
 configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
 reports every key of its JSON that differs: the objective and x_star, which
-no manifest records, come from the solver's evaluation path alone. It
+no manifest records, come from the solver's evaluation path alone. Last, it
+runs 3 configs that must fail under both trees, one at each stage of a
+failure: a misspelt key (`algoritm`, caught by the key-set check), beta 7.0
+(caught by the range check) and an elastic-net dataset path that does not
+exist (past the check, when the dataset is read). Each must exit 1 (any
+other exit code stops the script), and every key of the failed manifests
+that differs is reported, with the echoed `config.output_dir` masked. It
 exits 0 when all outputs match and 1 otherwise.
 
 The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
@@ -141,6 +147,20 @@ def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
     return {name: dict(cfg, beta=BETA) for name, cfg in configs.items()}
 
 
+def failing_configs(configs: dict[str, dict], missing: str) -> dict[str, dict]:
+    """Three configs that fail: at the key-set check, at the range check
+    and, past the check, when the dataset at `missing` is read."""
+    dsm = configs["dsm_p8_convex_s2"]
+    elasticnet = configs["elasticnet_convex_s3"]
+    return {
+        "fail_misspelt_key": {("algoritm" if k == "algorithm" else k): v
+                              for k, v in dsm.items()},
+        "fail_beta": dict(dsm, beta=7.0),
+        "fail_missing_dataset": dict(elasticnet, problem=dict(
+            elasticnet["problem"], dataset=missing)),
+    }
+
+
 def package_root(path: str) -> str:
     for candidate in (path, os.path.join(path, "src")):
         if os.path.isfile(os.path.join(candidate, "aogd", "__init__.py")):
@@ -148,9 +168,11 @@ def package_root(path: str) -> str:
     raise SystemExit(f"no aogd package under {path}")
 
 
-def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str) -> str:
+def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str,
+            exit_code: int = 0) -> str:
     """`aogd VERB CONFIG FLAGS...` under src, with cfg written to
-    out/config.json and its output directory out/out; returns stdout."""
+    out/config.json and its output directory out/out; returns stdout. Any
+    exit code but `exit_code` stops the script."""
     os.makedirs(out, exist_ok=True)
     cfg_path = os.path.join(out, "config.json")
     with open(cfg_path, "w") as fh:
@@ -159,9 +181,9 @@ def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str) -> str:
     done = subprocess.run(
         [sys.executable, "-m", "aogd.cli", verb, cfg_path, *flags],
         env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{verb} {out} failed under {src}: "
-                         f"{done.stderr.strip()}")
+    if done.returncode != exit_code:
+        raise SystemExit(f"{verb} {out} exited {done.returncode}, not "
+                         f"{exit_code}, under {src}: {done.stderr.strip()}")
     return done.stdout
 
 
@@ -311,11 +333,20 @@ def main(argv: list[str]) -> int:
                     os.path.join(workdir, tree, f"{name}_t{t}"),
                     "--t", str(t))) for tree, src in trees)
                 report(label, compare_values(label, parent_json, change_json))
+        failing = failing_configs(configs,
+                                  os.path.join(workdir, "missing.libsvm"))
+        for name, cfg in failing.items():
+            outs = [os.path.join(workdir, tree, name) for tree, _ in trees]
+            for (_, src), out in zip(trees, outs):
+                run_cli(src, "run", cfg, out, exit_code=1)
+            report(name, compare_values(
+                f"{name}/manifest.json",
+                *(read_manifest(os.path.join(out, "out")) for out in outs)))
     for line in diffs:
         print(line)
     print(f"{len(configs)} configs, each run cold and warm, "
           f"{len(SOLVE_OFFLINE_CONFIGS) * len(SOLVE_OFFLINE_T)} solve-offline "
-          f"prefixes, {len(diffs)} differences")
+          f"prefixes, {len(failing)} failing configs, {len(diffs)} differences")
     return 1 if diffs else 0
 
 
