@@ -372,6 +372,10 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
                     raise ValueError(f"manifest {path} lacks the key {key}")
                 value = value[name]
             _check_value(f"{key} of manifest {path}", value, types)
+        for name in ("loss_bound", "constraint_bound"):
+            if name in manifest["rate_exponents"]:
+                _check_value(f"rate_exponents.{name} of manifest {path}",
+                             manifest["rate_exponents"][name], Real)
         manifests.append(manifest)
     ref = manifests[0]["config"]
     for m in manifests[1:]:

@@ -704,11 +704,15 @@ class TestCli:
         ("final_loss_regret_mean", "abc", "a number"),
         ("final_constraint_cum_mean", float("nan"), "a finite number"),
         ("rate_exponents", [1], "an object"),
+        ("rate_exponents.loss_bound", "abc", "a number"),
+        ("rate_exponents.loss_bound", None, "a number"),
+        ("rate_exponents.constraint_bound", float("inf"), "a finite number"),
     ])
     def test_compare_rejects_manifest_value_of_a_wrong_type(
             self, tmp_path, capsys, key, value, what):
         # a list of rate exponents failed with "'list' object has no
-        # attribute 'get'", and a text final was printed in the table
+        # attribute 'get'", and a text final or exponent was printed in the
+        # table
         cfg_path, _ = write_config(tmp_path)
         main(["run", cfg_path])
         capsys.readouterr()

@@ -4,7 +4,7 @@ source trees.
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 22 configs
+a checkout's root works too). The script runs a fixed matrix of 23 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with every column whose
 numbers moved, and the largest relative and largest absolute difference
@@ -18,13 +18,18 @@ the comparators must survive their JSON round trip. It also runs `aogd solve-off
 configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
 reports every key of its JSON that differs: the objective and x_star, which
 no manifest records, come from the solver's evaluation path alone. Last, it
-runs 3 configs that must fail under both trees, one at each stage of a
+runs 6 configs that must fail under both trees, at each stage of a
 failure: a misspelt key (`algoritm`, caught by the key-set check), beta 7.0
-(caught by the range check) and an elastic-net dataset path that does not
-exist (past the check, when the dataset is read). Each must exit 1 (any
-other exit code stops the script), and every key of the failed manifests
-that differs is reported, with the echoed `config.output_dir` masked. It
-exits 0 when all outputs match and 1 otherwise.
+(caught by the range check), an elastic-net dataset path that does not
+exist (past the check, when the dataset is read) and three malformed
+copies of criterion 9's file (`MALFORMED`): line 3 with a NaN value and
+line 5 with an unknown label, where line 3 must be named; a decreasing
+index on line 200, past the parser's first blocks of lines; and a line
+with a token without a colon before a two-colon token. Each must exit 1
+(any other exit code stops the script), and every key of the failed
+manifests that differs, the `error` text among them, is reported, with
+the echoed `config.output_dir` masked. It exits 0 when all outputs match
+and 1 otherwise.
 
 The matrix: DSM p=8, T=1000 x {convex, strongly convex, fixed_ogd, convex
 with a c1=1 gamma-shift} x {2, 10 seeds}; DSM p=8, T=1000, fixed_ogd with
@@ -43,8 +48,8 @@ features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
 rows whose feature indices have gaps, with label-only rows, trailing
 comments, blank lines and a max_rows of 300, past which a larger feature
 index appears (criterion 9's file is dense and plain, so it exercises none
-of these). A run of both trees, cold and warm, takes about half a minute
-on 2 CPUs.
+of these); the same with that file's lines ended by CRLF. A run of both
+trees, cold and warm, takes about half a minute on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -104,7 +109,8 @@ def write_sparse_dataset(path: str, n: int = 400, d: int = 30, seed: int = 11):
                 fh.write("\n" if i % 2 else "  \t\n")
 
 
-def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
+def config_matrix(dataset: str, sparse_dataset: str,
+                  sparse_crlf_dataset: str) -> dict[str, dict]:
     configs = {}
     for variant in VARIANTS:
         for n_seeds in (2, 10):
@@ -144,20 +150,53 @@ def config_matrix(dataset: str, sparse_dataset: str) -> dict[str, dict]:
         problem={"kind": "elasticnet", "dataset": sparse_dataset, "rho": 1.0,
                  "max_rows": 300},
         T=300, seeds=[0, 1, 2], **VARIANTS["convex"])
+    configs["elasticnet_sparse_crlf_convex_s3"] = dict(
+        configs["elasticnet_sparse_convex_s3"],
+        problem=dict(configs["elasticnet_sparse_convex_s3"]["problem"],
+                     dataset=sparse_crlf_dataset))
     return {name: dict(cfg, beta=BETA) for name, cfg in configs.items()}
 
 
-def failing_configs(configs: dict[str, dict], missing: str) -> dict[str, dict]:
-    """Three configs that fail: at the key-set check, at the range check
-    and, past the check, when the dataset at `missing` is read."""
+def write_edited(path: str, source: str, edits: dict[int, str],
+                 newline: str = "\n"):
+    """A copy of the libsvm file `source` with line i (1-based) replaced by
+    edits[i] and every line ended by `newline`."""
+    with open(source) as fh:
+        lines = fh.read().split("\n")[:-1]
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + newline for line in lines))
+
+
+# malformed copies of criterion 9's file: {name: {line number: new text}}
+MALFORMED = {
+    # line 5's label is read before line 3's values are: line 3 is named
+    "two_bad_lines": {3: "+1 1:0.5 2:nan", 5: "2 1:1"},
+    "past_first_blocks": {200: "-1 5:1 3:1"},
+    # a token without a colon, then one with two: as many colons as tokens
+    "token_split": {7: "-1 1 2:3:4"},
+}
+
+
+def failing_configs(configs: dict[str, dict], missing: str,
+                    malformed: dict[str, str]) -> dict[str, dict]:
+    """Configs that fail: at the key-set check, at the range check and,
+    past the check, when the dataset at `missing` or each file of
+    `malformed` ({name: path}) is read."""
     dsm = configs["dsm_p8_convex_s2"]
     elasticnet = configs["elasticnet_convex_s3"]
+
+    def reading(dataset: str) -> dict:
+        return dict(elasticnet, problem=dict(elasticnet["problem"],
+                                             dataset=dataset))
+
     return {
         "fail_misspelt_key": {("algoritm" if k == "algorithm" else k): v
                               for k, v in dsm.items()},
         "fail_beta": dict(dsm, beta=7.0),
-        "fail_missing_dataset": dict(elasticnet, problem=dict(
-            elasticnet["problem"], dataset=missing)),
+        "fail_missing_dataset": reading(missing),
+        **{f"fail_{name}": reading(path) for name, path in malformed.items()},
     }
 
 
@@ -306,7 +345,13 @@ def main(argv: list[str]) -> int:
         write_dataset(dataset)
         sparse_dataset = os.path.join(workdir, "sparse.libsvm")
         write_sparse_dataset(sparse_dataset)
-        configs = config_matrix(dataset, sparse_dataset)
+        sparse_crlf_dataset = os.path.join(workdir, "sparse_crlf.libsvm")
+        write_edited(sparse_crlf_dataset, sparse_dataset, {}, newline="\r\n")
+        malformed = {name: os.path.join(workdir, f"{name}.libsvm")
+                     for name in MALFORMED}
+        for name, path in malformed.items():
+            write_edited(path, dataset, MALFORMED[name])
+        configs = config_matrix(dataset, sparse_dataset, sparse_crlf_dataset)
         trees = (("parent", parent), ("change", change))
         diffs = []
 
@@ -334,7 +379,8 @@ def main(argv: list[str]) -> int:
                     "--t", str(t))) for tree, src in trees)
                 report(label, compare_values(label, parent_json, change_json))
         failing = failing_configs(configs,
-                                  os.path.join(workdir, "missing.libsvm"))
+                                  os.path.join(workdir, "missing.libsvm"),
+                                  malformed)
         for name, cfg in failing.items():
             outs = [os.path.join(workdir, tree, name) for tree, _ in trees]
             for (_, src), out in zip(trees, outs):
