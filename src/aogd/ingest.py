@@ -12,7 +12,8 @@ its `float` once per value, so that every spelling a line accepts means the
 same, and the checks run as arrays over the block. `parse_libsvm_line` is
 the reference for one line and the only writer of a line's `ParseError`: a
 block that fails any check goes through it line by line, so the error
-names the first bad line of the file.
+names the first bad line of the file. A largest index whose dense matrix
+cannot be allocated fails with the path, that index and the shape.
 """
 
 from __future__ import annotations
@@ -168,6 +169,12 @@ def load_dataset(path: str, max_rows: int | None = None) -> Dataset:
     if not labels:
         raise ParseError(f"{path}: no examples found")
     rows, cols, values = map(np.concatenate, zip(*parts))
-    features = np.zeros((len(labels), int(cols.max()) + 1 if cols.size else 0))
+    shape = (len(labels), int(cols.max()) + 1 if cols.size else 0)
+    try:
+        features = np.zeros(shape)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no room
+        raise ParseError(f"{path}: largest feature index {shape[1]} asks for a "
+                         f"dense (n, d) = {shape} matrix, which cannot be "
+                         f"allocated") from None
     features[rows, cols] = values
     return Dataset(labels=np.array(labels, dtype=float), features=features)

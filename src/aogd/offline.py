@@ -11,9 +11,10 @@ Birkhoff-polytope projection uses Dykstra's
 alternating projections (plain alternating projection would converge to a
 feasible point, not the Euclidean projection); the elastic-net ball
 projection has a closed form in the KKT multiplier once its support is
-known. Solutions are cached on disk under a key over the problem spec, the
-dataset's bytes, the seed, t and the source of the code that computes them,
-the solver's settings among it, so that a stale file is re-solved.
+known. Solutions are cached on disk, each file sealed by a digest over the
+problem spec, the dataset's bytes, the source of every module of the
+package (the solver's settings among it), the seed, t and the file's own
+entry, so that a stale, torn or edited file is re-solved.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ _BIRKHOFF_TOL = 1e-10
 _BIRKHOFF_MAX_ITER = 10000
 _SOLVE_TOL = 1e-8
 _SOLVE_MAX_ITER = 5000
-# the modules whose source a cached comparator depends on: the solver and
-# projections, the problems' prefix losses and the dataset reader
-_KEYED_SOURCES = ("offline.py", "problems.py", "ingest.py")
 
 
 def _project_doubly_stochastic_affine(X: np.ndarray) -> np.ndarray:
@@ -199,12 +197,16 @@ def _accelerated_descent(problem, prefix, t: int):
 
 @functools.cache
 def _source_digest() -> str:
-    """sha256 over the source files of the modules in _KEYED_SOURCES, read
-    once per process."""
+    """sha256 over the name and source of every module of the package, in
+    name order, read once per process: no module the comparator depends on
+    can be left out."""
     digest = hashlib.sha256()
-    for name in _KEYED_SOURCES:
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            digest.update(fh.read())
+    package = os.path.dirname(__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                source = hashlib.sha256(fh.read()).hexdigest()
+            digest.update(f"{name} {source}\n".encode())
     return digest.hexdigest()
 
 
@@ -223,59 +225,43 @@ def cache_key(spec: dict) -> str:
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
 
 
-def _read_cached(path: str, file_key: str, dim: int):
-    """The solution a cache file holds, or None where the file is missing,
-    is not a JSON object with `file_key` (a stale key, a truncated write),
-    lacks a field of `OfflineSolution` or holds one of the wrong type: an
-    x_star that is not a vector of `dim` finite numbers, an `iterations`
-    that is not an int, or a `loss_sum` or `mapping_norm` that is not a
-    finite float."""
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError:  # not JSON
-            return None
-    if not (isinstance(data, dict) and data.get("key") == file_key):
-        return None
-    try:
-        values = {f.name: data[f.name] for f in fields(OfflineSolution)}
-        values["x_star"] = np.asarray(values["x_star"], dtype=float)
-    except (KeyError, TypeError, ValueError):  # a field missing or not numeric
-        return None
-    sol = OfflineSolution(**values)
-    # bool is a subclass of int, so the types are compared, not isinstance
-    if (sol.x_star.shape != (dim,) or not all_finite(sol.x_star)
-            or type(sol.iterations) is not int
-            or not all(type(v) is float and math.isfinite(v)
-                       for v in (sol.loss_sum, sol.mapping_norm))):
-        return None
-    return sol
+def _seal(key: str, seed: int, t: int, body: bytes) -> bytes:
+    """The first line of a cache file: the sha256 of the run's key, the
+    seed, t and the entry's JSON bytes that follow the line."""
+    digest = hashlib.sha256(f"{key} seed={seed} t={t}\n".encode())
+    digest.update(body)
+    return digest.hexdigest().encode()
 
 
 def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
                          seed: int, j: int = 0) -> OfflineSolution:
     """Disk-cached solve_offline of seed j; writes via atomic rename. `key`
     is the run's `cache_key` and `seed` row j's seed. The file is named by
-    seed and t; the key it stores is its only identity, and a file that
-    `_read_cached` cannot read back as a solution of `problem.dim` entries
-    under that key is re-solved and overwritten."""
+    seed and t; its first line is the `_seal` of the JSON entry below it,
+    the only identity the file has. A missing file, or one whose seal does
+    not match its body under this key, seed and t (another run's file, a
+    torn write, an edit), is re-solved and overwritten; a file that cannot
+    be read fails the call."""
     path = os.path.join(cache_dir, f"seed{seed}_t{t}.json")
-    file_key = hashlib.sha256(f"{key} seed={seed} t={t}".encode()).hexdigest()
-    sol = _read_cached(path, file_key, problem.dim)
-    if sol is not None:
-        return sol
+    try:
+        with open(path, "rb") as fh:
+            seal, _, body = fh.read().partition(b"\n")
+    except FileNotFoundError:
+        pass
+    else:
+        if seal == _seal(key, seed, t, body):
+            entry = json.loads(body)
+            return OfflineSolution(**dict(
+                entry, x_star=np.asarray(entry["x_star"], dtype=float)))
     sol = solve_offline(problem, t, j=j)
+    entry = {f.name: getattr(sol, f.name) for f in fields(sol)}
+    # json.dumps takes the C encoder, which json.dump never does
+    body = json.dumps(dict(entry, x_star=sol.x_star.tolist())).encode()
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            # json.dumps takes the C encoder, which json.dump never does; the
-            # bytes are the same
-            entry = {f.name: getattr(sol, f.name) for f in fields(sol)}
-            fh.write(json.dumps({"key": file_key, **entry,
-                                 "x_star": sol.x_star.tolist()}))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_seal(key, seed, t, body) + b"\n" + body)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -47,6 +48,19 @@ def write_elasticnet_dataset(tmp_path, n=30, d=3, seed=0):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def cache_entry(path):
+    """The JSON entry of an offline cache file, below its seal line."""
+    return json.loads(path.read_bytes().partition(b"\n")[2])
+
+
+def solving_with(monkeypatch, **changes):
+    """Patch offline.solve_offline so that every solve returns its solution
+    with `changes` made, for the cache's own writer to store."""
+    solve = offline.solve_offline
+    monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
+        dataclasses.replace(solve(*args, **kwargs), **changes)))
 
 
 class TestRunExperiment:
@@ -149,7 +163,7 @@ class TestRunExperiment:
         assert manifest["gamma"] == pytest.approx(64 ** (-1.0 / 3.0))
         assert "first_nonpositive_violation_t" in manifest
 
-    def test_offline_solves_recorded(self, tmp_path):
+    def test_offline_solves_recorded(self, tmp_path, monkeypatch):
         _, cfg = write_config(tmp_path, seeds=[1, 2])
         run_experiment(cfg)
         out = tmp_path / "out"
@@ -164,11 +178,16 @@ class TestRunExperiment:
                        and s["mapping_norm"] < 1e-8 for s in solves)
 
         # a cached solve that missed its tolerance fails the next run, and
-        # no regret is written against it
+        # no regret is written against it. The miss is stored by the
+        # cache's writer, in the one run that solves seed 2 at t again
         t = manifest["checkpoints"][-1]
         (path,) = (out / "offline_cache").glob(f"seed2_t{t}.json")
-        cached = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(cached, mapping_norm=1e-6)))
+        path.unlink()
+        with monkeypatch.context() as m:
+            solving_with(m, mapping_norm=1e-6)
+            with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
+                run_experiment(cfg)
+        assert cache_entry(path)["mapping_norm"] == 1e-6
         for csv_path in out.glob("*.csv"):
             csv_path.unlink()
         with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
@@ -179,17 +198,22 @@ class TestRunExperiment:
         # every comparator is gated before any output: not even seed 1's CSV
         assert not list(out.glob("*.csv"))
 
-    def test_cached_verdict_is_derived_from_the_mapping_norm(self, tmp_path):
-        # a cache file's tolerance verdict is not read back: one that claims
-        # tolerance_met beside a mapping norm of 0.5 fails the run
+    def test_cached_verdict_is_derived_from_the_mapping_norm(self, tmp_path,
+                                                             monkeypatch):
+        # a cache file stores no tolerance verdict: the one a cached
+        # mapping norm of 0.5 gives when read back fails the run
         _, cfg = write_config(tmp_path, problem={"kind": "dsm", "p": 3},
                               seeds=[1])
         run_experiment(cfg)
         out = tmp_path / "out"
         path = out / "offline_cache" / "seed1_t50.json"
-        cached = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(cached, tolerance_met=True,
-                                        mapping_norm=0.5)))
+        path.unlink()
+        with monkeypatch.context() as m:
+            solving_with(m, mapping_norm=0.5)
+            with pytest.raises(RuntimeError, match="seed 1 at t=50 missed"):
+                run_experiment(cfg)
+        assert set(cache_entry(path)) == {"x_star", "loss_sum", "iterations",
+                                          "mapping_norm"}
         with pytest.raises(RuntimeError, match="seed 1 at t=50 missed"):
             run_experiment(cfg)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -248,8 +272,7 @@ class TestRunExperiment:
         problem = build_problem(ExperimentConfig(**cfg)).materialize(40, [3])
         t = checkpoints[-1]
         (path,) = (out / "offline_cache").glob(f"seed3_t{t}.json")
-        assert (json.loads(path.read_text())["x_star"]
-                == solve(problem, t).x_star.tolist())
+        assert cache_entry(path)["x_star"] == solve(problem, t).x_star.tolist()
 
     def test_long_dataset_path_is_cached_by_its_bytes(self, tmp_path,
                                                       monkeypatch):
@@ -288,7 +311,7 @@ class TestRunExperiment:
         assert manifest["status"] == "ok"
 
     @pytest.mark.parametrize("corrupt", [
-        lambda entry: '{"key": "0123',
+        lambda entry: json.dumps(entry)[:12],
         lambda entry: "[]",
         lambda entry: json.dumps({k: v for k, v in entry.items()
                                   if k != "loss_sum"}),
@@ -305,17 +328,18 @@ class TestRunExperiment:
             "text_iterations", "null_mapping_norm",
             "null_loss_sum", "text_loss_sum"])
     def test_unreadable_cache_file_is_resolved(self, tmp_path, corrupt):
-        # a cache file that is not a JSON object holding its key, or that
-        # holds the key beside a malformed entry, is re-solved and
-        # overwritten, as a stale key is
+        # a cache file whose entry, below the seal line a good file holds,
+        # is not a JSON object, or is one with a malformed field, is
+        # re-solved and overwritten, as another run's file is
         cfg_path, _ = write_config(tmp_path, seeds=[0, 1])
         cold = tmp_path / "cold"
         assert main(["run", cfg_path, "--output", str(cold)]) == 0
         out = tmp_path / "out"
         path = out / "offline_cache" / "seed0_t1.json"
         path.parent.mkdir(parents=True)
-        entry = json.loads((cold / "offline_cache" / path.name).read_text())
-        path.write_text(corrupt(entry))
+        seal, _, body = (cold / "offline_cache" / path.name).read_bytes(
+            ).partition(b"\n")
+        path.write_bytes(seal + b"\n" + corrupt(json.loads(body)).encode())
         assert main(["run", cfg_path]) == 0
         manifests = [json.loads((d / "manifest.json").read_text())
                      for d in (cold, out)]
@@ -325,6 +349,31 @@ class TestRunExperiment:
             assert (out / name).read_bytes() == (cold / name).read_bytes()
         assert (path.read_bytes()
                 == (cold / "offline_cache" / path.name).read_bytes())
+
+    @pytest.mark.parametrize("edit", [
+        # loss_sum less 10, in place, with every other byte kept
+        lambda data: re.sub(rb'"loss_sum": ([^,}]+)', lambda m: (
+            b'"loss_sum": ' + repr(float(m[1]) - 10.0).encode()), data),
+        # the entry as the format before the seal line held it
+        lambda data: json.dumps({"key": "0" * 64, **json.loads(
+            data.partition(b"\n")[2])}).encode(),
+    ], ids=["value_edited_under_its_seal", "unsealed"])
+    def test_edited_cache_file_is_resolved(self, tmp_path, edit):
+        # a cache file is served only as its writer wrote it: the run over
+        # an edited one rewrites the cold run's outputs, byte for byte
+        _, cfg = write_config(tmp_path, problem={"kind": "dsm", "p": 3},
+                              seeds=[1])
+        run_experiment(cfg)
+        out = tmp_path / "out"
+        names = ("seed_1.csv", "aggregate.csv", "manifest.json")
+        cold = {name: (out / name).read_bytes() for name in names}
+        path = out / "offline_cache" / "seed1_t50.json"
+        written = path.read_bytes()
+        path.write_bytes(edit(written))
+        assert path.read_bytes() != written
+        run_experiment(cfg)
+        assert {name: (out / name).read_bytes() for name in names} == cold
+        assert path.read_bytes() == written
 
     def test_violation_and_max_lambda_recorded(self, tmp_path):
         # elastic net has slack rounds (g < 0) that the signed sum nets out
@@ -752,7 +801,7 @@ class TestCli:
                 assert main(["solve-offline", cfg_path, "--t", str(t),
                              "--seed", str(seed)]) == 0
                 x_stars.append(json.loads(capsys.readouterr().out)["x_star"])
-                assert x_stars[-1] == json.loads(path.read_text())["x_star"]
+                assert x_stars[-1] == cache_entry(path)["x_star"]
         assert solved[3] != solved[5]
 
     @pytest.mark.parametrize("spec,argv,field", [

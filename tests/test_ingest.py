@@ -123,6 +123,18 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="no examples"):
             load_dataset(self.write_fixture(tmp_path, "\n\n"))
 
+    def test_unallocatable_dense_matrix_named(self, tmp_path):
+        # the largest index passes every line check, but no (1, d) float
+        # matrix of that width can exist: numpy refuses it before any
+        # allocation, whatever the machine's memory
+        path = self.write_fixture(tmp_path, "+1 9223372036854775807:1\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}: largest feature index 9223372036854775807 asks for a "
+            f"dense (n, d) = (1, 9223372036854775807) matrix, which cannot "
+            f"be allocated")
+
     def test_dense_matches_sparse(self, tmp_path):
         labels, features = load_dataset(self.write_fixture(tmp_path)).dense()
         for i, line in enumerate(FIXTURE.splitlines()):

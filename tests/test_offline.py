@@ -1,6 +1,5 @@
-import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from aogd import ingest, offline, problems
+from aogd import offline, problems
 from aogd.experiment import ExperimentConfig, build_problem, run_experiment
 from aogd.metrics import checkpoint_grid
 from aogd.offline import (elasticnet_value, project_birkhoff,
@@ -19,6 +18,11 @@ from aogd.problems import DsmProblem, ElasticNetProblem
 from dsm_stream_oracle import loss_sum_float, stream_matrices
 from elasticnet_prefix_oracle import loss_sum_gathered
 from pgd_oracle import solve_offline_pgd
+
+
+def cache_entry(path):
+    """The JSON entry of an offline cache file, below its seal line."""
+    return json.loads(path.read_bytes().partition(b"\n")[2])
 
 
 def birkhoff_2x2_oracle(A):
@@ -649,12 +653,42 @@ class TestSolveOfflineCached:
         assert second.loss_sum == first.loss_sum
         assert second.mapping_norm == first.mapping_norm < 1e-8
 
-    def test_key_covers_the_source_of_the_comparator(self):
-        # the solver, the problems' loss sums and the dataset reader
-        digest = hashlib.sha256()
-        for module in (offline, problems, ingest):
-            digest.update(Path(module.__file__).read_bytes())
-        assert offline._source_digest() == digest.hexdigest()
+    def test_file_that_cannot_be_read_fails(self, tmp_path, monkeypatch):
+        # a missing file is a miss; a path that exists but cannot be read
+        # fails the call and is not solved over
+        prob = DsmProblem(3).materialize(10, [4])
+        (tmp_path / "seed4_t10.json").mkdir()
+        solves = []
+        monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
+            solves.append(args) or solve_offline(*args, **kwargs)))
+        key = offline.cache_key({"kind": "dsm", "p": 3})
+        with pytest.raises(IsADirectoryError):
+            solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
+        assert not solves
+
+    def test_key_covers_the_source_of_the_comparator(self, tmp_path,
+                                                     monkeypatch):
+        # an edit to any module, experiment.py's build_problem among them,
+        # or a module added, changes the digest in the key
+        source = Path(offline.__file__).parent
+        names = sorted(p.name for p in source.glob("*.py"))
+        assert {"experiment.py", "ingest.py", "offline.py",
+                "problems.py"} <= set(names)
+        package = tmp_path / "aogd"
+        package.mkdir()
+        for name in names:
+            (package / name).write_bytes((source / name).read_bytes())
+        monkeypatch.setattr(offline, "__file__", str(package / "offline.py"))
+        digest = offline._source_digest.__wrapped__
+        assert digest() == offline._source_digest()
+        seen = {digest()}
+        for name in names:
+            with open(package / name, "ab") as fh:
+                fh.write(b"\n")
+            seen.add(digest())
+        (package / "added.py").write_text("")
+        seen.add(digest())
+        assert len(seen) == len(names) + 2
 
     def test_other_source_is_resolved(self, tmp_path, monkeypatch):
         prob = DsmProblem(3)
@@ -664,10 +698,12 @@ class TestSolveOfflineCached:
         with monkeypatch.context() as m:
             m.setattr(offline, "_source_digest", lambda: "other source")
             stale_key = offline.cache_key(spec)
+            # mark the other code's file, so that returning it would show:
+            # its writer stores a loss sum of -1
+            m.setattr(offline, "solve_offline", lambda *args, **kwargs: (
+                replace(solve_offline(*args, **kwargs), loss_sum=-1.0)))
             solve_offline_cached(prob, 10, str(tmp_path), stale_key, seed=4)
-        # mark the other code's file, so that returning it would show
-        path.write_text(json.dumps(dict(json.loads(path.read_text()),
-                                        loss_sum=-1.0)))
+        assert cache_entry(path)["loss_sum"] == -1.0
         key = offline.cache_key(spec)
         assert key != stale_key
 
@@ -676,6 +712,6 @@ class TestSolveOfflineCached:
             solves.append(args) or solve_offline(*args, **kwargs)))
         sol = solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
         assert len(solves) == 1 and sol.loss_sum != -1.0
-        assert json.loads(path.read_text())["loss_sum"] == sol.loss_sum
+        assert cache_entry(path)["loss_sum"] == sol.loss_sum
         solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
         assert len(solves) == 1  # the overwritten file now hits

@@ -1,5 +1,6 @@
 """Property tests: projection laws, the learner's iterate invariants,
-lockstep runs against single-seed runs, the checkpoint trace and the
+lockstep runs against single-seed runs, a run's first rounds, trace and
+comparators against a longer run's, the checkpoint trace and the
 code-counting DSM prefix loss against their per-round float forms, the
 count-weighted elastic-net prefix loss against the gathered prefix, each
 prefix's smoothness bound against the Hessian and the descent inequality,
@@ -20,7 +21,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from aogd.learner import _CHUNK_ROUNDS, Trace, run
-from aogd.offline import project_elasticnet_ball
+from aogd.metrics import checkpoint_grid
+from aogd.offline import project_elasticnet_ball, solve_offline
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import project_ball, project_nonneg
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
@@ -63,14 +65,14 @@ def test_project_nonneg(lam):
     assert out == max(lam, 0.0)
 
 
-def schedules(draw, constants):
-    """A schedule over the adaptive regimes the constants allow (the
-    strongly convex one needs sigma > 0), the fixed-step baseline and the
-    gamma-shift."""
+def schedules(draw, constants,
+              kinds=("convex", "strongly_convex", "fixed", "shift")):
+    """A schedule of one of `kinds`: the adaptive regimes the constants
+    allow (the strongly convex one needs sigma > 0), the fixed-step baseline
+    and the gamma-shift."""
     beta = draw(st.floats(0.1, 0.9))
     kind = draw(st.sampled_from(
-        [k for k in ("convex", "strongly_convex", "fixed", "shift")
-         if k != "strongly_convex" or constants.sigma > 0]))
+        [k for k in kinds if k != "strongly_convex" or constants.sigma > 0]))
     if kind == "fixed":
         schedule = FixedScheduleParams(eta=draw(st.floats(1e-3, 2.0)),
                                        theta=draw(st.floats(0.1, 10.0)),
@@ -228,6 +230,53 @@ def test_checkpoint_trace_matches_per_round_columns(case):
             want = loss_sum_float(prob, t, x, j)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
+
+
+@st.composite
+def horizon_pairs(draw):
+    """(problem factory, schedule, T1, T2, seeds): DSM p in {2, 3} or the
+    small elastic-net problem, each schedule it allows but the gamma-shift,
+    1 to 3 seeds and horizons T1 < T2, either side of a chunk boundary."""
+    make = draw(st.sampled_from([
+        lambda: DsmProblem(2), lambda: DsmProblem(3),
+        lambda: ElasticNetProblem(EN_LABELS, EN_FEATURES, rho=0.3)]))
+    schedule = schedules(draw, make().constants,
+                         kinds=("convex", "strongly_convex", "fixed"))
+    T1 = draw(st.integers(1, C + 10))
+    T2 = draw(st.integers(T1 + 1, 2 * C + 20))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
+                          unique=True))
+    return make, schedule, T1, T2, seeds
+
+
+@settings(SETTINGS, max_examples=30)
+@given(case=horizon_pairs())
+def test_shorter_run_is_a_prefix_of_a_longer_run(case):
+    # the offline cache key holds no T, so a comparator a run of T1 rounds
+    # cached is served to a run of T2 > T1 rounds: the first T1 rounds of
+    # the stream and the comparators at T1's checkpoints must not depend on
+    # T, and neither does the trace there, so a shorter run's regret is a
+    # longer run's. The gamma-shifted run is left out: its
+    # gamma = c1 T^(-beta/2) does depend on T
+    make, schedule, T1, T2, seeds = case
+    short, long = make(), make()
+    checkpoints = checkpoint_grid(T1, 6)
+    short_trace = run(short, schedule, T1, seeds, checkpoints)
+    long_trace = run(long, schedule, T2, seeds,
+                     sorted(set(checkpoints) | set(checkpoint_grid(T2, 6))))
+    # run drew each stream by materialize(T, seeds)
+    assert short.stream.dtype == long.stream.dtype
+    assert np.array_equal(short.stream, long.stream[:, :T1])
+    rows = np.searchsorted(long_trace.t, checkpoints)
+    for name in ("loss_cum", "g_cum", "lam", "eta", "theta"):
+        assert_same_bits(getattr(short_trace, name),
+                         getattr(long_trace, name)[rows])
+    for j in range(len(seeds)):
+        for t in checkpoints:
+            a, b = solve_offline(short, t, j), solve_offline(long, t, j)
+            assert a.x_star.tobytes() == b.x_star.tobytes()
+            assert (a.loss_sum, a.iterations, a.mapping_norm) == (
+                b.loss_sum, b.iterations, b.mapping_norm)
 
 
 @st.composite

@@ -10,11 +10,14 @@ CSV or `aggregate.csv` whose bytes differ (with every column whose
 numbers moved, and the largest relative and largest absolute difference
 in each) and every manifest key whose value differs, with
 the echoed `config.output_dir` masked. For numbers it prints the relative
-difference. After each config's cold run, each tree runs the config once
-more into the same output directory, where every offline comparator is
-read back from the cache, and every seed CSV, `aggregate.csv` or manifest
-whose bytes the warm run changes is reported with the bytes that differ:
-the comparators must survive their JSON round trip. It also runs `aogd solve-offline` (seed 0) on two of those
+difference. After each config's cold run, each tree runs the config twice
+more into the same output directory: warm, where every offline comparator
+is read back from the cache, then torn, after every cache file has been
+cut to half its bytes, where every comparator must be solved again. Every
+seed CSV, `aggregate.csv` or manifest whose bytes either run changes is
+reported with the bytes that differ: the comparators must survive their
+JSON round trip, and a torn cache file must never be served. It also runs
+`aogd solve-offline` (seed 0) on two of those
 configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
 reports every key of its JSON that differs: the objective and x_star, which
 no manifest records, come from the solver's evaluation path alone. Last, it
@@ -49,7 +52,7 @@ rows whose feature indices have gaps, with label-only rows, trailing
 comments, blank lines and a max_rows of 300, past which a larger feature
 index appears (criterion 9's file is dense and plain, so it exercises none
 of these); the same with that file's lines ended by CRLF. A run of both
-trees, cold and warm, takes about half a minute on 2 CPUs.
+trees, cold, warm and torn, takes about a minute on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -305,10 +308,14 @@ def compare(name: str, parent_out: str, change_out: str) -> list[str]:
                                   read_manifest(change_out))
 
 
-def warm_differences(label: str, src: str, cfg: dict, out: str) -> list[str]:
-    """Run cfg again under src into out, the directory of its cold run, and
-    list every CSV or manifest whose bytes the warm run changed."""
+def rerun_differences(label: str, src: str, cfg: dict,
+                      out: str) -> dict[str, list[str]]:
+    """Run cfg twice more under src into out, the directory of its cold run:
+    warm, then torn, with every offline cache file first cut to half its
+    bytes. For each run, list every CSV or manifest whose bytes differ from
+    the cold run's."""
     out_dir = os.path.join(out, "out")
+    cache_dir = os.path.join(out_dir, "offline_cache")
 
     def outputs() -> dict[str, bytes]:
         files = {}
@@ -319,20 +326,26 @@ def warm_differences(label: str, src: str, cfg: dict, out: str) -> list[str]:
         return files
 
     cold = outputs()
-    run_cli(src, "run", cfg, out)
-    warm = outputs()
-    diffs = []
-    for f in sorted(cold.keys() | warm.keys()):
-        a, b = cold.get(f), warm.get(f)
-        if a is None or b is None:
-            run = "warm" if a is None else "cold"
-            diffs.append(f"{label}/{f}: only in the {run} run")
-        elif a != b:
-            moved = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-            diffs.append(f"{label}/{f}: warm run differs from cold in "
-                         f"{len(moved)} bytes (first at {moved[:1]}), "
-                         f"length {len(a)} -> {len(b)}")
-    return diffs
+    found = {}
+    for run in ("warm", "torn"):
+        if run == "torn":
+            for f in os.listdir(cache_dir):
+                with open(os.path.join(cache_dir, f), "r+b") as fh:
+                    fh.truncate(os.fstat(fh.fileno()).st_size // 2)
+        run_cli(src, "run", cfg, out)
+        again = outputs()
+        diffs = found[run] = []
+        for f in sorted(cold.keys() | again.keys()):
+            a, b = cold.get(f), again.get(f)
+            if a is None or b is None:
+                diffs.append(f"{label}/{f}: only in the "
+                             f"{run if a is None else 'cold'} run")
+            elif a != b:
+                moved = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+                diffs.append(f"{label}/{f}: {run} run differs from cold in "
+                             f"{len(moved)} bytes (first at {moved[:1]}), "
+                             f"length {len(a)} -> {len(b)}")
+    return found
 
 
 def main(argv: list[str]) -> int:
@@ -366,10 +379,11 @@ def main(argv: list[str]) -> int:
                 run_cli(src, "run", cfg, out)
             report(name, compare(name, *(os.path.join(out, "out")
                                          for out in outs)))
-            report(f"{name} warm", [
-                diff for (tree, src), out in zip(trees, outs)
-                for diff in warm_differences(f"{name} ({tree}, warm)", src,
-                                             cfg, out)])
+            reruns = [rerun_differences(f"{name} ({tree})", src, cfg, out)
+                      for (tree, src), out in zip(trees, outs)]
+            for run in ("warm", "torn"):
+                report(f"{name} {run}",
+                       [diff for found in reruns for diff in found[run]])
         for name in SOLVE_OFFLINE_CONFIGS:
             for t in SOLVE_OFFLINE_T:
                 label = f"solve-offline {name} t={t}"
@@ -390,7 +404,7 @@ def main(argv: list[str]) -> int:
                 *(read_manifest(os.path.join(out, "out")) for out in outs)))
     for line in diffs:
         print(line)
-    print(f"{len(configs)} configs, each run cold and warm, "
+    print(f"{len(configs)} configs, each run cold, warm and torn, "
           f"{len(SOLVE_OFFLINE_CONFIGS) * len(SOLVE_OFFLINE_T)} solve-offline "
           f"prefixes, {len(failing)} failing configs, {len(diffs)} differences")
     return 1 if diffs else 0
