@@ -24,6 +24,9 @@ import numpy as np
 from . import offline
 from .schedules import ProblemConstants
 
+# 0-d operands of the per-call arithmetic, as in projections.py
+_ZERO, _HALF = np.array(0.0), np.array(0.5)
+
 
 class DsmConstraints:
     """Linear constraints of the doubly-stochastic polytope, g_j(x) =
@@ -60,13 +63,18 @@ class DsmConstraints:
         # tied mathematically (row and column sums) the last bit then moves
         # the first maximizer that g_max returns
         A, b = self._sums
-        sums = np.vecdot(A, x[..., None, :]) - b
+        n = x.shape[-1]
+        out = np.empty(x.shape[:-1] + (n + len(b),))
         # a row -e_i dots to exactly -x_i, and to +0.0 (never -0.0) where
         # x_i is a signed zero; 0.0 - x_i gives the same bits, -x_i would not
-        return np.concatenate((0.0 - x, sums), axis=-1)
+        np.subtract(_ZERO, x, out=out[..., :n])
+        np.subtract(np.vecdot(A, x[..., None, :]), b, out=out[..., n:])
+        return out
 
     def subgradient(self, x: np.ndarray, j) -> np.ndarray:
-        return self.A[j]
+        rows = self.A.take(j, axis=0)
+        rows.flags.writeable = False  # a copy, read-only as A's rows are
+        return rows
 
 
 def _round(rounds: np.ndarray, t: int) -> np.ndarray:
@@ -168,7 +176,7 @@ class DsmProblem:
         # Y_t of each seed, (S, p, p); a t outside the stream raises
         Y = self._eye.take(_round(self._rounds, t), axis=0)
         grads = X - Y.reshape(X.shape)
-        return 0.5 * np.add.reduce(grads * grads, axis=-1), grads
+        return _HALF * np.add.reduce(grads * grads, axis=-1), grads
 
     def prefix_loss(self, t: int, j: int = 0):
         """The function x -> (value, gradient) of f_1 + ... + f_t of seed j,
@@ -209,7 +217,7 @@ def _logistic(z: np.ndarray):
     taken as exp(z - log(1 + e^z)), which neither overflows nor warns for
     any finite z: the slope is exactly 1.0 above z ~ 33.3 and 0.0 below
     z ~ -745.1."""
-    value = np.logaddexp(0.0, z)
+    value = np.logaddexp(_ZERO, z)
     return value, np.exp(z - value)
 
 

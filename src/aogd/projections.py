@@ -28,11 +28,21 @@ import math
 import numpy as np
 
 
+# 0-d operands of the per-round arithmetic: the IEEE values of the Python
+# literals, without numpy converting a Python float on every call
+_ZERO = np.array(0.0)
+
+
 def all_finite(a):
-    """Whether every entry of a is finite: one ufunc reduce, where
-    `np.isfinite(a).all()` also passes through ndarray.all's Python
-    wrapper."""
-    return np.logical_and.reduce(np.isfinite(a), axis=None)
+    """Whether every entry of a is finite.
+
+    A finite sum of squares has only finite terms, so one dot decides
+    almost every call. Only a sum that is not finite (a NaN or infinite
+    entry, or finite entries whose squares overflow, such as 1e200) falls
+    back to the entrywise test, one ufunc reduce.
+    """
+    return (math.isfinite(np.vdot(a, a))
+            or bool(np.logical_and.reduce(np.isfinite(a), axis=None)))
 
 
 def project_ball(x: np.ndarray, R: float) -> np.ndarray:
@@ -62,7 +72,7 @@ def project_nonneg(lam):
     """Project each dual iterate onto the nonnegative reals, as
     `max(0.0, lam)` does: NaN and -0.0 become +0.0 (fmax drops the NaN,
     and -0.0 + 0.0 is +0.0)."""
-    return np.fmax(lam, 0.0) + 0.0
+    return np.fmax(lam, _ZERO) + _ZERO
 
 
 def g_max(cs, X: np.ndarray):

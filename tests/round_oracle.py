@@ -1,18 +1,21 @@
 """The online round as it was written before its per-round numpy calls were
-cut: `step`, `g_max`, `project_ball` and `project_nonneg` verbatim, and each
-problem's `loss` as it read its stream, for a randomized check that the
-lean round gives the same bits. `logloss_grad` is the elastic-net round's
-formula as it stood, with its label check: the reference the loss tests
-check by finite differences and tie `ElasticNetProblem.loss` to.
+cut: `step`, `g_max`, `project_ball` and `project_nonneg` verbatim, each
+problem's `loss` as it read its stream, and `DsmConstraints.values` (one
+concatenate) and `subgradient` (`A[j]`) verbatim, for a randomized check
+that the lean round gives the same bits. `logloss_grad` is the elastic-net
+round's formula as it stood, with its label check: the reference the loss
+tests check by finite differences and tie `ElasticNetProblem.loss` to.
 
 `reference_round(problem)` plays a `learner.run` with these in place of
-`learner.step`, `learner.g_max` and `problem.loss`.
+`learner.step`, `learner.g_max`, `problem.loss` and, for a DSM problem,
+its constraints' `values` and `subgradient`.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from types import MethodType
 
 import numpy as np
 
@@ -79,6 +82,25 @@ def dsm_loss(problem, t: int, X: np.ndarray):
     return 0.5 * (grads * grads).sum(axis=-1), grads
 
 
+def dsm_values(self, x: np.ndarray) -> np.ndarray:
+    """DsmConstraints.values as it stood; `reference_round` binds it to a
+    DSM problem's constraints."""
+    # vecdot takes one BLAS dot per row, the kernel of a single
+    # `A[j] @ x`; A @ x (gemv) sums in another order, and where rows are
+    # tied mathematically (row and column sums) the last bit then moves
+    # the first maximizer that g_max returns
+    A, b = self._sums
+    sums = np.vecdot(A, x[..., None, :]) - b
+    # a row -e_i dots to exactly -x_i, and to +0.0 (never -0.0) where
+    # x_i is a signed zero; 0.0 - x_i gives the same bits, -x_i would not
+    return np.concatenate((0.0 - x, sums), axis=-1)
+
+
+def dsm_subgradient(self, x: np.ndarray, j) -> np.ndarray:
+    """DsmConstraints.subgradient as it stood, bound like `dsm_values`."""
+    return self.A[j]
+
+
 def logloss_grad(y, u: np.ndarray, x: np.ndarray):
     """Logistic loss log(1 + exp(-y x.u)) and gradient, overflow-safe; one
     per row of labels y (S,), features u (S, d) and iterates x (S, d). The
@@ -103,13 +125,21 @@ def elasticnet_loss(problem, t: int, X: np.ndarray):
 @contextmanager
 def reference_round(problem):
     """Run `problem` with the reference round until exit, which restores
-    `learner.step`, `learner.g_max` and the problem's own `loss`."""
+    `learner.step`, `learner.g_max`, the problem's own `loss` and its
+    constraints' own `values` and `subgradient`."""
     saved = learner.step, learner.g_max
-    loss = dsm_loss if isinstance(problem, DsmProblem) else elasticnet_loss
+    dsm = isinstance(problem, DsmProblem)
+    loss = dsm_loss if dsm else elasticnet_loss
     learner.step, learner.g_max = step, g_max
     problem.loss = lambda t, X: loss(problem, t, X)
+    cs = problem.constraints
+    if dsm:
+        cs.values = MethodType(dsm_values, cs)
+        cs.subgradient = MethodType(dsm_subgradient, cs)
     try:
         yield
     finally:
         learner.step, learner.g_max = saved
         del problem.loss
+        if dsm:
+            del cs.values, cs.subgradient

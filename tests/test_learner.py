@@ -100,6 +100,13 @@ class TestStep:
                  np.array([0.0, np.inf]), np.zeros((2, 1)),
                  eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
 
+    def test_huge_finite_g_value_passes(self):
+        # 1e200 squares past float64, so all_finite takes its entrywise
+        # fallback, which finds it finite; no warning escapes either
+        _, lam = step1(np.zeros(1), 0.0, 3, np.zeros(1), 1e200, np.zeros(1),
+                       eta_t=0.1, mu_t=0.5, theta_t=1.0, R=1.0)
+        assert lam == 0.5 * 1e200
+
     def test_simultaneous_not_gauss_seidel(self):
         # the dual update must use g at the pre-update x; re-evaluating g at
         # the post-update x changes the dual iterate on a generic instance

@@ -137,6 +137,22 @@ class TestDsmConstraints:
         np.testing.assert_array_equal(cs.subgradient(np.ones((2, 4)), [4, 11]),
                                       cs.A[[4, 11]])
 
+    def test_subgradient_of_index_array_is_read_only_rows_of_a(self):
+        # one row per seed, as learner.run asks for them
+        cs = DsmConstraints(3)
+        rows = cs.subgradient(np.ones((2, 9)), np.array([4, 11]))
+        assert rows.tobytes() == cs.A[[4, 11]].tobytes()
+        assert rows.shape == (2, 9) and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[1, 0] = 5.0
+
+    def test_g_max_passes_a_finite_row_whose_squares_overflow(self):
+        # the values' sum of squares overflows, so all_finite takes its
+        # entrywise fallback; the row is finite and no warning escapes
+        values, idx = g_max(DsmConstraints(2),
+                            np.array([[1e200, 0.0, 0.0, 0.0]]))
+        assert values.tolist() == [1e200] and idx.tolist() == [4]
+
     def test_g_max_names_the_nonfinite_row(self):
         X = np.full((3, 4), 0.5)
         X[2, 1] = np.nan

@@ -1,4 +1,5 @@
-"""Property tests: projection laws, the learner's iterate invariants,
+"""Property tests: projection laws, the finiteness test against the
+entrywise one, the learner's iterate invariants,
 lockstep runs against single-seed runs, a run's first rounds, trace and
 comparators against a longer run's, the checkpoint trace and the
 code-counting DSM prefix loss against their per-round float forms, the
@@ -24,7 +25,7 @@ from aogd.learner import _CHUNK_ROUNDS, Trace, run
 from aogd.metrics import checkpoint_grid
 from aogd.offline import project_elasticnet_ball, solve_offline
 from aogd.problems import DsmProblem, ElasticNetProblem
-from aogd.projections import project_ball, project_nonneg
+from aogd.projections import all_finite, project_ball, project_nonneg
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
                             schedule_arrays)
 from dsm_stream_oracle import loss_sum_float
@@ -63,6 +64,31 @@ def test_project_nonneg(lam):
     out = project_nonneg(lam)
     assert out >= 0.0
     assert out == max(lam, 0.0)
+
+
+# signed zeros, the smallest subnormal, finite values whose squares
+# overflow, and the non-finite ones, beside any float
+finiteness_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200,
+                     np.nan, np.inf, -np.inf]),
+    st.floats())
+
+
+@st.composite
+def finiteness_arrays(draw):
+    """An array of shape (), (d,) or (S, d), or a strided slice of one."""
+    d, S = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (d,), (S, d), (2 * S, 3 * d)]))
+    a = draw(arrays(np.float64, shape, elements=finiteness_entries))
+    return a[::2, 1::3] if shape == (2 * S, 3 * d) else a
+
+
+@SETTINGS
+@given(a=finiteness_arrays())
+def test_all_finite_is_the_entrywise_test(a):
+    # its sum-of-squares test decides only a finite sum; any other sum
+    # falls back to the entrywise test, so the verdict never differs
+    assert all_finite(a) == bool(np.isfinite(a).all())
 
 
 def schedules(draw, constants,
