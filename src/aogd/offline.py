@@ -4,9 +4,9 @@ The online learner never projects onto the feasible set; these projections
 exist only to compute the comparator x* = argmin over the feasible set of
 the average loss on a stream prefix. Where the prefix supplies that
 minimizer in closed form (DSM: the prefix mean S/t), it is returned after
-one projection certifies it; otherwise x* is found by accelerated projected
-gradient (FISTA momentum with gradient restart) at the constant step 1/L,
-L the prefix's bound on the Lipschitz constant of its gradient.
+one projection certifies it; otherwise x* is found by spectral projected
+gradient: Barzilai-Borwein steps, the first at 1/L with L the prefix's bound
+on the Lipschitz constant of its gradient, under a nonmonotone line search.
 Birkhoff-polytope projection uses Dykstra's
 alternating projections (plain alternating projection would converge to a
 feasible point, not the Euclidean projection); the elastic-net ball
@@ -19,6 +19,7 @@ entry, so that a stale, torn or edited file is re-solved.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import json
@@ -38,8 +39,8 @@ class OfflineSolution:
     # f_1(x_star) + ... + f_t(x_star), as the solver evaluated it
     loss_sum: float
     iterations: int
-    # the gradient-mapping norm of the last iteration, at step min(step, 1);
-    # of a closed-form minimizer, at step 1
+    # the gradient-mapping norm at x_star, at step min(step, 1); of a
+    # closed-form minimizer, at step 1
     mapping_norm: float
 
     @property
@@ -51,6 +52,11 @@ _BIRKHOFF_TOL = 1e-10
 _BIRKHOFF_MAX_ITER = 10000
 _SOLVE_TOL = 1e-8
 _SOLVE_MAX_ITER = 5000
+# the spectral solve's line search and step bounds
+_SPG_MEMORY = 10  # the nonmonotone test's window of average values
+_SPG_DECREASE = 1e-4  # Armijo's sufficient-decrease fraction
+_SPG_MIN_MOVE = 2.0 ** -30  # the shortest fraction of d a search tries
+_SPG_STEP_MIN, _SPG_STEP_MAX = 1e-10, 1e10
 
 
 def _project_doubly_stochastic_affine(X: np.ndarray) -> np.ndarray:
@@ -130,11 +136,12 @@ def solve_offline(problem, t: int, j: int = 0) -> OfflineSolution:
     is returned with iterations=0 and its unit-step gradient-mapping norm
     ||project_feasible(x - grad(x)) - x||, the stopping rule at step 1, so
     that a wrong closed form still misses the tolerance. Any other prefix
-    is minimized by `_accelerated_descent`. The problem must have its first
-    t rounds materialized: its `prefix_loss` counts them once, and every
-    evaluation reads that count. The solution's `loss_sum` is the prefix
-    sum of the evaluation at x_star, and its `tolerance_met` derives from
-    its mapping norm.
+    is minimized by `_spectral_descent`, whose mapping norm is taken at the
+    x_star it returns. The problem must have its first t rounds
+    materialized: its `prefix_loss` counts them once, and every evaluation
+    reads that count. The solution's `loss_sum` is the prefix sum of the
+    evaluation at x_star, and its `tolerance_met` derives from its mapping
+    norm.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -146,53 +153,66 @@ def solve_offline(problem, t: int, j: int = 0) -> OfflineSolution:
         mapping_norm = math.sqrt(float(diff @ diff))
         iterations = 0
     else:
-        x, loss_sum, iterations, mapping_norm = _accelerated_descent(
+        x, loss_sum, iterations, mapping_norm = _spectral_descent(
             problem, prefix, t)
     return OfflineSolution(x_star=x, loss_sum=loss_sum, iterations=iterations,
                            mapping_norm=mapping_norm)
 
 
-def _accelerated_descent(problem, prefix, t: int):
-    """(x, prefix sum at x, iterations, gradient-mapping norm) of prefix / t
-    minimized over the feasible set by accelerated projected gradient (FISTA
-    momentum, Beck & Teboulle 2009) with gradient restart (O'Donoghue &
-    Candes 2015): each iteration takes a projected step from the
-    extrapolated point y and restarts the momentum when the step turns
-    against the previous move. The step is the constant 1/L of Beck &
-    Teboulle's constant-step form, L the prefix's `smoothness()` bound.
-    Stops when the gradient-mapping norm at y, taken at step min(step, 1),
-    falls below _SOLVE_TOL, or after _SOLVE_MAX_ITER iterations. That norm
-    bounds the unit-step mapping whatever the step, so a bound L that is
-    not one can slow or stall the solve but not pass a point the rule
-    rejects.
-    The prefix is evaluated once at each y and once at the last iterate.
+def _spectral_descent(problem, prefix, t: int):
+    """(x, prefix sum at x, iterations, gradient-mapping norm at x) of
+    prefix / t minimized over the feasible set by spectral projected
+    gradient (Birgin, Martinez & Raydan 2000). Each iteration projects
+    x - step * grad, with the Barzilai-Borwein step s.s / s.y of the
+    average objective (Barzilai & Borwein 1988), 1/L at the start, L the
+    prefix's `smoothness()` bound. It then moves along the projected
+    direction d by a nonmonotone Armijo search: to the projection output
+    itself, or else to x plus the first halving of d whose average value
+    is below the largest of the last _SPG_MEMORY ones by the sufficient
+    decrease.
+    Stops when the gradient-mapping norm at x, ||d|| / min(step, 1), falls
+    below _SOLVE_TOL, at iteration _SOLVE_MAX_ITER, or when a search has
+    halved d down to _SPG_MIN_MOVE without a decrease; x is not moved
+    after the norm is taken. That norm bounds the unit-step mapping
+    whatever the step, so no step can pass a point the rule rejects.
+    The prefix is evaluated once at the start and once at each point a
+    search tries: iterations + halvings times on a converged solve, whose
+    stopping iteration evaluates nothing.
     """
-    x = y = problem.project_feasible(np.zeros(problem.dim))
-    gy = prefix(y)[1] / t
+    x = problem.project_feasible(np.zeros(problem.dim))
+    total, grad = prefix(x)
+    grad = grad / t
+    recent = collections.deque([total / t], maxlen=_SPG_MEMORY)
     smoothness = prefix.smoothness()
     # with L = 0 the gradient is constant and any step is exact
     step = 1.0 / smoothness if smoothness > 0.0 else 1.0
-    k = 1.0
     for it in range(1, _SOLVE_MAX_ITER + 1):
-        x_new = problem.project_feasible(y - step * gy)
-        diff = x_new - y
-        # np.linalg.norm(diff) is sqrt(diff @ diff): the same bits. The
-        # norm of the step-s mapping, ||diff|| / s, falls as s grows while
-        # ||diff|| does not, so for a step above 1 dividing by 1 bounds the
+        trial = problem.project_feasible(x - step * grad)
+        d = trial - x
+        # the norm of the step-s mapping, ||d|| / s, falls as s grows while
+        # ||d|| does not, so for a step above 1 dividing by 1 bounds the
         # unit-step mapping, and dividing by the step would not
-        mapping_norm = math.sqrt(float(diff @ diff)) / min(step, 1.0)
-        if mapping_norm < _SOLVE_TOL:
+        mapping_norm = math.sqrt(float(d @ d)) / min(step, 1.0)
+        if mapping_norm < _SOLVE_TOL or it == _SOLVE_MAX_ITER:
             break
-        move = x_new - x
-        if float(diff @ move) < 0.0:  # (y - x_new).(x_new - x) > 0: restart
-            k = 1.0
-        k_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * k * k))
-        momentum = (k - 1.0) / k_next
-        # x_new + 0.0 * move would turn a -0.0 entry into +0.0
-        y = x_new if momentum == 0.0 else x_new + momentum * move
-        gy = prefix(y)[1] / t
-        x, k = x_new, k_next
-    return x_new, prefix(x_new)[0], it, mapping_norm
+        bound, slope = max(recent), _SPG_DECREASE * float(grad @ d)
+        a, x_new = 1.0, trial
+        total_new, grad_new = prefix(x_new)
+        while total_new / t > bound + a * slope:
+            if a <= _SPG_MIN_MOVE:
+                return x, total, it, mapping_norm
+            a *= 0.5
+            x_new = x + a * d
+            total_new, grad_new = prefix(x_new)
+        grad_new = grad_new / t
+        s = x_new - x
+        sy = float(s @ (grad_new - grad))
+        # s.y <= 0 only where the objective is linear along s, up to rounding
+        step = (min(max(float(s @ s) / sy, _SPG_STEP_MIN), _SPG_STEP_MAX)
+                if sy > 0.0 else _SPG_STEP_MAX)
+        x, total, grad = x_new, total_new, grad_new
+        recent.append(total / t)
+    return x, total, it, mapping_norm
 
 
 @functools.cache

@@ -1,13 +1,16 @@
 """Reference oracle for the offline comparator: plain projected gradient.
 
-`offline.solve_offline` adds FISTA momentum with gradient restart to this
-loop and steps at the constant 1/L from the prefix's smoothness bound; the
-tests compare the two. The oracle alone keeps the backtracking test, and on
-purpose the old step rule: it starts at 1, doubles the step after each
-iteration up to a cap of 1 and divides the mapping by the step itself, so
-that it stays an independent reference that reads no bound. It takes each step from the
-last iterate, and it never reads the prefix's `minimizer()`, so that it is
-the reference for DSM's closed form S/t too.
+`offline.solve_offline` replaces this loop's step rule by spectral steps
+(Barzilai-Borwein, starting at 1/L from the prefix's smoothness bound) under
+a nonmonotone line search; the tests compare the two. The oracle keeps a
+monotone backtracking test and on purpose the old step rule: it starts at
+1, doubles the step after each iteration up to a cap of 1 and divides the
+mapping by the step itself, so that it stays an independent reference that
+reads no bound. Capped at the unit step, it can run out of iterations on a
+loose elastic-net ball, where the objective is flat; its last point is
+feasible all the same. It takes each step from the last iterate, and it
+never reads the prefix's `minimizer()`, so that it is the reference for
+DSM's closed form S/t too.
 """
 
 import numpy as np

@@ -413,11 +413,20 @@ class TestRunExperiment:
                             range(1, config.T + 1))
         assert not np.any(trace.lam)
         assert (trace.lam_max[0], trace.lam_max_t[0]) == (0.0, 1)
-        # the manifest copies these two values, but this run writes none:
-        # on the loose ball a one-example log-loss is nearly flat, and the
-        # t=1 comparator misses its tolerance, which fails the run
-        with pytest.raises(RuntimeError, match="seed 3 at t=1 missed"):
-            run_experiment(cfg)
+        # the manifest copies these two values. On the loose ball a one- or
+        # two-example log-loss is nearly flat; its comparators are certified
+        # all the same, at prefix sums no larger than those of the solver
+        # before the spectral one, which stopped at 5000 iterations without
+        # meeting the tolerance at t = 1 and t = 2
+        run_experiment(cfg)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["max_lambda"] == {"3": {"value": 0.0, "t": 1}}
+        assert all(entry["tolerance_met"]
+                   for entry in manifest["offline"]["3"])
+        before = {1: 3.992970023070083e-08, 2: 1.1474059319384702e-05}
+        for t, loss_sum in before.items():
+            assert offline.solve_offline(problem, t).loss_sum <= loss_sum
 
     def test_negative_gamma_shift_rejected(self, tmp_path):
         _, cfg = write_config(tmp_path, gamma_shift={"c1": -1.0})

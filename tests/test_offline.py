@@ -266,15 +266,16 @@ class TestProjectElasticnetBall:
 
 
 def solve_recording(prob, t: int, j: int = 0):
-    """solve_offline with a log, taken from outside the solver, of its calls
-    to `project_feasible` ("project", argument) and to the prefix objective
-    ("evaluate", point), in order."""
+    """solve_offline with a log, taken from outside the solver, of the
+    outputs of its calls to `project_feasible` ("project", output) and of
+    its calls to the prefix objective ("evaluate", point), in order."""
     events = []
     project, prefix_loss = prob.project_feasible, prob.prefix_loss
 
     def recording_project(v):
-        events.append(("project", v.copy()))
-        return project(v)
+        out = project(v)
+        events.append(("project", out.copy()))
+        return out
 
     def recording_prefix_loss(t, j=0):
         loss = prefix_loss(t, j)
@@ -295,10 +296,30 @@ def solve_recording(prob, t: int, j: int = 0):
 
 
 def evaluations(events) -> int:
-    """How often the solve evaluated the prefix objective: a converged
-    solve evaluates it once at each of its iterations' y and once more at
-    x_star, iterations + 1 times; a closed form once, at 0 iterations."""
+    """How often the solve evaluated the prefix objective."""
     return sum(kind == "evaluate" for kind, _ in events)
+
+
+def halvings(events) -> int:
+    """How many of those evaluations were not at the output of the
+    projection before them: the halved moves of the line search, since
+    the start and every full move are projection outputs. A closed form
+    evaluates the prefix before it projects, so it has none."""
+    count, projected = 0, None
+    for kind, x in events:
+        if kind == "project":
+            projected = x
+        elif projected is not None and x.tobytes() != projected.tobytes():
+            count += 1
+    return count
+
+
+def assert_evaluation_count(sol, events):
+    """A converged iterative solve evaluates the prefix iterations +
+    halvings times: once at the start and once at each point its searches
+    try, and not in the iteration that stops it."""
+    assert sol.tolerance_met
+    assert evaluations(events) == sol.iterations + halvings(events)
 
 
 def criterion9_data():
@@ -452,12 +473,17 @@ class TestSolveOffline:
 
 
 class TestSolveOfflineAgainstOracle:
-    """The accelerated solver against plain projected gradient."""
+    """The spectral solver against plain projected gradient."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(rho=st.floats(0.05, 5.0), t=st.integers(1, 60),
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rho=st.floats(0.05, 50.0), t=st.integers(1, 60),
            seed=st.integers(0, 2**32 - 1))
+    @example(rho=50.0, t=5, seed=2)  # two searches halve
     def test_elasticnet_objective_no_worse(self, rho, t, seed):
+        # the oracle steps at most 1 and can run out of iterations on a
+        # loose ball, where the objective is flat; its point is feasible all
+        # the same, so the solver's optimum is no worse wherever it stops,
+        # and up to rho = 5 the oracle converges too
         rng = np.random.default_rng(seed)
         n, d = 40, 5
         u = rng.normal(size=(n, d))
@@ -466,9 +492,10 @@ class TestSolveOfflineAgainstOracle:
         prob.materialize(t, [seed])
         fast, events = solve_recording(prob, t)
         ref = solve_offline_pgd(prob, t)
-        assert evaluations(events) == fast.iterations + 1
-        assert fast.tolerance_met and ref.tolerance_met
-        assert fast.mapping_norm < 1e-8 and ref.mapping_norm < 1e-8
+        assert_evaluation_count(fast, events)
+        assert fast.mapping_norm < 1e-8
+        if rho <= 5.0:
+            assert ref.tolerance_met and ref.mapping_norm < 1e-8
         assert fast.loss_sum <= ref.loss_sum + 1e-12 * abs(ref.loss_sum)
 
     @pytest.mark.parametrize("p", [2, 3, 8])
@@ -484,6 +511,28 @@ class TestSolveOfflineAgainstOracle:
                 ref = solve_offline_pgd(prob, t, j=j)
                 assert_dsm_agrees(fast, ref)
                 assert evaluations(events) == fast.iterations + 1
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 16])
+    def test_dsm_iterative_path_reaches_the_closed_form(self, monkeypatch, p):
+        # without its closed form a DSM prefix is solved iteratively, on
+        # Dykstra's inexact Birkhoff projection: it converges to S / t within
+        # 1e-9 per entry, with a loss sum no worse than the closed form's
+        prob = DsmProblem(p).materialize(300, [0, 5])
+        closed = {(j, t): solve_offline(prob, t, j=j)
+                  for j in (0, 1) for t in (1, 2, 17, 300)}
+        prefix_loss = DsmProblem.prefix_loss
+
+        def without_minimizer(self, t, j=0):
+            loss = prefix_loss(self, t, j)
+            loss.minimizer = lambda: None
+            return loss
+        monkeypatch.setattr(DsmProblem, "prefix_loss", without_minimizer)
+        for (j, t), want in closed.items():
+            sol, events = solve_recording(prob, t, j=j)
+            assert_evaluation_count(sol, events)
+            assert sol.iterations >= 1 and want.iterations == 0
+            assert np.max(np.abs(sol.x_star - want.x_star)) <= 1e-9
+            assert sol.loss_sum <= want.loss_sum + 1e-12 * abs(want.loss_sum)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -530,43 +579,78 @@ class TestSolveOfflineAgainstOracle:
                 loss_sum_gathered(prob, t, sol.x_star, j)[0], rel=1e-12)
 
     def test_criterion9_iterations_halved(self):
+        # 39 iterations against the oracle's 1280
         prob = criterion9_problem([0, 1])
         fast = ref = 0
         for j in (0, 1):
             for t in (25, 100, 200):
                 (a, events), b = (solve_recording(prob, t, j=j),
                                   solve_offline_pgd(prob, t, j=j))
-                assert evaluations(events) == a.iterations + 1
+                assert_evaluation_count(a, events)
                 assert a.tolerance_met and b.tolerance_met
                 fast, ref = fast + a.iterations, ref + b.iterations
-        assert 2 * fast <= ref
+        assert 20 * fast <= ref
+
+
+def loose_ball_problem() -> tuple[ElasticNetProblem, int]:
+    """A problem whose solve halves its moves, and its t: 40 examples of 5
+    features at scale 3 under the loose budget rho = 50, so that the
+    logistic curvature varies along a step and a spectral step overshoots."""
+    rng = np.random.default_rng(2)
+    u = rng.normal(size=(40, 5)) * 3.0
+    y = np.where(rng.uniform(size=40) > 0.5, 1.0, -1.0)
+    return ElasticNetProblem(y, u, rho=50.0).materialize(5, [2]), 5
+
+
+def assert_unit_step_mapping_bounded(scale: float):
+    """A solve over 60 examples of 5 features at `scale` under rho = 1
+    reports a mapping norm, taken at x_star, that bounds the unit-step
+    mapping there, and ends on the boundary of the budget."""
+    rng = np.random.default_rng(5)
+    n, d, t = 60, 5, 60
+    u = rng.normal(size=(n, d)) * scale
+    y = np.where(u @ rng.normal(size=d) > 0, 1.0, -1.0)
+    prob = ElasticNetProblem(y, u, rho=1.0).materialize(t, [4])
+    assert 1.0 / prob.prefix_loss(t).smoothness() > 1000.0
+    sol, events = solve_recording(prob, t)
+    assert_evaluation_count(sol, events)
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "project")
+    final_x = next(x for kind, x in reversed(events[:last])
+                   if kind == "evaluate")
+    assert final_x.tobytes() == sol.x_star.tobytes()
+    grad = prob.prefix_loss(t)(sol.x_star)[1] / t
+    unit_mapping = np.linalg.norm(
+        sol.x_star - prob.project_feasible(sol.x_star - grad))
+    assert unit_mapping <= sol.mapping_norm < 1e-8
+    assert elasticnet_value(sol.x_star) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSolveOfflineStep:
-    """The constant step 1/L from the prefix's bound, and the stopping rule
-    at steps above 1."""
+    """The first step 1/L from the prefix's bound, the line search, and the
+    stopping rule at steps above 1."""
 
     def test_criterion9_checkpoints_evaluate_once_per_iteration(self):
-        # criterion 9's checkpoints: each solve evaluates the prefix
-        # iterations + 1 times, and the eight solves of a seed take at most
-        # 200 iterations together (323 to 429 under the unit step cap)
+        # criterion 9's checkpoints: no search halves, so each solve
+        # evaluates the prefix once per iteration, and the eight solves of
+        # a seed take at most 100 iterations together (58 to 67; 323 to 429
+        # under the unit step cap)
         prob = criterion9_problem([0, 1, 2, 3])
         for j in range(4):
             iterations = 0
             for t in checkpoint_grid(200, 8):
                 sol, events = solve_recording(prob, t, j=j)
-                assert sol.tolerance_met
-                assert evaluations(events) == sol.iterations + 1
+                assert_evaluation_count(sol, events)
+                assert halvings(events) == 0
                 iterations += sol.iterations
-            assert iterations <= 200
+            assert iterations <= 100
 
     @pytest.mark.parametrize("factor", [1.0, 1.0 / 4.0, 1.0 / 64.0])
     def test_underestimated_smoothness_cannot_pass_a_wrong_optimum(
             self, tmp_path, monkeypatch, factor):
-        # a bound below the true L lengthens the step past 1/L: the solve
-        # may stall, but the stopping rule certifies every point it accepts
-        # at any step, so each solve either agrees with the oracle or misses
-        # its tolerance, and a run fails at its first miss
+        # a bound below the true L lengthens the first step past 1/L, and
+        # the stopping rule certifies every point it accepts at any step:
+        # every solve agrees with the oracle. A solve cut short misses its
+        # tolerance, and a run fails at its first miss
         data = write_criterion9_dataset(tmp_path / "criterion9.libsvm")
         cfg = ExperimentConfig(
             problem={"kind": "elasticnet", "dataset": data, "rho": 1.0},
@@ -574,53 +658,69 @@ class TestSolveOfflineStep:
             output_dir=str(tmp_path / "out"), checkpoints=8)
         prob = build_problem(cfg).materialize(cfg.T, cfg.seeds)
         scale_smoothness(monkeypatch, factor)
-        missed = []
-        for t in checkpoint_grid(cfg.T, cfg.checkpoints):
-            sol = solve_offline(prob, t)
-            if sol.tolerance_met:
-                ref = solve_offline_pgd(prob, t)
-                assert ref.tolerance_met
-                assert sol.loss_sum == pytest.approx(ref.loss_sum, rel=1e-12)
-            else:
-                missed.append(t)
-        if factor == 1.0:
-            assert not missed
-        if factor == 1.0 / 64.0:
-            assert missed
-        if not missed:
-            return
+        grid = checkpoint_grid(cfg.T, cfg.checkpoints)
+        for t in grid:
+            sol, ref = solve_offline(prob, t), solve_offline_pgd(prob, t)
+            assert sol.tolerance_met and ref.tolerance_met
+            assert sol.loss_sum == pytest.approx(ref.loss_sum, rel=1e-12)
+        monkeypatch.setattr(offline, "_SOLVE_MAX_ITER", 3)
+        missed = [t for t in grid if not solve_offline(prob, t).tolerance_met]
+        assert missed
+        # a solve cut short returns the point its norm was taken at: it
+        # evaluates nothing after its last projection
+        sol, events = solve_recording(prob, missed[0])
+        assert sol.iterations == 3 and events[-1][0] == "project"
+        assert evaluations(events) == sol.iterations + halvings(events)
         with pytest.raises(RuntimeError) as info:
             run_experiment(asdict(cfg))
         assert str(info.value).startswith(
             f"offline solve of seed 1 at t={missed[0]} missed its tolerance "
-            f"after 5000 iterations")
+            f"after 3 iterations")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("factor", [1.0, 1.0 / 64.0])
+    def test_halved_moves_converge_to_the_oracle(self, monkeypatch, factor):
+        # steps that overshoot on a loose ball: the searches halve, and the
+        # solve still converges to the oracle's optimum
+        prob, t = loose_ball_problem()
+        scale_smoothness(monkeypatch, factor)
+        sol, events = solve_recording(prob, t)
+        ref = solve_offline_pgd(prob, t)
+        assert_evaluation_count(sol, events)
+        assert halvings(events) > 0
+        assert ref.tolerance_met
+        assert sol.loss_sum == pytest.approx(ref.loss_sum, rel=1e-12)
+
+    def test_search_without_decrease_ends_the_solve(self, monkeypatch):
+        # with no halving allowed, the first search that needs one ends the
+        # solve where it stands: unconverged, before the iteration cap, with
+        # the norm and the prefix sum of the point it returns
+        prob, t = loose_ball_problem()
+        monkeypatch.setattr(offline, "_SPG_MIN_MOVE", 1.0)
+        sol, events = solve_recording(prob, t)
+        assert not sol.tolerance_met and sol.mapping_norm >= 1e-8
+        assert 1 <= sol.iterations < offline._SOLVE_MAX_ITER
+        # the last evaluation tried the rejected move; the one before it was
+        # the point the solve returns, a projection output
+        tried = [x for kind, x in events if kind == "evaluate"]
+        assert len(tried) == sol.iterations + 1
+        assert tried[-2].tobytes() == sol.x_star.tobytes()
+        assert sol.loss_sum == prob.prefix_loss(t)(sol.x_star)[0]
+
     def test_stopping_rule_bounds_the_unit_step_mapping(self):
         # small features make 1/L large, and the optimum sits on the
-        # boundary of the budget, where the step-s mapping norm at y falls
+        # boundary of the budget, where the step-s mapping norm at x falls
         # as s grows: the reported norm must bound the unit-step mapping at
-        # the final y. A norm taken at the step itself (about 2800) stops
-        # this solve where the unit-step mapping is still 1.9e-7
-        rng = np.random.default_rng(5)
-        n, d, t = 60, 5, 60
-        u = rng.normal(size=(n, d)) * 0.03
-        y = np.where(u @ rng.normal(size=d) > 0, 1.0, -1.0)
-        prob = ElasticNetProblem(y, u, rho=1.0).materialize(t, [4])
-        assert 1.0 / prob.prefix_loss(t).smoothness() > 1000.0
-        sol, events = solve_recording(prob, t)
-        assert sol.tolerance_met and evaluations(events) == sol.iterations + 1
-        last = max(i for i, (kind, _) in enumerate(events)
-                   if kind == "project")
-        final_y = next(x for kind, x in reversed(events[:last])
-                       if kind == "evaluate")
-        grad = prob.prefix_loss(t)(final_y)[1] / t
-        unit_mapping = np.linalg.norm(
-            final_y - prob.project_feasible(final_y - grad))
-        assert unit_mapping <= sol.mapping_norm < 1e-8
-        assert elasticnet_value(sol.x_star) == pytest.approx(1.0, rel=1e-12)
+        # x_star, the point it was taken at
+        assert_unit_step_mapping_bounded(0.03)
+
+    def test_stopping_rule_at_a_flatter_prefix(self):
+        # a norm divided by the step itself (above 1000) would stop this
+        # solve at its second iteration, where the unit-step mapping is
+        # still 3.5e-7
+        assert_unit_step_mapping_bounded(0.003)
 
     def test_constant_gradient_takes_the_unit_step(self):
         # all-zero feature rows, as label-only libsvm lines give: L = 0, the
