@@ -6,18 +6,21 @@ descent step on the saddle function f_t(x) + lambda * g(x) - theta_t/2 *
 lambda^2 and a projected dual ascent step. Both updates use gradients
 evaluated at the old (x_t, lambda_t): the updates are simultaneous, not
 sequential. `run` plays the streams of S seeds in lockstep, so the state is
-the pair (X, lambda) of shapes (S, d) and (S,), one row per seed; it returns
-one `Trace` of the run's values at the checkpoints, so that its memory does
-not grow with T.
+the pair (X, lambda): X is (S, d), one row per seed, and lambda a list of S
+Python floats between rounds, since the scalar dual step of each seed is
+cheaper in Python floats than as ufuncs on an (S,) array at the few seeds
+a run plays. It returns one `Trace` of the run's values at the checkpoints,
+so that its memory does not grow with T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import all_finite, g_max, project_ball, project_nonneg
+from .projections import g_max, project_ball
 from .schedules import schedule_arrays
 
 
@@ -102,23 +105,30 @@ class _Chunks:
 
 def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
          g_value: np.ndarray, g_sub: np.ndarray, eta_t: float, mu_t: float,
-         theta_t: float, R: float) -> tuple[np.ndarray, np.ndarray]:
+         theta_t: float, R: float) -> tuple[np.ndarray, list[float]]:
     """One simultaneous primal-descent / dual-ascent update of round t for
-    each row: X, f_grad and g_sub are (S, d), lam and g_value (S,).
+    each row: X, f_grad and g_sub are (S, d), lam and g_value (S,). lam is
+    only read: `run` passes the row of its trace buffer that holds lambda_t.
 
     The primal gradient of the saddle function is f_grad + lam * g_sub, the
-    dual gradient g_value - theta_t * lam; returns the next (X, lam). Raises
-    FloatingPointError, naming t, for a non-finite g_value, or a primal
-    gradient whose descent step leaves a row without a finite norm (the
-    ball projection checks every row).
+    dual gradient g_value - theta_t * lam; returns the next X and the next
+    lambda as a list of S Python floats, each seed's ascent step projected
+    onto the nonnegative reals as `max(0.0, v)` does (NaN and -0.0 become
+    +0.0). Raises FloatingPointError, naming t, for a non-finite g_value,
+    or a primal gradient whose descent step leaves a row without a finite
+    norm (the ball projection checks every row).
     """
-    if not all_finite(g_value):
-        raise FloatingPointError(f"non-finite gradient at round t={t}")
+    lam_next = []
+    for lam_j, g_j in zip(lam.tolist(), g_value.tolist()):
+        if not math.isfinite(g_j):
+            raise FloatingPointError(f"non-finite gradient at round t={t}")
+        v = lam_j + mu_t * (g_j - theta_t * lam_j)
+        lam_next.append(v if v > 0.0 else 0.0)
     try:
         X_next = project_ball(X - eta_t * (f_grad + lam[:, None] * g_sub), R)
     except FloatingPointError as err:
         raise FloatingPointError(f"non-finite gradient at round t={t}") from err
-    return X_next, project_nonneg(lam + mu_t * (g_value - theta_t * lam))
+    return X_next, lam_next
 
 
 def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
@@ -146,7 +156,7 @@ def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
     C = min(T, _CHUNK_ROUNDS)
     chunks = _Chunks(ts, C, S)
     lams, losses, gs = chunks.lams, chunks.losses, chunks.gs
-    X, lam = np.zeros((S, problem.dim)), np.zeros(S)
+    X, lam = np.zeros((S, problem.dim)), [0.0] * S
     for start in range(0, T, C):
         stop = min(start + C, T)
         # the chunk's schedule as Python floats: the same IEEE values,
@@ -158,7 +168,7 @@ def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
             f_val, f_grad = problem.loss(t, X)
             g_val, idx = g_max(cs, X)
             lams[i], losses[i], gs[i] = lam, f_val, g_val
-            X, lam = step(X, lam, t, f_grad, g_val + gamma,
+            X, lam = step(X, lams[i], t, f_grad, g_val + gamma,
                           cs.subgradient(X, idx), eta_t, mu_t, theta_t, R)
         chunks.fold(start, stop - start)
     return Trace(t=ts, loss_cum=chunks.loss_cum, g_cum=chunks.g_cum,

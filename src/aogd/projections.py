@@ -1,8 +1,9 @@
 """Euclidean projections and max-aggregation of constraint components.
 
 During online rounds the iterate is only ever projected onto the enclosing
-ball (never onto the feasible set itself); the dual variable is projected
-onto the nonnegative reals. The m individual constraints are aggregated into
+ball (never onto the feasible set itself). The dual iterate's projection
+onto the nonnegative reals is a scalar clamp per seed, made by
+`learner.step` itself. The m individual constraints are aggregated into
 a single function g(x) = max_j g_j(x) whose subgradient is taken from an
 active component.
 
@@ -18,7 +19,7 @@ Non-finite input raises FloatingPointError rather than flowing on:
 `project_ball` raises for any row whose squared norm is not finite (NaN or
 infinite entries, or a finite row too large to square), and `g_max` for
 any non-finite constraint component. `all_finite` is the array finiteness
-test of the round and of both offline projections.
+test of `g_max` and of both offline projections.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-# 0-d operands of the per-round arithmetic: the IEEE values of the Python
-# literals, without numpy converting a Python float on every call
-_ZERO = np.array(0.0)
 
 
 def all_finite(a):
@@ -66,13 +62,6 @@ def project_ball(x: np.ndarray, R: float) -> np.ndarray:
         raise FloatingPointError("a row of x has a non-finite squared norm")
     # R / max(norm, R) is exactly 1.0 for the rows inside the ball
     return x * (R / np.maximum(np.sqrt(squares), R))[..., None]
-
-
-def project_nonneg(lam):
-    """Project each dual iterate onto the nonnegative reals, as
-    `max(0.0, lam)` does: NaN and -0.0 become +0.0 (fmax drops the NaN,
-    and -0.0 + 0.0 is +0.0)."""
-    return np.fmax(lam, _ZERO) + _ZERO
 
 
 def g_max(cs, X: np.ndarray):

@@ -133,6 +133,20 @@ class TestStep:
             x, lam_j = step1(X[j], lam[j], 4, f_grad[j], g[j], g_sub[j], *args)
             assert np.array_equal(X_next[j], x) and lam_next[j] == lam_j
 
+    def test_reads_read_only_rows(self):
+        # `run` passes a row of its trace buffer as lam: step reads lam and
+        # g_value and writes neither
+        rng = np.random.default_rng(8)
+        X, f_grad, g_sub = rng.normal(size=(3, 4, 2))
+        lam, g = np.array([0.0, 0.3, 2.0, 0.1]), rng.normal(size=4)
+        expected = step(X, lam.copy(), 5, f_grad, g.copy(), g_sub,
+                        0.3, 0.2, 1.5, 2.0)
+        saved = lam.copy(), g.copy()
+        lam.flags.writeable = g.flags.writeable = False
+        X_next, lam_next = step(X, lam, 5, f_grad, g, g_sub, 0.3, 0.2, 1.5, 2.0)
+        assert np.array_equal(X_next, expected[0]) and lam_next == expected[1]
+        assert np.array_equal(lam, saved[0]) and np.array_equal(g, saved[1])
+
 
 class TestRun:
     def test_single_round(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aogd.projections import g_max, project_ball, project_nonneg
+from aogd.learner import step
+from aogd.projections import g_max, project_ball
 from closure_constraints import Constraint, ConstraintSet, elasticnet_closure
 
 
@@ -77,17 +78,36 @@ class TestProjectBall:
             assert np.linalg.norm(px) <= 1.0 + 1e-12
 
 
+def dual_step(lam, g, mu_t, theta_t):
+    """The next dual iterates `learner.step` gives from lam and g, with a
+    zero primal step."""
+    S = len(lam)
+    _, lam_next = step(np.zeros((S, 1)), np.array(lam), 1, np.zeros((S, 1)),
+                       np.array(g), np.zeros((S, 1)), eta_t=1.0, mu_t=mu_t,
+                       theta_t=theta_t, R=1.0)
+    return lam_next
+
+
 class TestProjectNonneg:
-    @pytest.mark.parametrize("lam,expected", [(-0.5, 0.0), (0.7, 0.7), (0.0, 0.0)])
-    def test_values(self, lam, expected):
-        assert project_nonneg(lam) == expected
+    """The projection onto the nonnegative reals that `learner.step` makes
+    of each seed's dual ascent step."""
+
+    @pytest.mark.parametrize("v,expected", [(-0.5, 0.0), (0.7, 0.7), (0.0, 0.0)])
+    def test_values(self, v, expected):
+        # from lambda = 0 with theta = 0 and a unit dual step the ascent
+        # step is the constraint value v itself
+        assert dual_step([0.0], [v], mu_t=1.0, theta_t=0.0) == [expected]
 
     def test_batch_keeps_max_sign_of_zero(self):
-        # max(0.0, lam) maps -0.0 and NaN to +0.0; np.maximum would not
-        lam = np.array([-0.0, 0.0, -2.0, 0.5, np.nan])
-        out = project_nonneg(lam)
-        expected = [max(0.0, v) for v in lam.tolist()]
-        assert out.tolist() == expected
+        # max(0.0, v) maps -0.0 and NaN to +0.0; np.maximum would not. At
+        # mu = 0 the ascent step lam + 0 * (g - theta * lam) is -0.0 for
+        # lam = -0.0 and g < 0, and NaN where theta * lam overflows
+        lam = [-0.0, 0.0, -2.0, 0.5, 1e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.array(lam) + 0.0 * (-1.0 - 10.0 * np.array(lam))
+        assert np.signbit(raw[0]) and np.isnan(raw[4])
+        out = dual_step(lam, [-1.0] * 5, mu_t=0.0, theta_t=10.0)
+        assert out == [max(0.0, v) for v in raw.tolist()]
         assert not np.any(np.signbit(out))
 
 

@@ -1,5 +1,6 @@
 """Property tests: projection laws, the finiteness test against the
-entrywise one, the learner's iterate invariants,
+entrywise one, the learner's dual rule against its array form, the
+learner's iterate invariants,
 lockstep runs against single-seed runs, a run's first rounds, trace and
 comparators against a longer run's, the checkpoint trace and the
 code-counting DSM prefix loss against their per-round float forms, the
@@ -12,6 +13,7 @@ and the suite stays fast.
 """
 
 import inspect
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -21,16 +23,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from aogd.learner import _CHUNK_ROUNDS, Trace, run
+from aogd.learner import _CHUNK_ROUNDS, Trace, run, step
 from aogd.metrics import checkpoint_grid
 from aogd.offline import project_elasticnet_ball, solve_offline
 from aogd.problems import DsmProblem, ElasticNetProblem
-from aogd.projections import all_finite, project_ball, project_nonneg
+from aogd.projections import all_finite, project_ball
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
                             schedule_arrays)
 from dsm_stream_oracle import loss_sum_float
 from elasticnet_prefix_oracle import loss_sum_gathered
-from round_oracle import reference_round
+from round_oracle import project_nonneg, reference_round
 from step_recorder import recorded_iterates, recorded_rounds
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -58,12 +60,44 @@ def test_project_ball_idempotent_and_nonexpansive(pair, R):
     assert np.linalg.norm(px - py) <= dist * (1.0 + 1e-12) + 1e-12 * R
 
 
+# dual iterates: zero, the smallest subnormal, one whose theta * lam
+# overflows, beside any finite nonnegative value; constraint values up to
+# the largest finite ones
+dual_iterates = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]),
+                          st.floats(0.0, allow_infinity=False))
+constraint_values = st.one_of(st.sampled_from([1e308, -1e308]),
+                              st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def dual_steps(draw):
+    S = draw(st.integers(1, 5))
+    return (draw(arrays(np.float64, S, elements=dual_iterates)),
+            draw(arrays(np.float64, S, elements=constraint_values)),
+            draw(st.floats(0.0, 1e308, exclude_min=True)),
+            draw(st.floats(0.0, 1e308)))
+
+
 @SETTINGS
-@given(lam=st.floats(allow_nan=False))
-def test_project_nonneg(lam):
-    out = project_nonneg(lam)
-    assert out >= 0.0
-    assert out == max(lam, 0.0)
+@given(case=dual_steps())
+@example(case=(np.array([1e300, 0.0]), np.array([1e308, -1e308]), 1e308, 1e308))
+@example(case=(np.array([1e300]), np.array([1e308]), 10.0, 0.0))
+def test_step_dual_rule_matches_array_form(case):
+    # step's per-seed loop in Python floats gives the bits, signed zeros
+    # included, of the ascent step as (S,) array arithmetic clamped by the
+    # reference projection; an overflow to +-inf passes without a warning
+    lam, g, mu, theta = case
+    S = len(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = project_nonneg(lam + mu * (g - theta * lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, out = step(np.zeros((S, 1)), lam, 1, np.zeros((S, 1)), g,
+                      np.zeros((S, 1)), eta_t=1.0, mu_t=mu, theta_t=theta,
+                      R=1.0)
+    assert all(type(v) is float for v in out)
+    assert np.array(out).view(np.uint64).tolist() == \
+        expected.view(np.uint64).tolist()
 
 
 # signed zeros, the smallest subnormal, finite values whose squares
