@@ -8,7 +8,10 @@ A run produces, under the configured output directory:
     condition-check report, rate exponents, bound compliance and, per
     checkpoint, the offline solver's iterations, whether it met its
     tolerance and its final gradient-mapping norm; per seed also the clipped
-    violation sum_t [g(x_t)]_+ and the largest dual iterate with its round.
+    violation sum_t [g(x_t)]_+ and the largest dual iterate with its round,
+  - the offline comparator cache, offline_cache/solutions.bin (see
+    `offline.load_solutions`): read once before the solves, and written
+    once after them when any comparator was solved.
 
 `run_experiment(raw)`, for a config as `read_config` returns it, is the
 one way into a run. A failed run's manifest holds status "failed", the
@@ -230,7 +233,7 @@ def run_experiment(raw: dict) -> str:
 
 def _run_experiment(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    cache_dir = os.path.join(cfg.output_dir, "offline_cache")
+    cache_path = os.path.join(cfg.output_dir, "offline_cache", "solutions.bin")
     # one problem for every seed: learner.run materializes all their streams
     # and plays them in lockstep; the offline solves read seed j's row
     problem = build_problem(cfg)
@@ -252,10 +255,15 @@ def _run_experiment(cfg: ExperimentConfig) -> str:
     trace = learner.run(problem, schedule, cfg.T, cfg.seeds, checkpoints)
     # every comparator is solved and gated before any output is written, so
     # that no regret is written against one that missed its tolerance
-    solutions = [{t: offline.solve_offline_cached(problem, t, cache_dir,
-                                                 run_key, seed, j)
+    cache = offline.load_solutions(cache_path, run_key)
+    loaded = len(cache)
+    solutions = [{t: offline.solve_offline_cached(problem, t, cache, seed, j)
                   for t in checkpoints}
                  for j, seed in enumerate(cfg.seeds)]
+    # stored before the gate, so that a missed tolerance fails the next run
+    # too; the entries of other seeds the file held are kept
+    if len(cache) > loaded:
+        offline.store_solutions(cache_path, run_key, cache)
     for seed, seed_solutions in zip(cfg.seeds, solutions):
         for t, sol in seed_solutions.items():
             if not sol.tolerance_met:

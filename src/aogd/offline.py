@@ -11,10 +11,11 @@ Birkhoff-polytope projection uses Dykstra's
 alternating projections (plain alternating projection would converge to a
 feasible point, not the Euclidean projection); the elastic-net ball
 projection has a closed form in the KKT multiplier once its support is
-known. Solutions are cached on disk, each file sealed by a digest over the
-problem spec, the dataset's bytes, the source of every module of the
-package (the solver's settings among it), the seed, t and the file's own
-entry, so that a stale, torn or edited file is re-solved.
+known. A run's solutions are cached on disk in one file, read once before
+its solves and written once after them if any was solved, sealed by a
+digest over the problem spec, the dataset's bytes, the source of every
+module of the package (the solver's settings among it) and the file's own
+bytes, so that a stale, torn or edited file is re-solved.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def cache_key(spec: dict) -> str:
     t: the problem spec, with the sha256 of the dataset file's bytes in
     place of its path, and the source of the code that computes it, the
     solver's settings among it (`_source_digest`). Computed once per run;
-    `solve_offline_cached` folds in the seed and t.
+    the cache file keys each entry by its seed and t.
     """
     spec = dict(spec)
     if "dataset" in spec:
@@ -245,45 +246,75 @@ def cache_key(spec: dict) -> str:
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
 
 
-def _seal(key: str, seed: int, t: int, body: bytes) -> bytes:
-    """The first line of a cache file: the sha256 of the run's key, the
-    seed, t and the entry's JSON bytes that follow the line."""
-    digest = hashlib.sha256(f"{key} seed={seed} t={t}\n".encode())
+def _seal(key: str, body: bytes) -> bytes:
+    """The first line of a cache file: the sha256 of the run's key and of
+    every byte that follows the line."""
+    digest = hashlib.sha256(key.encode() + b"\n")
     digest.update(body)
     return digest.hexdigest().encode()
 
 
-def solve_offline_cached(problem, t: int, cache_dir: str, key: str,
-                         seed: int, j: int = 0) -> OfflineSolution:
-    """Disk-cached solve_offline of seed j; writes via atomic rename. `key`
-    is the run's `cache_key` and `seed` row j's seed. The file is named by
-    seed and t; its first line is the `_seal` of the JSON entry below it,
-    the only identity the file has. A missing file, or one whose seal does
-    not match its body under this key, seed and t (another run's file, a
-    torn write, an edit), is re-solved and overwritten; a file that cannot
-    be read fails the call."""
-    path = os.path.join(cache_dir, f"seed{seed}_t{t}.json")
+# the fields of an entry's JSON header: every field but x_star, which
+# follows as raw bytes (tolerance_met is derived, so not a field)
+_HEADER_FIELDS = tuple(f.name for f in fields(OfflineSolution)
+                       if f.name != "x_star")
+
+
+def load_solutions(path: str,
+                   key: str) -> dict[tuple[int, int], OfflineSolution]:
+    """The comparators of the cache file at path, by (seed, t). A missing
+    file, or one whose seal does not match its bytes under `key` (another
+    run's file, a torn write, an edit), gives {}; a file that cannot be
+    read raises. A matching seal means this module's own writer wrote
+    those bytes, so nothing else is checked."""
     try:
         with open(path, "rb") as fh:
             seal, _, body = fh.read().partition(b"\n")
     except FileNotFoundError:
-        pass
-    else:
-        if seal == _seal(key, seed, t, body):
-            entry = json.loads(body)
-            return OfflineSolution(**dict(
-                entry, x_star=np.asarray(entry["x_star"], dtype=float)))
-    sol = solve_offline(problem, t, j=j)
-    entry = {f.name: getattr(sol, f.name) for f in fields(sol)}
+        return {}
+    if seal != _seal(key, body):
+        return {}
+    header, _, rows = body.partition(b"\n")
+    entries = json.loads(header)
+    x_stars = np.frombuffer(rows, dtype="<f8").reshape(len(entries), -1)
+    return {(e["seed"], e["t"]): OfflineSolution(
+                x_star=x, **{name: e[name] for name in _HEADER_FIELDS})
+            for e, x in zip(entries, x_stars)}
+
+
+def store_solutions(path: str, key: str,
+                    solutions: dict[tuple[int, int], OfflineSolution]):
+    """Write the comparators of `solutions`, keyed (seed, t), to path by
+    atomic rename: the `_seal` line, one JSON list of every entry's seed,
+    t and header fields in (seed, t) order, then their x_star rows in the
+    same order as little-endian float64 bytes, which round-trip bit for
+    bit."""
+    items = sorted(solutions.items())  # the keys are distinct
     # json.dumps takes the C encoder, which json.dump never does
-    body = json.dumps(dict(entry, x_star=sol.x_star.tolist())).encode()
+    header = json.dumps([
+        {"seed": seed, "t": t,
+         **{name: getattr(sol, name) for name in _HEADER_FIELDS}}
+        for (seed, t), sol in items]).encode()
+    rows = np.stack([sol.x_star for _, sol in items]).astype("<f8").tobytes()
+    body = header + b"\n" + rows
+    cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_seal(key, seed, t, body) + b"\n" + body)
+            fh.write(_seal(key, body) + b"\n" + body)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def solve_offline_cached(problem, t: int, cache: dict, seed: int,
+                         j: int = 0) -> OfflineSolution:
+    """Row j's comparator at t: `cache[seed, t]`, with `seed` row j's seed
+    and `cache` the map `load_solutions` returns; on a miss, the
+    `solve_offline` result, added to the cache for `store_solutions`."""
+    sol = cache.get((seed, t))
+    if sol is None:
+        sol = cache[seed, t] = solve_offline(problem, t, j=j)
     return sol

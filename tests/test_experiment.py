@@ -50,9 +50,38 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def cache_entry(path):
-    """The JSON entry of an offline cache file, below its seal line."""
-    return json.loads(path.read_bytes().partition(b"\n")[2])
+def cache_file(out):
+    """The offline cache file of the output directory out."""
+    return out / "offline_cache" / "solutions.bin"
+
+
+def cache_header(out):
+    """The JSON list of entries of out's cache file, the line below its
+    seal."""
+    return json.loads(cache_file(out).read_bytes().split(b"\n", 2)[1])
+
+
+def cache_body(entries, rows):
+    """The bytes below a cache file's seal line: the JSON list of entries,
+    then their x_star rows."""
+    return json.dumps(entries).encode() + b"\n" + rows
+
+
+def cached(out, problem):
+    """out's cached comparators by (seed, t), as a run of `problem` reads
+    them."""
+    return offline.load_solutions(str(cache_file(out)),
+                                  offline.cache_key(problem))
+
+
+def drop_cached(out, problem, *keys):
+    """Rewrite out's cache file, by the cache's own writer, without the
+    entries of keys, each a (seed, t)."""
+    kept = {k: sol for k, sol in cached(out, problem).items()
+            if k not in keys}
+    assert len(kept) == len(cached(out, problem)) - len(keys)
+    offline.store_solutions(str(cache_file(out)),
+                            offline.cache_key(problem), kept)
 
 
 def solving_with(monkeypatch, **changes):
@@ -181,13 +210,14 @@ class TestRunExperiment:
         # no regret is written against it. The miss is stored by the
         # cache's writer, in the one run that solves seed 2 at t again
         t = manifest["checkpoints"][-1]
-        (path,) = (out / "offline_cache").glob(f"seed2_t{t}.json")
-        path.unlink()
+        drop_cached(out, cfg["problem"], (2, t))
         with monkeypatch.context() as m:
             solving_with(m, mapping_norm=1e-6)
             with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
                 run_experiment(cfg)
-        assert cache_entry(path)["mapping_norm"] == 1e-6
+        solutions = cached(out, cfg["problem"])
+        assert solutions[2, t].mapping_norm == 1e-6
+        assert len(solutions) == 2 * len(manifest["checkpoints"])
         for csv_path in out.glob("*.csv"):
             csv_path.unlink()
         with pytest.raises(RuntimeError, match=f"seed 2 at t={t} missed"):
@@ -198,6 +228,63 @@ class TestRunExperiment:
         # every comparator is gated before any output: not even seed 1's CSV
         assert not list(out.glob("*.csv"))
 
+    def test_cache_file_is_read_once_and_written_once(self, tmp_path,
+                                                      monkeypatch):
+        # a cold run reads the file once and writes it once; a warm run
+        # reads it once and writes nothing. A file of the per-(seed, t)
+        # format before the one file is never read
+        calls = []
+
+        def counted(name):
+            f = getattr(offline, name)
+            return lambda *args: calls.append(name) or f(*args)
+
+        for name in ("load_solutions", "store_solutions"):
+            monkeypatch.setattr(offline, name, counted(name))
+        _, cfg = write_config(tmp_path, seeds=[1, 2])
+        out = tmp_path / "out"
+        old = out / "offline_cache" / "seed1_t1.json"
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"not a comparator")
+        run_experiment(cfg)
+        assert calls == ["load_solutions", "store_solutions"]
+        assert sorted(p.name for p in old.parent.iterdir()) == [
+            "seed1_t1.json", "solutions.bin"]
+        assert old.read_bytes() == b"not a comparator"
+        path = cache_file(out)
+        written = path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes()
+        calls.clear()
+        run_experiment(cfg)
+        assert calls == ["load_solutions"]
+        assert (path.stat().st_ino, path.stat().st_mtime_ns,
+                path.read_bytes()) == written
+
+    def test_other_seeds_are_kept_in_the_cache_file(self, tmp_path,
+                                                    monkeypatch):
+        # a run solves only the seeds the file lacks, and rewrites it with
+        # the entries of every seed it held
+        solved = []
+        solve = offline.solve_offline
+        monkeypatch.setattr(offline, "solve_offline", lambda problem, t, j=0: (
+            solved.append((j, t)) or solve(problem, t, j)))
+        _, cfg = write_config(tmp_path, seeds=[0, 1])
+        run_experiment(cfg)
+        out = tmp_path / "out"
+        checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
+        assert solved == [(j, t) for j in (0, 1) for t in checkpoints]
+        first = cached(out, cfg["problem"])
+        solved.clear()
+        _, cfg = write_config(tmp_path, seeds=[1, 2])
+        run_experiment(cfg)
+        # row 1 of this run is seed 2
+        assert solved == [(1, t) for t in checkpoints]
+        solutions = cached(out, cfg["problem"])
+        assert solutions.keys() == {(s, t) for s in (0, 1, 2)
+                                    for t in checkpoints}
+        for k, sol in first.items():
+            assert solutions[k].x_star.tobytes() == sol.x_star.tobytes()
+            assert solutions[k].loss_sum == sol.loss_sum
+
     def test_cached_verdict_is_derived_from_the_mapping_norm(self, tmp_path,
                                                              monkeypatch):
         # a cache file stores no tolerance verdict: the one a cached
@@ -206,14 +293,14 @@ class TestRunExperiment:
                               seeds=[1])
         run_experiment(cfg)
         out = tmp_path / "out"
-        path = out / "offline_cache" / "seed1_t50.json"
-        path.unlink()
+        drop_cached(out, cfg["problem"], (1, 50))
         with monkeypatch.context() as m:
             solving_with(m, mapping_norm=0.5)
             with pytest.raises(RuntimeError, match="seed 1 at t=50 missed"):
                 run_experiment(cfg)
-        assert set(cache_entry(path)) == {"x_star", "loss_sum", "iterations",
-                                          "mapping_norm"}
+        # x_star follows the header as raw bytes
+        assert {key for entry in cache_header(out) for key in entry} == {
+            "seed", "t", "loss_sum", "iterations", "mapping_norm"}
         with pytest.raises(RuntimeError, match="seed 1 at t=50 missed"):
             run_experiment(cfg)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -271,13 +358,16 @@ class TestRunExperiment:
         assert solved == 2 * checkpoints
         problem = build_problem(ExperimentConfig(**cfg)).materialize(40, [3])
         t = checkpoints[-1]
-        (path,) = (out / "offline_cache").glob(f"seed3_t{t}.json")
-        assert cache_entry(path)["x_star"] == solve(problem, t).x_star.tolist()
+        solutions = cached(out, cfg["problem"])
+        assert solutions.keys() == {(3, c) for c in checkpoints}
+        assert (solutions[3, t].x_star.tobytes()
+                == solve(problem, t).x_star.tobytes())
 
     def test_long_dataset_path_is_cached_by_its_bytes(self, tmp_path,
                                                       monkeypatch):
-        # a cache file is named by seed and t, never by the dataset's path:
-        # a path longer than a file name can be still runs, and caches
+        # the cache file is named by nothing of the run, never by the
+        # dataset's path: a path longer than a file name can be still runs,
+        # and caches
         deep = tmp_path
         while len(str(deep)) < 260:
             deep = deep / ("d" * 60)
@@ -296,9 +386,10 @@ class TestRunExperiment:
         run_experiment(cfg)
         checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
         assert solved == 2 * checkpoints
-        assert (sorted(p.name for p in (out / "offline_cache").iterdir())
-                == sorted(f"seed{s}_t{t}.json" for s in (3, 4)
-                          for t in checkpoints))
+        assert [p.name for p in (out / "offline_cache").iterdir()] == [
+            "solutions.bin"]
+        assert cached(out, cfg["problem"]).keys() == {
+            (s, t) for s in (3, 4) for t in checkpoints}
         run_experiment(cfg)
         assert solved == 2 * checkpoints
 
@@ -311,35 +402,44 @@ class TestRunExperiment:
         assert manifest["status"] == "ok"
 
     @pytest.mark.parametrize("corrupt", [
-        lambda entry: json.dumps(entry)[:12],
-        lambda entry: "[]",
-        lambda entry: json.dumps({k: v for k, v in entry.items()
-                                  if k != "loss_sum"}),
-        lambda entry: json.dumps(dict(entry, x_star=entry["x_star"][:-1])),
-        lambda entry: json.dumps(dict(entry, x_star=[entry["x_star"]])),
-        lambda entry: json.dumps(dict(entry, x_star=[None] * 4)),
-        lambda entry: json.dumps(dict(entry, x_star=["a"] * 4)),
-        lambda entry: json.dumps(dict(entry, iterations="many")),
-        lambda entry: json.dumps(dict(entry, mapping_norm=None)),
-        lambda entry: json.dumps(dict(entry, loss_sum=None)),
-        lambda entry: json.dumps(dict(entry, loss_sum="0.5")),
+        lambda entries, rows: cache_body(entries, rows)[:12],
+        lambda entries, rows: cache_body(
+            [list(entries[0].values()), *entries[1:]], rows),
+        lambda entries, rows: cache_body(
+            [{k: v for k, v in entries[0].items() if k != "loss_sum"},
+             *entries[1:]], rows),
+        lambda entries, rows: cache_body(entries, rows[:-8]),
+        lambda entries, rows: cache_body(entries, json.dumps(
+            [np.frombuffer(rows).reshape(len(entries), -1).tolist()]).encode()),
+        lambda entries, rows: cache_body(entries, b"[null, null, null, null]"),
+        lambda entries, rows: cache_body(entries, b'["a", "a", "a", "a"]'),
+        lambda entries, rows: cache_body(
+            [dict(entries[0], iterations="many"), *entries[1:]], rows),
+        lambda entries, rows: cache_body(
+            [dict(entries[0], mapping_norm=None), *entries[1:]], rows),
+        lambda entries, rows: cache_body(
+            [dict(entries[0], loss_sum=None), *entries[1:]], rows),
+        lambda entries, rows: cache_body(
+            [dict(entries[0], loss_sum="0.5"), *entries[1:]], rows),
     ], ids=["truncated", "array", "missing_field", "short_x_star",
             "nested_x_star", "null_x_star", "text_x_star",
             "text_iterations", "null_mapping_norm",
             "null_loss_sum", "text_loss_sum"])
     def test_unreadable_cache_file_is_resolved(self, tmp_path, corrupt):
-        # a cache file whose entry, below the seal line a good file holds,
-        # is not a JSON object, or is one with a malformed field, is
-        # re-solved and overwritten, as another run's file is
+        # a cache file whose body, below the seal line a good file holds,
+        # is not a JSON list of entries over their x_star rows, or is one
+        # with a malformed field or row, is re-solved and overwritten, as
+        # another run's file is
         cfg_path, _ = write_config(tmp_path, seeds=[0, 1])
         cold = tmp_path / "cold"
         assert main(["run", cfg_path, "--output", str(cold)]) == 0
         out = tmp_path / "out"
-        path = out / "offline_cache" / "seed0_t1.json"
+        path = cache_file(out)
         path.parent.mkdir(parents=True)
-        seal, _, body = (cold / "offline_cache" / path.name).read_bytes(
-            ).partition(b"\n")
-        path.write_bytes(seal + b"\n" + corrupt(json.loads(body)).encode())
+        seal, header, rows = cache_file(cold).read_bytes().split(b"\n", 2)
+        entries = json.loads(header)
+        assert entries[0]["seed"] == 0 and entries[0]["t"] == 1
+        path.write_bytes(seal + b"\n" + corrupt(entries, rows))
         assert main(["run", cfg_path]) == 0
         manifests = [json.loads((d / "manifest.json").read_text())
                      for d in (cold, out)]
@@ -347,16 +447,14 @@ class TestRunExperiment:
         assert manifests[1]["offline"] == manifests[0]["offline"]
         for name in ("seed_0.csv", "seed_1.csv", "aggregate.csv"):
             assert (out / name).read_bytes() == (cold / name).read_bytes()
-        assert (path.read_bytes()
-                == (cold / "offline_cache" / path.name).read_bytes())
+        assert path.read_bytes() == cache_file(cold).read_bytes()
 
     @pytest.mark.parametrize("edit", [
-        # loss_sum less 10, in place, with every other byte kept
+        # every loss_sum less 10, in place, with every other byte kept
         lambda data: re.sub(rb'"loss_sum": ([^,}]+)', lambda m: (
             b'"loss_sum": ' + repr(float(m[1]) - 10.0).encode()), data),
-        # the entry as the format before the seal line held it
-        lambda data: json.dumps({"key": "0" * 64, **json.loads(
-            data.partition(b"\n")[2])}).encode(),
+        # the body without the seal line
+        lambda data: data.partition(b"\n")[2],
     ], ids=["value_edited_under_its_seal", "unsealed"])
     def test_edited_cache_file_is_resolved(self, tmp_path, edit):
         # a cache file is served only as its writer wrote it: the run over
@@ -367,7 +465,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         names = ("seed_1.csv", "aggregate.csv", "manifest.json")
         cold = {name: (out / name).read_bytes() for name in names}
-        path = out / "offline_cache" / "seed1_t50.json"
+        path = cache_file(out)
         written = path.read_bytes()
         path.write_bytes(edit(written))
         assert path.read_bytes() != written
@@ -798,19 +896,19 @@ class TestCli:
     def test_solve_offline_matches_run_cache(self, tmp_path, capsys):
         # both verbs build the problem without a seed and pass it to
         # materialize, `run` over T rounds and `solve-offline` over max(t, T)
-        cfg_path, _ = write_config(tmp_path, seeds=[3, 5])
+        cfg_path, cfg = write_config(tmp_path, seeds=[3, 5])
         assert main(["run", cfg_path]) == 0
         capsys.readouterr()
         out = tmp_path / "out"
         checkpoints = json.loads((out / "manifest.json").read_text())["checkpoints"]
+        solutions = cached(out, cfg["problem"])
         solved = {3: [], 5: []}
         for seed, x_stars in solved.items():
             for t in (checkpoints[1], checkpoints[-1]):
-                (path,) = (out / "offline_cache").glob(f"seed{seed}_t{t}.json")
                 assert main(["solve-offline", cfg_path, "--t", str(t),
                              "--seed", str(seed)]) == 0
                 x_stars.append(json.loads(capsys.readouterr().out)["x_star"])
-                assert x_stars[-1] == cache_entry(path)["x_star"]
+                assert x_stars[-1] == solutions[seed, t].x_star.tolist()
         assert solved[3] != solved[5]
 
     @pytest.mark.parametrize("spec,argv,field", [

@@ -11,18 +11,14 @@ from scipy.special import expit
 from aogd import offline, problems
 from aogd.experiment import ExperimentConfig, build_problem, run_experiment
 from aogd.metrics import checkpoint_grid
-from aogd.offline import (elasticnet_value, project_birkhoff,
-                          project_elasticnet_ball, solve_offline,
-                          solve_offline_cached)
+from aogd.offline import (OfflineSolution, elasticnet_value, load_solutions,
+                          project_birkhoff, project_elasticnet_ball,
+                          solve_offline, solve_offline_cached,
+                          store_solutions)
 from aogd.problems import DsmProblem, ElasticNetProblem
 from dsm_stream_oracle import loss_sum_float, stream_matrices
 from elasticnet_prefix_oracle import loss_sum_gathered
 from pgd_oracle import solve_offline_pgd
-
-
-def cache_entry(path):
-    """The JSON entry of an offline cache file, below its seal line."""
-    return json.loads(path.read_bytes().partition(b"\n")[2])
 
 
 def birkhoff_2x2_oracle(A):
@@ -739,8 +735,12 @@ class TestSolveOfflineCached:
         prob = DsmProblem(3)
         prob.materialize(10, [4])
         key = offline.cache_key({"kind": "dsm", "p": 3})
-        first = solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
-        assert (tmp_path / "seed4_t10.json").exists()
+        path = tmp_path / "offline_cache" / "solutions.bin"
+        cache = {}
+        first = solve_offline_cached(prob, 10, cache, seed=4)
+        assert cache == {(4, 10): first}
+        store_solutions(str(path), key, cache)
+        assert [p.name for p in path.parent.iterdir()] == ["solutions.bin"]
 
         class Boom:
             dim = 9
@@ -748,7 +748,8 @@ class TestSolveOfflineCached:
             def project_feasible(self, x):
                 raise AssertionError("cache should have been hit")
 
-        second = solve_offline_cached(Boom(), 10, str(tmp_path), key, seed=4)
+        second = solve_offline_cached(Boom(), 10, load_solutions(str(path), key),
+                                      seed=4)
         np.testing.assert_allclose(second.x_star, first.x_star)
         assert second.loss_sum == first.loss_sum
         assert second.mapping_norm == first.mapping_norm < 1e-8
@@ -756,14 +757,15 @@ class TestSolveOfflineCached:
     def test_file_that_cannot_be_read_fails(self, tmp_path, monkeypatch):
         # a missing file is a miss; a path that exists but cannot be read
         # fails the call and is not solved over
-        prob = DsmProblem(3).materialize(10, [4])
-        (tmp_path / "seed4_t10.json").mkdir()
+        key = offline.cache_key({"kind": "dsm", "p": 3})
+        path = tmp_path / "solutions.bin"
+        assert load_solutions(str(path), key) == {}
+        path.mkdir()
         solves = []
         monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
             solves.append(args) or solve_offline(*args, **kwargs)))
-        key = offline.cache_key({"kind": "dsm", "p": 3})
         with pytest.raises(IsADirectoryError):
-            solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
+            load_solutions(str(path), key)
         assert not solves
 
     def test_key_covers_the_source_of_the_comparator(self, tmp_path,
@@ -794,7 +796,7 @@ class TestSolveOfflineCached:
         prob = DsmProblem(3)
         prob.materialize(10, [4])
         spec = {"kind": "dsm", "p": 3}
-        path = tmp_path / "seed4_t10.json"
+        path = str(tmp_path / "solutions.bin")
         with monkeypatch.context() as m:
             m.setattr(offline, "_source_digest", lambda: "other source")
             stale_key = offline.cache_key(spec)
@@ -802,16 +804,49 @@ class TestSolveOfflineCached:
             # its writer stores a loss sum of -1
             m.setattr(offline, "solve_offline", lambda *args, **kwargs: (
                 replace(solve_offline(*args, **kwargs), loss_sum=-1.0)))
-            solve_offline_cached(prob, 10, str(tmp_path), stale_key, seed=4)
-        assert cache_entry(path)["loss_sum"] == -1.0
+            cache = {}
+            solve_offline_cached(prob, 10, cache, seed=4)
+            store_solutions(path, stale_key, cache)
+        assert load_solutions(path, stale_key)[4, 10].loss_sum == -1.0
         key = offline.cache_key(spec)
         assert key != stale_key
 
         solves = []
         monkeypatch.setattr(offline, "solve_offline", lambda *args, **kwargs: (
             solves.append(args) or solve_offline(*args, **kwargs)))
-        sol = solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
+        cache = load_solutions(path, key)
+        assert cache == {}
+        sol = solve_offline_cached(prob, 10, cache, seed=4)
         assert len(solves) == 1 and sol.loss_sum != -1.0
-        assert cache_entry(path)["loss_sum"] == sol.loss_sum
-        solve_offline_cached(prob, 10, str(tmp_path), key, seed=4)
+        store_solutions(path, key, cache)
+        assert load_solutions(path, key)[4, 10].loss_sum == sol.loss_sum
+        assert load_solutions(path, stale_key) == {}
+        solve_offline_cached(prob, 10, load_solutions(path, key), seed=4)
         assert len(solves) == 1  # the overwritten file now hits
+
+    def test_entries_keep_their_bits(self, tmp_path):
+        # x_star goes through the file as raw little-endian float64 bytes,
+        # a NaN's payload among them; the header fields go through JSON
+        path = str(tmp_path / "solutions.bin")
+        nan_payload = np.array([0x7FF8000000000001], np.uint64).view(float)
+        x = np.array([-0.0, 5e-324, -5e-324, np.finfo(float).max, np.inf,
+                      -np.inf, np.nan, nan_payload[0], 1.0 / 3.0])
+        assert x[7].view(np.uint64) == 0x7FF8000000000001
+        stored = {(7, 3): OfflineSolution(x_star=x, loss_sum=-0.0,
+                                          iterations=0, mapping_norm=5e-324),
+                  (2**70, 1): OfflineSolution(x_star=-x, loss_sum=5e-324,
+                                              iterations=4999,
+                                              mapping_norm=np.inf)}
+        store_solutions(path, "key", stored)
+        loaded = load_solutions(path, "key")
+        assert loaded.keys() == stored.keys()
+        for k, sol in stored.items():
+            got = loaded[k]
+            assert got.x_star.dtype == np.float64
+            assert got.x_star.shape == sol.x_star.shape
+            assert got.x_star.tobytes() == sol.x_star.tobytes()
+            for name in ("loss_sum", "mapping_norm"):
+                assert (np.float64(getattr(got, name)).tobytes()
+                        == np.float64(getattr(sol, name)).tobytes()), name
+            assert got.iterations == sol.iterations
+            assert got.tolerance_met == sol.tolerance_met

@@ -12,11 +12,13 @@ in each) and every manifest key whose value differs, with
 the echoed `config.output_dir` masked. For numbers it prints the relative
 difference. After each config's cold run, each tree runs the config twice
 more into the same output directory: warm, where every offline comparator
-is read back from the cache, then torn, after every cache file has been
-cut to half its bytes, where every comparator must be solved again. Every
-seed CSV, `aggregate.csv` or manifest whose bytes either run changes is
-reported with the bytes that differ: the comparators must survive their
-JSON round trip, and a torn cache file must never be served. It also runs
+is read back from the cache, then torn, after every file under
+`offline_cache/` has been cut to half its bytes (the one sealed file, or
+each per-comparator file of a tree that writes those), where every
+comparator must be solved again. Every seed CSV, `aggregate.csv` or
+manifest whose bytes either run changes is reported with the bytes that
+differ: the comparators must survive their round trip through the cache,
+and a torn cache file must never be served. It also runs
 `aogd solve-offline` (seed 0) on two of those
 configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
 reports every key of its JSON that differs: the objective and x_star, which
@@ -311,9 +313,9 @@ def compare(name: str, parent_out: str, change_out: str) -> list[str]:
 def rerun_differences(label: str, src: str, cfg: dict,
                       out: str) -> dict[str, list[str]]:
     """Run cfg twice more under src into out, the directory of its cold run:
-    warm, then torn, with every offline cache file first cut to half its
-    bytes. For each run, list every CSV or manifest whose bytes differ from
-    the cold run's."""
+    warm, then torn, with every file under offline_cache/ first cut to half
+    its bytes. For each run, list every CSV or manifest whose bytes differ
+    from the cold run's."""
     out_dir = os.path.join(out, "out")
     cache_dir = os.path.join(out_dir, "offline_cache")
 
