@@ -227,7 +227,11 @@ def run_experiment(raw: dict) -> str:
         return _run_experiment(cfg)
     except Exception as exc:
         if isinstance(config.get("output_dir"), str) and config["output_dir"]:
-            _write_failed_manifest(config["output_dir"], exc, config)
+            try:
+                _write_failed_manifest(config["output_dir"], exc, config)
+            except OSError as unwritten:
+                # the run's own error is the one to report, not the manifest's
+                raise exc from unwritten
         raise
 
 

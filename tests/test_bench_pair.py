@@ -1,19 +1,10 @@
 """The paired benchmark summary of `tools/bench_pair.py` on fixed numbers."""
 
 import argparse
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-BENCH_PAIR_PY = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
-
-
-def load_bench_pair():
-    spec = importlib.util.spec_from_file_location("bench_pair", BENCH_PAIR_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import bench_pair
 
 
 def result(run_s, rss, attempted=10, failed=0, correct=True):
@@ -24,7 +15,6 @@ def result(run_s, rss, attempted=10, failed=0, correct=True):
 
 
 def test_summary_of_fixed_numbers():
-    bench_pair = load_bench_pair()
     parent = [result(0.1 * k, 40.0) for k in range(1, 11)]
     change = [result(0.1 * k - 0.05, 40.0 + (k % 2)) for k in range(1, 11)]
     change[3] = result(0.35, 41.0, attempted=12, failed=1, correct=False)
@@ -48,7 +38,6 @@ def test_summary_of_fixed_numbers():
 
 
 def test_traced_summary_and_run_order():
-    bench_pair = load_bench_pair()
     runs = [{"correct": True, "metrics": {"learner.step.s": {"value": v}}}
             for v in (0.03, 0.01, 0.02)]
     assert bench_pair.summarize_traced(runs, ["learner.step.s"]) == {
@@ -59,7 +48,6 @@ def test_traced_summary_and_run_order():
 
 
 def test_traced_needs_workload_and_seed():
-    bench_pair = load_bench_pair()
     assert bench_pair.parse_traced("dsm_p16_cold:11") == ("dsm_p16_cold", 11)
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pair.parse_traced("dsm_p16_cold")

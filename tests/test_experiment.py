@@ -1121,6 +1121,23 @@ class TestCli:
         assert captured.err == f"error: {error}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_config_error_outlives_an_unwritable_failed_manifest(
+            self, tmp_path, capsys):
+        # output_dir is a file, so the failed manifest cannot be written; the
+        # config's own error is reported, with the write's error as cause
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        cfg_path, cfg = write_config(tmp_path, beta=1.5,
+                                     output_dir=str(blocker))
+        assert main(["run", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta must lie in (0, 1)\n"
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\)") as info:
+            run_experiment(cfg)
+        assert isinstance(info.value.__cause__, FileExistsError)
+        assert blocker.read_text() == "kept"
+
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err

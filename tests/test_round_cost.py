@@ -1,20 +1,14 @@
 """`tools/round_cost.py`: a smoke run of one tree against itself, and its
 exit code when the two sides' traces differ."""
 
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import round_cost
+
 ROOT = Path(__file__).resolve().parents[1]
 ROUND_COST_PY = ROOT / "tools" / "round_cost.py"
-
-
-def load_round_cost():
-    spec = importlib.util.spec_from_file_location("round_cost", ROUND_COST_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_same_tree_on_both_sides():
@@ -32,8 +26,6 @@ def test_same_tree_on_both_sides():
 
 
 def test_differing_trace_bytes_fail(monkeypatch, capsys):
-    round_cost = load_round_cost()
-
     def fake_side(root, T, shapes):
         return [{"us_per_round": 20.0, "digest": f"{root}:{shape}"
                  if shape == "8:4" else "same"} for shape in shapes]

@@ -4,16 +4,15 @@
         --seeds N [N ...] [--traced WORKLOAD:SEED --traced-metric NAME ...] \\
         [--what TEXT]
 
-Each ROOT is the root of a source tree, such as a fresh `git archive` of a
-commit: it holds `perfbench/run.py`, `BENCHMARK.json` and `src/`. For each
-workload of the parent's `BENCHMARK.json` and each input seed, the script
-runs
+Each ROOT is a source tree, such as a fresh `git archive` of a commit,
+given as its root or its `src/`: its root holds `perfbench/run.py` and
+`BENCHMARK.json`. For each workload of the parent's `BENCHMARK.json` and
+each input seed, the script runs (by `trees.run_child`)
 
     python3 perfbench/run.py --workload W --seed N --seconds 5 --trace 0
 
-once per side, from that side's root, with the BLAS thread variables at 1.
-The parent runs first on odd seeds and the change first on even seeds, so
-that drift of the machine's speed favours neither side.
+once per side, from that side's root, the parent first on odd seeds and
+the change first on even seeds.
 
 It writes `BENCH_<label>.json` in the current directory. Per workload and
 side it records the operations attempted and failed over all seeds,
@@ -36,18 +35,12 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
+
+from trees import THREADS, package_root, run_child, sides_in_order
 
 SECONDS = 5
 TRACED_RUNS = 3
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-RUN_TIMEOUT_S = 600
-
-
-def sides_in_order(seed: int) -> tuple[str, str]:
-    """Which side runs first at an input seed: the parent on odd seeds."""
-    return ("parent", "change") if seed % 2 else ("change", "parent")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -90,16 +83,10 @@ def summarize_traced(runs: list[dict], metrics: list[str]) -> dict:
 def run_bench(root: str, workload: str, seed: int, trace: int) -> tuple[dict, str]:
     """One `perfbench/run.py` run from `root`: its JSON result and the first
     line of its stderr, the machine facts."""
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
-                           f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1]), proc.stderr.splitlines()[0]
+    proc = run_child(root, "perfbench/run.py", "--workload", workload,
+                     "--seed", str(seed), "--seconds", str(SECONDS),
+                     "--trace", str(trace), cwd=root)
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr.splitlines()[0]
 
 
 def parse_traced(text: str) -> tuple[str, int]:
@@ -119,8 +106,9 @@ def main(argv=None) -> int:
     parser.add_argument("--traced-metric", action="append", default=[])
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
-    roots = {"parent": args.parent_root, "change": args.change_root}
-    with open(os.path.join(args.parent_root, "BENCHMARK.json")) as fh:
+    roots = {side: os.path.dirname(package_root(path)) for side, path
+             in (("parent", args.parent_root), ("change", args.change_root))}
+    with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     workloads = [w["name"] for w in declared["workloads"]]
     metrics = [m["name"] for m in declared["end_to_end"]]
@@ -144,7 +132,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {SECONDS} --trace 0",
-        "environment": {var: "1" for var in THREAD_VARS},
+        "environment": THREADS,
         "trees": "each side a source tree run from its own root",
         "order": "per input seed and workload, the parent ran first on odd "
                  "seeds and the change first on even seeds",
@@ -155,8 +143,8 @@ def main(argv=None) -> int:
     if args.traced:
         workload, seed = args.traced
         runs = {"parent": [], "change": []}
-        for k in range(TRACED_RUNS):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+        for k in range(1, TRACED_RUNS + 1):
+            for side in sides_in_order(k):
                 runs[side].append(run_bench(roots[side], workload, seed, 1)[0])
         bench["traced_command"] = (
             f"python3 perfbench/run.py --workload {workload} --seed {seed} "

@@ -3,8 +3,8 @@ source trees.
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Each SRC is a directory that holds the `aogd` package (a checkout's `src/`;
-a checkout's root works too). The script runs a fixed matrix of 23 configs
+Each SRC is a source tree, its `src/` or its root, whose children
+`trees.run_child` starts. The script runs a fixed matrix of 23 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with every column whose
 numbers moved, and the largest relative and largest absolute difference
@@ -61,11 +61,12 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
 import numpy as np
+
+from trees import run_child
 
 BETA = 2.0 / 3.0
 FIXED_OGD = {"kind": "fixed_ogd", "eta": 0.05, "theta": 2.0, "mu": 0.05}
@@ -205,13 +206,6 @@ def failing_configs(configs: dict[str, dict], missing: str,
     }
 
 
-def package_root(path: str) -> str:
-    for candidate in (path, os.path.join(path, "src")):
-        if os.path.isfile(os.path.join(candidate, "aogd", "__init__.py")):
-            return os.path.abspath(candidate)
-    raise SystemExit(f"no aogd package under {path}")
-
-
 def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str,
             exit_code: int = 0) -> str:
     """`aogd VERB CONFIG FLAGS...` under src, with cfg written to
@@ -221,14 +215,8 @@ def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str,
     cfg_path = os.path.join(out, "config.json")
     with open(cfg_path, "w") as fh:
         json.dump(dict(cfg, output_dir=os.path.join(out, "out")), fh)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "aogd.cli", verb, cfg_path, *flags],
-        env=env, capture_output=True, text=True)
-    if done.returncode != exit_code:
-        raise SystemExit(f"{verb} {out} exited {done.returncode}, not "
-                         f"{exit_code}, under {src}: {done.stderr.strip()}")
-    return done.stdout
+    return run_child(src, "-m", "aogd.cli", verb, cfg_path, *flags,
+                     exit_code=exit_code).stdout
 
 
 def flatten(value, prefix=""):
@@ -293,18 +281,25 @@ def compare_values(label: str, parent: dict, change: dict) -> list[str]:
     return diffs
 
 
+def outputs(out_dir: str) -> dict[str, bytes]:
+    """The bytes of every CSV and of the manifest in out_dir."""
+    files = {}
+    for f in sorted(os.listdir(out_dir)):
+        if f.endswith(".csv") or f == "manifest.json":
+            with open(os.path.join(out_dir, f), "rb") as fh:
+                files[f] = fh.read()
+    return files
+
+
 def compare(name: str, parent_out: str, change_out: str) -> list[str]:
+    a, b = outputs(parent_out), outputs(change_out)
     diffs = []
-    csvs = sorted({f for d in (parent_out, change_out) for f in os.listdir(d)
-                   if f.endswith(".csv")})
-    for f in csvs:
-        paths = [os.path.join(d, f) for d in (parent_out, change_out)]
-        if not all(os.path.exists(p) for p in paths):
+    for f in sorted((a.keys() | b.keys()) - {"manifest.json"}):
+        if f not in a or f not in b:
             diffs.append(f"{name}/{f}: only in one tree")
-            continue
-        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
-            if a.read() != b.read():
-                diffs.append(f"{name}/{f}: bytes differ{csv_difference(*paths)}")
+        elif a[f] != b[f]:
+            paths = (os.path.join(d, f) for d in (parent_out, change_out))
+            diffs.append(f"{name}/{f}: bytes differ{csv_difference(*paths)}")
     return diffs + compare_values(f"{name}/manifest.json",
                                   read_manifest(parent_out),
                                   read_manifest(change_out))
@@ -318,16 +313,7 @@ def rerun_differences(label: str, src: str, cfg: dict,
     from the cold run's."""
     out_dir = os.path.join(out, "out")
     cache_dir = os.path.join(out_dir, "offline_cache")
-
-    def outputs() -> dict[str, bytes]:
-        files = {}
-        for f in sorted(os.listdir(out_dir)):
-            if f.endswith(".csv") or f == "manifest.json":
-                with open(os.path.join(out_dir, f), "rb") as fh:
-                    files[f] = fh.read()
-        return files
-
-    cold = outputs()
+    cold = outputs(out_dir)
     found = {}
     for run in ("warm", "torn"):
         if run == "torn":
@@ -335,7 +321,7 @@ def rerun_differences(label: str, src: str, cfg: dict,
                 with open(os.path.join(cache_dir, f), "r+b") as fh:
                     fh.truncate(os.fstat(fh.fileno()).st_size // 2)
         run_cli(src, "run", cfg, out)
-        again = outputs()
+        again = outputs(out_dir)
         diffs = found[run] = []
         for f in sorted(cold.keys() | again.keys()):
             a, b = cold.get(f), again.get(f)
@@ -354,7 +340,6 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    parent, change = (package_root(p) for p in argv)
     with tempfile.TemporaryDirectory() as workdir:
         dataset = os.path.join(workdir, "data.libsvm")
         write_dataset(dataset)
@@ -367,7 +352,7 @@ def main(argv: list[str]) -> int:
         for name, path in malformed.items():
             write_edited(path, dataset, MALFORMED[name])
         configs = config_matrix(dataset, sparse_dataset, sparse_crlf_dataset)
-        trees = (("parent", parent), ("change", change))
+        trees = tuple(zip(("parent", "change"), argv))
         diffs = []
 
         def report(label: str, found: list[str]):

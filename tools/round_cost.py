@@ -3,19 +3,18 @@
     python3 tools/round_cost.py PARENT_ROOT CHANGE_ROOT [--shape P:S ...] \\
         [--T N] [--runs N]
 
-Each ROOT is the root of a source tree, such as a fresh `git archive` of a
-commit, holding `src/aogd`. A shape P:S is a DSM problem of p = P played
-by the seeds 0 .. S-1 in lockstep, under `a_ogd_convex` with beta = 2/3
-and the checkpoints of `metrics.checkpoint_grid(T)`; the default shapes are
-16:1, 8:4, 8:10 and 2:3.
+Each ROOT is a source tree, such as a fresh `git archive` of a commit,
+given as its root or its `src/`. A shape P:S is a DSM problem of p = P
+played by the seeds 0 .. S-1 in lockstep, under `a_ogd_convex` with
+beta = 2/3 and the checkpoints of `metrics.checkpoint_grid(T)`; the
+default shapes are 16:1, 8:4, 8:10 and 2:3.
 
-Each run starts one fresh interpreter per side, with the BLAS thread
-variables at 1; the parent's runs first in odd runs, the change's in even
-ones, so that drift of the machine's speed favours neither side. The
-interpreter plays every shape once at a short horizon, so that imports and
-lazy set-up finish untimed, then times one `learner.run` call of T rounds
-per shape; the cost of a round is that wall time divided by T (the
-stream's draw and the schedule's arrays are inside it, a small share).
+Each run starts one fresh interpreter per side by `trees.run_child`, the
+parent's first in odd runs and the change's in even ones. The interpreter
+plays every shape once at a short horizon, so that imports and lazy set-up
+finish untimed, then times one `learner.run` call of T rounds per shape;
+the cost of a round is that wall time divided by T (the stream's draw and
+the schedule's arrays are inside it, a small share).
 
 It prints per shape each side's median microseconds per round over the
 runs and in how many runs the change read lower (ties count for neither).
@@ -30,13 +29,12 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+from trees import package_root, run_child, sides_in_order
+
 DEFAULT_SHAPES = ("16:1", "8:4", "8:10", "2:3")
 WARMUP_T = 50
-RUN_TIMEOUT_S = 600
 
 # One side's run: argv is T followed by the shapes (p, S); prints one JSON
 # list of {"us_per_round", "digest"}, one per shape.
@@ -82,18 +80,11 @@ def parse_shape(text: str) -> str:
 
 def run_side(root: str, T: int, shapes: list[str]) -> list[dict]:
     """One fresh interpreter's timings of every shape, from `root`'s tree."""
-    src = os.path.join(os.path.abspath(root), "src")
-    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
-    cmd = [sys.executable, "-c", WORKER, str(T), *shapes]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) != 2:
-        raise RuntimeError(f"the run from {root} exited {proc.returncode}:\n"
-                           f"{proc.stderr}")
-    if not os.path.abspath(lines[0]).startswith(src + os.sep):
-        raise RuntimeError(f"the run from {root} imported aogd from {lines[0]}")
-    return json.loads(lines[1])
+    origin, result = run_child(root, "-c", WORKER, str(T),
+                               *shapes).stdout.splitlines()
+    if not os.path.abspath(origin).startswith(package_root(root) + os.sep):
+        raise RuntimeError(f"the run from {root} imported aogd from {origin}")
+    return json.loads(result)
 
 
 def main(argv=None) -> int:
@@ -112,8 +103,8 @@ def main(argv=None) -> int:
     times = {side: [[] for _ in shapes] for side in roots}
     differ = []
     for k in range(1, args.runs + 1):
-        order = ("parent", "change") if k % 2 else ("change", "parent")
-        results = {side: run_side(roots[side], args.T, shapes) for side in order}
+        results = {side: run_side(roots[side], args.T, shapes)
+                   for side in sides_in_order(k)}
         for i, shape in enumerate(shapes):
             for side in roots:
                 times[side][i].append(results[side][i]["us_per_round"])
