@@ -57,3 +57,14 @@ def test_failed_run_returns_the_childs_exit_code(tmp_path, args, overrides,
     assert proc.returncode == code
     assert proc.stdout == ""
     assert error in proc.stderr
+
+
+def test_relative_dataset_is_read_from_the_callers_directory(tmp_path):
+    (tmp_path / "data").mkdir()
+    rows = [f"{'+1' if i % 3 else '-1'} 1:{i / 30:.4f} 2:{(i * 7) % 5 / 5:.4f}"
+            for i in range(30)]
+    (tmp_path / "data" / "x.libsvm").write_text("\n".join(rows) + "\n")
+    proc = peak_memory(tmp_path, "--T", "20", problem={
+        "kind": "elasticnet", "dataset": "data/x.libsvm", "rho": 1.0})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["peak_rss_mb"] > 0

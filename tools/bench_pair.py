@@ -11,8 +11,8 @@ each input seed, the script runs (by `trees.run_child`)
 
     python3 perfbench/run.py --workload W --seed N --seconds 5 --trace 0
 
-once per side, from that side's root, the parent first on odd seeds and
-the change first on even seeds.
+once per side, from that side's package directory, the parent first on
+odd seeds and the change first on even seeds.
 
 It writes `BENCH_<label>.json` in the current directory. Per workload and
 side it records the operations attempted and failed over all seeds,
@@ -83,9 +83,9 @@ def summarize_traced(runs: list[dict], metrics: list[str]) -> dict:
 def run_bench(root: str, workload: str, seed: int, trace: int) -> tuple[dict, str]:
     """One `perfbench/run.py` run from `root`: its JSON result and the first
     line of its stderr, the machine facts."""
-    proc = run_child(root, "perfbench/run.py", "--workload", workload,
-                     "--seed", str(seed), "--seconds", str(SECONDS),
-                     "--trace", str(trace), cwd=root)
+    proc = run_child(root, os.path.join(root, "perfbench", "run.py"),
+                     "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(SECONDS), "--trace", str(trace), lines=1)
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr.splitlines()[0]
 
 

@@ -8,21 +8,20 @@ Each SRC is a source tree, its `src/` or its root, whose children
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with every column whose
 numbers moved, and the largest relative and largest absolute difference
-in each) and every manifest key whose value differs, with
-the echoed `config.output_dir` masked. For numbers it prints the relative
-difference. After each config's cold run, each tree runs the config twice
-more into the same output directory: warm, where every offline comparator
-is read back from the cache, then torn, after every file under
-`offline_cache/` has been cut to half its bytes (the one sealed file, or
-each per-comparator file of a tree that writes those), where every
-comparator must be solved again. Every seed CSV, `aggregate.csv` or
-manifest whose bytes either run changes is reported with the bytes that
-differ: the comparators must survive their round trip through the cache,
-and a torn cache file must never be served. It also runs
-`aogd solve-offline` (seed 0) on two of those
-configs, DSM p=8 and criterion 9's elastic net, at t in {1, 37, 1000}, and
-reports every key of its JSON that differs: the objective and x_star, which
-no manifest records, come from the solver's evaluation path alone. Last, it
+in each) and every manifest key whose value differs, with the echoed
+`config.output_dir` masked. For numbers it prints the relative difference.
+After each config's cold run, each tree runs the config twice more into the
+same output directory: warm, where every offline comparator is read back
+from the cache, then torn, after every file under `offline_cache/` has been
+cut to half its bytes (the one sealed file, or each per-comparator file of
+a tree that writes those), where every comparator must be solved again.
+Every seed CSV, `aggregate.csv` or manifest whose bytes either run changes
+is reported with the bytes that differ: the comparators must survive their
+round trip through the cache, and a torn cache file must never be served.
+It also runs `aogd solve-offline` (seed 0) on two of those configs, DSM p=8
+and criterion 9's elastic net, at t in {1, 37, 1000}, and reports every key
+of its JSON that differs: the objective and x_star, which no manifest
+records, come from the solver's evaluation path alone. Last, it
 runs 6 configs that must fail under both trees, at each stage of a
 failure: a misspelt key (`algoritm`, caught by the key-set check), beta 7.0
 (caught by the range check), an elastic-net dataset path that does not
@@ -63,6 +62,7 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -134,15 +134,11 @@ def config_matrix(dataset: str, sparse_dataset: str,
     configs["dsm_p8_fixed_ogd_clipped_s3"] = dict(
         problem={"kind": "dsm", "p": 8}, T=1000, seeds=[0, 1, 2],
         algorithm=dict(FIXED_OGD, eta=1.5))
-    configs["dsm_p16_convex_s2"] = dict(
-        problem={"kind": "dsm", "p": 16}, T=2000, seeds=[0, 1],
-        **VARIANTS["convex"])
-    configs["dsm_p3_convex_s3_short"] = dict(
-        problem={"kind": "dsm", "p": 3}, T=100, seeds=[0, 1, 2],
-        **VARIANTS["convex"])
-    configs["dsm_p2_convex_s3"] = dict(
-        problem={"kind": "dsm", "p": 2}, T=300, seeds=[0, 1, 2],
-        **VARIANTS["convex"])
+    for name, p, T, n_seeds in (("dsm_p16_convex_s2", 16, 2000, 2),
+                                ("dsm_p3_convex_s3_short", 3, 100, 3),
+                                ("dsm_p2_convex_s3", 2, 300, 3)):
+        configs[name] = dict(problem={"kind": "dsm", "p": p}, T=T,
+                             seeds=list(range(n_seeds)), **VARIANTS["convex"])
     for variant in ("convex", "fixed_ogd", "shift"):
         for n_seeds in (3, 9):
             configs[f"elasticnet_{variant}_s{n_seeds}"] = dict(
@@ -167,8 +163,7 @@ def write_edited(path: str, source: str, edits: dict[int, str],
                  newline: str = "\n"):
     """A copy of the libsvm file `source` with line i (1-based) replaced by
     edits[i] and every line ended by `newline`."""
-    with open(source) as fh:
-        lines = fh.read().split("\n")[:-1]
+    lines = Path(source).read_text().split("\n")[:-1]
     for lineno, text in edits.items():
         lines[lineno - 1] = text
     with open(path, "w", newline="") as fh:
@@ -220,21 +215,18 @@ def run_cli(src: str, verb: str, cfg: dict, out: str, *flags: str,
 
 
 def flatten(value, prefix=""):
-    if isinstance(value, dict):
-        for k, v in value.items():
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for k, v in items:
             yield from flatten(v, f"{prefix}{k}.")
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            yield from flatten(v, f"{prefix}{i}.")
     else:
         yield prefix[:-1], value
 
 
 def describe(a, b) -> str:
     text = f"{a!r} -> {b!r}"
-    numbers = (int, float)
-    if (isinstance(a, numbers) and isinstance(b, numbers)
-            and not isinstance(a, bool) and not isinstance(b, bool) and a != 0):
+    # JSON numbers; a bool, whose type is not int, gets no relative difference
+    if type(a) in (int, float) and type(b) in (int, float) and a != 0:
         text += f" (rel {abs(b - a) / abs(a):.2e})"
     return text
 
@@ -262,8 +254,7 @@ def csv_difference(parent: str, change: str) -> str:
 
 
 def read_manifest(out: str) -> dict:
-    with open(os.path.join(out, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     manifest["config"]["output_dir"] = "<output_dir>"
     return manifest
 
@@ -283,12 +274,8 @@ def compare_values(label: str, parent: dict, change: dict) -> list[str]:
 
 def outputs(out_dir: str) -> dict[str, bytes]:
     """The bytes of every CSV and of the manifest in out_dir."""
-    files = {}
-    for f in sorted(os.listdir(out_dir)):
-        if f.endswith(".csv") or f == "manifest.json":
-            with open(os.path.join(out_dir, f), "rb") as fh:
-                files[f] = fh.read()
-    return files
+    return {f: Path(out_dir, f).read_bytes() for f in os.listdir(out_dir)
+            if f.endswith(".csv") or f == "manifest.json"}
 
 
 def compare(name: str, parent_out: str, change_out: str) -> list[str]:
@@ -300,9 +287,8 @@ def compare(name: str, parent_out: str, change_out: str) -> list[str]:
         elif a[f] != b[f]:
             paths = (os.path.join(d, f) for d in (parent_out, change_out))
             diffs.append(f"{name}/{f}: bytes differ{csv_difference(*paths)}")
-    return diffs + compare_values(f"{name}/manifest.json",
-                                  read_manifest(parent_out),
-                                  read_manifest(change_out))
+    return diffs + compare_values(f"{name}/manifest.json", *map(
+        read_manifest, (parent_out, change_out)))
 
 
 def rerun_differences(label: str, src: str, cfg: dict,
@@ -341,11 +327,11 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as workdir:
-        dataset = os.path.join(workdir, "data.libsvm")
+        dataset, sparse_dataset, sparse_crlf_dataset = (
+            os.path.join(workdir, f"{name}.libsvm")
+            for name in ("data", "sparse", "sparse_crlf"))
         write_dataset(dataset)
-        sparse_dataset = os.path.join(workdir, "sparse.libsvm")
         write_sparse_dataset(sparse_dataset)
-        sparse_crlf_dataset = os.path.join(workdir, "sparse_crlf.libsvm")
         write_edited(sparse_crlf_dataset, sparse_dataset, {}, newline="\r\n")
         malformed = {name: os.path.join(workdir, f"{name}.libsvm")
                      for name in MALFORMED}

@@ -3,13 +3,15 @@
     python3 tools/peak_memory.py CONFIG [--T N] [--seeds 0,1,2] [--src DIR]
 
 Runs `aogd run CONFIG` into a temporary output directory in a child Python
-started by `trees.run_child`, and prints one JSON line: the wall seconds of
-the child, its peak resident set size (`ru_maxrss`) in MB, and as
-`import_s` the wall seconds of a second child, in the same environment,
-that only runs `import aogd.cli`: the startup share of `wall_s`. `--T` and
-`--seeds` override the config as `aogd run` does. `--src` names the tree,
-its root or its `src/` (default: this checkout), so that two trees can be
-compared on the same config; a failed run returns the child's exit code.
+started by `trees.run_child` with no time limit, working in the caller's
+directory so that relative paths in CONFIG keep their meaning. It prints
+one JSON line: the wall seconds of the child, its peak resident set size
+(`ru_maxrss`) in MB, and as `import_s` the wall seconds of a second child,
+in the same environment, that only runs `import aogd.cli`: the startup
+share of `wall_s`. `--T` and `--seeds` override the config as `aogd run`
+does. `--src` names the tree, its root or its `src/` (default: this
+checkout), so that two trees can be compared on the same config; a failed
+run returns the child's exit code.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ import time
 
 from trees import run_child
 
+# aogd.cli in the directory named first, with "" (the cwd) off sys.path
+IN_CALLERS_DIR = ("import os, runpy, sys; sys.path[:] = filter(None, "
+                  "sys.path); os.chdir(sys.argv.pop(1)); runpy.run_module("
+                  "'aogd.cli', run_name='__main__', alter_sys=True)")
+
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
@@ -34,13 +41,13 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as out:
-        command = ["-m", "aogd.cli", "run", os.path.abspath(args.config),
+        command = ["-c", IN_CALLERS_DIR, os.getcwd(), "run", args.config,
                    "--output", out]
         for flag in ("T", "seeds"):
             if getattr(args, flag) is not None:
                 command += [f"--{flag}", getattr(args, flag)]
         start = time.perf_counter()
-        done = run_child(args.src, *command, exit_code=None)
+        done = run_child(args.src, *command, exit_code=None, timeout=None)
         wall = time.perf_counter() - start
     if done.returncode != 0:
         sys.stderr.write(done.stderr)

@@ -80,8 +80,8 @@ def parse_shape(text: str) -> str:
 
 def run_side(root: str, T: int, shapes: list[str]) -> list[dict]:
     """One fresh interpreter's timings of every shape, from `root`'s tree."""
-    origin, result = run_child(root, "-c", WORKER, str(T),
-                               *shapes).stdout.splitlines()
+    origin, result = run_child(root, "-c", WORKER, str(T), *shapes,
+                               lines=2).stdout.splitlines()[-2:]
     if not os.path.abspath(origin).startswith(package_root(root) + os.sep):
         raise RuntimeError(f"the run from {root} imported aogd from {origin}")
     return json.loads(result)
