@@ -20,7 +20,7 @@ from . import offline
 from .experiment import (ExperimentConfig, build_problem, compare_runs,
                          read_config, run_experiment)
 from .schedules import (ProblemConstants, Regime, ScheduleParams,
-                        c3_ok, check_conditions, constraint_regret_bound,
+                        check_conditions, constraint_regret_bound,
                         loss_regret_bound, schedule_arrays, schedule_sums)
 
 
@@ -50,11 +50,10 @@ def _cmd_check_schedule(args) -> int:
     params = ScheduleParams(beta=args.beta, regime=Regime(args.regime),
                             constants=constants)
     with np.errstate(over="ignore"):
-        theta, eta, mu = schedule_arrays(params, args.T)
-        cond = check_conditions(theta, eta, mu, constants.sigma, constants.G)
-        u_eta = schedule_sums(params, args.T)
-        report = {**asdict(cond), "u_eta": u_eta,
-                  "c3_ok": c3_ok(cond.c3_slack, u_eta),
+        cond = check_conditions(*schedule_arrays(params, args.T),
+                                constants.sigma, constants.G,
+                                u_eta=schedule_sums(params, args.T))
+        report = {**asdict(cond),
                   "loss_regret_bound": float(loss_regret_bound(params, args.T)),
                   "constraint_regret_bound": float(
                       constraint_regret_bound(params, args.T))}

@@ -27,9 +27,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from numbers import Integral, Real
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,8 +36,8 @@ from . import learner, metrics, offline
 from .ingest import load_dataset
 from .problems import DsmProblem, ElasticNetProblem
 from .schedules import (FixedScheduleParams, ProblemConstants, Regime,
-                        ScheduleParams, c3_ok, check_conditions,
-                        schedule_arrays, schedule_sums)
+                        ScheduleParams, check_conditions, schedule_arrays,
+                        schedule_sums)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -202,11 +201,14 @@ def build_schedule(cfg: ExperimentConfig, constants: ProblemConstants):
                           constants=constants, gamma=cfg.gamma)
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]):
+def _write_csv(path: str, table: dict):
+    """The {header: column} table as a CSV, one row per entry of the
+    columns; a numpy column is written as the Python numbers of `tolist`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(table)
+        writer.writerows(zip(*(col.tolist() if isinstance(col, np.ndarray)
+                               else col for col in table.values())))
 
 
 def _write_failed_manifest(output_dir: str, exc: Exception, config: dict):
@@ -249,11 +251,10 @@ def _run_experiment(cfg: ExperimentConfig) -> str:
 
     # schedule condition report over the full horizon; its (T,) arrays die
     # with this statement, before learner.run draws its own
+    u_eta = schedule_sums(schedule, cfg.T)
     cond = check_conditions(*schedule_arrays(schedule, cfg.T),
-                            constants.sigma, constants.G, gamma)
+                            constants.sigma, constants.G, gamma, u_eta)
     params = schedule if isinstance(schedule, ScheduleParams) else None
-    # None only without params: a strongly convex u_eta is 0.0
-    u_eta = schedule_sums(params, cfg.T) if params is not None else None
     run_key = offline.cache_key(cfg.problem)
 
     trace = learner.run(problem, schedule, cfg.T, cfg.seeds, checkpoints)
@@ -276,42 +277,42 @@ def _run_experiment(cfg: ExperimentConfig) -> str:
                     f"tolerance after {sol.iterations} iterations "
                     f"(gradient-mapping norm {sol.mapping_norm:.3g})")
 
-    report = metrics.accumulate(trace, solutions, params)
-    # the report's fields are the CSV's columns, in order; seed j's CSV
-    # takes column j of each (K, S) field
-    columns = astuple(report)
+    loss, loss_bound, constraint_bound = metrics.accumulate(
+        trace, solutions, params)
+    g = trace.g_cum
+    # the seed CSV's columns, in order; seed j's takes column j of each
+    # (K, S) one
+    columns = {"t": trace.t, "loss_regret": loss, "constraint_cum": g,
+               "loss_bound": loss_bound, "constraint_bound": constraint_bound,
+               "lambda": trace.lam, "step_eta": trace.eta,
+               "step_theta": trace.theta}
     for j, seed in enumerate(cfg.seeds):
         _write_csv(os.path.join(cfg.output_dir, f"seed_{seed}.csv"),
-                   ["t", "loss_regret", "constraint_cum", "loss_bound",
-                    "constraint_bound", "lambda", "step_eta", "step_theta"],
-                   zip(*((col if col.ndim == 1 else col[:, j]).tolist()
-                         for col in columns)))
+                   {name: col if col.ndim == 1 else col[:, j]
+                    for name, col in columns.items()})
 
     # seed statistics per checkpoint: the (K, S) columns reduced along the
     # seed axis; the bound columns are the same for every seed
-    loss, g = report.loss_regret, report.constraint_cum
     loss_mean, g_mean = np.mean(loss, axis=1), np.mean(g, axis=1)
-    _write_csv(os.path.join(cfg.output_dir, "aggregate.csv"),
-               ["t", "loss_regret_mean", "loss_regret_std",
-                "constraint_cum_mean", "constraint_cum_std",
-                "loss_bound", "constraint_bound"],
-               zip(report.t.tolist(), loss_mean.tolist(),
-                   np.std(loss, axis=1).tolist(), g_mean.tolist(),
-                   np.std(g, axis=1).tolist(), report.loss_bound.tolist(),
-                   report.constraint_bound.tolist()))
+    _write_csv(os.path.join(cfg.output_dir, "aggregate.csv"), {
+        "t": trace.t, "loss_regret_mean": loss_mean,
+        "loss_regret_std": np.std(loss, axis=1), "constraint_cum_mean": g_mean,
+        "constraint_cum_std": np.std(g, axis=1), "loss_bound": loss_bound,
+        "constraint_bound": constraint_bound})
 
     rate_exponents = {}
     if len(checkpoints) >= 5:
-        curves = ({"loss_bound": report.loss_bound,
-                   "constraint_bound": report.constraint_bound} if params else {})
+        curves = ({"loss_bound": loss_bound,
+                   "constraint_bound": constraint_bound} if params else {})
         curves |= {"constraint_measured_pos": g_mean,
                    "loss_measured_pos": loss_mean}
-        rate_exponents = {name: metrics.fit_rate_exponent(report.t, v)
+        rate_exponents = {name: metrics.fit_rate_exponent(trace.t, v)
                           for name, v in curves.items()}
 
     # the manifest's per-seed maps, each a list in seed order
     per_seed = {
-        "compliance": (map(asdict, metrics.bound_compliance(report))
+        "compliance": (map(asdict, metrics.bound_compliance(
+                           loss, g, loss_bound, constraint_bound))
                        if params else [None] * len(cfg.seeds)),
         "offline": ([{"t": t, "iterations": sol.iterations,
                       "tolerance_met": sol.tolerance_met,
@@ -330,9 +331,7 @@ def _run_experiment(cfg: ExperimentConfig) -> str:
         "algorithm": "fixed_ogd" if isinstance(cfg.algorithm, dict) else cfg.algorithm,
         "constants": asdict(constants),
         "gamma": gamma,
-        "conditions": {**asdict(cond), "u_eta": u_eta,
-                       "c3_ok": (c3_ok(cond.c3_slack, u_eta)
-                                 if params is not None else None)},
+        "conditions": asdict(cond),
         "loss_bound_conservative": (
             params is not None and params.regime is Regime.STRONGLY_CONVEX),
         "rate_exponents": rate_exponents,
@@ -403,7 +402,7 @@ def compare_runs(manifest_paths: list[str], output_path: str | None = None):
 
     if output_path:
         header = list(rows[0].keys())
-        _write_csv(output_path, header, [[r[k] for k in header] for r in rows])
+        _write_csv(output_path, {k: [r[k] for r in rows] for k in header})
         with open(text_path, "w") as fh:
             widths = {k: max(len(k), *(len(f"{r[k]}") for r in rows)) for k in header}
             fh.write("  ".join(k.ljust(widths[k]) for k in header) + "\n")

@@ -1,9 +1,9 @@
 """Cumulative regret accounting and comparison against theoretical bounds.
 
-One `RegretReport` holds a run: its measured columns are (K, S), one per
-seed of the lockstep trace. Loss regret at a checkpoint t uses the offline
-optimum re-solved for that prefix (which upper-bounds the fixed-comparator
-regret); the constraint column is the signed running sum of g(x_s),
+A run's measured columns are (K, S), one per seed of the lockstep trace.
+Loss regret at a checkpoint t uses the offline optimum re-solved for that
+prefix (which upper-bounds the fixed-comparator regret); the constraint
+column is the trace's signed running sum of g(x_s), `Trace.g_cum`,
 negative when the learner over-satisfies the constraint.
 """
 
@@ -19,22 +19,6 @@ from .offline import OfflineSolution
 from .schedules import ScheduleParams, constraint_regret_bound, loss_regret_bound
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    """Per-checkpoint columns of a run, in the seed CSV's column order:
-    loss_regret, constraint_cum and lam are (K, S), column j for seed j,
-    the others (K,); the bound columns are NaN without a closed form."""
-
-    t: np.ndarray
-    loss_regret: np.ndarray
-    constraint_cum: np.ndarray
-    loss_bound: np.ndarray
-    constraint_bound: np.ndarray
-    lam: np.ndarray
-    eta: np.ndarray
-    theta: np.ndarray
-
-
 def checkpoint_grid(T: int, count: int = 20) -> list[int]:
     """Logarithmically spaced round indices in [1, T], deduplicated."""
     if T < 1 or count < 1:
@@ -44,14 +28,15 @@ def checkpoint_grid(T: int, count: int = 20) -> list[int]:
 
 
 def accumulate(trace: Trace, offline: Sequence[Mapping[int, OfflineSolution]],
-               params: ScheduleParams | None = None) -> RegretReport:
-    """Build the per-checkpoint regret report of every seed of the run.
+               params: ScheduleParams | None = None):
+    """The (K, S) loss regret of every seed of the run at the trace's
+    checkpoints, and the (K,) loss and constraint bound columns there.
 
     `offline[j]` maps each checkpoint t of the trace, and nothing else, to
     the optimum of the first t rounds of seed j's stream; the comparator's
-    loss is that solution's `loss_sum`. Theoretical bound columns are
-    filled when adaptive schedule params are given, otherwise NaN
-    (fixed-schedule baselines carry no closed form).
+    loss is that solution's `loss_sum`. The bound columns are filled when
+    adaptive schedule params are given, otherwise NaN (fixed-schedule
+    baselines carry no closed form).
     """
     t = trace.t
     if len(offline) != trace.lam.shape[1]:
@@ -65,16 +50,7 @@ def accumulate(trace: Trace, offline: Sequence[Mapping[int, OfflineSolution]],
         (loss_regret_bound(params, t), constraint_regret_bound(params, t))
         if params else np.full((2, len(t)), np.nan))
     comparators = [[sols[k].loss_sum for sols in offline] for k in t.tolist()]
-    return RegretReport(
-        t=t,
-        loss_regret=trace.loss_cum - np.array(comparators),
-        constraint_cum=trace.g_cum,
-        loss_bound=loss_bound,
-        constraint_bound=constraint_bound,
-        lam=trace.lam,
-        eta=trace.eta,
-        theta=trace.theta,
-    )
+    return trace.loss_cum - np.array(comparators), loss_bound, constraint_bound
 
 
 def fit_rate_exponent(t, values) -> float:
@@ -105,10 +81,10 @@ class BoundCompliance:
     max_ratio: float
 
 
-def bound_compliance(report: RegretReport) -> list[BoundCompliance]:
-    """Each seed's measured columns against the report's bound columns."""
-    lb, cb = report.loss_bound, report.constraint_bound
+def bound_compliance(loss_regret, constraint_cum, lb, cb) -> list[BoundCompliance]:
+    """Each seed's (K, S) measured columns against the (K,) loss and
+    constraint bound columns lb and cb."""
     return [BoundCompliance(
         loss_ok=bool(np.all(loss <= lb)), constraint_ok=bool(np.all(cons <= cb)),
         max_ratio=float(np.max(np.concatenate([loss / lb, cons / cb]))))
-        for loss, cons in zip(report.loss_regret.T, report.constraint_cum.T)]
+        for loss, cons in zip(loss_regret.T, constraint_cum.T)]

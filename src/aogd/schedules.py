@@ -152,13 +152,19 @@ def schedule_arrays(schedule, T: int):
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The C1-C3 verdict on a schedule; u_eta and c3_ok are None when no
+    C3 budget was given, as for a fixed schedule."""
+
     c1_ok: bool
     c2_ok: bool
     c3_slack: float
+    u_eta: float | None
+    c3_ok: bool | None
 
 
 def check_conditions(theta, eta, mu, sigma: float, G: float,
-                     gamma: float = 0.0) -> ConditionReport:
+                     gamma: float = 0.0,
+                     u_eta: float | None = None) -> ConditionReport:
     """Numerically verify the sufficient conditions over rounds 2..T, with T
     the common length of the three sequences.
 
@@ -166,8 +172,9 @@ def check_conditions(theta, eta, mu, sigma: float, G: float,
     C2: eta_t G^2 + k * mu_t theta_t^2 - theta_t / 2 <= 0, with k = 1, or
     k = 3/2 for the constraint shifted upward by gamma > 0 (pass the mu
     that schedule_arrays returns for a schedule with this gamma).
-    C3 slack: sum_{t=2}^T [1/eta_t - 1/eta_{t-1} - sigma] (`c3_ok` compares
-    it with the budget u_eta).
+    C3 slack: sum_{t=2}^T [1/eta_t - 1/eta_{t-1} - sigma]; c3_ok is the
+    slack within the budget u_eta of `schedule_sums`, up to an absolute
+    1e-9.
     """
     k = 1.5 if _shifted(gamma) else 1.0
     th = np.asarray(theta, dtype=float)
@@ -188,6 +195,8 @@ def check_conditions(theta, eta, mu, sigma: float, G: float,
         c1_ok=bool(np.all(c1 <= CONDITION_TOL)),
         c2_ok=bool(np.all(c2 <= CONDITION_TOL)),
         c3_slack=c3_slack,
+        u_eta=u_eta,
+        c3_ok=None if u_eta is None else bool(c3_slack <= u_eta + 1e-9),
     )
 
 
@@ -215,18 +224,15 @@ def constraint_regret_bound(params: ScheduleParams, T) -> float:
     return np.sqrt(inner * (rf + c.F * T) * T ** (1.0 - b))
 
 
-def schedule_sums(params: ScheduleParams, T: int) -> float:
+def schedule_sums(params: ScheduleParams | FixedScheduleParams,
+                  T: int) -> float | None:
     """The C3 budget u_eta at horizon T: G / R T^beta for the convex
-    schedule, 0 for the strongly convex one."""
+    schedule, 0 for the strongly convex one, None for a fixed one."""
     if T < 1:
         raise ValueError("T must be >= 1")
+    if isinstance(params, FixedScheduleParams):
+        return None
     c = params.constants
     if params.regime is Regime.CONVEX:
         return float(c.G / c.R * float(T) ** params.beta)
     return 0.0
-
-
-def c3_ok(c3_slack: float, u_eta: float) -> bool:
-    """The C3 verdict: the slack of `check_conditions` within the budget
-    u_eta of `schedule_sums`, up to an absolute 1e-9."""
-    return c3_slack <= u_eta + 1e-9

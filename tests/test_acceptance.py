@@ -19,9 +19,10 @@ from aogd.metrics import accumulate, checkpoint_grid, fit_rate_exponent
 from aogd.offline import project_birkhoff, project_elasticnet_ball, solve_offline
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.projections import g_max
-from aogd.schedules import (ProblemConstants, Regime, ScheduleParams, c3_ok,
+from aogd.schedules import (ProblemConstants, Regime, ScheduleParams,
                             check_conditions, constraint_regret_bound,
                             loss_regret_bound, schedule_arrays, schedule_sums)
+from compare_outputs import write_dataset
 from dsm_stream_oracle import loss_grad_float, stream_matrices
 from round_oracle import logloss_grad
 from step_recorder import recorded_rounds
@@ -36,9 +37,9 @@ def report_line(num, label, ok):
 
 @pytest.fixture(scope="module")
 def theorem1_runs():
-    """DSM p=8, T=1000, beta=2/3, convex A-OGD, 10 seeds, with per-checkpoint
-    regret reports and the (T,) dual and (T, d) primal iterates of every
-    round. Shared by criteria 1, 3 and 8."""
+    """DSM p=8, T=1000, beta=2/3, convex A-OGD, 10 seeds, with each run's
+    trace and (K, 1) loss regret at the checkpoints and the (T,) dual and
+    (T, d) primal iterates of every round. Shared by criteria 1, 3 and 8."""
     runs = []
     grid = checkpoint_grid(1000, count=20)
     for seed in SEEDS:
@@ -48,16 +49,16 @@ def theorem1_runs():
         with recorded_rounds(prob) as rounds:
             trace = run(prob, params, T=1000, seeds=[seed], checkpoints=grid)
         offline = {t: solve_offline(prob, t) for t in grid}
-        report = accumulate(trace, [offline], params)
-        runs.append((prob, params, rounds.lam, report, rounds.x))
+        loss_regret, _, _ = accumulate(trace, [offline], params)
+        runs.append((prob, params, rounds.lam, trace, loss_regret, rounds.x))
     return runs
 
 
 def test_criterion_1_theorem1_compliance(theorem1_runs):
     ok = True
-    for _, params, _, report, _ in theorem1_runs:
-        for t, loss, cons in zip(report.t, report.loss_regret[:, 0],
-                                 report.constraint_cum[:, 0]):
+    for _, params, _, trace, loss_regret, _ in theorem1_runs:
+        for t, loss, cons in zip(trace.t, loss_regret[:, 0],
+                                 trace.g_cum[:, 0]):
             ok &= loss <= loss_regret_bound(params, t)
             ok &= cons <= constraint_regret_bound(params, t)
     report_line(1, "theorem 1 compliance, dsm p=8 T=1000, 10 seeds", ok)
@@ -76,10 +77,9 @@ def test_criterion_2_condition_suite():
                 params = ScheduleParams(beta=beta, regime=regime,
                                         constants=constants)
                 theta, eta, mu = schedule_arrays(params, T)
-                rep = check_conditions(theta, eta, mu, sigma, G)
-                u_eta = schedule_sums(params, T)
-                ok &= rep.c1_ok and rep.c2_ok
-                ok &= c3_ok(rep.c3_slack, u_eta)
+                rep = check_conditions(theta, eta, mu, sigma, G,
+                                       u_eta=schedule_sums(params, T))
+                ok &= rep.c1_ok and rep.c2_ok and rep.c3_ok
     report_line(2, "C1/C2/C3 over 100 random draws x 3 betas", ok)
     assert ok
 
@@ -95,8 +95,8 @@ def test_criterion_3_rate_exponents(theorem1_runs):
         values = [float(constraint_regret_bound(params, t)) for t in grid]
         ok &= abs(fit_rate_exponent(grid, values) - (1 - beta / 2)) <= 0.02
     # measured positive-part constraint curve on DSM (upper rate only)
-    g_mean = np.mean([rep.constraint_cum[:, 0]
-                      for _, _, _, rep, _ in theorem1_runs], axis=0)
+    g_mean = np.mean([trace.g_cum[:, 0]
+                      for _, _, _, trace, _, _ in theorem1_runs], axis=0)
     ts = theorem1_runs[0][3].t
     measured = fit_rate_exponent(ts, [max(g, 1e-12) for g in g_mean])
     ok &= measured <= 1 - BETA / 2 + 0.1
@@ -248,7 +248,7 @@ def test_criterion_7_gradient_checks():
 
 def test_criterion_8_invariant_suite(theorem1_runs):
     ok = True
-    for prob, _, lams, _, xs in theorem1_runs:
+    for prob, _, lams, _, _, xs in theorem1_runs:
         R = prob.constants.R
         ok &= bool(np.all(np.linalg.norm(xs, axis=-1) <= R + 1e-9))
         ok &= bool(np.all(lams >= 0.0))
@@ -289,17 +289,8 @@ def test_criterion_9_qualitative_reproduction(tmp_path):
 
     # elastic net on a synthetic libsvm dataset: constraint not violated
     # on average (negative cumulative sums)
-    rng = np.random.default_rng(7)
-    n, d = 500, 20
-    w = rng.normal(size=d)
-    w[6:] = 0.0
-    U = rng.normal(size=(n, d)) * 0.3
-    y = np.where(U @ w + 0.1 * rng.normal(size=n) > 0, 1, -1)
-    lines = [f"{'+1' if yi > 0 else '-1'} "
-             + " ".join(f"{j + 1}:{U[i, j]:.6f}" for j in range(d))
-             for i, yi in enumerate(y)]
     data_path = tmp_path / "synthetic.libsvm"
-    data_path.write_text("\n".join(lines) + "\n")
+    write_dataset(data_path)
     cfg = dict(
         problem={"kind": "elasticnet", "dataset": str(data_path), "rho": 1.0},
         algorithm="a_ogd_convex", beta=BETA, T=3000,

@@ -1,6 +1,7 @@
 """The paired benchmark summary of `tools/bench_pair.py` on fixed numbers."""
 
 import argparse
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +52,18 @@ def test_traced_needs_workload_and_seed():
     assert bench_pair.parse_traced("dsm_p16_cold:11") == ("dsm_p16_cold", 11)
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pair.parse_traced("dsm_p16_cold")
+
+
+def test_one_seed_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    # one value has no quartiles: the check must come before the first run,
+    # not after every workload has run
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child was started")
+    monkeypatch.setattr(bench_pair, "run_child", no_child)
+    monkeypatch.chdir(tmp_path)
+    root = str(Path(__file__).resolve().parents[1])
+    with pytest.raises(SystemExit) as exited:
+        bench_pair.main([root, root, "--label", "one", "--seeds", "1"])
+    assert exited.value.code == 2
+    assert "--seeds needs at least two seeds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,3 @@
-from dataclasses import astuple, replace
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from aogd.metrics import (BoundCompliance, accumulate, bound_compliance,
                           checkpoint_grid, fit_rate_exponent)
 from aogd.offline import solve_offline
 from aogd.problems import DsmProblem
-from aogd.schedules import Regime, ScheduleParams
+from aogd.schedules import Regime, ScheduleParams, schedule_arrays
 from dsm_stream_oracle import stream_matrices
 from step_recorder import recorded_rounds
 
@@ -48,26 +46,27 @@ class TestAccumulate:
         with recorded_rounds(prob) as rounds:
             trace = run(prob, params, 3, [0], [1, 2, 3])
         offline = {t: solve_offline(prob, t) for t in (1, 2, 3)}
-        report = accumulate(trace, [offline], params)
-        assert report.t.tolist() == [1, 2, 3]
+        loss_regret, _, _ = accumulate(trace, [offline], params)
+        assert trace.t.tolist() == [1, 2, 3]
         ys = stream_matrices(prob.stream[0])
-        for i, t in enumerate(report.t):
+        _, eta, _ = schedule_arrays(params, 3)
+        for i, t in enumerate(trace.t):
             learner_cum = sum(rounds.loss[:t, 0])
             mean = np.mean([Y.ravel() for Y in ys[:t]], axis=0)
             offline_cum = sum(0.5 * np.sum((mean - Y.ravel()) ** 2)
                               for Y in ys[:t])
-            assert report.loss_regret[i, 0] == pytest.approx(
+            assert loss_regret[i, 0] == pytest.approx(
                 learner_cum - offline_cum, abs=1e-7)
-            assert report.constraint_cum[i, 0] == pytest.approx(
-                sum(rounds.g[:t, 0]))
-            assert report.lam[i, 0] == rounds.lam[t - 1, 0]
-            assert report.eta[i] == trace.eta[t - 1]
+            assert trace.g_cum[i, 0] == pytest.approx(sum(rounds.g[:t, 0]))
+            assert trace.lam[i, 0] == rounds.lam[t - 1, 0]
+            assert trace.eta[i] == eta[t - 1]
 
     def test_bounds_nan_without_params(self):
         prob, _, trace, offline = self.run_with_offline(2, 3, [3])
-        report = accumulate(trace, [offline], params=None)
-        assert np.isnan(report.loss_bound[0])
-        assert np.isnan(report.constraint_bound[0])
+        _, loss_bound, constraint_bound = accumulate(trace, [offline],
+                                                     params=None)
+        assert np.isnan(loss_bound[0])
+        assert np.isnan(constraint_bound[0])
 
     def test_checkpoint_out_of_range(self):
         prob, params, trace, offline = self.run_with_offline(2, 3, [3])
@@ -122,19 +121,24 @@ class TestAccumulate:
         assert str(info.value) == "1 offline comparator maps for 2 seeds"
 
     def test_seed_column_matches_single_seed_run(self):
-        # column j of a lockstep run's report, with seed j's own offline
-        # optima, is the report of that seed run alone, bit for bit; the
+        # column j of a lockstep run's seed CSV columns, with seed j's own
+        # offline optima, is that of the seed run alone, bit for bit; the
         # (K,) columns are every seed's
         prob, params, grid = DsmProblem(3), dsm_params(3), [1, 7, 40]
         seeds = [6, 2, 9]
-        trace = run(prob, params, 40, seeds, grid)
-        report = accumulate(trace, [{t: solve_offline(prob, t, j=j)
-                                     for t in grid}
-                                    for j in range(len(seeds))], params)
+
+        def csv_columns(trace, offline):
+            return accumulate(trace, offline, params) + tuple(
+                getattr(trace, name)
+                for name in ("t", "g_cum", "lam", "eta", "theta"))
+
+        columns = csv_columns(run(prob, params, 40, seeds, grid),
+                              [{t: solve_offline(prob, t, j=j) for t in grid}
+                               for j in range(len(seeds))])
         for j, seed in enumerate(seeds):
             single, _, alone, offline = self.run_with_offline(3, 40, grid, seed)
-            expected = accumulate(alone, [offline], params)
-            for got, want in zip(astuple(report), astuple(expected)):
+            expected = csv_columns(alone, [offline])
+            for got, want in zip(columns, expected, strict=True):
                 column = got if got.ndim == 1 else got[:, [j]]
                 assert column.tobytes() == want.tobytes()
                 assert column.shape == want.shape
@@ -178,17 +182,18 @@ class TestFitRateExponent:
 
 
 class TestBoundCompliance:
-    def make_report(self, T=200, p=3, seed=1):
+    def make_columns(self, T=200, p=3, seed=1):
+        """The loss regret, constraint and both bound columns of one run."""
         prob = DsmProblem(p)
         params = dsm_params(p)
         grid = checkpoint_grid(T, count=10)
         trace = run(prob, params, T, [seed], grid)
         offline = {t: solve_offline(prob, t) for t in grid}
-        return accumulate(trace, [offline], params), params
+        loss, loss_bound, constraint_bound = accumulate(trace, [offline], params)
+        return loss, trace.g_cum, loss_bound, constraint_bound
 
     def test_adaptive_run_complies(self):
-        report, params = self.make_report()
-        (comp,) = bound_compliance(report)
+        (comp,) = bound_compliance(*self.make_columns())
         assert comp.loss_ok and comp.constraint_ok
         assert comp.max_ratio <= 1.0
 
@@ -201,19 +206,19 @@ class TestBoundCompliance:
                                 constants=prob.constants)
         grid = checkpoint_grid(T)
         trace = run(prob, params, T, seeds, grid)
-        report = accumulate(trace, [{t: solve_offline(prob, t, j=j)
-                                     for t in grid}
-                                    for j in range(len(seeds))], params)
-        assert report.loss_regret.shape == (len(grid), len(seeds))
-        comps = bound_compliance(report)
+        loss, loss_bound, constraint_bound = accumulate(
+            trace, [{t: solve_offline(prob, t, j=j) for t in grid}
+                    for j in range(len(seeds))], params)
+        assert loss.shape == (len(grid), len(seeds))
+        comps = bound_compliance(loss, trace.g_cum, loss_bound,
+                                 constraint_bound)
         assert [c.loss_ok for c in comps] == [True] * len(seeds)
 
     def test_negative_control_detects_violation(self):
-        report, params = self.make_report()
-        loss_regret = report.loss_regret.copy()
-        loss_regret[-1, 0] = 2 * report.loss_bound[-1]
-        broken = replace(report, loss_regret=loss_regret)
-        (comp,) = bound_compliance(broken)
+        loss, cons, loss_bound, constraint_bound = self.make_columns()
+        loss = loss.copy()
+        loss[-1, 0] = 2 * loss_bound[-1]
+        (comp,) = bound_compliance(loss, cons, loss_bound, constraint_bound)
         assert not comp.loss_ok
         assert comp.max_ratio > 1.0
 
@@ -221,11 +226,13 @@ class TestBoundCompliance:
         # a violation in seed 1's column fails seed 1's verdict alone
         prob, params, grid = DsmProblem(3), dsm_params(3), checkpoint_grid(200, 10)
         trace = run(prob, params, 200, [1, 2, 3], grid)
-        report = accumulate(trace, [{t: solve_offline(prob, t, j=j)
-                                     for t in grid} for j in range(3)], params)
-        constraint_cum = report.constraint_cum.copy()
-        constraint_cum[0, 1] = 3 * report.constraint_bound[0]
-        comps = bound_compliance(replace(report, constraint_cum=constraint_cum))
+        loss, loss_bound, constraint_bound = accumulate(
+            trace, [{t: solve_offline(prob, t, j=j) for t in grid}
+                    for j in range(3)], params)
+        constraint_cum = trace.g_cum.copy()
+        constraint_cum[0, 1] = 3 * constraint_bound[0]
+        comps = bound_compliance(loss, constraint_cum, loss_bound,
+                                 constraint_bound)
         assert all(isinstance(c, BoundCompliance) for c in comps)
         assert [c.constraint_ok for c in comps] == [True, False, True]
         assert [c.loss_ok for c in comps] == [True] * 3
@@ -233,10 +240,10 @@ class TestBoundCompliance:
         assert max(comps[0].max_ratio, comps[2].max_ratio) <= 1.0
 
     def test_max_ratio_matches_columns(self):
-        report, params = self.make_report()
-        (comp,) = bound_compliance(report)
+        loss, cons, loss_bound, constraint_bound = self.make_columns()
+        (comp,) = bound_compliance(loss, cons, loss_bound, constraint_bound)
         ratios = []
-        for i in range(len(report.t)):
-            ratios += [report.loss_regret[i, 0] / report.loss_bound[i],
-                       report.constraint_cum[i, 0] / report.constraint_bound[i]]
+        for i in range(len(loss_bound)):
+            ratios += [loss[i, 0] / loss_bound[i],
+                       cons[i, 0] / constraint_bound[i]]
         assert comp.max_ratio == pytest.approx(max(ratios))

@@ -16,6 +16,7 @@ from aogd.offline import (OfflineSolution, elasticnet_value, load_solutions,
                           solve_offline, solve_offline_cached,
                           store_solutions)
 from aogd.problems import DsmProblem, ElasticNetProblem
+from compare_outputs import criterion9_data, write_dataset
 from dsm_stream_oracle import loss_sum_float, stream_matrices
 from elasticnet_prefix_oracle import loss_sum_gathered
 from pgd_oracle import solve_offline_pgd
@@ -318,33 +319,12 @@ def assert_evaluation_count(sol, events):
     assert evaluations(events) == sol.iterations + halvings(events)
 
 
-def criterion9_data():
-    """Acceptance criterion 9's labels and features."""
-    rng = np.random.default_rng(7)
-    n, d = 500, 20
-    w = rng.normal(size=d)
-    w[6:] = 0.0
-    u = rng.normal(size=(n, d)) * 0.3
-    y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
-    return y, u
-
-
 def criterion9_problem(seeds) -> ElasticNetProblem:
     """Acceptance criterion 9's data, rounded as its libsvm file is, with
     200 rounds of each of `seeds` drawn."""
     y, u = criterion9_data()
     prob = ElasticNetProblem(y, np.round(u, 6), rho=1.0)
     return prob.materialize(200, seeds)
-
-
-def write_criterion9_dataset(path) -> str:
-    """Acceptance criterion 9's libsvm file, written at `path`."""
-    y, u = criterion9_data()
-    path.write_text("".join(
-        f"{'+1' if label > 0 else '-1'} "
-        + " ".join(f"{k + 1}:{v:.6f}" for k, v in enumerate(row)) + "\n"
-        for label, row in zip(y, u)))
-    return str(path)
 
 
 def scale_smoothness(monkeypatch, factor: float):
@@ -647,7 +627,8 @@ class TestSolveOfflineStep:
         # the stopping rule certifies every point it accepts at any step:
         # every solve agrees with the oracle. A solve cut short misses its
         # tolerance, and a run fails at its first miss
-        data = write_criterion9_dataset(tmp_path / "criterion9.libsvm")
+        data = str(tmp_path / "criterion9.libsvm")
+        write_dataset(data)
         cfg = ExperimentConfig(
             problem={"kind": "elasticnet", "dataset": data, "rho": 1.0},
             algorithm="a_ogd_convex", beta=2.0 / 3.0, T=200, seeds=[1],

@@ -2,13 +2,16 @@
 removes or renames one must fail the unit tests, not only the benchmark."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from aogd import learner, offline
+from aogd.experiment import run_experiment
 from aogd.problems import DsmProblem, ElasticNetProblem
 from aogd.schedules import FixedScheduleParams
+from compare_outputs import write_dataset
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -58,3 +61,35 @@ def test_tracer_counts_the_offline_projections():
         tracer.uninstall()
     for name in ("offline.project_birkhoff", "offline.project_elasticnet_ball"):
         assert tracer.stats[name][0] > 0, name
+
+
+def test_every_wrapped_name_is_called(tmp_path, monkeypatch):
+    # a name the program imports but no longer calls would read 0 in its
+    # layer metric without failing a run: count the calls made through
+    # each name the tracer wraps over one cold run of each problem
+    spans = load_spans()
+    names = [(owner, attr) for owner, attr, _, _ in spans.SPANS]
+    names += [(learner, "project_ball"), (offline, "solve_offline_cached")]
+    names += [(owner, "loss") for owner in spans.LOSS_OWNERS]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in names:
+        monkeypatch.setattr(owner, attr, counted((owner, attr),
+                                                 getattr(owner, attr)))
+    data = tmp_path / "data.libsvm"
+    write_dataset(data)
+    for name, problem in (("dsm", {"kind": "dsm", "p": 3}),
+                          ("elasticnet", {"kind": "elasticnet",
+                                          "dataset": str(data), "rho": 1.0})):
+        run_experiment({"problem": problem, "algorithm": "a_ogd_convex",
+                        "beta": 2.0 / 3.0, "T": 40, "seeds": [0, 1],
+                        "output_dir": str(tmp_path / name), "checkpoints": 6})
+    uncalled = [f"{owner.__name__}.{attr}" for owner, attr in names
+                if not calls[owner, attr]]
+    assert uncalled == []

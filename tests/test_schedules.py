@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aogd.schedules import (FixedScheduleParams, ProblemConstants, Regime,
-                            ScheduleParams, c3_ok, check_conditions,
+                            ScheduleParams, check_conditions,
                             constraint_regret_bound, eta_at,
                             loss_regret_bound, mu_at, schedule_arrays,
                             schedule_sums, theta_at)
@@ -171,10 +171,25 @@ class TestConditions:
                            sc_params(G=G, sigma=sigma, beta=beta, R=R)):
                 theta, eta, mu = schedule_arrays(params, T)
                 rep = check_conditions(theta, eta, mu, params.constants.sigma,
-                                       G)
-                u_eta = schedule_sums(params, T)
+                                       G, u_eta=schedule_sums(params, T))
                 assert rep.c1_ok and rep.c2_ok
-                assert c3_ok(rep.c3_slack, u_eta)
+                assert rep.c3_ok
+
+    def test_c3_verdict_at_its_budget(self):
+        # eta = (1, 1/2) with sigma = 0 gives the exact slack 1/0.5 - 1 = 1;
+        # the verdict holds up to u_eta + 1e-9 and fails an ulp below it
+        ones = np.ones(2)
+        at = 1.0 - 1e-9
+        below = float(np.nextafter(at, 0.0))
+        assert at + 1e-9 == 1.0 and below + 1e-9 < 1.0
+        reports = {u_eta: check_conditions(ones, np.array([1.0, 0.5]), ones,
+                                           0.0, 1.0, u_eta=u_eta)
+                   for u_eta in (None, at, below)}
+        assert all(r.c3_slack == 1.0 for r in reports.values())
+        assert (reports[at].u_eta, reports[at].c3_ok) == (at, True)
+        assert (reports[below].u_eta, reports[below].c3_ok) == (below, False)
+        # without a budget there is no verdict
+        assert (reports[None].u_eta, reports[None].c3_ok) == (None, None)
 
     def test_stronger_c2_condition_convex(self):
         # eta_t <= theta_t / (6 G^2) at every t for the adaptive convex schedules
@@ -232,6 +247,11 @@ class TestScheduleSums:
         u_eta = schedule_sums(convex_params(), 1)
         assert theta.sum() == pytest.approx(6.0)
         assert u_eta == pytest.approx(1.0)  # G / R T^beta
+
+    def test_fixed_schedule_has_no_budget(self):
+        assert schedule_sums(FixedScheduleParams(0.1, 1.0, 0.1), 10) is None
+        with pytest.raises(ValueError, match="T must be"):
+            schedule_sums(FixedScheduleParams(0.1, 1.0, 0.1), 0)
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     @pytest.mark.parametrize("T", [10, 1000, 100000])

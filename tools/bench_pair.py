@@ -18,9 +18,10 @@ It writes `BENCH_<label>.json` in the current directory. Per workload and
 side it records the operations attempted and failed over all seeds,
 whether every run was correct, and for each end-to-end metric of
 `BENCHMARK.json` its median, its quartiles (`statistics.quantiles`,
-exclusive) and its value at each seed, in seed order. Per workload and
-metric, `<metric>_change_lower_pairs` counts the seeds at which the
-change read lower than the parent; ties count for neither.
+exclusive, so `--seeds` takes two or more, checked before any run) and its
+value at each seed, in seed order. Per workload and metric,
+`<metric>_change_lower_pairs` counts the seeds at which the change read
+lower than the parent; ties count for neither.
 
 With `--traced W:SEED`, it then runs `perfbench/run.py --trace 1` on that
 workload and seed three times per side, alternating with the parent first,
@@ -106,6 +107,9 @@ def main(argv=None) -> int:
     parser.add_argument("--traced-metric", action="append", default=[])
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        # statistics.quantiles, after every run, needs two values
+        parser.error("--seeds needs at least two seeds for the quartiles")
     roots = {side: os.path.dirname(package_root(path)) for side, path
              in (("parent", args.parent_root), ("change", args.change_root))}
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:

@@ -13,8 +13,7 @@ in each) and every manifest key whose value differs, with the echoed
 After each config's cold run, each tree runs the config twice more into the
 same output directory: warm, where every offline comparator is read back
 from the cache, then torn, after every file under `offline_cache/` has been
-cut to half its bytes (the one sealed file, or each per-comparator file of
-a tree that writes those), where every comparator must be solved again.
+cut to half its bytes, where every comparator must be solved again.
 Every seed CSV, `aggregate.csv` or manifest whose bytes either run changes
 is reported with the bytes that differ: the comparators must survive their
 round trip through the cache, and a torn cache file must never be served.
@@ -80,17 +79,25 @@ VARIANTS = {
 }
 
 
-def write_dataset(path: str, n: int = 500, d: int = 20, seed: int = 7):
-    """Acceptance criterion 9's data: a sparse linear separator with noise."""
-    rng = np.random.default_rng(seed)
+def criterion9_data():
+    """Acceptance criterion 9's labels (+-1.0) and features, 500 x 20: a
+    sparse linear separator (6 of 20 weights nonzero) with label noise."""
+    rng = np.random.default_rng(7)
+    n, d = 500, 20
     w = rng.normal(size=d)
     w[6:] = 0.0
-    U = rng.normal(size=(n, d)) * 0.3
-    y = np.where(U @ w + 0.1 * rng.normal(size=n) > 0, 1, -1)
+    u = rng.normal(size=(n, d)) * 0.3
+    y = np.where(u @ w + 0.1 * rng.normal(size=n) > 0, 1.0, -1.0)
+    return y, u
+
+
+def write_dataset(path):
+    """Acceptance criterion 9's libsvm file, its features to 6 places."""
+    y, u = criterion9_data()
     with open(path, "w") as fh:
-        for i, yi in enumerate(y):
-            fh.write(("+1 " if yi > 0 else "-1 ")
-                     + " ".join(f"{j + 1}:{U[i, j]:.6f}" for j in range(d))
+        for label, row in zip(y, u):
+            fh.write(("+1 " if label > 0 else "-1 ")
+                     + " ".join(f"{j + 1}:{v:.6f}" for j, v in enumerate(row))
                      + "\n")
 
 
