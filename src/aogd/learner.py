@@ -7,10 +7,12 @@ lambda^2 and a projected dual ascent step. Both updates use gradients
 evaluated at the old (x_t, lambda_t): the updates are simultaneous, not
 sequential. `run` plays the streams of S seeds in lockstep, so the state is
 the pair (X, lambda): X is (S, d), one row per seed, and lambda a list of S
-Python floats between rounds, since the scalar dual step of each seed is
-cheaper in Python floats than as ufuncs on an (S,) array at the few seeds
-a run plays. It returns one `Trace` of the run's values at the checkpoints,
-so that its memory does not grow with T.
+Python floats between rounds. Every per-seed scalar of the dual step (the
+active g, its gamma shift, lambda and the step itself) is a Python float,
+which costs less than ufuncs on an (S,) array at the few seeds a run
+plays; only the primal step reads lambda as an array, the (S, 1) column
+of the trace buffer row that holds it. It returns one `Trace` of the
+run's values at the checkpoints, so that its memory does not grow with T.
 """
 
 from __future__ import annotations
@@ -103,32 +105,49 @@ class _Chunks:
         block[0] = block[n]
 
 
-def step(X: np.ndarray, lam: np.ndarray, t: int, f_grad: np.ndarray,
-         g_value: np.ndarray, g_sub: np.ndarray, eta_t: float, mu_t: float,
-         theta_t: float, R: float) -> tuple[np.ndarray, list[float]]:
+def step(X: np.ndarray, lam: list[float], lam_col: np.ndarray, t: int,
+         f_grad: np.ndarray, g_value: list[float], gamma: float,
+         g_sub: np.ndarray, eta_t: float, mu_t: float, theta_t: float,
+         R: float) -> tuple[np.ndarray, list[float]]:
     """One simultaneous primal-descent / dual-ascent update of round t for
-    each row: X, f_grad and g_sub are (S, d), lam and g_value (S,). lam is
-    only read: `run` passes the row of its trace buffer that holds lambda_t.
+    each row: X, f_grad and g_sub are (S, d); lam and g_value are S Python
+    floats, lambda_t and the unshifted g_t, and lam_col is lam as an (S, 1)
+    array, only read (`run` passes a view of its trace buffer row).
 
     The primal gradient of the saddle function is f_grad + lam * g_sub, the
-    dual gradient g_value - theta_t * lam; returns the next X and the next
-    lambda as a list of S Python floats, each seed's ascent step projected
-    onto the nonnegative reals as `max(0.0, v)` does (NaN and -0.0 become
-    +0.0). Raises FloatingPointError, naming t, for a non-finite g_value,
-    or a primal gradient whose descent step leaves a row without a finite
-    norm (the ball projection checks every row).
+    dual gradient g_value + gamma - theta_t * lam; returns the next X and
+    the next lambda as a list of S Python floats, each seed's ascent step
+    projected onto the nonnegative reals as `max(0.0, v)` does (NaN and
+    -0.0 become +0.0). Raises FloatingPointError, naming t, for a shifted
+    g_value that is not finite, or a primal gradient whose descent step
+    leaves a row without a finite norm (the ball projection checks every
+    row).
     """
     lam_next = []
-    for lam_j, g_j in zip(lam.tolist(), g_value.tolist()):
+    for lam_j, g_j in zip(lam, g_value):
+        g_j += gamma
         if not math.isfinite(g_j):
             raise FloatingPointError(f"non-finite gradient at round t={t}")
         v = lam_j + mu_t * (g_j - theta_t * lam_j)
         lam_next.append(v if v > 0.0 else 0.0)
     try:
-        X_next = project_ball(X - eta_t * (f_grad + lam[:, None] * g_sub), R)
+        X_next = project_ball(X - eta_t * (f_grad + lam_col * g_sub), R)
     except FloatingPointError as err:
         raise FloatingPointError(f"non-finite gradient at round t={t}") from err
     return X_next, lam_next
+
+
+def _rounds(checkpoints, T: int) -> np.ndarray:
+    """The checkpoints as an int array; ValueError unless they are strictly
+    increasing integer rounds in [1, T]."""
+    ts = np.asarray(checkpoints)
+    # a list of ints holding a bool still converts to an int array
+    if (ts.ndim == 1 and ts.size and ts.dtype.kind in "iu"
+            and not any(isinstance(c, (bool, np.bool_)) for c in checkpoints)):
+        ts = ts.astype(int)
+        if ts[0] >= 1 and ts[-1] <= T and np.all(np.diff(ts) > 0):
+            return ts
+    raise ValueError(f"checkpoints must be strictly increasing rounds in [1, {T}]")
 
 
 def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
@@ -141,14 +160,12 @@ def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
     0 the learner plays against the shifted constraint g + gamma: its dual
     update sees g + gamma with the dual step schedule_arrays gives, while
     the trace sums the unshifted g for violation accounting. Raises
-    ValueError for T < 1 or bad checkpoints.
+    ValueError for T < 1 or bad checkpoints: a checkpoint must be an int or
+    a numpy integer, not a bool.
     """
     theta, eta, mu = schedule_arrays(schedule, T)
-    gamma = schedule.gamma
-    ts = np.asarray(checkpoints, dtype=int)
-    if (ts.ndim != 1 or ts.size == 0 or ts[0] < 1 or ts[-1] > T
-            or np.any(np.diff(ts) <= 0)):
-        raise ValueError(f"checkpoints must be strictly increasing rounds in [1, {T}]")
+    gamma = float(schedule.gamma)
+    ts = _rounds(checkpoints, T)
     problem.materialize(T, seeds)
     R = problem.constants.R
     cs = problem.constraints
@@ -156,6 +173,7 @@ def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
     C = min(T, _CHUNK_ROUNDS)
     chunks = _Chunks(ts, C, S)
     lams, losses, gs = chunks.lams, chunks.losses, chunks.gs
+    lam_cols = lams[:, :, None]  # row i as the (S, 1) column of lambda_t
     X, lam = np.zeros((S, problem.dim)), [0.0] * S
     for start in range(0, T, C):
         stop = min(start + C, T)
@@ -168,7 +186,7 @@ def run(problem, schedule, T: int, seeds, checkpoints) -> Trace:
             f_val, f_grad = problem.loss(t, X)
             g_val, idx = g_max(cs, X)
             lams[i], losses[i], gs[i] = lam, f_val, g_val
-            X, lam = step(X, lams[i], t, f_grad, g_val + gamma,
+            X, lam = step(X, lam, lam_cols[i], t, f_grad, g_val, gamma,
                           cs.subgradient(X, idx), eta_t, mu_t, theta_t, R)
         chunks.fold(start, stop - start)
     return Trace(t=ts, loss_cum=chunks.loss_cum, g_cum=chunks.g_cum,

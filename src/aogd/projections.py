@@ -19,7 +19,10 @@ Non-finite input raises FloatingPointError rather than flowing on:
 `project_ball` raises for any row whose squared norm is not finite (NaN or
 infinite entries, or a finite row too large to square), and `g_max` for
 any non-finite constraint component. `all_finite` is the array finiteness
-test of `g_max` and of both offline projections.
+test of `g_max` and of both offline projections. The per-row scalars of
+the online round (each row's squared norm in `project_ball`, its active
+value in `g_max`) are read as Python floats: at the few rows a run plays
+that costs less than a numpy reduction or gather.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def all_finite(a):
 
 def project_ball(x: np.ndarray, R: float) -> np.ndarray:
     """Project each row of x onto the Euclidean ball of radius R; x itself
-    when no row lies outside.
+    when no row lies outside. x is (S, d), or one vector (d,).
 
     Raises FloatingPointError when a row's squared norm is not finite: a
     NaN or infinite entry, or a finite row whose squared norm overflows
@@ -54,12 +57,14 @@ def project_ball(x: np.ndarray, R: float) -> np.ndarray:
     if R <= 0:
         raise ValueError("R must be positive")
     squares = np.vecdot(x, x)
-    # sqrt is monotone, so this is the largest row norm (NaN if any is)
-    norm = math.sqrt(np.maximum.reduce(squares, axis=None))
-    if norm <= R:
-        return x
-    if not math.isfinite(norm):
+    rows = squares.tolist() if squares.ndim == 1 else squares.reshape(-1).tolist()
+    # squares are >= 0, so a finite sum has only finite terms; any other
+    # sum tests each row, since a NaN can hide from max
+    if not (math.isfinite(sum(rows)) or all(map(math.isfinite, rows))):
         raise FloatingPointError("a row of x has a non-finite squared norm")
+    # sqrt is monotone, so this is the largest row norm
+    if math.sqrt(max(rows)) <= R:
+        return x
     # R / max(norm, R) is exactly 1.0 for the rows inside the ball
     return x * (R / np.maximum(np.sqrt(squares), R))[..., None]
 
@@ -67,9 +72,10 @@ def project_ball(x: np.ndarray, R: float) -> np.ndarray:
 def g_max(cs, X: np.ndarray):
     """Aggregate constraint value max_j g_j(x) of each row x of X (S, d).
 
-    Returns (values, active_indices), both (S,); ties break to the smallest
-    index so runs replay deterministically. A subgradient of g at each row
-    is `cs.subgradient(X, active_indices)`.
+    Returns (values, active_indices): values the S maxima as Python floats
+    and active_indices an (S,) array; ties break to the smallest index so
+    runs replay deterministically. A subgradient of g at each row is
+    `cs.subgradient(X, active_indices)`.
     """
     values = cs.values(X)
     if not all_finite(values):
@@ -77,4 +83,4 @@ def g_max(cs, X: np.ndarray):
         raise FloatingPointError(
             f"constraint component {bad} is non-finite at row {row} of x")
     idx = values.argmax(axis=1)  # argmax returns the first maximizer
-    return values[np.arange(len(values)), idx], idx
+    return [values.item(j, k) for j, k in enumerate(idx.tolist())], idx

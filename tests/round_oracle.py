@@ -8,7 +8,9 @@ tests check by finite differences and tie `ElasticNetProblem.loss` to.
 
 `reference_round(problem)` plays a `learner.run` with these in place of
 `learner.step`, `learner.g_max`, `problem.loss` and, for a DSM problem,
-its constraints' `values` and `subgradient`.
+its constraints' `values` and `subgradient`. Only `reference_round` knows
+the calling convention of today's `learner.step`: it hands the reference
+`step` lambda_t as an (S,) array and g_t + gamma as the (S,) array sum.
 """
 
 from __future__ import annotations
@@ -130,7 +132,13 @@ def reference_round(problem):
     saved = learner.step, learner.g_max
     dsm = isinstance(problem, DsmProblem)
     loss = dsm_loss if dsm else elasticnet_loss
-    learner.step, learner.g_max = step, g_max
+
+    def reference_step(X, lam, lam_col, t, f_grad, g_value, gamma, *args):
+        X_next, lam_next = step(X, np.array(lam), t, f_grad,
+                                np.asarray(g_value) + gamma, *args)
+        return X_next, lam_next.tolist()
+
+    learner.step, learner.g_max = reference_step, g_max
     problem.loss = lambda t, X: loss(problem, t, X)
     cs = problem.constraints
     if dsm:

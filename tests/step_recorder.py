@@ -1,10 +1,11 @@
 """Read a run's per-round values through the hooks the benchmark also wraps.
 
-`learner.run` keeps no per-round column; each round's iterates X_t and dual
-iterates lambda_t, one row per seed, are arguments of that round's
-`learner.step` call, its losses are what `problem.loss` returns, and its
-unshifted constraint values what `learner.g_max` returns. Context managers
-rather than pytest fixtures, so that `hypothesis` tests can use them too.
+`learner.run` keeps no per-round column; each round's iterates X_t, one
+row per seed, and dual iterates lambda_t, a list of S Python floats, are
+the first two arguments of that round's `learner.step` call, its losses
+are what `problem.loss` returns, and its unshifted constraint values the
+S Python floats `learner.g_max` returns first. Context managers rather
+than pytest fixtures, so that `hypothesis` tests can use them too.
 """
 
 from contextlib import contextmanager

@@ -29,11 +29,12 @@ def dsm_params(p, beta=2.0 / 3.0, regime=Regime.CONVEX):
 
 
 def step1(x, lam, t, f_grad, g_value, g_sub, *args, **kwargs):
-    """`step` on the one-row batch of (x, lam); returns the row's (x, lam)."""
-    (x,), (lam,) = step(np.array([x], dtype=float), np.array([lam], dtype=float),
-                        t, np.array([f_grad], dtype=float),
-                        np.array([g_value], dtype=float),
-                        np.array([g_sub], dtype=float), *args, **kwargs)
+    """`step` on the one-row batch of (x, lam), unshifted; returns the
+    row's (x, lam)."""
+    (x,), (lam,) = step(np.array([x], dtype=float), [float(lam)],
+                        np.array([[lam]], dtype=float), t,
+                        np.array([f_grad], dtype=float), [float(g_value)],
+                        0.0, np.array([g_sub], dtype=float), *args, **kwargs)
     return x, lam
 
 
@@ -96,9 +97,20 @@ class TestStep:
             step1(np.zeros(1), 0.0, 17, np.array([np.nan]), 0.0, np.zeros(1),
                   eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
         with pytest.raises(FloatingPointError, match="17"):
-            step(np.zeros((2, 1)), np.zeros(2), 17, np.zeros((2, 1)),
-                 np.array([0.0, np.inf]), np.zeros((2, 1)),
+            step(np.zeros((2, 1)), [0.0, 0.0], np.zeros((2, 1)), 17,
+                 np.zeros((2, 1)), [0.0, np.inf], 0.0, np.zeros((2, 1)),
                  eta_t=0.1, mu_t=0.1, theta_t=1.0, R=1.0)
+
+    def test_shift_that_overflows_g_reports_round(self):
+        # g and gamma are finite, g + gamma is not: step checks the shifted
+        # value, as it checked the (S,) sum `g + gamma` that `run` made
+        head = (np.zeros((1, 1)), [0.0], np.zeros((1, 1)), 9,
+                np.zeros((1, 1)), [1.7e308])
+        tail = (np.zeros((1, 1)), 0.1, 0.1, 1.0, 1.0)
+        assert step(*head, 0.0, *tail)[1] == [0.1 * 1.7e308]
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient at round t=9$"):
+            step(*head, 1e308, *tail)
 
     def test_huge_finite_g_value_passes(self):
         # 1e200 squares past float64, so all_finite takes its entrywise
@@ -128,24 +140,29 @@ class TestStep:
         X[1] *= 10.0
         lam, g = np.array([0.0, 0.3, 2.0, 0.1, 0.0]), rng.normal(size=5)
         args = (0.3, 0.2, 1.5, 2.0)
-        X_next, lam_next = step(X, lam, 4, f_grad, g, g_sub, *args)
+        X_next, lam_next = step(X, lam.tolist(), lam[:, None], 4, f_grad,
+                                g.tolist(), 0.0, g_sub, *args)
         for j in range(5):
             x, lam_j = step1(X[j], lam[j], 4, f_grad[j], g[j], g_sub[j], *args)
             assert np.array_equal(X_next[j], x) and lam_next[j] == lam_j
 
     def test_reads_read_only_rows(self):
-        # `run` passes a row of its trace buffer as lam: step reads lam and
-        # g_value and writes neither
+        # `run` passes a view of a row of its trace buffer as lam_col and
+        # its own lists as lam and g_value: step reads them and writes none
         rng = np.random.default_rng(8)
         X, f_grad, g_sub = rng.normal(size=(3, 4, 2))
-        lam, g = np.array([0.0, 0.3, 2.0, 0.1]), rng.normal(size=4)
-        expected = step(X, lam.copy(), 5, f_grad, g.copy(), g_sub,
-                        0.3, 0.2, 1.5, 2.0)
-        saved = lam.copy(), g.copy()
-        lam.flags.writeable = g.flags.writeable = False
-        X_next, lam_next = step(X, lam, 5, f_grad, g, g_sub, 0.3, 0.2, 1.5, 2.0)
+        lam, g = [0.0, 0.3, 2.0, 0.1], rng.normal(size=4).tolist()
+        lam_col = np.array(lam)[:, None]
+        args = (0.3, 0.2, 1.5, 2.0)
+        expected = step(X, lam.copy(), lam_col.copy(), 5, f_grad, g.copy(),
+                        0.25, g_sub, *args)
+        saved = lam.copy(), lam_col.copy(), g.copy()
+        lam_col.flags.writeable = False
+        X_next, lam_next = step(X, lam, lam_col, 5, f_grad, g, 0.25, g_sub,
+                                *args)
         assert np.array_equal(X_next, expected[0]) and lam_next == expected[1]
-        assert np.array_equal(lam, saved[0]) and np.array_equal(g, saved[1])
+        assert lam == saved[0] and g == saved[2]
+        assert np.array_equal(lam_col, saved[1])
 
 
 class TestRun:
@@ -279,21 +296,44 @@ class TestRun:
             run(DsmProblem(2), dsm_params(2), T=5, seeds=[0],
                 checkpoints=checkpoints)
 
+    @pytest.mark.parametrize("checkpoints", [
+        [1.9, 5.5, 10], ["3", 10], [True, 3], [1, np.True_], [2.0, 10],
+        np.array([1.0, 10.0]), [np.float64(3), 10], np.array([True, False])],
+        ids=["floats", "text", "bool", "numpy_bool", "integral_float",
+             "float_array", "numpy_float", "bool_array"])
+    def test_non_integer_checkpoints_rejected(self, checkpoints):
+        # none may be truncated or parsed into a round: the first one a
+        # cast to int would make [1, 5, 10], the second [3, 10]
+        with pytest.raises(ValueError, match=(
+                r"^checkpoints must be strictly increasing rounds in \[1, 10\]$")):
+            run(DsmProblem(2), dsm_params(2), T=10, seeds=[0],
+                checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("checkpoints", [
+        [np.int32(2), np.int64(5), 10], np.array([2, 5, 10], dtype=np.uint8),
+        range(2, 11, 4), (2, 5, 10)],
+        ids=["numpy_ints", "uint8_array", "range", "tuple"])
+    def test_integer_checkpoints_accepted(self, checkpoints):
+        trace = run(DsmProblem(2), dsm_params(2), T=10, seeds=[0],
+                    checkpoints=checkpoints)
+        assert trace.t.dtype == int and trace.t.tolist() == list(checkpoints)
+
 
 class TestGammaShift:
     def test_zero_shift_is_identity(self, monkeypatch):
         # at gamma = 0 the dual step sees g itself with the schedule's own mu
         seen = []
 
-        def spy(X, lam, t, f_grad, g_value, *args):
-            seen.append(g_value.copy())
-            return step(X, lam, t, f_grad, g_value, *args)
+        def spy(X, lam, lam_col, t, f_grad, g_value, gamma, *args):
+            seen.append((list(g_value), gamma))
+            return step(X, lam, lam_col, t, f_grad, g_value, gamma, *args)
 
         monkeypatch.setattr(learner, "step", spy)
         prob = DsmProblem(2)
         with recorded_rounds(prob) as rounds:
             run(prob, dsm_params(2), T=30, seeds=[0], checkpoints=[30])
-        assert np.array_equal(seen, rounds.g)
+        assert np.array_equal([g for g, _ in seen], rounds.g)
+        assert all(type(gamma) is float and gamma == 0.0 for _, gamma in seen)
         assert np.array_equal(schedule_arrays(dsm_params(2), 30)[2],
                               mu_at(dsm_params(2), np.arange(1, 31)))
 

@@ -82,9 +82,9 @@ def dual_step(lam, g, mu_t, theta_t):
     """The next dual iterates `learner.step` gives from lam and g, with a
     zero primal step."""
     S = len(lam)
-    _, lam_next = step(np.zeros((S, 1)), np.array(lam), 1, np.zeros((S, 1)),
-                       np.array(g), np.zeros((S, 1)), eta_t=1.0, mu_t=mu_t,
-                       theta_t=theta_t, R=1.0)
+    _, lam_next = step(np.zeros((S, 1)), lam, np.array(lam)[:, None], 1,
+                       np.zeros((S, 1)), g, 0.0, np.zeros((S, 1)), eta_t=1.0,
+                       mu_t=mu_t, theta_t=theta_t, R=1.0)
     return lam_next
 
 
@@ -129,7 +129,8 @@ class TestGMax:
         cs = scalar_components()
         X = np.array([[3.0], [0.5], [-2.0], [0.5]])
         values, idx = g_max(cs, X)
-        assert values.shape == idx.shape == (4,)
+        assert all(type(v) is float for v in values)
+        assert len(values) == 4 and idx.shape == (4,)
         assert [g_max_at(cs, x) for x in X] == list(zip(values, idx))
         assert idx.tolist() == [0, 0, 1, 0]
 

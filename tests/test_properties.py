@@ -1,6 +1,7 @@
 """Property tests: projection laws, the finiteness test against the
-entrywise one, the learner's dual rule against its array form, the
-learner's iterate invariants,
+entrywise one, the learner's dual rule against its array form, the ball
+projection's and g_max's Python-float decisions against their reference
+forms, the learner's iterate invariants,
 lockstep runs against single-seed runs, a run's first rounds, trace and
 comparators against a longer run's, the checkpoint trace and the
 code-counting DSM prefix loss against their per-round float forms, the
@@ -13,8 +14,10 @@ and the suite stays fast.
 """
 
 import inspect
+import math
 import warnings
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +29,14 @@ from scipy.special import expit
 from aogd.learner import _CHUNK_ROUNDS, Trace, run, step
 from aogd.metrics import checkpoint_grid
 from aogd.offline import project_elasticnet_ball, solve_offline
-from aogd.problems import DsmProblem, ElasticNetProblem
-from aogd.projections import all_finite, project_ball
+from aogd.problems import DsmConstraints, DsmProblem, ElasticNetProblem
+from aogd.projections import all_finite, g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
                             schedule_arrays)
 from dsm_stream_oracle import loss_sum_float
 from elasticnet_prefix_oracle import loss_sum_gathered
+from round_oracle import g_max as oracle_g_max
+from round_oracle import project_ball as oracle_ball
 from round_oracle import project_nonneg, reference_round
 from step_recorder import recorded_iterates, recorded_rounds
 
@@ -92,12 +97,113 @@ def test_step_dual_rule_matches_array_form(case):
         expected = project_nonneg(lam + mu * (g - theta * lam))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, out = step(np.zeros((S, 1)), lam, 1, np.zeros((S, 1)), g,
-                      np.zeros((S, 1)), eta_t=1.0, mu_t=mu, theta_t=theta,
-                      R=1.0)
+        _, out = step(np.zeros((S, 1)), lam.tolist(), lam[:, None], 1,
+                      np.zeros((S, 1)), g.tolist(), 0.0, np.zeros((S, 1)),
+                      eta_t=1.0, mu_t=mu, theta_t=theta, R=1.0)
     assert all(type(v) is float for v in out)
     assert np.array(out).view(np.uint64).tolist() == \
         expected.view(np.uint64).tolist()
+
+
+# entries of a batch: +-1e154 squares to 1e308, so two such rows are
+# finite while their sum of squares is not, and two in one row overflow it;
+# each special value is then put into every row in turn, since a NaN can
+# hide from Python's max wherever it is not the first row
+ball_entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, -3.0,
+                                          1e154, -1e154]),
+                         st.floats(-1e3, 1e3))
+SPECIALS = (np.nan, np.inf, -np.inf, 1e200)
+# g_j(x) = x_j: in a row whose maximum is a tie of +0.0 and -0.0 the first
+# maximizer's value can differ in sign from the row's np.max
+COORDINATES = SimpleNamespace(values=np.copy)
+
+
+@st.composite
+def ball_cases(draw):
+    """A DSM side p, a batch (S, p*p) with S in 1..40 or one vector
+    (p*p,), the entry each special value replaces, and a radius: None for
+    the largest row norm itself, so that a row lies on the sphere."""
+    p = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from([(draw(st.integers(1, 40)), p * p), (p * p,)]))
+    x = draw(arrays(np.float64, shape, elements=ball_entries))
+    column = draw(st.integers(0, p * p - 1))
+    return p, x, column, draw(st.one_of(st.none(), st.floats(1e-3, 1e4)))
+
+
+def assert_ball_as_oracle(x, R):
+    """project_ball(x, R) has the bits of `round_oracle.project_ball`, and is
+    x itself where the oracle returns x; where a squared norm is not finite
+    (which the oracle lets through as NaN or zeroed rows) it raises."""
+    if R <= 0:
+        with pytest.raises(ValueError) as want:
+            oracle_ball(x, R)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            project_ball(x, R)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.vecdot(x, x)).all():
+            with pytest.raises(FloatingPointError, match=(
+                    "^a row of x has a non-finite squared norm$")):
+                project_ball(x, R)
+            return
+        want, got = oracle_ball(x, R), project_ball(x, R)
+    assert (got is x) == (want is x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_g_max_as_oracle(cs, X):
+    """g_max's values and active indices have the bits of
+    `round_oracle.g_max`, the values as Python floats, or it raises the
+    oracle's exception with the oracle's message."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = oracle_g_max(cs, X)
+        except FloatingPointError as err:
+            with pytest.raises(FloatingPointError) as got:
+                g_max(cs, X)
+            assert str(got.value) == str(err)
+            return
+        values, idx = g_max(cs, X)
+    assert all(type(v) is float for v in values)
+    assert np.array(values).tobytes() == want[0].tobytes()
+    assert idx.tobytes() == want[1].tobytes()
+
+
+@SETTINGS
+@given(case=ball_cases())
+@example(case=(2, np.array([[3.0, 4.0, 0.0, 0.0], [0.0, -0.0, -4.0, 3.0],
+                            [0.6, 0.8, 0.0, -0.0]]), 1, 5.0))
+@example(case=(3, np.zeros((40, 9)), 8, None))
+@example(case=(2, np.array([[0.0, -0.0, -1.0, -3.0], [-1.0, 0.0, -0.0, -0.0]]),
+               0, 1.0))
+@example(case=(2, np.array([[1e154, 0.0, 0.0, 0.0], [0.0, 0.0, -1e154, 0.0]]),
+               3, 1.0))
+def test_python_float_decisions_match_the_oracle(case):
+    # project_ball's "no row outside" test and g_max's active values are
+    # read as Python floats; with a NaN, +-inf or a finite entry whose
+    # square overflows in each row in turn, both still decide as the
+    # reference round does, bit for bit and exception for exception
+    p, x, column, R = case
+    if R is None:
+        with np.errstate(over="ignore"):
+            R = math.sqrt(np.vecdot(x, x).max())
+        if 0.0 < R < math.inf:
+            assert project_ball(x, R) is x
+    sets = (DsmConstraints(p), COORDINATES)
+    assert_ball_as_oracle(x, R)
+    if x.ndim == 2:
+        for cs in sets:
+            assert_g_max_as_oracle(cs, x)
+    for value in SPECIALS:
+        for row in range(len(x)):
+            y = x.copy()
+            if y.ndim == 2:
+                y[row, column] = value
+                for cs in sets:
+                    assert_g_max_as_oracle(cs, y)
+            else:
+                y[row] = value
+            assert_ball_as_oracle(y, R)
 
 
 # signed zeros, the smallest subnormal, finite values whose squares
