@@ -10,6 +10,7 @@ Verbs:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -81,7 +82,10 @@ def _cmd_solve_offline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every verb, built once per process: parsing
+    leaves it as it was, so each `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="aogd",
         description="Adaptive online gradient descent with long-term constraints")

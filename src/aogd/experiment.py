@@ -211,11 +211,21 @@ def _write_csv(path: str, table: dict):
                                else col for col in table.values())))
 
 
+def _write_manifest(output_dir: str, manifest: dict) -> str:
+    """The manifest as output_dir/manifest.json, serialized whole and then
+    written at once (`json.dump` writes once per encoder chunk); returns its
+    path."""
+    path = os.path.join(output_dir, "manifest.json")
+    text = json.dumps(manifest, indent=2)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def _write_failed_manifest(output_dir: str, exc: Exception, config: dict):
     os.makedirs(output_dir, exist_ok=True)
-    with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
-        json.dump({"status": "failed", "error": str(exc), "config": config},
-                  fh, indent=2)
+    _write_manifest(output_dir, {"status": "failed", "error": str(exc),
+                                 "config": config})
 
 
 def run_experiment(raw: dict) -> str:
@@ -344,10 +354,7 @@ def _run_experiment(cfg: ExperimentConfig) -> str:
             int(reached.min()) if gamma > 0.0 and reached.size else None),
         "checkpoints": checkpoints,
     }
-    manifest_path = os.path.join(cfg.output_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return manifest_path
+    return _write_manifest(cfg.output_dir, manifest)
 
 
 def compare_runs(manifest_paths: list[str], output_path: str | None = None):

@@ -283,8 +283,11 @@ class ElasticNetProblem:
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1")
         self.labels = labels
-        self._neg_labels = -labels  # what each round's loss reads
         self.features = features
+        # the signed rows w_i = -y_i u_i, which each round and each prefix
+        # read: negation is exact, so x.w_i and w_i s have the bits of
+        # -y_i (x.u_i) and -y_i u_i s
+        self._signed = -labels[:, None] * features
         self.rho = float(rho)
         self.dim = features.shape[1]
         self.constants = elasticnet_constants(rho, features)
@@ -316,23 +319,22 @@ class ElasticNetProblem:
         (y, u) the seed drew; t is 1-indexed."""
         if self._rounds is None:
             raise RuntimeError(_NOT_MATERIALIZED)
-        # round t's rows, cast once for two gathers; a t past the stream raises
-        i = _round(self._rounds, t).astype(np.intp)
-        neg_y, U = self._neg_labels[i], self.features[i]
-        # at -(y x.u), exactly
-        value, slope = _logistic(neg_y * np.vecdot(X, U))
-        return value, neg_y[..., None] * U * slope[..., None]
+        # round t's signed rows, one gather by the stored index; a t past
+        # the stream raises
+        W = self._signed.take(_round(self._rounds, t), axis=0)
+        value, slope = _logistic(np.vecdot(X, W))  # at x.w = -(y x.u)
+        return value, W * slope[..., None]
 
     def prefix_loss(self, t: int, j: int = 0):
         """The function x -> (value, gradient) of f_1 + ... + f_t of seed j,
         as sum_i c_i f(x; i) with c_i the draws of example i in those
-        rounds. The drawn rows U, their counts c, negated labels and the
-        weights c_i (-y_i) are gathered here once.
+        rounds. The drawn signed rows W (w_i = -y_i u_i) and their counts c
+        are gathered here once.
 
         Its `smoothness()` bounds the Lipschitz constant of the gradient of
         the average sum / t: the logistic sigma' is at most 1/4, so the
         Hessian is below sum_i c_i u_i u_i^T / (4t). The top eigenvalue of
-        that Gram matrix W^T W, W = sqrt(c) U, is the one of W W^T too, and
+        that Gram matrix V^T V, V = sqrt(c) U, is the one of V V^T too, and
         the smaller of the d x d and k x k forms is decomposed, k the
         number of drawn rows. Its `minimizer()` is None: no closed form
         gives the constrained logistic fit.
@@ -340,17 +342,18 @@ class ElasticNetProblem:
         counts = np.bincount(_prefix(self.stream[j], t),
                              minlength=self.labels.shape[0])
         rows = np.flatnonzero(counts)
-        U, c = self.features[rows], counts[rows].astype(float)
-        neg_y = -self.labels[rows]
-        weights = c * neg_y
+        W, c = self._signed[rows], counts[rows].astype(float)
 
         def loss(x: np.ndarray):
-            value, slope = _logistic(neg_y * (U @ x))
-            return float(c @ value), (weights * slope) @ U
+            value, slope = _logistic(W @ x)
+            return float(c @ value), (c * slope) @ W
 
         def smoothness() -> float:
-            W = np.sqrt(c)[:, None] * U
-            gram = W.T @ W if W.shape[1] <= W.shape[0] else W @ W.T
+            # from the unsigned rows: the k x k Gram matrix of the signed
+            # ones is D V V^T D, D = diag(-y), whose eigvalsh differs in
+            # the last bits
+            V = np.sqrt(c)[:, None] * self.features[rows]
+            gram = V.T @ V if V.shape[1] <= V.shape[0] else V @ V.T
             return float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * t)
         loss.smoothness = smoothness
         loss.minimizer = lambda: None

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aogd.cli import main
+from aogd.cli import build_parser, main
 from aogd import learner, offline
 from aogd.experiment import (ExperimentConfig, build_problem, build_schedule,
                              compare_runs, run_experiment)
@@ -819,6 +819,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_main_is_reusable_in_one_process(self, tmp_path):
+        # one parser serves every call: a run, a call argparse rejects and
+        # another verb leave it as it was, so the same run again writes the
+        # same bytes
+        cfg_path, _ = write_config(
+            tmp_path, problem={"kind": "elasticnet", "rho": 1.0,
+                               "dataset": write_elasticnet_dataset(tmp_path)},
+            seeds=[3, 4])
+        out = tmp_path / "out"
+
+        def outputs():
+            return {f.name: f.read_bytes() for f in out.iterdir()
+                    if f.suffix == ".csv" or f.name == "manifest.json"}
+
+        assert main(["run", cfg_path]) == 0
+        first = outputs()
+        assert sorted(first) == ["aggregate.csv", "manifest.json",
+                                 "seed_3.csv", "seed_4.csv"]
+        with pytest.raises(SystemExit) as info:
+            main(["run"])
+        assert info.value.code == 2
+        assert main(["check-schedule", "--beta", "0.5", "--R", "1", "--G",
+                     "1", "--D", "1", "--T", "100"]) == 0
+        assert main(["run", cfg_path]) == 0
+        assert outputs() == first
+        assert build_parser() is build_parser()
 
     def test_compare_verb(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -5,9 +5,10 @@ forms, the learner's iterate invariants,
 lockstep runs against single-seed runs, a run's first rounds, trace and
 comparators against a longer run's, the checkpoint trace and the
 code-counting DSM prefix loss against their per-round float forms, the
-count-weighted elastic-net prefix loss against the gathered prefix, each
-prefix's smoothness bound against the Hessian and the descent inequality,
-and the online round against its reference form.
+count-weighted elastic-net prefix loss against the gathered prefix, the
+elastic-net round and prefix on signed rows against their unsigned forms,
+each prefix's smoothness bound against the Hessian and the descent
+inequality, and the online round against its reference form.
 
 Derandomized with small example counts, so every run draws the same cases
 and the suite stays fast.
@@ -34,7 +35,8 @@ from aogd.projections import all_finite, g_max, project_ball
 from aogd.schedules import (FixedScheduleParams, Regime, ScheduleParams,
                             schedule_arrays)
 from dsm_stream_oracle import loss_sum_float
-from elasticnet_prefix_oracle import loss_sum_gathered
+from elasticnet_prefix_oracle import loss_sum_gathered, prefix_loss_unsigned
+from round_oracle import elasticnet_loss
 from round_oracle import g_max as oracle_g_max
 from round_oracle import project_ball as oracle_ball
 from round_oracle import project_nonneg, reference_round
@@ -493,7 +495,7 @@ def test_interleaved_prefix_losses_match_oracles(case):
         assert value == pytest.approx(want_value, rel=1e-12)
         assert (np.linalg.norm(grad - want_grad)
                 <= 1e-12 * np.linalg.norm(want_grad))
-        kept = inspect.getclosurevars(prefixes[j, t]).nonlocals["U"]
+        kept = inspect.getclosurevars(prefixes[j, t]).nonlocals["W"]
         assert (kept.shape[0] == np.unique(prob.stream[j, :t]).size
                 <= prob.labels.shape[0])
 
@@ -551,6 +553,73 @@ def test_elasticnet_smoothness_bounds_the_average_objective(case):
         diff = x_new - x
         bound = f + grad @ diff + 0.5 * L * (diff @ diff)
         assert f_new <= bound + 1e-12 * max(f, f_new)
+
+
+def signed_zeros(rng, shape, frac: float):
+    """A random mask that sets about `frac` of `shape`, and an array of
+    that shape holding 0.0 or -0.0 at random."""
+    zeros = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)
+    return rng.uniform(size=shape) < frac, zeros
+
+
+@st.composite
+def signed_row_cases(draw):
+    """(problem, t, X, rng): an elastic-net problem of n examples whose
+    rows are dense or sparse, spell some zeros -0.0 and carry labels of
+    both signs (n >= 2), with the first t rounds of 1 to 3 seeds drawn;
+    iterates X (S, d), some entries and some whole rows signed zeros; and a
+    generator for prefix points. Wide (d above n) or tall (t >= 20 n
+    rounds, so prefixes near t draw k >= d distinct examples)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 16))
+        d, t = draw(st.integers(n + 1, 24)), draw(st.integers(1, 3 * n))
+    else:
+        d = draw(st.integers(1, 5))
+        n = draw(st.integers(d + 5, 40))
+        t = draw(st.integers(20 * n, 30 * n))
+    features = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
+    mask, zeros = signed_zeros(rng, features.shape,
+                               draw(st.sampled_from([0.1, 0.7, 0.9])))
+    features[mask] = zeros[mask]
+    labels = rng.choice([-1.0, 1.0], size=n)
+    labels[:2] = [1.0, -1.0][:n]
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
+                          unique=True))
+    prob = ElasticNetProblem(labels, features, rho=1.0).materialize(t, seeds)
+    X = rng.normal(size=(len(seeds), d))
+    mask, zeros = signed_zeros(rng, X.shape, 0.3)
+    X[mask] = zeros[mask]
+    whole = rng.uniform(size=len(seeds)) < 0.3  # rows of signed zeros
+    X[whole] = zeros[whole]
+    return prob, t, X, rng
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=signed_row_cases())
+def test_signed_rows_match_the_unsigned_formulas(case):
+    # multiplying by -y = +-1 is exact, so the round's loss and gradient,
+    # the prefix's value and gradient and its smoothness bound keep every
+    # bit of their forms on the unsigned rows, in both Gram forms: a wide
+    # problem's prefixes and the first ones of a tall problem draw k < d
+    # rows, a tall problem's longer ones k >= d. On sparse rows the k x k
+    # Gram matrix of the signed rows moves eigvalsh's last bits in some
+    # prefixes, so every prefix up to 24 rounds is checked
+    prob, t, X, rng = case
+    for s in sorted({1, t // 2 + 1, t}):
+        value, grad = prob.loss(s, X)
+        want_value, want_grad = elasticnet_loss(prob, s, X)
+        assert_same_bits(value, want_value)
+        assert_same_bits(grad, want_grad)
+    for j in range(X.shape[0]):
+        for s in sorted({*range(1, min(t, 24) + 1), t // 2 + 1, t}):
+            prefix, want = prob.prefix_loss(s, j), prefix_loss_unsigned(
+                prob, s, j)
+            assert_same_bits(prefix.smoothness(), want.smoothness())
+            for x in (X[j], rng.normal(size=prob.dim)):
+                (value, grad), (want_value, want_grad) = prefix(x), want(x)
+                assert_same_bits(value, want_value)
+                assert_same_bits(grad, want_grad)
 
 
 @SETTINGS

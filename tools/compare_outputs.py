@@ -4,7 +4,7 @@ source trees.
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a source tree, its `src/` or its root, whose children
-`trees.run_child` starts. The script runs a fixed matrix of 23 configs
+`trees.run_child` starts. The script runs a fixed matrix of 24 configs
 under both trees, each in a fresh output directory, and reports every seed
 CSV or `aggregate.csv` whose bytes differ (with every column whose
 numbers moved, and the largest relative and largest absolute difference
@@ -51,8 +51,11 @@ features, generator seed 7), T=300 x {convex, fixed_ogd, gamma-shift} x
 rows whose feature indices have gaps, with label-only rows, trailing
 comments, blank lines and a max_rows of 300, past which a larger feature
 index appears (criterion 9's file is dense and plain, so it exercises none
-of these); the same with that file's lines ended by CRLF. A run of both
-trees, cold, warm and torn, takes about a minute on 2 CPUs.
+of these); the same with that file's lines ended by CRLF; elastic net, convex,
+T=300, 3 seeds, on a dense file of 200 rows and 12 features with labels of
+both signs, where about 40% of the features are zeros spelt `-0`, `-0.0`
+or `0` (rows with signed zeros). A run of both trees, cold, warm and
+torn, takes about a minute on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -122,8 +125,25 @@ def write_sparse_dataset(path: str, n: int = 400, d: int = 30, seed: int = 11):
                 fh.write("\n" if i % 2 else "  \t\n")
 
 
-def config_matrix(dataset: str, sparse_dataset: str,
-                  sparse_crlf_dataset: str) -> dict[str, dict]:
+def write_signed_zero_dataset(path: str):
+    """A dense libsvm file of 200 rows and 12 features with labels of both
+    signs, in which about 40% of the features are zeros spelt `-0`, `-0.0`
+    or `0`."""
+    rng = np.random.default_rng(13)
+    w = rng.normal(size=12)
+    with open(path, "w") as fh:
+        for _ in range(200):
+            u = rng.normal(size=12)
+            zeros = rng.choice(["-0", "-0.0", "0"], size=12)
+            spelt = [str(z) if rng.uniform() < 0.4 else repr(v)
+                     for z, v in zip(zeros, u.tolist())]
+            fh.write(("+1" if w @ u > 0 else "-1")
+                     + "".join(f" {j + 1}:{v}" for j, v in enumerate(spelt))
+                     + "\n")
+
+
+def config_matrix(dataset: str, sparse_dataset: str, sparse_crlf_dataset: str,
+                  signed_zero_dataset: str) -> dict[str, dict]:
     configs = {}
     for variant in VARIANTS:
         for n_seeds in (2, 10):
@@ -163,6 +183,10 @@ def config_matrix(dataset: str, sparse_dataset: str,
         configs["elasticnet_sparse_convex_s3"],
         problem=dict(configs["elasticnet_sparse_convex_s3"]["problem"],
                      dataset=sparse_crlf_dataset))
+    configs["elasticnet_signed_zero_convex_s3"] = dict(
+        problem={"kind": "elasticnet", "dataset": signed_zero_dataset,
+                 "rho": 1.0},
+        T=300, seeds=[0, 1, 2], **VARIANTS["convex"])
     return {name: dict(cfg, beta=BETA) for name, cfg in configs.items()}
 
 
@@ -334,17 +358,19 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as workdir:
-        dataset, sparse_dataset, sparse_crlf_dataset = (
+        dataset, sparse_dataset, sparse_crlf_dataset, signed_zero_dataset = (
             os.path.join(workdir, f"{name}.libsvm")
-            for name in ("data", "sparse", "sparse_crlf"))
+            for name in ("data", "sparse", "sparse_crlf", "signed_zero"))
         write_dataset(dataset)
         write_sparse_dataset(sparse_dataset)
         write_edited(sparse_crlf_dataset, sparse_dataset, {}, newline="\r\n")
+        write_signed_zero_dataset(signed_zero_dataset)
         malformed = {name: os.path.join(workdir, f"{name}.libsvm")
                      for name in MALFORMED}
         for name, path in malformed.items():
             write_edited(path, dataset, MALFORMED[name])
-        configs = config_matrix(dataset, sparse_dataset, sparse_crlf_dataset)
+        configs = config_matrix(dataset, sparse_dataset, sparse_crlf_dataset,
+                                signed_zero_dataset)
         trees = tuple(zip(("parent", "change"), argv))
         diffs = []
 
